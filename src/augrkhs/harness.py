@@ -5,8 +5,10 @@ value lists, a seed list, an output directory, and an enumeration budget.
 Every cell of the grid-times-seeds cross product executes independently
 with a seed derived from the master seed and the cell's axis values, so any
 cell can be reproduced in isolation; failures are recorded per cell without
-aborting the sweep.  Floats are written with 17 significant digits and rows
-are merged in grid order, so identical configs produce byte-identical files.
+aborting the sweep.  Cells that share a process share one build of it and of
+its spectral decomposition.  Floats are written with 17 significant digits
+and rows are merged in grid order, so identical configs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -18,12 +20,14 @@ import json
 import math
 import os
 import tempfile
+import threading
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import complexity, encoders, objectives, regression, spectral
-from .exceptions import ValidationError
+from .exceptions import BudgetExceededError, ValidationError
 from .processes import DEFAULT_BUDGET, SCHEMES, HypercubeConfig, build_hypercube
 
 SCHEMA_VERSION = "1"
@@ -218,16 +222,46 @@ def figure_4a_data() -> tuple[list[str], list[dict]]:
     return HEADERS["figure_4a"], rows
 
 
-def _cells(config: ExperimentConfig) -> list[dict]:
-    axes = [a for a in _AXIS_ORDER if a in config.grid]
+# the axes that fix a process; every command varies them outermost
+_PROCESS_AXES = ("scheme", "d_x", "alpha")
+
+
+def _grid_axes(config: ExperimentConfig) -> tuple[str, ...]:
+    return tuple(a for a in _AXIS_ORDER if a in config.grid)
+
+
+def _outputs(config: ExperimentConfig) -> list[tuple[str, tuple[str, ...]]]:
+    """The outputs ``run`` fills, each with the grid axes of its cells.
+
+    A sweep's complexity cells span only the process axes; its rate
+    experiment, run when the grid has ``d`` and ``N`` axes, spans them all.
+    """
+    if config.command != "sweep":
+        return [(config.command, _grid_axes(config))]
+    outputs = [("kappa", _PROCESS_AXES)]
+    if config.grid.get("N") and config.grid.get("d"):
+        outputs.append(("tracegap", _grid_axes(config)))
+    return outputs
+
+
+def _cells(config: ExperimentConfig, outputs) -> list[tuple[str, dict]]:
+    """``(output, cell)`` pairs, grouped by process.
+
+    For each process in grid order come the cells of every output in turn;
+    within one output the cells follow the grid product, seeds innermost.
+    """
+    grid = config.grid
     cells = []
-    for combo in itertools.product(*(config.grid[a] for a in axes)):
-        for seed_val in config.seeds:
-            cell = dict(zip(axes, combo))
-            cell["seed"] = cell_seed(config.master_seed, master=seed_val,
-                                     **cell)
-            cell["master"] = seed_val
-            cells.append(cell)
+    for outer in itertools.product(*(grid[a] for a in _PROCESS_AXES)):
+        for name, axes in outputs:
+            rest = axes[len(_PROCESS_AXES):]
+            for combo in itertools.product(*(grid[a] for a in rest)):
+                for seed_val in config.seeds:
+                    cell = dict(zip(axes, outer + combo))
+                    cell["seed"] = cell_seed(config.master_seed,
+                                             master=seed_val, **cell)
+                    cell["master"] = seed_val
+                    cells.append((name, cell))
     return cells
 
 
@@ -240,16 +274,74 @@ def _base_row(cell: dict) -> dict:
     return row
 
 
-def _kappa_cell(cell, config: ExperimentConfig) -> dict:
+def _hypercube(cell) -> HypercubeConfig:
+    return HypercubeConfig(cell["d_x"], cell["alpha"], cell["scheme"])
+
+
+@dataclass
+class _Entry:
+    lock: threading.Lock = field(default_factory=threading.Lock)
+    built: object = None  # (process, decomposition) or the build's exception
+
+
+class _SharedProcesses:
+    """Each cell's process and decomposition, built once per run.
+
+    Entries are keyed by ``(scheme, d_x, alpha, budget)``.  The first cell
+    of a key builds the entry under the key's lock, so cells of that key in
+    other threads wait for it instead of building it again; a failed build
+    is kept and raised to every cell of the key.  The cells of each key are
+    counted up front and the entry is dropped when the last of them is
+    released, so only the entries of cells in flight stay alive.  Cells
+    share the objects read-only.
+    """
+
+    def __init__(self, cells, budget: int):
+        self._budget = budget
+        self._lock = threading.Lock()
+        self._pending = Counter(self._key(c) for c in cells)
+        self._entries: dict[tuple, _Entry] = {}
+
+    def _key(self, cell) -> tuple:
+        return (cell["scheme"], cell["d_x"], cell["alpha"], self._budget)
+
+    def get(self, cell) -> tuple:
+        """``(process, decomposition)`` of the cell, built on first use."""
+        key = self._key(cell)
+        with self._lock:
+            entry = self._entries.setdefault(key, _Entry())
+        with entry.lock:
+            if entry.built is None:
+                try:
+                    process = build_hypercube(_hypercube(cell),
+                                              budget=self._budget)
+                    entry.built = (process, spectral.decompose(process))
+                except Exception as exc:  # becomes each cell's error row
+                    # without its traceback, which holds the build's arrays
+                    entry.built = exc.with_traceback(None)
+        if isinstance(entry.built, Exception):
+            raise entry.built
+        return entry.built
+
+    def release(self, cell) -> None:
+        """Mark one cell of the key done; drop the entry after the last."""
+        key = self._key(cell)
+        with self._lock:
+            self._pending[key] -= 1
+            if not self._pending[key]:
+                del self._pending[key]
+                self._entries.pop(key, None)
+
+
+def _kappa_cell(cell, config: ExperimentConfig, shared) -> dict:
     row = _base_row(cell)
-    hc = HypercubeConfig(cell["d_x"], cell["alpha"], cell["scheme"])
-    process = build_hypercube(hc, budget=config.budget)
+    _, dec = shared.get(cell)
     beta = float(config.options.get("beta", 99.0))
-    report = complexity.kappa_exact(process, beta=beta)
+    report = complexity.kappa_exact(dec, beta=beta)
     row["kappa_sq_exact"] = report.kappa_sq_max
     row["kappa_sq_p99"] = report.kappa_sq_percentile
     try:
-        closed = complexity.closed_form_kappa(hc)
+        closed = complexity.closed_form_kappa(_hypercube(cell))
         row["closed_form"] = closed.value
         row["bound_kind"] = closed.kind
     except ValidationError:
@@ -259,20 +351,13 @@ def _kappa_cell(cell, config: ExperimentConfig) -> dict:
     return row
 
 
-def _spectrum_cell(cell, config: ExperimentConfig) -> dict:
+def _spectrum_cell(cell, config: ExperimentConfig, shared) -> dict:
     row = _base_row(cell)
-    hc = HypercubeConfig(cell["d_x"], cell["alpha"], cell["scheme"])
-    process = build_hypercube(hc, budget=config.budget)
-    dec = spectral.decompose(process)
+    process, dec = shared.get(cell)
     row["rank"] = dec.rank
     row["lambda_top"] = float(dec.lambdas[0])
     row["s_lambda"] = float(dec.lambdas.sum())
-    certified = dec.lambdas > 1e-6
-    back = spectral.apply_gamma_star(process, dec.phi[:, certified])
-    back = back / np.sqrt(dec.lambdas[certified])[None, :]
-    diff = back - dec.psi[:, certified]
-    row["duality_residual"] = float(np.sqrt(np.max(
-        np.sum(diff * diff * process.p_x.mass[:, None], axis=0))))
+    row["duality_residual"] = spectral.duality_residual(dec)
     row["reconstruction_residual"] = spectral.verify_integral_identity(
         process, dec)
     stem = (f"{cell['scheme']}_dx{cell['d_x']}_a{cell['alpha']!r}"
@@ -281,11 +366,15 @@ def _spectrum_cell(cell, config: ExperimentConfig) -> dict:
     return row
 
 
-def _pretrain_cell(cell, config: ExperimentConfig) -> dict:
+def _pretrain_cell(cell, config: ExperimentConfig, shared) -> dict:
     row = _base_row(cell)
-    hc = HypercubeConfig(cell["d_x"], cell["alpha"], cell["scheme"])
-    process = build_hypercube(hc, budget=config.budget)
-    dec = spectral.decompose(process)
+    process, dec = shared.get(cell)
+    pair_entries = process.n_a * process.n_a
+    if pair_entries > config.budget:
+        raise BudgetExceededError(
+            f"the {process.n_a} x {process.n_a} pair matrix has "
+            f"{pair_entries} entries, exceeding the budget of {config.budget}"
+        )
     d = int(cell["d"])
     opts = config.options
     opt = objectives.OptimizerConfig(
@@ -320,11 +409,9 @@ def _pretrain_cell(cell, config: ExperimentConfig) -> dict:
     return row
 
 
-def _regress_cell(cell, config: ExperimentConfig) -> dict:
+def _regress_cell(cell, config: ExperimentConfig, shared) -> dict:
     row = _base_row(cell)
-    hc = HypercubeConfig(cell["d_x"], cell["alpha"], cell["scheme"])
-    process = build_hypercube(hc, budget=config.budget)
-    dec = spectral.decompose(process)
+    process, dec = shared.get(cell)
     d = int(cell["d"])
     encoder = encoders.optimal_encoder(dec, d)
     B, eps = float(cell["B"]), float(cell["epsilon"])
@@ -356,11 +443,9 @@ def _regress_cell(cell, config: ExperimentConfig) -> dict:
     return row
 
 
-def _tracegap_cell(cell, config: ExperimentConfig) -> dict:
+def _tracegap_cell(cell, config: ExperimentConfig, shared) -> dict:
     row = _base_row(cell)
-    hc = HypercubeConfig(cell["d_x"], cell["alpha"], cell["scheme"])
-    process = build_hypercube(hc, budget=config.budget)
-    dec = spectral.decompose(process)
+    process, dec = shared.get(cell)
     d, N = int(cell["d"]), int(cell["N"])
     empirical = encoders.empirical_decomposition(process, N, seed=cell["seed"])
     encoder = encoders.near_optimal_encoder(empirical, d, dec)
@@ -382,19 +467,35 @@ _CELL_FN = {
 }
 
 
-def _execute_cells(config: ExperimentConfig, cells, fn):
-    def guarded(cell):
+def _execute(config: ExperimentConfig, outputs) -> dict[str, list]:
+    """Run the cells of ``outputs``; return each output's rows in grid order.
+
+    Cells run independently (optionally in threads) and share one
+    :class:`_SharedProcesses` for the run; a failed cell yields an error row.
+    """
+    cells = _cells(config, outputs)
+    shared = _SharedProcesses([cell for _, cell in cells], config.budget)
+
+    def guarded(item):
+        name, cell = item
         try:
-            return fn(cell, config)
+            return _CELL_FN[name](cell, config, shared)
         except Exception as exc:  # cell isolation: record, never abort
             row = _base_row(cell)
             row["error"] = f"{type(exc).__name__}: {exc}".replace(",", ";")
             return row
+        finally:
+            shared.release(cell)
 
     if config.jobs > 1:
         with concurrent.futures.ThreadPoolExecutor(config.jobs) as pool:
-            return list(pool.map(guarded, cells))
-    return [guarded(c) for c in cells]
+            rows = list(pool.map(guarded, cells))
+    else:
+        rows = [guarded(item) for item in cells]
+    by_output = {name: [] for name, _ in outputs}
+    for (name, _), row in zip(cells, rows):
+        by_output[name].append(row)
+    return by_output
 
 
 def fit_loglog_slope(ns, values) -> float:
@@ -405,20 +506,16 @@ def fit_loglog_slope(ns, values) -> float:
     return float((x @ (y - y.mean())) / (x @ x))
 
 
-def tracegap_rate_experiment(config: ExperimentConfig) -> dict:
-    """Near-optimal-encoder excess gap against sample count.
-
-    Runs the tracegap grid, appends one median row per (axes, N) group, and
-    fits the log-log slope of the median gap in N.  The N axis must hold at
-    least four points spanning at least two octaves.
-    """
+def _check_rate_grid(config: ExperimentConfig) -> None:
     ns = sorted(set(config.grid["N"]))
     if len(ns) < 4 or ns[-1] < 16 * ns[0]:
         raise ValidationError(
             "the N grid needs >= 4 points spanning at least a factor of 16"
         )
-    cells = _cells(config)
-    rows = _execute_cells(config, cells, _tracegap_cell)
+
+
+def _rate_summary(rows) -> tuple[list, float | None]:
+    """One median row per (axes, N) group, and the log-log slope in N."""
     groups: dict[tuple, list] = {}
     for row in rows:
         if row.get("error"):
@@ -442,7 +539,71 @@ def tracegap_rate_experiment(config: ExperimentConfig) -> dict:
     points = [(n, v) for n, v in points if v > 0.0]
     slope = (fit_loglog_slope([n for n, _ in points], [v for _, v in points])
              if len(points) >= 2 else None)
+    return median_rows, slope
+
+
+def tracegap_rate_experiment(config: ExperimentConfig) -> dict:
+    """Near-optimal-encoder excess gap against sample count.
+
+    Runs the tracegap grid, appends one median row per (axes, N) group, and
+    fits the log-log slope of the median gap in N.  The N axis must hold at
+    least four points spanning at least two octaves.
+    """
+    _check_rate_grid(config)
+    rows = _execute(config, [("tracegap", _grid_axes(config))])["tracegap"]
+    median_rows, slope = _rate_summary(rows)
     return {"rows": rows, "median_rows": median_rows, "slope": slope}
+
+
+def _write_table(config: ExperimentConfig, name: str, rows, files) -> list:
+    path = os.path.join(config.output_dir, f"{name}.csv")
+    write_csv(path, HEADERS[name], rows)
+    files[name] = path
+    return rows
+
+
+def _write_pretrain(config: ExperimentConfig, name: str, rows, files) -> list:
+    records = []
+    for row in rows:
+        records.append({k: v for k, v in row.items() if k != "trace"})
+        if "trace" in row:
+            stem = (f"pretrain_{row['objective']}_{row['scheme']}"
+                    f"_dx{row['d_x']}_a{row['alpha']!r}"
+                    f"_d{row['d']}_s{row['seed']}").replace(".", "p")
+            trace_path = os.path.join(config.output_dir, stem + ".csv")
+            write_csv(trace_path, ["iteration", "loss"],
+                      [{"iteration": i, "loss": v}
+                       for i, v in enumerate(row["trace"])])
+    path = os.path.join(config.output_dir, "pretrain.jsonl")
+    write_jsonl(path, records)
+    files["pretrain"] = path
+    return records
+
+
+def _write_tracegap(config: ExperimentConfig, name: str, rows, files) -> list:
+    median_rows, slope = _rate_summary(rows)
+    records = _write_table(config, name, rows + median_rows, files)
+    fit_path = os.path.join(config.output_dir, "tracegap_fit.json")
+    _write_atomic(fit_path, json.dumps({"slope": slope}) + "\n")
+    files["fit"] = fit_path
+    empirical_path = os.path.join(config.output_dir, "empirical.jsonl")
+    write_jsonl(empirical_path, [
+        {"seed": r["seed"], "N": r["N"], "lambdas_bar": r["lambdas_bar"],
+         "gamma_g": r["gamma_g"]}
+        for r in rows if not r.get("error")
+    ])
+    files["empirical"] = empirical_path
+    return records
+
+
+# output name -> writer of its files; each returns the output's records
+_WRITERS = {
+    "kappa": _write_table,
+    "spectrum": _write_table,
+    "regress": _write_table,
+    "pretrain": _write_pretrain,
+    "tracegap": _write_tracegap,
+}
 
 
 def run(config: ExperimentConfig) -> RunOutcome:
@@ -452,6 +613,9 @@ def run(config: ExperimentConfig) -> RunOutcome:
     failed cells contribute an error row.  Returns the records plus the
     failure count, which drives the process exit code.
     """
+    outputs = _outputs(config)
+    if any(name == "tracegap" for name, _ in outputs):
+        _check_rate_grid(config)
     os.makedirs(config.output_dir, exist_ok=True)
     files = {}
     if config.command == "sweep":
@@ -459,62 +623,8 @@ def run(config: ExperimentConfig) -> RunOutcome:
         fig_path = os.path.join(config.output_dir, "figure_4a.csv")
         write_csv(fig_path, header, rows)
         files["figure_4a"] = fig_path
-        kappa_rows = _execute_cells(config, _cells(config), _kappa_cell)
-        kappa_path = os.path.join(config.output_dir, "kappa.csv")
-        write_csv(kappa_path, HEADERS["kappa"], kappa_rows)
-        files["kappa"] = kappa_path
-        records = kappa_rows
-        if config.grid.get("N") and config.grid.get("d"):
-            outcome = tracegap_rate_experiment(config)
-            path = os.path.join(config.output_dir, "tracegap.csv")
-            write_csv(path, HEADERS["tracegap"],
-                      outcome["rows"] + outcome["median_rows"])
-            files["tracegap"] = path
-            _write_atomic(os.path.join(config.output_dir, "tracegap_fit.json"),
-                          json.dumps({"slope": outcome["slope"]}) + "\n")
-            records = records + outcome["rows"]
-        failures = sum(1 for r in records if r.get("error"))
-        return RunOutcome(records=records, failures=failures, files=files)
-
-    if config.command == "tracegap":
-        outcome = tracegap_rate_experiment(config)
-        rows = outcome["rows"] + outcome["median_rows"]
-        path = os.path.join(config.output_dir, "tracegap.csv")
-        write_csv(path, HEADERS["tracegap"], rows)
-        files["tracegap"] = path
-        fit_path = os.path.join(config.output_dir, "tracegap_fit.json")
-        _write_atomic(fit_path, json.dumps({"slope": outcome["slope"]}) + "\n")
-        files["fit"] = fit_path
-        empirical_path = os.path.join(config.output_dir, "empirical.jsonl")
-        write_jsonl(empirical_path, [
-            {"seed": r["seed"], "N": r["N"], "lambdas_bar": r["lambdas_bar"],
-             "gamma_g": r["gamma_g"]}
-            for r in outcome["rows"] if not r.get("error")
-        ])
-        files["empirical"] = empirical_path
-        failures = sum(1 for r in outcome["rows"] if r.get("error"))
-        return RunOutcome(records=rows, failures=failures, files=files)
-
-    rows = _execute_cells(config, _cells(config), _CELL_FN[config.command])
-    failures = sum(1 for r in rows if r.get("error"))
-    if config.command == "pretrain":
-        records = []
-        for row in rows:
-            rec = {k: v for k, v in row.items() if k != "trace"}
-            records.append(rec)
-            if "trace" in row:
-                stem = (f"pretrain_{row['objective']}_{row['scheme']}"
-                        f"_dx{row['d_x']}_a{row['alpha']!r}"
-                        f"_d{row['d']}_s{row['seed']}").replace(".", "p")
-                trace_path = os.path.join(config.output_dir, stem + ".csv")
-                write_csv(trace_path, ["iteration", "loss"],
-                          [{"iteration": i, "loss": v}
-                           for i, v in enumerate(row["trace"])])
-        path = os.path.join(config.output_dir, "pretrain.jsonl")
-        write_jsonl(path, records)
-        files["pretrain"] = path
-        return RunOutcome(records=records, failures=failures, files=files)
-    path = os.path.join(config.output_dir, f"{config.command}.csv")
-    write_csv(path, HEADERS[config.command], rows)
-    files[config.command] = path
-    return RunOutcome(records=rows, failures=failures, files=files)
+    records, failures = [], 0
+    for name, rows in _execute(config, outputs).items():
+        failures += sum(1 for r in rows if r.get("error"))
+        records += _WRITERS[name](config, name, rows, files)
+    return RunOutcome(records=records, failures=failures, files=files)

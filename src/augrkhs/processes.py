@@ -292,14 +292,15 @@ def _block_support(d: int, r: int) -> tuple[list[tuple[int, ...]], list[tuple[in
 def _build_block_scheme(config: HypercubeConfig, budget: int) -> AugmentationProcess:
     d, r = config.d_x, config.block_length
     n_pos = d - r + 1
-    x_points = _sign_points(d)
-    a_points, meta = _block_support(d, r)
-    n_x, n_a = len(x_points), len(a_points)
+    # sizes are checked before anything is enumerated
+    n_x, n_a = 2**d, n_pos * 2 ** (d - r)
     if n_x * n_a > budget:
         raise BudgetExceededError(
             f"{config.scheme} at d_x={d} needs a {n_x} x {n_a} "
             f"= {n_x * n_a} entry table, exceeding the budget of {budget}"
         )
+    x_points = _sign_points(d)
+    a_points, meta = _block_support(d, r)
     X = np.array(x_points)
     if config.scheme == "block_mask":
         conditional = sp.lil_array((n_x, n_a))

@@ -211,14 +211,24 @@ def _validate_decomposition(dec: SpectralDecomposition) -> None:
         raise ValidationError("psi columns are not orthonormal under p_x")
     if np.max(np.abs(gram_a - eye)) > _ORTHONORMALITY_TOL:
         raise ValidationError("phi columns are not orthonormal under p_a")
+    worst = duality_residual(dec)
+    if worst > _DUALITY_TOL:
+        raise ValidationError(f"duality residual {worst!r} exceeds {_DUALITY_TOL}")
+
+
+def duality_residual(dec: SpectralDecomposition) -> float:
+    """Worst ``p_x``-norm of ``Gamma* phi_i / sqrt(lambda_i) - psi_i``.
+
+    Taken over the certified pairs, ``lambda_i > 1e-6``; zero when none is.
+    """
     certified = dec.lambdas > _DUALITY_FLOOR
-    if certified.any():
-        back = apply_gamma_star(dec.process, dec.phi[:, certified])
-        back /= np.sqrt(dec.lambdas[certified])[None, :]
-        resid = back - dec.psi[:, certified]
-        worst = np.sqrt(np.max(np.sum(resid * resid * p_x[:, None], axis=0)))
-        if worst > _DUALITY_TOL:
-            raise ValidationError(f"duality residual {worst!r} exceeds {_DUALITY_TOL}")
+    if not certified.any():
+        return 0.0
+    back = apply_gamma_star(dec.process, dec.phi[:, certified])
+    back /= np.sqrt(dec.lambdas[certified])[None, :]
+    resid = back - dec.psi[:, certified]
+    p_x = dec.process.p_x.mass
+    return float(np.sqrt(np.max(np.sum(resid * resid * p_x[:, None], axis=0))))
 
 
 def decompose(process: AugmentationProcess,

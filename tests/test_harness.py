@@ -1,9 +1,16 @@
+import gc
 import json
 import math
+import sys
+import threading
+import time
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from augrkhs import complexity, harness, objectives, spectral
 from augrkhs.cli import main
 from augrkhs.exceptions import ValidationError
 from augrkhs.harness import (
@@ -299,3 +306,153 @@ def test_cli_print_config(tmp_path, capsys):
     assert resolved["seeds"] == [7]
     assert resolved["jobs"] == 2
     assert resolved["command"] == "kappa"
+
+
+def tracegap_config(tmp_path, **overrides):
+    cfg = {
+        "command": "tracegap",
+        "grid": {"scheme": ["random_mask", "block_mask"], "d_x": [2],
+                 "alpha": [0.5], "d": [1], "N": [16, 32, 64, 256]},
+        "seeds": [0, 1, 2],
+        "output_dir": str(tmp_path / "out"),
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+@pytest.fixture
+def counted_builds(monkeypatch):
+    """Count process builds and decompositions per (scheme, d_x, alpha).
+
+    Builds sleep briefly so that parallel cells of one key overlap; every
+    built process is tracked by a weak reference.
+    """
+    builds, decompositions, alive = Counter(), Counter(), []
+    lock = threading.Lock()
+    build, decompose = harness.build_hypercube, spectral.decompose
+
+    def counting_build(hc, budget):
+        with lock:
+            builds[(hc.scheme, hc.d_x, hc.alpha)] += 1
+        time.sleep(0.01)
+        process = build(hc, budget=budget)
+        alive.append(weakref.ref(process))
+        return process
+
+    def counting_decompose(process, *args, **kwargs):
+        with lock:
+            decompositions[(process.n_x, process.n_a)] += 1
+        return decompose(process, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_hypercube", counting_build)
+    monkeypatch.setattr(spectral, "decompose", counting_decompose)
+    monkeypatch.setattr(complexity, "decompose", counting_decompose)
+    return builds, decompositions, alive
+
+
+@pytest.mark.parametrize("jobs", [1, 4, 8])
+@pytest.mark.parametrize("make_config", [kappa_config, tracegap_config])
+def test_each_process_built_and_decomposed_once(tmp_path, counted_builds,
+                                               make_config, jobs):
+    builds, decompositions, _ = counted_builds
+    cfg = make_config(tmp_path, seeds=[0, 1], jobs=jobs)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # frequent switches while cells share entries
+    try:
+        outcome = run(resolve_config(cfg))
+    finally:
+        sys.setswitchinterval(interval)
+    assert outcome.exit_code == 0
+    grid = cfg["grid"]
+    keys = {(s, d_x, a) for s in grid["scheme"] for d_x in grid["d_x"]
+            for a in grid["alpha"]}
+    assert set(builds) == keys and set(builds.values()) == {1}
+    assert sum(decompositions.values()) == len(keys)
+    serial = run(resolve_config(make_config(
+        tmp_path, seeds=[0, 1], output_dir=str(tmp_path / "serial"))))
+    for name, path in outcome.files.items():
+        assert open(path).read() == open(serial.files[name]).read(), name
+
+
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_failed_build_cached_for_every_cell(tmp_path, counted_builds, jobs):
+    builds, _, _ = counted_builds
+    cfg = resolve_config(kappa_config(
+        tmp_path, grid={"scheme": ["random_mask"], "d_x": [3, 40],
+                        "alpha": [0.5]},
+        seeds=[0, 1, 2], budget=10**6, jobs=jobs))
+    outcome = run(cfg)
+    errors = [r for r in outcome.records if r.get("error")]
+    assert outcome.failures == 3 and len(errors) == 3
+    assert [r["seed"] for r in errors] == [0, 1, 2]
+    assert len({r["error"] for r in errors}) == 1
+    assert errors[0]["error"].startswith("BudgetExceededError")
+    assert builds == {("random_mask", 3, 0.5): 1, ("random_mask", 40, 0.5): 1}
+
+
+def test_entries_released_after_their_last_cell(tmp_path, counted_builds):
+    _, _, alive = counted_builds
+    live_at_build = []
+    build = harness.build_hypercube
+
+    def build_after_release(hc, budget):
+        gc.collect()
+        live_at_build.append(sum(ref() is not None for ref in alive))
+        return build(hc, budget)
+
+    harness.build_hypercube = build_after_release  # restored by the fixture
+    outcome = run(resolve_config(kappa_config(tmp_path, seeds=[0, 1])))
+    assert outcome.exit_code == 0
+    # one process at a time under jobs=1, and none once run() has returned
+    assert live_at_build == [0, 0, 0, 0]
+    del outcome
+    gc.collect()
+    assert len(alive) == 4
+    assert all(ref() is None for ref in alive)
+
+
+def test_sweep_kappa_rows_once_per_process_and_seed(tmp_path):
+    cfg = {
+        "command": "sweep",
+        "grid": {"scheme": ["random_mask", "block_mask"], "d_x": [2],
+                 "alpha": [0.5], "d": [1], "N": [16, 32, 64, 256]},
+        "seeds": [0, 1],
+        "output_dir": str(tmp_path / "sweep"),
+    }
+    outcome = run(resolve_config(cfg))
+    assert outcome.exit_code == 0
+    lines = open(outcome.files["kappa"]).read().splitlines()[1:]
+    keys = [tuple(ln.split(",")[1:5]) for ln in lines]
+    assert keys == [("random_mask", "2", "0.5", "0"),
+                    ("random_mask", "2", "0.5", "1"),
+                    ("block_mask", "2", "0.5", "0"),
+                    ("block_mask", "2", "0.5", "1")]
+    # the sweep's rate experiment writes what the tracegap command writes
+    alone = run(resolve_config(dict(cfg, command="tracegap",
+                                    output_dir=str(tmp_path / "alone"))))
+    assert set(outcome.files) == {"figure_4a", "kappa"} | set(alone.files)
+    for name in alone.files:
+        assert open(outcome.files[name]).read() == \
+            open(alone.files[name]).read(), name
+
+
+def test_pretrain_fails_fast_on_oversized_pair_matrix(tmp_path, monkeypatch):
+    def no_minimize(*args, **kwargs):
+        raise AssertionError("minimize ran past the pair-matrix budget")
+
+    monkeypatch.setattr(objectives, "minimize", no_minimize)
+    # random_mask d_x=3: the 8 x 27 table fits a budget of 500, the
+    # 27 x 27 = 729 entry pair matrix does not
+    outcome = run(resolve_config({
+        "command": "pretrain",
+        "grid": {"scheme": ["random_mask"], "d_x": [3], "alpha": [0.5],
+                 "objective": ["scl", "vicreg"], "d": [2]},
+        "seeds": [0],
+        "output_dir": str(tmp_path / "out"),
+        "budget": 500,
+    }))
+    assert outcome.failures == 2
+    for record in outcome.records:
+        assert record["error"] == (
+            "BudgetExceededError: the 27 x 27 pair matrix has 729 entries;"
+            " exceeding the budget of 500")

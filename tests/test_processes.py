@@ -152,6 +152,13 @@ def test_budget_error_names_counts():
     assert DEFAULT_BUDGET == 10**8
 
 
+@pytest.mark.parametrize("scheme", ["block_mask", "block_mask_flip"])
+def test_block_budget_checked_before_enumeration(scheme):
+    # 2^40 data points: only a check made before enumerating returns at all
+    with pytest.raises(BudgetExceededError, match="1099511627776 x 22020096"):
+        build_hypercube(HypercubeConfig(40, 0.5, scheme), budget=10**6)
+
+
 def test_alpha_validation():
     with pytest.raises(ValidationError):
         HypercubeConfig(3, 0.0, "random_mask")

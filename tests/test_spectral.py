@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from augrkhs.spectral import (
     apply_gamma,
     apply_gamma_star,
     decompose,
+    duality_residual,
     export_decomposition,
     kernel_a,
     kernel_x,
@@ -172,6 +174,20 @@ def test_duality_both_directions(small_decomposition):
         phi_back = apply_gamma(p, dec.psi[:, i]) / root
         assert weighted_norm(psi_back - dec.psi[:, i], p.p_x.mass) <= 1e-8
         assert weighted_norm(phi_back - dec.phi[:, i], p.p_a.mass) <= 1e-8
+
+
+def test_duality_residual_measures_a_perturbed_pair(small_decomposition):
+    dec = small_decomposition
+    p = dec.process
+    assert 0.0 <= duality_residual(dec) <= 1e-8
+    # shift one psi column by a known p_x-norm; the worst residual reports it
+    delta = np.zeros(p.n_x)
+    delta[0] = 1e-3
+    psi = dec.psi.copy()
+    psi[:, 1] += delta
+    bent = dataclasses.replace(dec, psi=psi)
+    expected = weighted_norm(delta, p.p_x.mass)
+    assert duality_residual(bent) == pytest.approx(expected, rel=1e-4)
 
 
 def test_reconstruction_of_symmetrized_joint(small_decomposition):
