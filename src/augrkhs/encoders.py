@@ -20,11 +20,10 @@ import scipy.sparse as sp
 from .complexity import partial_trace
 from .exceptions import RankDeficiencyError, ValidationError
 from .processes import AugmentationProcess
-from .spectral import SpectralDecomposition, decompose
+from .spectral import SpectralDecomposition, _spectral_engine, decompose
 
 _GRAM_RANK_TOL = 1e-10
 _CONDITION_LIMIT = 1e12
-_TIE_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,8 +165,11 @@ def optimal_encoder(decomposition: SpectralDecomposition, d: int) -> Encoder:
 class EmpiricalDecomposition:
     """Spectral system of the empirical operator built from N samples.
 
-    ``psi_bar`` lives on the sample points (orthonormal under the empirical
-    inner product); ``phi_bar`` is stored on the full augmentation space,
+    The empirical operator depends on the sample only through its distinct
+    points and their summed weights, so the spectrum is solved on the
+    distinct sampled points.  ``psi_bar`` has one row per sample, equal on
+    duplicate samples (orthonormal under the empirical inner product);
+    ``phi_bar`` is stored on the full augmentation space,
     zero on augmentations the sample never reaches, orthonormal under the
     empirical augmentation marginal ``p_a_hat``.
     """
@@ -184,49 +186,24 @@ class EmpiricalDecomposition:
 
 
 def _empirical_from_weights(process, indices, weights, rank_tol):
+    # the empirical operator sees the sample only through its distinct
+    # points and their summed weights, so the spectrum is solved on those
+    points, inverse = np.unique(indices, return_inverse=True)
+    point_weights = np.bincount(inverse, weights=weights)
     C = process.conditional
-    rows = C[indices].toarray() if sp.issparse(C) else process.conditional_dense()[indices]
-    p_a_hat = weights @ rows
+    rows = C[points].toarray() if sp.issparse(C) else process.conditional_dense()[points]
+    p_a_hat = point_weights @ rows
     kept = np.nonzero(p_a_hat > 0.0)[0]
-    sqrt_w = np.sqrt(weights)
-    B = (rows[:, kept] * sqrt_w[:, None] / np.sqrt(p_a_hat[kept])[None, :]).T
-    U, s, Vt = np.linalg.svd(B, full_matrices=False)
-    lambdas = s * s
-    rank = int(np.count_nonzero(lambdas > rank_tol))
-    lambdas = lambdas[:rank].copy()
-    V = Vt[:rank].T.copy()
-    Uk = U[:, :rank].copy()
-
-    # anchor the constant in the top block, as in the population route
-    block = np.nonzero(np.abs(lambdas - lambdas[0]) <= _TIE_TOL)[0]
-    c = V[:, block].T @ sqrt_w
-    norm = np.linalg.norm(c)
-    if norm > 1e-12:
-        c = c / norm
-        e1 = np.zeros(block.size)
-        e1[0] = 1.0
-        v = c - e1
-        vn = np.linalg.norm(v)
-        if vn > 1e-14:
-            v /= vn
-            H = np.eye(block.size) - 2.0 * np.outer(v, v)
-            V[:, block] = V[:, block] @ H
-            Uk[:, block] = Uk[:, block] @ H
-
-    psi_bar = V / sqrt_w[:, None]
-    phi_bar = np.zeros((process.n_a, rank))
-    phi_bar[kept] = Uk / np.sqrt(p_a_hat[kept])[:, None]
-    for i in range(rank):
-        lead = int(np.argmax(np.abs(psi_bar[:, i])))
-        if psi_bar[lead, i] < 0:
-            psi_bar[:, i] = -psi_bar[:, i]
-            phi_bar[:, i] = -phi_bar[:, i]
+    lambdas, psi, phi = _spectral_engine(
+        rows[:, kept], np.sqrt(point_weights), np.sqrt(p_a_hat[kept]), rank_tol)
+    phi_bar = np.zeros((process.n_a, lambdas.size))
+    phi_bar[kept] = phi
     full = np.zeros(process.n_a)
     full[kept] = p_a_hat[kept]
     return EmpiricalDecomposition(
         process=process, sample_indices=indices, weights=weights,
-        p_a_hat=full, lambdas_bar=lambdas, psi_bar=psi_bar, phi_bar=phi_bar,
-        N=indices.size, rank=rank,
+        p_a_hat=full, lambdas_bar=lambdas, psi_bar=psi[inverse],
+        phi_bar=phi_bar, N=indices.size, rank=lambdas.size,
     )
 
 

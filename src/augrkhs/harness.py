@@ -19,7 +19,6 @@ import itertools
 import json
 import math
 import os
-import tempfile
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
@@ -146,7 +145,7 @@ def resolve_config(raw: dict, command: str | None = None,
     output_dir = out or raw.get("output_dir")
     if not output_dir:
         raise ValidationError("output_dir is required")
-    return ExperimentConfig(
+    config = ExperimentConfig(
         command=cmd,
         grid=grid,
         seeds=tuple(int(s) for s in seeds),
@@ -157,6 +156,9 @@ def resolve_config(raw: dict, command: str | None = None,
         jobs=int(jobs if jobs is not None else raw.get("jobs", 1)),
         options=dict(raw.get("options") or {}),
     )
+    if any(name == "tracegap" for name, _ in _outputs(config)):
+        _check_rate_grid(config.grid)
+    return config
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -173,17 +175,8 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with spectral._replacing(path) as fh:
+        fh.write(text)
 
 
 def write_csv(path: str, header: list[str], rows: list[dict]) -> None:
@@ -360,9 +353,10 @@ def _spectrum_cell(cell, config: ExperimentConfig, shared) -> dict:
     row["duality_residual"] = spectral.duality_residual(dec)
     row["reconstruction_residual"] = spectral.verify_integral_identity(
         process, dec)
-    stem = (f"{cell['scheme']}_dx{cell['d_x']}_a{cell['alpha']!r}"
-            .replace(".", "p"))
-    spectral.export_decomposition(dec, config.output_dir, stem=stem)
+    if cell["master"] == config.seeds[0]:  # the files do not depend on the seed
+        stem = (f"{cell['scheme']}_dx{cell['d_x']}_a{cell['alpha']!r}"
+                .replace(".", "p"))
+        spectral.export_decomposition(dec, config.output_dir, stem=stem)
     return row
 
 
@@ -506,8 +500,8 @@ def fit_loglog_slope(ns, values) -> float:
     return float((x @ (y - y.mean())) / (x @ x))
 
 
-def _check_rate_grid(config: ExperimentConfig) -> None:
-    ns = sorted(set(config.grid["N"]))
+def _check_rate_grid(grid: dict) -> None:
+    ns = sorted(set(grid["N"]))
     if len(ns) < 4 or ns[-1] < 16 * ns[0]:
         raise ValidationError(
             "the N grid needs >= 4 points spanning at least a factor of 16"
@@ -547,9 +541,9 @@ def tracegap_rate_experiment(config: ExperimentConfig) -> dict:
 
     Runs the tracegap grid, appends one median row per (axes, N) group, and
     fits the log-log slope of the median gap in N.  The N axis must hold at
-    least four points spanning at least two octaves.
+    least four points spanning at least a factor of 16, which
+    :func:`resolve_config` checks.
     """
-    _check_rate_grid(config)
     rows = _execute(config, [("tracegap", _grid_axes(config))])["tracegap"]
     median_rows, slope = _rate_summary(rows)
     return {"rows": rows, "median_rows": median_rows, "slope": slope}
@@ -614,8 +608,6 @@ def run(config: ExperimentConfig) -> RunOutcome:
     failure count, which drives the process exit code.
     """
     outputs = _outputs(config)
-    if any(name == "tracegap" for name, _ in outputs):
-        _check_rate_grid(config)
     os.makedirs(config.output_dir, exist_ok=True)
     files = {}
     if config.command == "sweep":

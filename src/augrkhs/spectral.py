@@ -11,7 +11,9 @@ eigenfunction families and their duality at once.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,21 +160,25 @@ def _rotate_constant_first(lambdas, columns_x, columns_a, sqrt_wx):
     columns_a[:, block] = columns_a[:, block] @ H
 
 
-def _fix_signs_and_ties(lambdas, psi, phi):
-    """Deterministic output orientation.
+def _fix_signs(psi, phi):
+    """Scale every ``psi`` column so its largest-magnitude entry is positive.
 
-    Every ``psi`` column is scaled so its largest-magnitude entry is
-    positive, with the paired ``phi`` column flipped along with it; within a
-    degenerate eigenvalue block, columns are permuted into lexicographic
-    order of the sign-fixed ``psi`` values.
+    The paired ``phi`` column is flipped along with it.
     """
-    r = lambdas.size
-    for i in range(r):
+    for i in range(psi.shape[1]):
         col = psi[:, i]
         lead = int(np.argmax(np.abs(col)))
         if col[lead] < 0:
             psi[:, i] = -col
             phi[:, i] = -phi[:, i]
+
+
+def _order_ties(lambdas, psi, phi):
+    """Permute each degenerate block into lexicographic order of ``psi``.
+
+    The top block keeps the constant first and orders the rest.
+    """
+    r = lambdas.size
     start = 0
     while start < r:
         stop = start + 1
@@ -231,6 +237,36 @@ def duality_residual(dec: SpectralDecomposition) -> float:
     return float(np.sqrt(np.max(np.sum(resid * resid * p_x[:, None], axis=0))))
 
 
+def _spectral_engine(conditional, sqrt_wx: np.ndarray, sqrt_wa: np.ndarray,
+                     rank_tol: float):
+    """Weighted spectrum of a conditional table: the one SVD route.
+
+    ``conditional`` holds ``p(a|x)`` with one row per data point (sparse or
+    dense), ``sqrt_wx`` and ``sqrt_wa`` the square roots of the data and
+    augmentation weights.  The SVD of ``B(a,x) = p(a|x) sqrt_wx(x) /
+    sqrt_wa(a)`` is truncated at ``rank_tol``; the constant is rotated into
+    the first column and every column pair is sign-fixed.  Returns
+    ``(lambdas, psi, phi)`` with ``psi = V / sqrt_wx``, ``phi = U / sqrt_wa``.
+    """
+    if sp.issparse(conditional):
+        B = conditional.multiply(sqrt_wx[:, None]).multiply(1.0 / sqrt_wa).T.toarray()
+    else:
+        B = (conditional * sqrt_wx[:, None] / sqrt_wa).T
+    U, s, Vt = np.linalg.svd(B, full_matrices=False)
+    lambdas = s * s
+    rank = int(np.count_nonzero(lambdas > rank_tol))
+    if rank == 0:
+        raise ValidationError("empty spectrum; the leading eigenvalue should be 1")
+    lambdas = lambdas[:rank].copy()
+    V = Vt[:rank].T.copy()
+    Uk = U[:, :rank].copy()
+    _rotate_constant_first(lambdas, V, Uk, sqrt_wx)
+    psi = V / sqrt_wx[:, None]
+    phi = Uk / sqrt_wa[:, None]
+    _fix_signs(psi, phi)
+    return lambdas, psi, phi
+
+
 def decompose(process: AugmentationProcess,
               rank_tol: float = DEFAULT_RANK_TOL) -> SpectralDecomposition:
     """Exact weighted spectral decomposition of the operator pair.
@@ -247,31 +283,15 @@ def decompose(process: AugmentationProcess,
         Validated: eigenvalues in [0, 1], leading pair ``(1, constant)``,
         orthonormal columns, duality residual below 1e-8.
     """
-    p_x = process.p_x.mass
-    p_a = process.p_a.mass
-    sqrt_wx = np.sqrt(p_x)
-    C = process.conditional
-    if sp.issparse(C):
-        B = C.multiply(sqrt_wx[:, None]).multiply(1.0 / np.sqrt(p_a)).T.toarray()
-    else:
-        B = (C * sqrt_wx[:, None] / np.sqrt(p_a)).T
-    U, s, Vt = np.linalg.svd(B, full_matrices=False)
-    lambdas = s * s
-    rank = int(np.count_nonzero(lambdas > rank_tol))
-    if rank == 0:
-        raise ValidationError("empty spectrum; the leading eigenvalue should be 1")
-    lambdas = lambdas[:rank].copy()
-    V = Vt[:rank].T.copy()
-    Uk = U[:, :rank].copy()
-    _rotate_constant_first(lambdas, V, Uk, sqrt_wx)
-    psi = V / sqrt_wx[:, None]
-    phi = Uk / np.sqrt(p_a)[:, None]
-    _fix_signs_and_ties(lambdas, psi, phi)
+    lambdas, psi, phi = _spectral_engine(
+        process.conditional, np.sqrt(process.p_x.mass),
+        np.sqrt(process.p_a.mass), rank_tol)
+    _order_ties(lambdas, psi, phi)
     psi.setflags(write=False)
     phi.setflags(write=False)
     lambdas.setflags(write=False)
     dec = SpectralDecomposition(
-        lambdas=lambdas, psi=psi, phi=phi, rank=rank,
+        lambdas=lambdas, psi=psi, phi=phi, rank=lambdas.size,
         rank_tol=rank_tol, process=process,
     )
     _validate_decomposition(dec)
@@ -305,20 +325,43 @@ def verify_integral_identity(process: AugmentationProcess,
     return residual
 
 
+@contextlib.contextmanager
+def _replacing(path: str):
+    """Text handle on a temporary file that replaces ``path`` on success.
+
+    The file is written next to ``path`` and moved over it with
+    ``os.replace``, so readers and concurrent writers never see a partial
+    file; on error the temporary file is removed.
+    """
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def export_decomposition(decomposition: SpectralDecomposition,
                          out_dir, stem: str = "decomposition") -> dict[str, str]:
-    """Write lambda/psi/phi CSV files, eigenfunctions as columns, 17 digits."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write lambda/psi/phi CSV files, eigenfunctions as columns, 17 digits.
+
+    Each file is streamed row by row and replaces its target atomically.
+    """
     paths = {}
     lam_path = os.path.join(out_dir, f"{stem}_lambdas.csv")
-    with open(lam_path, "w", encoding="utf-8") as fh:
+    with _replacing(lam_path) as fh:
         fh.write("lambda\n")
         for v in decomposition.lambdas:
             fh.write(f"{v:.17g}\n")
     paths["lambdas"] = lam_path
     for name, M in (("psi", decomposition.psi), ("phi", decomposition.phi)):
         path = os.path.join(out_dir, f"{stem}_{name}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
+        with _replacing(path) as fh:
             fh.write(",".join(f"{name}_{i + 1}" for i in range(M.shape[1])) + "\n")
             for row in M:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

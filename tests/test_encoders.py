@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from augrkhs.complexity import partial_trace
 from augrkhs.encoders import (
@@ -263,6 +265,81 @@ def test_empirical_full_population_matches(small_process,
     np.testing.assert_allclose(emp.lambdas_bar, small_decomposition.lambdas,
                                atol=1e-9)
     assert abs(emp.p_a_hat.sum() - 1.0) <= 1e-12
+
+
+def test_population_empirical_shares_the_decompose_engine(small_process,
+                                                          distinct):
+    # every point once, weighted by p_x: the same engine as decompose
+    for process in (small_process, distinct[0]):
+        dec = decompose(process)
+        emp = population_empirical_decomposition(process)
+        assert emp.rank == dec.rank
+        np.testing.assert_allclose(emp.lambdas_bar, dec.lambdas, rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(emp.psi_bar[:, 0], dec.psi[:, 0], rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(emp.phi_bar[:, 0], dec.phi[:, 0], rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(dec.psi[:, 0], 1.0, rtol=0, atol=1e-12)
+
+
+def _oracle_empirical_svd(process, indices, weights, rank_tol=1e-10):
+    """Test oracle: one SVD over all N weighted sample rows, duplicates kept.
+
+    Independent of the package's solve on the distinct points; returns the
+    eigenvalues above ``rank_tol``, every squared singular value, and
+    ``phi`` on the augmentations the sample reaches.
+    """
+    rows = process.conditional_dense()[indices]
+    p_a_hat = weights @ rows
+    kept = np.nonzero(p_a_hat > 0.0)[0]
+    B = (rows[:, kept] * np.sqrt(weights)[:, None]
+         / np.sqrt(p_a_hat[kept])[None, :]).T
+    U, s, _ = np.linalg.svd(B, full_matrices=False)
+    squares = s * s
+    rank = int(np.count_nonzero(squares > rank_tol))
+    phi = np.zeros((process.n_a, rank))
+    phi[kept] = U[:, :rank] / np.sqrt(p_a_hat[kept])[:, None]
+    return squares[:rank], squares, phi
+
+
+@st.composite
+def sampled_custom_processes(draw):
+    """A random custom process and an N-draw sample heavy in duplicates."""
+    n_x, n_a = draw(st.integers(2, 12)), draw(st.integers(2, 20))
+    N = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.dirichlet(np.ones(n_a), size=n_x)
+    triples = [(i, j, table[i, j]) for i in range(n_x) for j in range(n_a)]
+    process, _ = build_custom(n_x, n_a, rng.dirichlet(np.ones(n_x)), triples)
+    return process, N, int(rng.integers(2**31))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sampled_custom_processes())
+def test_empirical_route_matches_all_rows_svd_oracle(case):
+    process, N, seed = case
+    emp = empirical_decomposition(process, N, seed=seed)
+    lambdas, squares, phi = _oracle_empirical_svd(
+        process, emp.sample_indices, emp.weights)
+    assert emp.rank == lambdas.size
+    np.testing.assert_allclose(emp.lambdas_bar, lambdas, rtol=0, atol=1e-12)
+    # top-k spans agree wherever the k-th eigenvalue ends at a clear gap
+    w = np.sqrt(emp.p_a_hat)[:, None]
+    following = np.append(squares[1:], 0.0)
+    for k in range(1, emp.rank + 1):
+        if squares[k - 1] - following[k - 1] <= 1e-8:
+            continue
+        got, want = w * emp.phi_bar[:, :k], w * phi[:, :k]
+        np.testing.assert_allclose(got @ got.T, want @ want.T, rtol=0,
+                                   atol=1e-10)
+    for point in np.unique(emp.sample_indices):
+        same = emp.psi_bar[emp.sample_indices == point]
+        assert np.array_equal(same, np.broadcast_to(same[0], same.shape))
+    gram_x = (emp.psi_bar * emp.weights[:, None]).T @ emp.psi_bar
+    gram_a = (emp.phi_bar * emp.p_a_hat[:, None]).T @ emp.phi_bar
+    np.testing.assert_allclose(gram_x, np.eye(emp.rank), rtol=0, atol=1e-8)
+    np.testing.assert_allclose(gram_a, np.eye(emp.rank), rtol=0, atol=1e-8)
 
 
 def test_empirical_single_sample():

@@ -171,6 +171,35 @@ def test_spectrum_run_exports(tmp_path):
                                [1.0, 0.5, 0.5, 0.25], atol=1e-10)
 
 
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_spectrum_exports_each_process_once(tmp_path, monkeypatch, jobs):
+    grid = {"scheme": ["random_mask", "block_mask"], "d_x": [3],
+            "alpha": [0.25, 0.5]}
+    one = run(resolve_config({"command": "spectrum", "grid": grid,
+                              "seeds": [4], "output_dir": str(tmp_path / "one")}))
+    stems, export = Counter(), spectral.export_decomposition
+    lock = threading.Lock()
+
+    def counting_export(dec, out_dir, stem):
+        with lock:
+            stems[stem] += 1
+        return export(dec, out_dir, stem=stem)
+
+    monkeypatch.setattr(spectral, "export_decomposition", counting_export)
+    three = run(resolve_config({"command": "spectrum", "grid": grid,
+                                "seeds": [4, 5, 6], "jobs": jobs,
+                                "output_dir": str(tmp_path / "three")}))
+    assert one.exit_code == three.exit_code == 0
+    assert len(stems) == 4 and set(stems.values()) == {1}
+    exported = sorted(p.name for p in (tmp_path / "one").glob("*_*.csv"))
+    assert len(exported) == 12
+    assert exported == sorted(p.name for p in (tmp_path / "three").glob("*_*.csv"))
+    for name in exported:
+        assert (tmp_path / "one" / name).read_bytes() == \
+            (tmp_path / "three" / name).read_bytes()
+    assert not list((tmp_path / "three").glob("*.tmp"))
+
+
 def test_pretrain_run_emits_records_and_traces(tmp_path):
     cfg = resolve_config({
         "command": "pretrain",
@@ -306,6 +335,29 @@ def test_cli_print_config(tmp_path, capsys):
     assert resolved["seeds"] == [7]
     assert resolved["jobs"] == 2
     assert resolved["command"] == "kappa"
+
+
+@pytest.mark.parametrize("command", ["tracegap", "sweep"])
+def test_cli_rejects_a_short_rate_grid_as_config_error(tmp_path, capsys,
+                                                       command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "command": command,
+        "grid": {"scheme": ["random_mask"], "d_x": [2], "alpha": [0.5],
+                 "d": [1], "N": [8, 16, 24, 30]},
+        "seeds": [0],
+        "output_dir": str(tmp_path / "out"),
+    }))
+    for extra in ([], ["--print-config"]):
+        assert main([command, "--config", str(cfg_path), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: the N grid needs")
+        assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+    # a sweep without a d axis runs no rate experiment, so its N is not checked
+    cfg = json.loads(cfg_path.read_text())
+    del cfg["grid"]["d"]
+    assert resolve_config(cfg, command="sweep").command == "sweep"
 
 
 def tracegap_config(tmp_path, **overrides):
