@@ -18,6 +18,7 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 import os
 import threading
 from collections import Counter
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import complexity, encoders, objectives, regression, spectral
-from .exceptions import BudgetExceededError, ValidationError
+from .exceptions import ValidationError
 from .processes import DEFAULT_BUDGET, SCHEMES, HypercubeConfig, build_hypercube
 
 SCHEMA_VERSION = "1"
@@ -119,6 +120,23 @@ def load_config(path) -> dict:
     return raw
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer (``1e8`` included); strings and fractions are refused."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
+def _object(value, what: str) -> dict:
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} must be an object, got {value!r}")
+    return dict(value)
+
+
 def resolve_config(raw: dict, command: str | None = None,
                    seed: int | None = None, out: str | None = None,
                    budget: int | None = None,
@@ -127,7 +145,7 @@ def resolve_config(raw: dict, command: str | None = None,
     cmd = command or raw.get("command")
     if cmd not in COMMANDS:
         raise ValidationError(f"command must be one of {COMMANDS}, got {cmd!r}")
-    grid = dict(raw.get("grid") or {})
+    grid = _object(raw.get("grid"), "grid")
     for axis, values in grid.items():
         if not isinstance(values, (list, tuple)) or not values:
             raise ValidationError(f"grid axis {axis!r} must be a nonempty list")
@@ -140,7 +158,7 @@ def resolve_config(raw: dict, command: str | None = None,
     seeds = raw.get("seeds") or []
     if seed is not None:
         seeds = [seed]
-    if not seeds:
+    if not isinstance(seeds, (list, tuple)) or not seeds:
         raise ValidationError("seeds must be a nonempty list")
     output_dir = out or raw.get("output_dir")
     if not output_dir:
@@ -148,13 +166,13 @@ def resolve_config(raw: dict, command: str | None = None,
     config = ExperimentConfig(
         command=cmd,
         grid=grid,
-        seeds=tuple(int(s) for s in seeds),
+        seeds=tuple(_integer(s, "each seed") for s in seeds),
         output_dir=str(output_dir),
-        budget=int(budget if budget is not None
-                   else raw.get("budget", DEFAULT_BUDGET)),
-        master_seed=int(raw.get("master_seed", 0)),
-        jobs=int(jobs if jobs is not None else raw.get("jobs", 1)),
-        options=dict(raw.get("options") or {}),
+        budget=_integer(budget if budget is not None
+                        else raw.get("budget", DEFAULT_BUDGET), "budget"),
+        master_seed=_integer(raw.get("master_seed", 0), "master_seed"),
+        jobs=_integer(jobs if jobs is not None else raw.get("jobs", 1), "jobs"),
+        options=_object(raw.get("options"), "options"),
     )
     if any(name == "tracegap" for name, _ in _outputs(config)):
         _check_rate_grid(config.grid)
@@ -363,12 +381,6 @@ def _spectrum_cell(cell, config: ExperimentConfig, shared) -> dict:
 def _pretrain_cell(cell, config: ExperimentConfig, shared) -> dict:
     row = _base_row(cell)
     process, dec = shared.get(cell)
-    pair_entries = process.n_a * process.n_a
-    if pair_entries > config.budget:
-        raise BudgetExceededError(
-            f"the {process.n_a} x {process.n_a} pair matrix has "
-            f"{pair_entries} entries, exceeding the budget of {config.budget}"
-        )
     d = int(cell["d"])
     opts = config.options
     opt = objectives.OptimizerConfig(

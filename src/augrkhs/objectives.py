@@ -2,11 +2,19 @@
 
 Four population losses are evaluated in closed form on finite spaces: the
 spectral contrastive loss, its two-encoder CLIP variant, a regularized
-Barlow Twins loss, and a VICReg variant.  Each admits an exact quadratic or
-quartic expansion in the encoder table, so losses and gradients are computed
-without sampling, and minimization is plain full-batch gradient descent with
-step halving.  Every loss also has an independent evaluation route by direct
-summation over the joint distributions, used to cross-check the expansions.
+Barlow Twins loss, and a VICReg variant.  Each loss has one route, its
+``_<kind>_value_grad(params, process, ...)``, which returns the exact value
+and gradient; the public ``loss_*`` functions and :func:`minimize` both run
+it.  The positive-pair law ``P+ = C^T diag(p_x) C`` and the joint law
+``J = C^T diag(p_x)`` enter only through the conditional table ``C = p(a|x)``
+itself, sparse or dense: ``phi P+ = ((phi C^T) * p_x) C``,
+``phi J = (phi C^T) * p_x`` and ``xi J^T = (xi * p_x) C``, so no
+``|A| x |A|`` or ``|A| x |X|`` matrix is formed.  Minimization is plain
+full-batch gradient descent with step halving.
+
+``loss_scl_direct`` and ``loss_sclip_direct`` sum directly over the dense
+pair and joint distributions; they are independent oracles for the tests,
+and nothing else calls them.
 """
 
 from __future__ import annotations
@@ -79,28 +87,85 @@ class MinimizeResult:
         return float(self.losses[-1])
 
 
-def _coefficients(phi_hat: np.ndarray, dec: SpectralDecomposition) -> np.ndarray:
-    """Weighted coefficients of the rows against the retained eigenbasis."""
-    p_a = dec.process.p_a.mass
-    return (phi_hat * p_a[None, :]) @ dec.phi
+def _through_x(rows: np.ndarray, process: AugmentationProcess) -> np.ndarray:
+    """``rows C^T``: each augmentation-side row averaged under ``p(a|x)``."""
+    return rows @ process.conditional.T
+
+
+def _back_to_a(rows: np.ndarray, process: AugmentationProcess) -> np.ndarray:
+    """``(rows * p_x) C``: data-side rows taken through the joint law."""
+    return (rows * process.p_x.mass[None, :]) @ process.conditional
+
+
+def _scl_value_grad(phi, process: AugmentationProcess):
+    """``-2 Tr(phi P+ phi^T) + ||G||_F^2`` with ``G = phi diag(p_a) phi^T``."""
+    p_a = process.p_a.mass
+    G = (phi * p_a[None, :]) @ phi.T
+    PhiPair = _back_to_a(_through_x(phi, process), process)  # phi P+
+    value = -2.0 * float(np.sum(PhiPair * phi)) + float(np.sum(G * G))
+    grad = -4.0 * PhiPair + 4.0 * (G @ phi) * p_a[None, :]
+    return value, grad
+
+
+def _sclip_value_grad(params, process: AugmentationProcess):
+    """``-2 Tr(phi J xi^T) + Tr(G H)`` with ``H = xi diag(p_x) xi^T``."""
+    phi, xi = params
+    p_a, p_x = process.p_a.mass, process.p_x.mass
+    G = (phi * p_a[None, :]) @ phi.T
+    H = (xi * p_x[None, :]) @ xi.T
+    PhiJ = _through_x(phi, process) * p_x[None, :]  # phi J, d x |X|
+    value = -2.0 * float(np.sum(PhiJ * xi)) + float(np.sum(G * H))
+    grad_phi = -2.0 * _back_to_a(xi, process) + 2.0 * (H @ phi) * p_a[None, :]
+    grad_xi = -2.0 * PhiJ + 2.0 * (G @ xi) * p_x[None, :]
+    return value, (grad_phi, grad_xi)
+
+
+def _rbt_value_grad(phi, process: AugmentationProcess, alpha_w, beta_w):
+    """``||diag(M) - 1||^2 + alpha_w ||off(M)||^2 + beta_w Tr(G)``.
+
+    ``M = phi P+ phi^T`` and ``G = phi diag(p_a) phi^T``.
+    """
+    p_a = process.p_a.mass
+    PhiPair = _back_to_a(_through_x(phi, process), process)
+    M = PhiPair @ phi.T
+    diag = np.diag(M)
+    off = M - np.diag(diag)
+    trace_g = float(np.sum(phi * phi @ p_a))
+    value = (float(np.sum((diag - 1.0) ** 2)) + alpha_w * float(np.sum(off * off))
+             + beta_w * trace_g)
+    coeff = 2.0 * np.diag(diag - 1.0) + 2.0 * alpha_w * off
+    grad = 2.0 * (coeff @ PhiPair) + 2.0 * beta_w * phi * p_a[None, :]
+    return value, grad
+
+
+def _vicreg_value_grad(phi, process: AugmentationProcess, beta_w):
+    """``||G - I||_F^2 + beta_w (2 Tr(G) - 2 Tr(M))``, ``M = phi P+ phi^T``."""
+    p_a = process.p_a.mass
+    G = (phi * p_a[None, :]) @ phi.T
+    PhiPair = _back_to_a(_through_x(phi, process), process)
+    eye = np.eye(phi.shape[0])
+    value = float(np.sum((G - eye) ** 2)) + beta_w * (
+        2.0 * float(np.trace(G)) - 2.0 * float(np.sum(PhiPair * phi)))
+    grad = (4.0 * ((G - eye) @ phi) * p_a[None, :]
+            + 4.0 * beta_w * (phi * p_a[None, :] - PhiPair))
+    return value, grad
 
 
 def loss_scl(phi_hat: np.ndarray, dec: SpectralDecomposition) -> float:
-    """Spectral contrastive loss via its exact quadratic expansion.
+    """Spectral contrastive loss.
 
-    Equals ``-2 Tr(C D C^T) + ||G||_F^2`` where ``C`` holds the spectral
-    coefficients of the rows, ``D`` the eigenvalues, and ``G`` the
-    augmentation-side Gram; components outside the retained spectrum enter
-    only through ``G``.
+    ``-2 E+[<phi(a), phi(a')>] + E[<phi(a), phi(a')>^2]``, the first
+    expectation over positive pairs (two augmentations of one original), the
+    second over independent augmentations.
     """
-    C = _coefficients(phi_hat, dec)
-    G = (phi_hat * dec.process.p_a.mass[None, :]) @ phi_hat.T
-    return float(-2.0 * np.sum((C * C) @ dec.lambdas[:, None])
-                 + np.sum(G * G))
+    return _scl_value_grad(phi_hat, dec.process)[0]
 
 
 def loss_scl_direct(phi_hat: np.ndarray, process: AugmentationProcess) -> float:
-    """Independent route: direct summation over the pair distributions."""
+    """Independent route: direct summation over the pair distributions.
+
+    Builds the dense ``|A| x |A|`` positive-pair law; a test oracle.
+    """
     pair = pair_distribution(process)
     positive = float(np.trace(phi_hat @ pair @ phi_hat.T))
     inner = phi_hat.T @ phi_hat  # |A| x |A| table of <phi(a), phi(a')>
@@ -111,28 +176,25 @@ def loss_scl_direct(phi_hat: np.ndarray, process: AugmentationProcess) -> float:
 
 def loss_sclip(phi_hat: np.ndarray, xi_hat: np.ndarray,
                dec: SpectralDecomposition) -> float:
-    """Two-encoder contrastive loss via the exact expansion.
+    """Two-encoder contrastive loss.
 
     ``phi_hat`` lives on the augmentation space, ``xi_hat`` on the data
-    space; the positive term couples them through the square roots of the
-    eigenvalues, the negative term through the product of the two Grams.
+    space; the positive term pairs them under the joint law ``p(a, x)``, the
+    negative term under the product of the marginals.
     """
     if phi_hat.shape[0] != xi_hat.shape[0]:
         raise ValidationError(
             f"encoder dimensions differ: {phi_hat.shape[0]} vs {xi_hat.shape[0]}"
         )
-    process = dec.process
-    C = _coefficients(phi_hat, dec)
-    S = (xi_hat * process.p_x.mass[None, :]) @ dec.psi
-    positive = float(np.sum((C * S) @ np.sqrt(dec.lambdas)[:, None]))
-    G = (phi_hat * process.p_a.mass[None, :]) @ phi_hat.T
-    H = (xi_hat * process.p_x.mass[None, :]) @ xi_hat.T
-    return float(-2.0 * positive + np.sum(G * H))
+    return _sclip_value_grad((phi_hat, xi_hat), dec.process)[0]
 
 
 def loss_sclip_direct(phi_hat: np.ndarray, xi_hat: np.ndarray,
                       process: AugmentationProcess) -> float:
-    """Independent route: direct summation over the joint distribution."""
+    """Independent route: direct summation over the joint distribution.
+
+    Builds the dense ``|A| x |X|`` joint law; a test oracle.
+    """
     J = joint_distribution(process)
     positive = float(np.trace(phi_hat @ J @ xi_hat.T))
     inner = phi_hat.T @ xi_hat  # |A| x |X|
@@ -145,13 +207,7 @@ def loss_rbt(phi_hat: np.ndarray, dec: SpectralDecomposition,
     """Regularized Barlow Twins loss, exact over the pair distribution."""
     if alpha_w < 0 or beta_w < 0:
         raise ValidationError("weights must be nonnegative")
-    process = dec.process
-    M = phi_hat @ pair_distribution(process) @ phi_hat.T
-    diag = np.diag(M)
-    off = M - np.diag(diag)
-    trace_g = float(np.sum(phi_hat * phi_hat @ process.p_a.mass))
-    return float(np.sum((diag - 1.0) ** 2) + alpha_w * np.sum(off * off)
-                 + beta_w * trace_g)
+    return _rbt_value_grad(phi_hat, dec.process, alpha_w, beta_w)[0]
 
 
 def loss_vicreg(phi_hat: np.ndarray, dec: SpectralDecomposition,
@@ -159,83 +215,17 @@ def loss_vicreg(phi_hat: np.ndarray, dec: SpectralDecomposition,
     """VICReg variant: identity-covariance penalty plus positive-pair energy."""
     if beta_w < 0:
         raise ValidationError("beta_w must be nonnegative")
-    process = dec.process
-    G = (phi_hat * process.p_a.mass[None, :]) @ phi_hat.T
-    M = phi_hat @ pair_distribution(process) @ phi_hat.T
-    eye = np.eye(phi_hat.shape[0])
-    return float(np.sum((G - eye) ** 2)
-                 + beta_w * (2.0 * np.trace(G) - 2.0 * np.trace(M)))
+    return _vicreg_value_grad(phi_hat, dec.process, beta_w)[0]
 
 
-@dataclass(frozen=True, eq=False)
-class _Workspace:
-    """Precomputed distribution matrices shared by loss and gradient."""
-
-    p_a: np.ndarray
-    p_x: np.ndarray
-    pair: np.ndarray
-    joint: np.ndarray | None
-
-
-def _workspace(process: AugmentationProcess, need_joint: bool) -> _Workspace:
-    return _Workspace(
-        p_a=process.p_a.mass,
-        p_x=process.p_x.mass,
-        pair=pair_distribution(process),
-        joint=joint_distribution(process) if need_joint else None,
-    )
-
-
-def _scl_value_grad(phi, ws: _Workspace):
-    G = (phi * ws.p_a[None, :]) @ phi.T
-    PhiPair = phi @ ws.pair
-    value = -2.0 * float(np.sum(PhiPair * phi)) + float(np.sum(G * G))
-    grad = -4.0 * PhiPair + 4.0 * (G @ phi) * ws.p_a[None, :]
-    return value, grad
-
-
-def _sclip_value_grad(params, ws: _Workspace):
-    phi, xi = params
-    G = (phi * ws.p_a[None, :]) @ phi.T
-    H = (xi * ws.p_x[None, :]) @ xi.T
-    PhiJ = phi @ ws.joint  # d x |X|
-    value = -2.0 * float(np.sum(PhiJ * xi)) + float(np.sum(G * H))
-    grad_phi = -2.0 * (xi @ ws.joint.T) + 2.0 * (H @ phi) * ws.p_a[None, :]
-    grad_xi = -2.0 * PhiJ + 2.0 * (G @ xi) * ws.p_x[None, :]
-    return value, (grad_phi, grad_xi)
-
-
-def _rbt_value_grad(phi, ws: _Workspace, alpha_w, beta_w):
-    M = phi @ ws.pair @ phi.T
-    diag = np.diag(M)
-    off = M - np.diag(diag)
-    trace_g = float(np.sum(phi * phi @ ws.p_a))
-    value = (float(np.sum((diag - 1.0) ** 2)) + alpha_w * float(np.sum(off * off))
-             + beta_w * trace_g)
-    coeff = 2.0 * np.diag(diag - 1.0) + 2.0 * alpha_w * off
-    grad = 2.0 * (coeff @ (phi @ ws.pair)) + 2.0 * beta_w * phi * ws.p_a[None, :]
-    return value, grad
-
-
-def _vicreg_value_grad(phi, ws: _Workspace, beta_w):
-    G = (phi * ws.p_a[None, :]) @ phi.T
-    M = phi @ ws.pair @ phi.T
-    eye = np.eye(phi.shape[0])
-    value = float(np.sum((G - eye) ** 2)) + beta_w * (
-        2.0 * float(np.trace(G)) - 2.0 * float(np.trace(M)))
-    grad = (4.0 * ((G - eye) @ phi) * ws.p_a[None, :]
-            + 4.0 * beta_w * (phi * ws.p_a[None, :] - phi @ ws.pair))
-    return value, grad
-
-
-def _value_grad_fn(spec: ObjectiveSpec, ws: _Workspace):
+def _value_grad_fn(spec: ObjectiveSpec, process: AugmentationProcess):
     if spec.kind == "scl":
-        return lambda p: _scl_value_grad(p, ws)
+        return lambda p: _scl_value_grad(p, process)
     if spec.kind == "sclip":
-        return lambda p: _sclip_value_grad(p, ws)
+        return lambda p: _sclip_value_grad(p, process)
     if spec.kind == "rbt":
-        return lambda p: _rbt_value_grad(p, ws, spec.alpha_w, spec.beta_w)
-    return lambda p: _vicreg_value_grad(p, ws, spec.beta_w)
+        return lambda p: _rbt_value_grad(p, process, spec.alpha_w, spec.beta_w)
+    return lambda p: _vicreg_value_grad(p, process, spec.beta_w)
 
 
 def minimize(spec: ObjectiveSpec, process: AugmentationProcess,
@@ -253,7 +243,6 @@ def minimize(spec: ObjectiveSpec, process: AugmentationProcess,
     """
     rng = np.random.default_rng(opt.seed)
     pair_mode = spec.kind == "sclip"
-    ws = _workspace(process, need_joint=pair_mode)
     if init is None:
         phi = rng.uniform(-opt.init_scale, opt.init_scale,
                           size=(spec.d, process.n_a))
@@ -262,7 +251,7 @@ def minimize(spec: ObjectiveSpec, process: AugmentationProcess,
     else:
         params = (np.array(init[0], dtype=float), np.array(init[1], dtype=float)) \
             if pair_mode else np.array(init, dtype=float)
-    fn = _value_grad_fn(spec, ws)
+    fn = _value_grad_fn(spec, process)
 
     def step(p, g, lr):
         if pair_mode:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,15 +184,10 @@ def _order_ties(lambdas, psi, phi):
         stop = start + 1
         while stop < r and abs(lambdas[stop] - lambdas[start]) <= _TIE_TOL:
             stop += 1
-        if stop - start > 1 and start > 0:  # top block is anchored by the constant
-            block = range(start, stop)
-            order = sorted(block, key=lambda j: tuple(psi[:, j]))
-            psi[:, start:stop] = psi[:, order]
-            phi[:, start:stop] = phi[:, order]
-            lambdas[start:stop] = lambdas[order]
-        elif stop - start > 1:
-            block = range(start + 1, stop)
-            order = [start] + sorted(block, key=lambda j: tuple(psi[:, j]))
+        if stop - start > 1:
+            first = 1 if start == 0 else start  # the constant anchors the top
+            order = list(range(start, first)) + sorted(
+                range(first, stop), key=lambda j: tuple(psi[:, j]))
             psi[:, start:stop] = psi[:, order]
             phi[:, start:stop] = phi[:, order]
             lambdas[start:stop] = lambdas[order]
@@ -333,9 +328,10 @@ def _replacing(path: str):
     ``os.replace``, so readers and concurrent writers never see a partial
     file; on error the temporary file is removed.
     """
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    # os.open applies the umask, so the file gets the mode open() gives it
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             yield fh

@@ -192,20 +192,19 @@ def test_criterion_05_objective_landscapes(distinct_pair, process_cache,
     rbt_rel = abs(trace_g - rbt_expected) / rbt_expected
 
     # analytic gradients against central differences at 20 seeded points
-    ws = ob._workspace(p1, need_joint=True)
     rng = np.random.default_rng(123)
     h = 1e-5
     worst_grad = 0.0
-    fns = [lambda q: ob._scl_value_grad(q, ws),
-           lambda q: ob._rbt_value_grad(q, ws, 0.7, 0.2),
-           lambda q: ob._vicreg_value_grad(q, ws, 0.9),
+    fns = [lambda q: ob._scl_value_grad(q, p1),
+           lambda q: ob._rbt_value_grad(q, p1, 0.7, 0.2),
+           lambda q: ob._vicreg_value_grad(q, p1, 0.9),
            "sclip"]
     for fn in fns:
         for _ in range(5):
             if fn == "sclip":
                 point = (rng.normal(size=(2, p1.n_a)),
                          rng.normal(size=(2, p1.n_x)))
-                value, grad = ob._sclip_value_grad(point, ws)
+                value, grad = ob._sclip_value_grad(point, p1)
                 flat = np.concatenate([q.ravel() for q in point])
                 grads = np.concatenate([g.ravel() for g in grad])
 
@@ -215,7 +214,7 @@ def test_criterion_05_objective_landscapes(distinct_pair, process_cache,
                         n = int(np.prod(s))
                         parts.append(vec[i:i + n].reshape(s))
                         i += n
-                    return ob._sclip_value_grad(tuple(parts), ws)[0]
+                    return ob._sclip_value_grad(tuple(parts), p1)[0]
             else:
                 point = rng.normal(size=(2, p1.n_a))
                 value, grad = fn(point)

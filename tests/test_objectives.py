@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from augrkhs import objectives
 from augrkhs.exceptions import ValidationError
 from augrkhs.objectives import (
     ObjectiveSpec,
@@ -9,7 +12,6 @@ from augrkhs.objectives import (
     _scl_value_grad,
     _sclip_value_grad,
     _vicreg_value_grad,
-    _workspace,
     loss_rbt,
     loss_scl,
     loss_scl_direct,
@@ -20,8 +22,13 @@ from augrkhs.objectives import (
     rbt_penalty_path,
     subspace_angle,
 )
-from augrkhs.processes import HypercubeConfig, build_custom, build_hypercube
-from augrkhs.spectral import decompose
+from augrkhs.processes import (
+    SCHEMES,
+    HypercubeConfig,
+    build_custom,
+    build_hypercube,
+)
+from augrkhs.spectral import decompose, joint_distribution, pair_distribution
 
 
 @pytest.fixture(scope="module")
@@ -166,7 +173,6 @@ def test_vicreg_values(pair):
 
 def test_gradients_match_finite_differences(pair):
     process, dec = pair
-    ws = _workspace(process, need_joint=True)
     rng = np.random.default_rng(77)
     h = 1e-5
 
@@ -198,10 +204,10 @@ def test_gradients_match_finite_differences(pair):
     for _ in range(5):
         table = rng.normal(size=(2, process.n_a))
         table_x = rng.normal(size=(2, process.n_x))
-        check(lambda p: _scl_value_grad(p, ws), table)
-        check(lambda p: _sclip_value_grad(p, ws), (table, table_x))
-        check(lambda p: _rbt_value_grad(p, ws, 0.7, 0.2), table)
-        check(lambda p: _vicreg_value_grad(p, ws, 0.9), table)
+        check(lambda p: _scl_value_grad(p, process), table)
+        check(lambda p: _sclip_value_grad(p, process), (table, table_x))
+        check(lambda p: _rbt_value_grad(p, process, 0.7, 0.2), table)
+        check(lambda p: _vicreg_value_grad(p, process, 0.9), table)
 
 
 def test_minimize_zero_iterations_returns_init(pair):
@@ -315,3 +321,122 @@ def test_degenerate_spectrum_loss_only(small_process, small_decomposition):
     result = minimize(ObjectiveSpec("scl", d), process, dec, opt)
     target = -float((dec.lambdas[:d] ** 2).sum())
     assert result.final_loss == pytest.approx(target, abs=1e-5)
+
+
+# Oracle: the dense route the objectives used before they applied P+ and J
+# through the conditional table.  It forms the |A| x |A| pair law and the
+# |A| x |X| joint law; nothing outside these tests keeps it.
+def _oracle_value_grad(kind, params, process, alpha_w=0.7, beta_w=0.2):
+    p_a, p_x = process.p_a.mass, process.p_x.mass
+    pair = pair_distribution(process)
+    if kind == "sclip":
+        phi, xi = params
+        J = joint_distribution(process)
+        G = (phi * p_a[None, :]) @ phi.T
+        H = (xi * p_x[None, :]) @ xi.T
+        PhiJ = phi @ J
+        value = -2.0 * float(np.sum(PhiJ * xi)) + float(np.sum(G * H))
+        return value, (-2.0 * (xi @ J.T) + 2.0 * (H @ phi) * p_a[None, :],
+                       -2.0 * PhiJ + 2.0 * (G @ xi) * p_x[None, :])
+    phi = params
+    G = (phi * p_a[None, :]) @ phi.T
+    if kind == "scl":
+        PhiPair = phi @ pair
+        value = -2.0 * float(np.sum(PhiPair * phi)) + float(np.sum(G * G))
+        return value, -4.0 * PhiPair + 4.0 * (G @ phi) * p_a[None, :]
+    M = phi @ pair @ phi.T
+    if kind == "rbt":
+        diag = np.diag(M)
+        off = M - np.diag(diag)
+        value = (float(np.sum((diag - 1.0) ** 2))
+                 + alpha_w * float(np.sum(off * off))
+                 + beta_w * float(np.sum(phi * phi @ p_a)))
+        coeff = 2.0 * np.diag(diag - 1.0) + 2.0 * alpha_w * off
+        return value, (2.0 * (coeff @ (phi @ pair))
+                       + 2.0 * beta_w * phi * p_a[None, :])
+    eye = np.eye(phi.shape[0])
+    value = float(np.sum((G - eye) ** 2)) + beta_w * (
+        2.0 * float(np.trace(G)) - 2.0 * float(np.trace(M)))
+    return value, (4.0 * ((G - eye) @ phi) * p_a[None, :]
+                   + 4.0 * beta_w * (phi * p_a[None, :] - phi @ pair))
+
+
+def _public_loss(kind, params, dec, alpha_w=0.7, beta_w=0.2):
+    if kind == "scl":
+        return loss_scl(params, dec)
+    if kind == "sclip":
+        return loss_sclip(params[0], params[1], dec)
+    if kind == "rbt":
+        return loss_rbt(params, dec, alpha_w, beta_w)
+    return loss_vicreg(params, dec, beta_w)
+
+
+def _assert_matches_oracle(process, rng, d):
+    dec = decompose(process)
+    for kind in ("scl", "sclip", "rbt", "vicreg"):
+        phi = rng.normal(size=(d, process.n_a))
+        params = (phi, rng.normal(size=(d, process.n_x))) \
+            if kind == "sclip" else phi
+        spec = ObjectiveSpec(kind, d, alpha_w=0.7, beta_w=0.2)
+        value, grad = objectives._value_grad_fn(spec, process)(params)
+        want_value, want_grad = _oracle_value_grad(kind, params, process)
+        assert abs(value - want_value) <= 1e-12 * max(1.0, abs(want_value))
+        assert _public_loss(kind, params, dec) == value
+        for got, want in zip(*((grad, want_grad) if kind == "sclip"
+                               else ((grad,), (want_grad,)))):
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert float(np.max(np.abs(got - want))) <= 1e-12 * scale, kind
+
+
+@st.composite
+def custom_processes(draw):
+    """A random custom process, dense or (at low density) sparse-stored."""
+    n_x, n_a = draw(st.integers(2, 10)), draw(st.integers(2, 30))
+    keep = draw(st.one_of(st.floats(0.01, 0.15), st.floats(0.15, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    triples = []
+    for i in range(n_x):
+        support = np.nonzero(rng.random(n_a) < keep)[0]
+        if support.size == 0:
+            support = rng.integers(n_a, size=1)
+        for j, prob in zip(support, rng.dirichlet(np.ones(support.size))):
+            triples.append((i, int(j), float(prob)))
+    process, _ = build_custom(n_x, n_a, rng.dirichlet(np.ones(n_x)), triples)
+    return process, draw(st.integers(1, 4)), int(rng.integers(2**31))
+
+
+@settings(max_examples=60, deadline=None)
+@given(custom_processes())
+def test_value_grad_matches_dense_oracle_on_custom_processes(case):
+    process, d, seed = case
+    _assert_matches_oracle(process, np.random.default_rng(seed), d)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_value_grad_matches_dense_oracle_on_hypercube(scheme):
+    process = build_hypercube(HypercubeConfig(4, 0.5, scheme))
+    assert process.is_sparse == (scheme == "random_mask")
+    _assert_matches_oracle(process, np.random.default_rng(31), 3)
+
+
+def test_no_pair_or_joint_matrix_is_formed(pair, monkeypatch):
+    process, dec = pair
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense pair or joint law was formed")
+
+    monkeypatch.setattr(objectives, "pair_distribution", refuse)
+    monkeypatch.setattr(objectives, "joint_distribution", refuse)
+    rng = np.random.default_rng(2)
+    phi = rng.normal(size=(2, process.n_a))
+    xi = rng.normal(size=(2, process.n_x))
+    for kind in ("scl", "sclip", "rbt", "vicreg"):
+        params = (phi, xi) if kind == "sclip" else phi
+        assert np.isfinite(_public_loss(kind, params, dec))
+        spec = ObjectiveSpec(kind, 2, alpha_w=1.0 if kind == "rbt" else None,
+                             beta_w=None if kind in ("scl", "sclip") else 0.5)
+        result = minimize(spec, process, dec,
+                          OptimizerConfig(max_iters=20, seed=1))
+        assert result.iterations == 20
+    with pytest.raises(AssertionError, match="dense pair"):
+        loss_scl_direct(phi, process)

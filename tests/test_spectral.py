@@ -240,6 +240,20 @@ def test_export_decomposition(tmp_path, small_decomposition):
     np.testing.assert_allclose(phi, small_decomposition.phi, rtol=1e-15)
 
 
+@pytest.mark.parametrize("scheme", ["random_mask", "random_mask_flip",
+                                    "block_mask"])
+def test_tie_blocks_are_in_lexicographic_order(process_cache, scheme):
+    dec = decompose(process_cache(scheme, 4, 0.5))
+    np.testing.assert_allclose(dec.psi[:, 0], 1.0, rtol=0, atol=1e-8)
+    starts = [0] + [i for i in range(1, dec.rank)
+                    if abs(dec.lambdas[i] - dec.lambdas[i - 1]) > 1e-10]
+    assert len(starts) < dec.rank  # some eigenvalue is degenerate
+    for start, stop in zip(starts, starts[1:] + [dec.rank]):
+        first = 1 if start == 0 else start  # the constant stays first
+        columns = [tuple(dec.psi[:, j]) for j in range(first, stop)]
+        assert columns == sorted(columns), (start, stop)
+
+
 def test_decompose_deterministic(small_process):
     a = decompose(small_process)
     b = decompose(small_process)
