@@ -46,7 +46,6 @@ from .harness import (
     figure_4a_data,
     resolve_config,
     run,
-    tracegap_rate_experiment,
 )
 from .objectives import (
     MinimizeResult,

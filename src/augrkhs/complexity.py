@@ -62,10 +62,24 @@ def diagonal_kernel_values(process: AugmentationProcess) -> np.ndarray:
 
 
 def mean_chi_squared(process: AugmentationProcess) -> float:
-    """Average over ``p_x`` of the chi-squared divergence of p(.|x) from p_a."""
-    dense = process.conditional_dense()
-    ratio = dense / process.p_a.mass[None, :] - 1.0
-    per_x = (ratio * ratio * process.p_a.mass[None, :]).sum(axis=1)
+    """Average over ``p_x`` of the chi-squared divergence of p(.|x) from p_a.
+
+    Summed over the stored entries of each row, as
+    ``sum_supp (p(a|x) - p_a)^2 / p_a + (1 - sum_supp p_a)``: an augmentation
+    outside the row's support contributes its ``p_a``.  A sparse table is
+    never densified; a dense one stores every ``a``, so its second term is 0.
+    Independent of :func:`diagonal_kernel_values`, which the identity it
+    checks compares.
+    """
+    table, p_a = process.conditional, process.p_a.mass
+    if sp.issparse(table):
+        table = table.tocsr()
+        rows = np.repeat(np.arange(process.n_x), np.diff(table.indptr))
+        w = p_a[table.indices]
+        per_x = (np.bincount(rows, (table.data - w) ** 2 / w, process.n_x)
+                 + (1.0 - np.bincount(rows, w, process.n_x)))
+    else:
+        per_x = ((table - p_a) ** 2 / p_a).sum(axis=1)
     return float(per_x @ process.p_x.mass)
 
 

@@ -5,8 +5,9 @@ value lists, a seed list, an output directory, and an enumeration budget.
 Every cell of the grid-times-seeds cross product executes independently
 with a seed derived from the master seed and the cell's axis values, so any
 cell can be reproduced in isolation; failures are recorded per cell without
-aborting the sweep.  Cells that share a process share one build of it and of
-its spectral decomposition.  Floats are written with 17 significant digits
+aborting the sweep.  Processes are built one after another: each is built
+and decomposed once, its cells run (on ``jobs`` threads), and it is dropped
+before the next is built.  Floats are written with 17 significant digits
 and rows are merged in grid order, so identical configs produce
 byte-identical files.
 """
@@ -14,14 +15,13 @@ byte-identical files.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import hashlib
 import itertools
 import json
 import math
 import numbers
 import os
-import threading
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,15 +255,15 @@ def _outputs(config: ExperimentConfig) -> list[tuple[str, tuple[str, ...]]]:
     return outputs
 
 
-def _cells(config: ExperimentConfig, outputs) -> list[tuple[str, dict]]:
-    """``(output, cell)`` pairs, grouped by process.
+def _groups(config: ExperimentConfig, outputs):
+    """The ``(output, cell)`` pairs of each process, one list per process.
 
-    For each process in grid order come the cells of every output in turn;
-    within one output the cells follow the grid product, seeds innermost.
+    Processes come in grid order.  Within one, the cells of every output come
+    in turn; within one output they follow the grid product, seeds innermost.
     """
     grid = config.grid
-    cells = []
     for outer in itertools.product(*(grid[a] for a in _PROCESS_AXES)):
+        group = []
         for name, axes in outputs:
             rest = axes[len(_PROCESS_AXES):]
             for combo in itertools.product(*(grid[a] for a in rest)):
@@ -272,14 +272,13 @@ def _cells(config: ExperimentConfig, outputs) -> list[tuple[str, dict]]:
                     cell["seed"] = cell_seed(config.master_seed,
                                              master=seed_val, **cell)
                     cell["master"] = seed_val
-                    cells.append((name, cell))
-    return cells
+                    group.append((name, cell))
+        yield group
 
 
 def _base_row(cell: dict) -> dict:
     row = {"schema": SCHEMA_VERSION, "seed": cell["master"]}
-    for key in ("scheme", "d_x", "alpha", "objective", "d", "N", "n", "sigma",
-                "B", "epsilon"):
+    for key in _AXIS_ORDER:
         if key in cell:
             row[key] = cell[key]
     return row
@@ -289,66 +288,15 @@ def _hypercube(cell) -> HypercubeConfig:
     return HypercubeConfig(cell["d_x"], cell["alpha"], cell["scheme"])
 
 
-@dataclass
-class _Entry:
-    lock: threading.Lock = field(default_factory=threading.Lock)
-    built: object = None  # (process, decomposition) or the build's exception
-
-
-class _SharedProcesses:
-    """Each cell's process and decomposition, built once per run.
-
-    Entries are keyed by ``(scheme, d_x, alpha, budget)``.  The first cell
-    of a key builds the entry under the key's lock, so cells of that key in
-    other threads wait for it instead of building it again; a failed build
-    is kept and raised to every cell of the key.  The cells of each key are
-    counted up front and the entry is dropped when the last of them is
-    released, so only the entries of cells in flight stay alive.  Cells
-    share the objects read-only.
-    """
-
-    def __init__(self, cells, budget: int):
-        self._budget = budget
-        self._lock = threading.Lock()
-        self._pending = Counter(self._key(c) for c in cells)
-        self._entries: dict[tuple, _Entry] = {}
-
-    def _key(self, cell) -> tuple:
-        return (cell["scheme"], cell["d_x"], cell["alpha"], self._budget)
-
-    def get(self, cell) -> tuple:
-        """``(process, decomposition)`` of the cell, built on first use."""
-        key = self._key(cell)
-        with self._lock:
-            entry = self._entries.setdefault(key, _Entry())
-        with entry.lock:
-            if entry.built is None:
-                try:
-                    process = build_hypercube(_hypercube(cell),
-                                              budget=self._budget)
-                    entry.built = (process, spectral.decompose(process))
-                except Exception as exc:  # becomes each cell's error row
-                    # without its traceback, which holds the build's arrays
-                    entry.built = exc.with_traceback(None)
-        if isinstance(entry.built, Exception):
-            raise entry.built
-        return entry.built
-
-    def release(self, cell) -> None:
-        """Mark one cell of the key done; drop the entry after the last."""
-        key = self._key(cell)
-        with self._lock:
-            self._pending[key] -= 1
-            if not self._pending[key]:
-                del self._pending[key]
-                self._entries.pop(key, None)
-
-
-def _kappa_cell(cell, config: ExperimentConfig, shared) -> dict:
+def _error_row(cell: dict, exc: Exception) -> dict:
     row = _base_row(cell)
-    _, dec = shared.get(cell)
-    beta = float(config.options.get("beta", 99.0))
-    report = complexity.kappa_exact(dec, beta=beta)
+    row["error"] = f"{type(exc).__name__}: {exc}".replace(",", ";")
+    return row
+
+
+def _kappa_cell(cell, config: ExperimentConfig, process, dec, kappa) -> dict:
+    row = _base_row(cell)
+    report = kappa(float(config.options.get("beta", 99.0)))
     row["kappa_sq_exact"] = report.kappa_sq_max
     row["kappa_sq_p99"] = report.kappa_sq_percentile
     try:
@@ -362,9 +310,8 @@ def _kappa_cell(cell, config: ExperimentConfig, shared) -> dict:
     return row
 
 
-def _spectrum_cell(cell, config: ExperimentConfig, shared) -> dict:
+def _spectrum_cell(cell, config: ExperimentConfig, process, dec, kappa) -> dict:
     row = _base_row(cell)
-    process, dec = shared.get(cell)
     row["rank"] = dec.rank
     row["lambda_top"] = float(dec.lambdas[0])
     row["s_lambda"] = float(dec.lambdas.sum())
@@ -378,9 +325,8 @@ def _spectrum_cell(cell, config: ExperimentConfig, shared) -> dict:
     return row
 
 
-def _pretrain_cell(cell, config: ExperimentConfig, shared) -> dict:
+def _pretrain_cell(cell, config: ExperimentConfig, process, dec, kappa) -> dict:
     row = _base_row(cell)
-    process, dec = shared.get(cell)
     d = int(cell["d"])
     opts = config.options
     opt = objectives.OptimizerConfig(
@@ -415,9 +361,8 @@ def _pretrain_cell(cell, config: ExperimentConfig, shared) -> dict:
     return row
 
 
-def _regress_cell(cell, config: ExperimentConfig, shared) -> dict:
+def _regress_cell(cell, config: ExperimentConfig, process, dec, kappa) -> dict:
     row = _base_row(cell)
-    process, dec = shared.get(cell)
     d = int(cell["d"])
     encoder = encoders.optimal_encoder(dec, d)
     B, eps = float(cell["B"]), float(cell["epsilon"])
@@ -429,7 +374,7 @@ def _regress_cell(cell, config: ExperimentConfig, shared) -> dict:
     f_psi, approx_err = regression.project_fpsi(target, encoder)
     est = fit.f_hat_values - f_psi
     tau_sq = encoders.trace_gap(encoder)
-    report = complexity.kappa_exact(dec)
+    report = kappa()  # the default beta, so a beta option cannot fail this cell
     ctx = regression.BoundContext(
         tau_sq=tau_sq, epsilon=eps, B=B,
         kappa=math.sqrt(report.kappa_sq_max),
@@ -449,9 +394,8 @@ def _regress_cell(cell, config: ExperimentConfig, shared) -> dict:
     return row
 
 
-def _tracegap_cell(cell, config: ExperimentConfig, shared) -> dict:
+def _tracegap_cell(cell, config: ExperimentConfig, process, dec, kappa) -> dict:
     row = _base_row(cell)
-    process, dec = shared.get(cell)
     d, N = int(cell["d"]), int(cell["N"])
     empirical = encoders.empirical_decomposition(process, N, seed=cell["seed"])
     encoder = encoders.near_optimal_encoder(empirical, d, dec)
@@ -464,6 +408,8 @@ def _tracegap_cell(cell, config: ExperimentConfig, shared) -> dict:
     return row
 
 
+# output name -> cell function ``(cell, config, process, dec, kappa)``, where
+# ``kappa(beta)`` is the process's complexity report, computed once per beta
 _CELL_FN = {
     "kappa": _kappa_cell,
     "spectrum": _spectrum_cell,
@@ -473,34 +419,48 @@ _CELL_FN = {
 }
 
 
-def _execute(config: ExperimentConfig, outputs) -> dict[str, list]:
-    """Run the cells of ``outputs``; return each output's rows in grid order.
+def _run_group(config: ExperimentConfig, group, run_cells) -> list[dict]:
+    """Build the group's process once and run its cells; return their rows.
 
-    Cells run independently (optionally in threads) and share one
-    :class:`_SharedProcesses` for the run; a failed cell yields an error row.
+    The process, its decomposition and its complexity report are locals of
+    this call, so they are dropped when it returns.  A failed build gives
+    every cell of the group the build's error row.
     """
-    cells = _cells(config, outputs)
-    shared = _SharedProcesses([cell for _, cell in cells], config.budget)
+    try:
+        process = build_hypercube(_hypercube(group[0][1]), budget=config.budget)
+        dec = spectral.decompose(process)
+    except Exception as exc:  # each cell's error row, never abort
+        return [_error_row(cell, exc) for _, cell in group]
+    # deterministic, so two threads computing it at once is harmless
+    kappa = functools.cache(functools.partial(complexity.kappa_exact, dec))
 
     def guarded(item):
         name, cell = item
         try:
-            return _CELL_FN[name](cell, config, shared)
+            return _CELL_FN[name](cell, config, process, dec, kappa)
         except Exception as exc:  # cell isolation: record, never abort
-            row = _base_row(cell)
-            row["error"] = f"{type(exc).__name__}: {exc}".replace(",", ";")
-            return row
-        finally:
-            shared.release(cell)
+            return _error_row(cell, exc)
 
-    if config.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(config.jobs) as pool:
-            rows = list(pool.map(guarded, cells))
-    else:
-        rows = [guarded(item) for item in cells]
+    return list(run_cells(guarded, group))
+
+
+def _execute(config: ExperimentConfig, outputs) -> dict[str, list]:
+    """Run the cells of ``outputs``; return each output's rows in grid order.
+
+    Processes are built one after another, so at most one is alive; the
+    cells of each run in turn, or on one pool of ``jobs`` threads.
+    """
     by_output = {name: [] for name, _ in outputs}
-    for (name, _), row in zip(cells, rows):
-        by_output[name].append(row)
+    pool = (concurrent.futures.ThreadPoolExecutor(config.jobs)
+            if config.jobs > 1 else None)
+    try:
+        for group in _groups(config, outputs):
+            rows = _run_group(config, group, pool.map if pool else map)
+            for (name, _), row in zip(group, rows):
+                by_output[name].append(row)
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return by_output
 
 
@@ -546,19 +506,6 @@ def _rate_summary(rows) -> tuple[list, float | None]:
     slope = (fit_loglog_slope([n for n, _ in points], [v for _, v in points])
              if len(points) >= 2 else None)
     return median_rows, slope
-
-
-def tracegap_rate_experiment(config: ExperimentConfig) -> dict:
-    """Near-optimal-encoder excess gap against sample count.
-
-    Runs the tracegap grid, appends one median row per (axes, N) group, and
-    fits the log-log slope of the median gap in N.  The N axis must hold at
-    least four points spanning at least a factor of 16, which
-    :func:`resolve_config` checks.
-    """
-    rows = _execute(config, [("tracegap", _grid_axes(config))])["tracegap"]
-    median_rows, slope = _rate_summary(rows)
-    return {"rows": rows, "median_rows": median_rows, "slope": slope}
 
 
 def _write_table(config: ExperimentConfig, name: str, rows, files) -> list:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from augrkhs.complexity import (
     closed_form_kappa,
@@ -9,6 +11,7 @@ from augrkhs.complexity import (
     kappa_exact,
     kappa_monte_carlo,
     kappa_percentile,
+    mean_chi_squared,
     partial_trace,
     weighted_percentile,
 )
@@ -198,3 +201,39 @@ def test_custom_process_percentile_weighting():
     np.testing.assert_allclose(diag, [2.0, 2.5, 10.0])
     assert kappa_percentile(process, 90.0) == pytest.approx(2.5)
     assert kappa_percentile(process, 95.0) == pytest.approx(10.0)
+
+
+def dense_mean_chi_squared(process):
+    """Oracle on the densified table: sum_x p_x sum_a p_a (p(a|x)/p_a - 1)^2."""
+    ratio = process.conditional_dense() / process.p_a.mass - 1.0
+    return float((ratio * ratio * process.p_a.mass).sum(axis=1)
+                 @ process.p_x.mass)
+
+
+@pytest.mark.parametrize("scheme", ["random_mask", "block_mask",
+                                    "block_mask_flip", "random_mask_flip"])
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0])
+def test_mean_chi_squared_matches_dense_on_schemes(scheme, alpha):
+    # random_mask and block_mask at alpha 0.2 are stored sparse, the rest dense
+    process = build_hypercube(HypercubeConfig(4, alpha, scheme))
+    expected = dense_mean_chi_squared(process)
+    assert mean_chi_squared(process) == pytest.approx(expected, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 8), st.floats(0.0, 0.9),
+       st.integers(0, 2**32 - 1))
+def test_mean_chi_squared_matches_dense_on_custom(n_x, n_a, drop, seed):
+    rng = np.random.default_rng(seed)
+    table = rng.uniform(size=(n_x, n_a)) * (rng.uniform(size=(n_x, n_a)) > drop)
+    table[np.arange(n_x), rng.integers(0, n_a, size=n_x)] += 0.5
+    table /= table.sum(axis=1, keepdims=True)
+    p_x = rng.uniform(0.1, 1.0, size=n_x)
+    p_x /= p_x.sum()
+    triples = [(i, j, table[i, j]) for i in range(n_x) for j in range(n_a)
+               if table[i, j] > 0]
+    process, _ = build_custom(n_x, n_a, p_x, triples)
+    expected = dense_mean_chi_squared(process)
+    # both routes round at about 1e-16 on the scale of s_lambda = 1 + chi^2,
+    # the value the identity compares, so a chi^2 near 0 is held to that
+    assert abs(mean_chi_squared(process) - expected) <= 1e-12 * (1 + expected)

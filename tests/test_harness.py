@@ -22,7 +22,6 @@ from augrkhs.harness import (
     fit_loglog_slope,
     resolve_config,
     run,
-    tracegap_rate_experiment,
 )
 
 
@@ -264,13 +263,13 @@ def test_regress_run_schema(tmp_path):
 
 def test_tracegap_experiment_grid_validation(tmp_path):
     with pytest.raises(ValidationError, match="factor of 16"):
-        tracegap_rate_experiment(resolve_config({
+        resolve_config({
             "command": "tracegap",
             "grid": {"scheme": ["random_mask"], "d_x": [2], "alpha": [0.5],
                      "d": [1], "N": [8, 16, 24, 30]},
             "seeds": [0],
             "output_dir": str(tmp_path / "out"),
-        }))
+        })
 
 
 def test_tracegap_run_outputs(tmp_path):
@@ -474,25 +473,54 @@ def test_failed_build_cached_for_every_cell(tmp_path, counted_builds, jobs):
     assert builds == {("random_mask", 3, 0.5): 1, ("random_mask", 40, 0.5): 1}
 
 
-def test_entries_released_after_their_last_cell(tmp_path, counted_builds):
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_entries_released_after_their_last_cell(tmp_path, counted_builds, jobs):
     _, _, alive = counted_builds
-    live_at_build = []
+    live_after_build = []
     build = harness.build_hypercube
 
-    def build_after_release(hc, budget):
+    def count_after_build(hc, budget):
+        process = build(hc, budget)
         gc.collect()
-        live_at_build.append(sum(ref() is not None for ref in alive))
-        return build(hc, budget)
+        live_after_build.append(sum(ref() is not None for ref in alive))
+        return process
 
-    harness.build_hypercube = build_after_release  # restored by the fixture
-    outcome = run(resolve_config(kappa_config(tmp_path, seeds=[0, 1])))
+    harness.build_hypercube = count_after_build  # restored by the fixture
+    outcome = run(resolve_config(kappa_config(tmp_path, seeds=[0, 1],
+                                              jobs=jobs)))
     assert outcome.exit_code == 0
-    # one process at a time under jobs=1, and none once run() has returned
-    assert live_at_build == [0, 0, 0, 0]
+    # one process at a time under any jobs, and none once run() has returned
+    assert live_after_build == [1, 1, 1, 1]
     del outcome
     gc.collect()
     assert len(alive) == 4
     assert all(ref() is None for ref in alive)
+
+
+def test_kappa_computed_once_per_process(tmp_path, monkeypatch):
+    calls = []
+    kappa_exact = complexity.kappa_exact
+
+    def counting_kappa(dec, *args, **kwargs):
+        calls.append(dec.process)
+        return kappa_exact(dec, *args, **kwargs)
+
+    monkeypatch.setattr(complexity, "kappa_exact", counting_kappa)
+    outcome = run(resolve_config(kappa_config(tmp_path, seeds=[0, 1])))
+    assert outcome.exit_code == 0 and len(outcome.records) == 8
+    assert len(calls) == 4  # 4 processes, 2 seeds each
+    calls.clear()
+    outcome = run(resolve_config({
+        "command": "regress",
+        "grid": {"scheme": ["random_mask", "block_mask_flip"], "d_x": [2],
+                 "alpha": [0.5], "d": [1, 2], "n": [16, 32], "sigma": [0.1],
+                 "B": [1.0], "epsilon": [0.2]},
+        "seeds": [0, 1],
+        "output_dir": str(tmp_path / "regress"),
+        "options": {"beta": 50.0},
+    }))
+    assert outcome.exit_code == 0 and len(outcome.records) == 16
+    assert len(calls) == 2  # 2 processes, 8 cells each
 
 
 def test_sweep_kappa_rows_once_per_process_and_seed(tmp_path):
