@@ -15,13 +15,13 @@ byte-identical files.
 from __future__ import annotations
 
 import concurrent.futures
-import functools
 import hashlib
 import itertools
 import json
 import math
 import numbers
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -294,9 +294,43 @@ def _error_row(cell: dict, exc: Exception) -> dict:
     return row
 
 
-def _kappa_cell(cell, config: ExperimentConfig, process, dec, kappa) -> dict:
+class _Once:
+    """Per-group memo in which each key's value is computed exactly once.
+
+    ``once(key, compute)`` returns ``compute()``; callers of a key that is
+    being computed wait for it, and an exception it raised is raised again
+    to each of them, so under any ``jobs`` a value is computed once.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._key_locks = {}
+        self._results = {}
+
+    def __call__(self, key, compute):
+        with self._lock:
+            key_lock = self._key_locks.setdefault(key, threading.Lock())
+        with key_lock:
+            if key not in self._results:
+                try:
+                    self._results[key] = (compute(), None)
+                except Exception as exc:
+                    self._results[key] = (None, exc)
+        value, error = self._results[key]
+        if error is not None:
+            raise error
+        return value
+
+
+def _kappa(once: _Once, dec, beta: float = 99.0):
+    """The process's complexity report at ``beta``, computed once per group."""
+    return once(("kappa", beta),
+                lambda: complexity.kappa_exact(dec, beta))
+
+
+def _kappa_cell(cell, config: ExperimentConfig, process, dec, once) -> dict:
     row = _base_row(cell)
-    report = kappa(float(config.options.get("beta", 99.0)))
+    report = _kappa(once, dec, float(config.options.get("beta", 99.0)))
     row["kappa_sq_exact"] = report.kappa_sq_max
     row["kappa_sq_p99"] = report.kappa_sq_percentile
     try:
@@ -310,14 +344,15 @@ def _kappa_cell(cell, config: ExperimentConfig, process, dec, kappa) -> dict:
     return row
 
 
-def _spectrum_cell(cell, config: ExperimentConfig, process, dec, kappa) -> dict:
+def _spectrum_cell(cell, config: ExperimentConfig, process, dec, once) -> dict:
     row = _base_row(cell)
     row["rank"] = dec.rank
     row["lambda_top"] = float(dec.lambdas[0])
     row["s_lambda"] = float(dec.lambdas.sum())
-    row["duality_residual"] = spectral.duality_residual(dec)
-    row["reconstruction_residual"] = spectral.verify_integral_identity(
-        process, dec)
+    # the residuals do not depend on the seed
+    row["duality_residual"], row["reconstruction_residual"] = once(
+        ("residuals",), lambda: (spectral.duality_residual(dec),
+                                 spectral.verify_integral_identity(process, dec)))
     if cell["master"] == config.seeds[0]:  # the files do not depend on the seed
         stem = (f"{cell['scheme']}_dx{cell['d_x']}_a{cell['alpha']!r}"
                 .replace(".", "p"))
@@ -325,7 +360,7 @@ def _spectrum_cell(cell, config: ExperimentConfig, process, dec, kappa) -> dict:
     return row
 
 
-def _pretrain_cell(cell, config: ExperimentConfig, process, dec, kappa) -> dict:
+def _pretrain_cell(cell, config: ExperimentConfig, process, dec, once) -> dict:
     row = _base_row(cell)
     d = int(cell["d"])
     opts = config.options
@@ -361,7 +396,7 @@ def _pretrain_cell(cell, config: ExperimentConfig, process, dec, kappa) -> dict:
     return row
 
 
-def _regress_cell(cell, config: ExperimentConfig, process, dec, kappa) -> dict:
+def _regress_cell(cell, config: ExperimentConfig, process, dec, once) -> dict:
     row = _base_row(cell)
     d = int(cell["d"])
     encoder = encoders.optimal_encoder(dec, d)
@@ -374,7 +409,7 @@ def _regress_cell(cell, config: ExperimentConfig, process, dec, kappa) -> dict:
     f_psi, approx_err = regression.project_fpsi(target, encoder)
     est = fit.f_hat_values - f_psi
     tau_sq = encoders.trace_gap(encoder)
-    report = kappa()  # the default beta, so a beta option cannot fail this cell
+    report = _kappa(once, dec)  # the default beta, so a beta option cannot fail it
     ctx = regression.BoundContext(
         tau_sq=tau_sq, epsilon=eps, B=B,
         kappa=math.sqrt(report.kappa_sq_max),
@@ -394,7 +429,7 @@ def _regress_cell(cell, config: ExperimentConfig, process, dec, kappa) -> dict:
     return row
 
 
-def _tracegap_cell(cell, config: ExperimentConfig, process, dec, kappa) -> dict:
+def _tracegap_cell(cell, config: ExperimentConfig, process, dec, once) -> dict:
     row = _base_row(cell)
     d, N = int(cell["d"]), int(cell["N"])
     empirical = encoders.empirical_decomposition(process, N, seed=cell["seed"])
@@ -408,8 +443,8 @@ def _tracegap_cell(cell, config: ExperimentConfig, process, dec, kappa) -> dict:
     return row
 
 
-# output name -> cell function ``(cell, config, process, dec, kappa)``, where
-# ``kappa(beta)`` is the process's complexity report, computed once per beta
+# output name -> cell function ``(cell, config, process, dec, once)``, where
+# ``once`` is the group's ``_Once`` memo of seed-independent results
 _CELL_FN = {
     "kappa": _kappa_cell,
     "spectrum": _spectrum_cell,
@@ -422,22 +457,21 @@ _CELL_FN = {
 def _run_group(config: ExperimentConfig, group, run_cells) -> list[dict]:
     """Build the group's process once and run its cells; return their rows.
 
-    The process, its decomposition and its complexity report are locals of
-    this call, so they are dropped when it returns.  A failed build gives
-    every cell of the group the build's error row.
+    The process, its decomposition and the group's memo are locals of this
+    call, so they are dropped when it returns.  A failed build gives every
+    cell of the group the build's error row.
     """
     try:
         process = build_hypercube(_hypercube(group[0][1]), budget=config.budget)
         dec = spectral.decompose(process)
     except Exception as exc:  # each cell's error row, never abort
         return [_error_row(cell, exc) for _, cell in group]
-    # deterministic, so two threads computing it at once is harmless
-    kappa = functools.cache(functools.partial(complexity.kappa_exact, dec))
+    once = _Once()
 
     def guarded(item):
         name, cell = item
         try:
-            return _CELL_FN[name](cell, config, process, dec, kappa)
+            return _CELL_FN[name](cell, config, process, dec, once)
         except Exception as exc:  # cell isolation: record, never abort
             return _error_row(cell, exc)
 

@@ -96,6 +96,9 @@ class AugmentationProcess:
         below 25%.
     p_a : Distribution
         Derived augmentation marginal, strictly positive after pruning.
+    hypercube : HypercubeConfig or None
+        The masking scheme a hypercube process was built from, whose
+        spectrum has a closed form; ``None`` for every other process.
     """
 
     x_space: FiniteSpace
@@ -103,6 +106,7 @@ class AugmentationProcess:
     p_x: Distribution
     conditional: object
     p_a: Distribution
+    hypercube: HypercubeConfig | None = None
 
     def __post_init__(self):
         n_x, n_a = self.x_space.size, self.a_space.size
@@ -138,6 +142,11 @@ class AugmentationProcess:
         if self.p_a.mass.min() <= 0:
             raise ValidationError(
                 "zero-mass augmentations present; they must be pruned"
+            )
+        if self.hypercube is not None and n_x != 2**self.hypercube.d_x:
+            raise ValidationError(
+                f"{n_x} data points do not form the hypercube of "
+                f"d_x={self.hypercube.d_x}"
             )
 
     @property
@@ -187,8 +196,11 @@ class HypercubeConfig:
 
     @property
     def block_length(self) -> int:
-        """Masked block length ``ceil(alpha * d_x)`` for block schemes."""
-        return int(np.ceil(self.alpha * self.d_x - 1e-12))
+        """Masked block length ``ceil(alpha * d_x)`` for block schemes.
+
+        At least 1: a positive ``alpha`` masks some coordinate.
+        """
+        return max(1, int(np.ceil(self.alpha * self.d_x - 1e-12)))
 
 
 def _labels(points: Sequence[tuple[int, ...]]) -> tuple[str, ...]:
@@ -219,8 +231,9 @@ def _finalize_storage(conditional):
     return conditional
 
 
-def _assemble(x_points, a_points, p_x_mass, conditional) -> AugmentationProcess:
-    """Prune zero-mass augmentations and build the process."""
+def _assemble(x_points, a_points, p_x_mass, conditional,
+              hypercube: HypercubeConfig) -> AugmentationProcess:
+    """Prune zero-mass augmentations and build the hypercube process."""
     p_a_mass = derive_marginal(conditional, p_x_mass)
     keep = np.nonzero(p_a_mass > 0.0)[0]
     if keep.size < len(a_points):
@@ -239,6 +252,7 @@ def _assemble(x_points, a_points, p_x_mass, conditional) -> AugmentationProcess:
         p_x=Distribution(x_space, p_x_mass),
         conditional=conditional,
         p_a=Distribution(a_space, derive_marginal(conditional, p_x_mass)),
+        hypercube=hypercube,
     )
 
 
@@ -268,7 +282,8 @@ def _build_product_scheme(config: HypercubeConfig, budget: int) -> AugmentationP
         range(d - 1), channel,
     )
     p_x = np.full(2**d, 1.0 / 2**d)
-    return _assemble(_sign_points(d), _ternary_points(d), p_x, conditional)
+    return _assemble(_sign_points(d), _ternary_points(d), p_x, conditional,
+                     config)
 
 
 def _block_support(d: int, r: int) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
@@ -320,7 +335,7 @@ def _build_block_scheme(config: HypercubeConfig, budget: int) -> AugmentationPro
             k = free - agree  # disagreeing survivor coordinates
             conditional[:, j] = (q**k) * ((1.0 - q) ** agree) / n_pos
     p_x = np.full(n_x, 1.0 / n_x)
-    return _assemble(x_points, a_points, p_x, conditional)
+    return _assemble(x_points, a_points, p_x, conditional, config)
 
 
 def build_hypercube(config: HypercubeConfig,
@@ -340,6 +355,7 @@ def build_hypercube(config: HypercubeConfig,
     AugmentationProcess
         ``p_x`` uniform over the ``2^d_x`` sign vectors; the conditional
         matches the scheme exactly, with unreachable augmentations pruned.
+        Its ``hypercube`` field is ``config``.
     """
     if config.scheme in ("random_mask", "random_mask_flip"):
         return _build_product_scheme(config, budget)

@@ -4,7 +4,15 @@ The two kernels are density ratios: ``K_A`` compares the distribution of two
 augmentations of a shared original against independent augmentations, and
 ``K_X`` is its data-space counterpart obtained by swapping roles and applying
 Bayes.  Both are realized as plain matrices here, weighted by the relevant
-marginals, and the spectral decomposition is computed through one SVD of the
+marginals.
+
+The spectral decomposition of a hypercube masking process comes from its
+subset law: the eigenfunctions are the Walsh characters
+``chi_S(x) = prod_{i in S} x_i`` and the eigenvalues are
+``lambda_S = P(M cap S = empty) (1 - 2q)^(2|S|)`` for the masked set ``M``
+and the flip probability ``q``, because each scheme is invariant under a
+joint sign flip of ``x`` and ``a`` while ``p_x`` is uniform.  Every other
+process (custom tables, the empirical route) goes through one SVD of the
 symmetrized joint table, which yields the eigenvalues together with both
 eigenfunction families and their duality at once.
 """
@@ -20,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import ValidationError
-from .processes import AugmentationProcess
+from .processes import AugmentationProcess, HypercubeConfig
 
 DEFAULT_RANK_TOL = 1e-10
 _TIE_TOL = 1e-10
@@ -262,15 +270,70 @@ def _spectral_engine(conditional, sqrt_wx: np.ndarray, sqrt_wa: np.ndarray,
     return lambdas, psi, phi
 
 
+def _subset_bits(d: int) -> np.ndarray:
+    """``2^d x d`` 0/1 table: row ``i``, column ``j`` is bit ``d-1-j`` of ``i``.
+
+    Row ``i`` is the ``i``-th sign point in lexicographic order, a 1 marking
+    a ``+1`` coordinate; read as a subset, it marks the coordinates in it.
+    """
+    return (np.arange(2**d)[:, None] >> np.arange(d - 1, -1, -1)) & 1
+
+
+def _subset_law(config: HypercubeConfig, bits: np.ndarray) -> np.ndarray:
+    """``lambda_S = P(M cap S = empty) (1 - 2q)^(2|S|)`` for every subset.
+
+    Random masks miss ``S`` with probability ``(1 - m)^|S|`` for the
+    per-coordinate mask probability ``m`` (``alpha``, or ``alpha / 2`` with
+    flips); a block of length ``r`` misses it at the share of the
+    ``d_x - r + 1`` block positions that hold no coordinate of ``S``.
+    """
+    size = bits.sum(axis=1)
+    if config.scheme == "random_mask":
+        miss = (1.0 - config.alpha) ** size
+    elif config.scheme == "random_mask_flip":
+        miss = (1.0 - config.alpha / 2.0) ** size
+    else:
+        r, n_pos = config.block_length, config.d_x - config.block_length + 1
+        covered = np.cumsum(np.pad(bits, ((0, 0), (1, 0))), axis=1)
+        inside = covered[:, r:] - covered[:, :n_pos]  # |S cap block| per start
+        miss = np.count_nonzero(inside == 0, axis=1) / n_pos
+    return miss * (1.0 - 2.0 * config.flip_prob) ** (2 * size)
+
+
+def _walsh_engine(process: AugmentationProcess, rank_tol: float):
+    """Spectrum of a hypercube process from its subset law, without an SVD.
+
+    Eigenvalues above ``rank_tol`` are sorted descending (stably);
+    ``psi`` holds the matching +-1 characters and
+    ``phi = Gamma psi / sqrt(lambda)`` is applied through the stored table,
+    so duality holds by construction.  The constant (``S`` empty,
+    ``lambda = 1``) comes first; every column pair is sign-fixed.
+    """
+    bits = _subset_bits(process.hypercube.d_x)
+    law = _subset_law(process.hypercube, bits)
+    order = np.argsort(-law, kind="stable")
+    order = order[law[order] > rank_tol]
+    lambdas = law[order]
+    # chi_S(x) is -1 to the number of coordinates of S where x is -1
+    psi = 1.0 - 2.0 * (((1 - bits) @ bits[order].T) % 2)
+    phi = apply_gamma(process, psi) / np.sqrt(lambdas)
+    _fix_signs(psi, phi)
+    return lambdas, psi, phi
+
+
 def decompose(process: AugmentationProcess,
               rank_tol: float = DEFAULT_RANK_TOL) -> SpectralDecomposition:
     """Exact weighted spectral decomposition of the operator pair.
 
-    The SVD of the symmetrized joint table
-    ``B(a,x) = p(a,x) / sqrt(p_a(a) p_x(x))`` gives singular values whose
-    squares are the shared eigenvalues, with
-    ``phi_i = U_i / sqrt(p_a)`` and ``psi_i = V_i / sqrt(p_x)``.  Eigenvalues
-    at or below ``rank_tol`` are dropped.
+    A hypercube process (``process.hypercube`` set) takes its eigenvalues
+    from the subset law and its data eigenfunctions from the Walsh
+    characters, with ``phi_i = Gamma psi_i / sqrt(lambda_i)``.  Every other
+    process takes them from the SVD of the symmetrized joint table
+    ``B(a,x) = p(a,x) / sqrt(p_a(a) p_x(x))``, whose singular values squared
+    are the shared eigenvalues, with ``phi_i = U_i / sqrt(p_a)`` and
+    ``psi_i = V_i / sqrt(p_x)``.  Eigenvalues at or below ``rank_tol`` are
+    dropped, and each degenerate block is put in lexicographic order of
+    ``psi``.
 
     Returns
     -------
@@ -278,9 +341,12 @@ def decompose(process: AugmentationProcess,
         Validated: eigenvalues in [0, 1], leading pair ``(1, constant)``,
         orthonormal columns, duality residual below 1e-8.
     """
-    lambdas, psi, phi = _spectral_engine(
-        process.conditional, np.sqrt(process.p_x.mass),
-        np.sqrt(process.p_a.mass), rank_tol)
+    if process.hypercube is not None:
+        lambdas, psi, phi = _walsh_engine(process, rank_tol)
+    else:
+        lambdas, psi, phi = _spectral_engine(
+            process.conditional, np.sqrt(process.p_x.mass),
+            np.sqrt(process.p_a.mass), rank_tol)
     _order_ties(lambdas, psi, phi)
     psi.setflags(write=False)
     phi.setflags(write=False)

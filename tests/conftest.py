@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,30 @@ def decomp_cache(process_cache):
         key = (scheme, d_x, alpha)
         if key not in cache:
             cache[key] = spectral.decompose(process_cache(scheme, d_x, alpha))
+        return cache[key]
+
+    return get
+
+
+def svd_oracle(process):
+    """Oracle spectrum of a hypercube process: the SVD engine, not the law.
+
+    ``decompose`` takes hypercube spectra from the subset law; without its
+    ``hypercube`` field the same table goes through the SVD of the
+    symmetrized joint table, an independent route to the same spectrum.
+    """
+    return spectral.decompose(dataclasses.replace(process, hypercube=None))
+
+
+@pytest.fixture(scope="session")
+def oracle_cache(process_cache):
+    """Memoized :func:`svd_oracle` decompositions, shared like the others."""
+    cache = {}
+
+    def get(scheme, d_x, alpha):
+        key = (scheme, d_x, alpha)
+        if key not in cache:
+            cache[key] = svd_oracle(process_cache(scheme, d_x, alpha))
         return cache[key]
 
     return get

@@ -497,16 +497,29 @@ def test_entries_released_after_their_last_cell(tmp_path, counted_builds, jobs):
     assert all(ref() is None for ref in alive)
 
 
-def test_kappa_computed_once_per_process(tmp_path, monkeypatch):
+@pytest.fixture
+def counted_kappa(monkeypatch):
+    """Processes passed to ``complexity.kappa_exact``, one entry per call.
+
+    Each call sleeps briefly, so that parallel cells of one process overlap.
+    """
     calls = []
     kappa_exact = complexity.kappa_exact
 
     def counting_kappa(dec, *args, **kwargs):
         calls.append(dec.process)
+        time.sleep(0.01)
         return kappa_exact(dec, *args, **kwargs)
 
     monkeypatch.setattr(complexity, "kappa_exact", counting_kappa)
-    outcome = run(resolve_config(kappa_config(tmp_path, seeds=[0, 1])))
+    return calls
+
+
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_kappa_computed_once_per_process(tmp_path, counted_kappa, jobs):
+    calls = counted_kappa
+    outcome = run(resolve_config(kappa_config(tmp_path, seeds=[0, 1],
+                                              jobs=jobs)))
     assert outcome.exit_code == 0 and len(outcome.records) == 8
     assert len(calls) == 4  # 4 processes, 2 seeds each
     calls.clear()
@@ -516,11 +529,59 @@ def test_kappa_computed_once_per_process(tmp_path, monkeypatch):
                  "alpha": [0.5], "d": [1, 2], "n": [16, 32], "sigma": [0.1],
                  "B": [1.0], "epsilon": [0.2]},
         "seeds": [0, 1],
+        "jobs": jobs,
         "output_dir": str(tmp_path / "regress"),
         "options": {"beta": 50.0},
     }))
     assert outcome.exit_code == 0 and len(outcome.records) == 16
     assert len(calls) == 2  # 2 processes, 8 cells each
+
+
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_bad_beta_fails_only_the_kappa_cells(tmp_path, counted_kappa, jobs):
+    outcome = run(resolve_config(tracegap_config(
+        tmp_path, command="sweep", seeds=[0, 1], jobs=jobs,
+        options={"beta": 500.0})))
+    kappa_rows = [r for r in outcome.records if "kappa_sq_exact" in r
+                  or r.get("error")]
+    assert len(kappa_rows) == outcome.failures == 4  # 2 processes x 2 seeds
+    assert {r["error"] for r in kappa_rows} == {
+        "ValidationError: beta must lie in (0; 100]; got 500.0"}
+    assert sum(1 for r in outcome.records if "gap" in r) > 0
+    assert len(counted_kappa) == 2  # the failure is computed once per process
+
+
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_spectrum_residuals_computed_once_per_process(tmp_path, monkeypatch,
+                                                      jobs):
+    grid = {"scheme": ["random_mask", "block_mask_flip"], "d_x": [3],
+            "alpha": [0.25, 0.5]}
+    calls = Counter()
+    for name in ("duality_residual", "verify_integral_identity"):
+        def counting(*args, _fn=getattr(spectral, name), _name=name, **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(spectral, name, counting)
+
+    def spectrum(seeds, label):
+        calls.clear()
+        outcome = run(resolve_config({
+            "command": "spectrum", "grid": grid, "seeds": seeds, "jobs": jobs,
+            "output_dir": str(tmp_path / label)}))
+        assert outcome.exit_code == 0
+        return outcome, dict(calls)
+
+    one, one_calls = spectrum([4], "one")
+    three, three_calls = spectrum([4, 5, 6], "three")
+    # decompose validates duality itself; the rows add one call per process
+    assert three_calls == one_calls
+    assert one_calls["verify_integral_identity"] == 4
+    lines = open(three.files["spectrum"]).read().splitlines()[1:]
+    one_lines = open(one.files["spectrum"]).read().splitlines()[1:]
+    for k, line in enumerate(one_lines):
+        fields = line.split(",")
+        for seed, other in zip((4, 5, 6), lines[3 * k:3 * k + 3]):
+            assert other.split(",") == fields[:4] + [str(seed)] + fields[5:]
 
 
 def test_sweep_kappa_rows_once_per_process_and_seed(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -239,6 +240,25 @@ def test_conditional_reverse_half_mask_by_bayes():
     # unmasked coordinate reveals the original; the mask is uninformative
     np.testing.assert_allclose(rev, [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
     np.testing.assert_allclose(rev.sum(axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("scheme", ["block_mask", "block_mask_flip"])
+def test_tiny_alpha_masks_a_block_of_one(scheme):
+    config = HypercubeConfig(4, 1e-15, scheme)
+    assert config.block_length == 1
+    assert build_hypercube(config).n_a == 4 * 2**3
+
+
+def test_only_hypercube_builds_carry_their_config(tmp_path, small_process):
+    config = HypercubeConfig(2, 0.5, "block_mask")
+    assert build_hypercube(config).hypercube is config
+    path = tmp_path / "process.txt"
+    dump_process(path, small_process)
+    assert load_process(path)[0].hypercube is None
+    assert build_custom(2, 2, [0.5, 0.5], [(0, 0, 1.0), (1, 1, 1.0)])[0] \
+        .hypercube is None
+    with pytest.raises(ValidationError, match="hypercube of d_x=2"):
+        dataclasses.replace(small_process, hypercube=config)
 
 
 def test_process_file_roundtrip(tmp_path, small_process):
