@@ -1,4 +1,4 @@
-"""Dual kernels and the exact spectral system of a masking process.
+"""The data kernel and the exact spectral system of a masking process.
 
 The two conditional-expectation operators share one spectrum; their
 eigenfunctions live on the data and augmentation spaces and are tied by
@@ -16,7 +16,6 @@ from augrkhs import (
     apply_gamma_star,
     build_hypercube,
     decompose,
-    kernel_a,
     kernel_x,
     verify_integral_identity,
 )
@@ -25,10 +24,9 @@ np.set_printoptions(precision=4, suppress=True)
 
 process = build_hypercube(HypercubeConfig(d_x=3, alpha=0.5,
                                           scheme="random_mask"))
-print("=== Kernels on the 3-cube with half masking ===")
+print("=== The data kernel on the 3-cube with half masking ===")
 KX = kernel_x(process)
 print("K_X diagonal (constant by symmetry):", np.diag(KX)[:4], "...")
-print("K_A shape:", kernel_a(process).shape)
 
 print("\n=== Conditional expectations ===")
 f = np.array([x.count("+") for x in process.x_space.labels], dtype=float)

@@ -53,9 +53,7 @@ from .objectives import (
     OptimizerConfig,
     loss_rbt,
     loss_scl,
-    loss_scl_direct,
     loss_sclip,
-    loss_sclip_direct,
     loss_vicreg,
     minimize,
     rbt_penalty_path,
@@ -93,7 +91,6 @@ from .spectral import (
     apply_gamma_star,
     decompose,
     export_decomposition,
-    kernel_a,
     kernel_x,
     verify_integral_identity,
 )

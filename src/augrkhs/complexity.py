@@ -53,7 +53,12 @@ class ClosedFormKappa:
 
 
 def diagonal_kernel_values(process: AugmentationProcess) -> np.ndarray:
-    """Per-point ``K_X(x,x) = sum_a p(a|x)^2 / p_a(a)`` by direct summation."""
+    """Per-point ``K_X(x,x) = sum_a p(a|x)^2 / p_a(a)`` by direct summation.
+
+    Read from the table, not through the spectral operators, because
+    :func:`kappa_exact` checks the spectral diagonal
+    ``sum_i lambda_i psi_i(x)^2`` against it.
+    """
     C = process.conditional
     inv_pa = 1.0 / process.p_a.mass
     if sp.issparse(C):
@@ -68,8 +73,9 @@ def mean_chi_squared(process: AugmentationProcess) -> float:
     ``sum_supp (p(a|x) - p_a)^2 / p_a + (1 - sum_supp p_a)``: an augmentation
     outside the row's support contributes its ``p_a``.  A sparse table is
     never densified; a dense one stores every ``a``, so its second term is 0.
-    Independent of :func:`diagonal_kernel_values`, which the identity it
-    checks compares.
+    Read from the table, independently of :func:`diagonal_kernel_values`
+    and of the spectrum, because :func:`kappa_exact` measures the residual
+    of the trace identity ``sum_i lambda_i = 1 + mean chi-squared`` with it.
     """
     table, p_a = process.conditional, process.p_a.mass
     if sp.issparse(table):

@@ -20,7 +20,12 @@ import scipy.sparse as sp
 from .complexity import partial_trace
 from .exceptions import RankDeficiencyError, ValidationError
 from .processes import AugmentationProcess
-from .spectral import SpectralDecomposition, _spectral_engine, decompose
+from .spectral import (
+    SpectralDecomposition,
+    _spectral_engine,
+    apply_gamma_star,
+    decompose,
+)
 
 _GRAM_RANK_TOL = 1e-10
 _CONDITION_LIMIT = 1e12
@@ -52,13 +57,6 @@ class CovariancePair:
     F: np.ndarray
     G: np.ndarray
     gamma_g: float
-
-
-def average_rows(process: AugmentationProcess, phi_hat: np.ndarray) -> np.ndarray:
-    """Average encoder table: row-wise application of the adjoint operator."""
-    if sp.issparse(process.conditional):
-        return np.asarray(process.conditional @ phi_hat.T).T
-    return phi_hat @ process.conditional_dense().T
 
 
 def gram_a(process: AugmentationProcess, phi_hat: np.ndarray) -> np.ndarray:
@@ -94,7 +92,7 @@ def build_average_encoder(process: AugmentationProcess, phi_hat,
         )
     if decomposition is None:
         decomposition = decompose(process)
-    psi_hat = average_rows(process, phi_hat)
+    psi_hat = apply_gamma_star(process, phi_hat.T).T
     return Encoder(phi_hat=phi_hat, psi_hat=psi_hat, d=phi_hat.shape[0],
                    process=process, decomposition=decomposition)
 

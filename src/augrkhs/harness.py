@@ -46,6 +46,10 @@ _REQUIRED_AXES = {
     "sweep": ("scheme", "d_x", "alpha"),
 }
 
+# the option names some cell reads; any other name is a config error
+OPTIONS = ("beta", "learning_rate", "max_iters", "grad_tol", "init_scale",
+           "alpha_w", "beta_w", "c0")
+
 HEADERS = {
     "kappa": ["schema", "scheme", "d_x", "alpha", "seed", "kappa_sq_exact",
               "kappa_sq_p99", "closed_form", "bound_kind", "s_lambda",
@@ -163,6 +167,11 @@ def resolve_config(raw: dict, command: str | None = None,
     output_dir = out or raw.get("output_dir")
     if not output_dir:
         raise ValidationError("output_dir is required")
+    options = _object(raw.get("options"), "options")
+    unknown = sorted(set(options) - set(OPTIONS))
+    if unknown:
+        raise ValidationError(
+            f"unknown options {unknown}; the cells read {list(OPTIONS)}")
     config = ExperimentConfig(
         command=cmd,
         grid=grid,
@@ -172,7 +181,7 @@ def resolve_config(raw: dict, command: str | None = None,
                         else raw.get("budget", DEFAULT_BUDGET), "budget"),
         master_seed=_integer(raw.get("master_seed", 0), "master_seed"),
         jobs=_integer(jobs if jobs is not None else raw.get("jobs", 1), "jobs"),
-        options=_object(raw.get("options"), "options"),
+        options=options,
     )
     if any(name == "tracegap" for name, _ in _outputs(config)):
         _check_rate_grid(config.grid)

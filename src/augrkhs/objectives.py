@@ -6,15 +6,13 @@ Barlow Twins loss, and a VICReg variant.  Each loss has one route, its
 ``_<kind>_value_grad(params, process, ...)``, which returns the exact value
 and gradient; the public ``loss_*`` functions and :func:`minimize` both run
 it.  The positive-pair law ``P+ = C^T diag(p_x) C`` and the joint law
-``J = C^T diag(p_x)`` enter only through the conditional table ``C = p(a|x)``
-itself, sparse or dense: ``phi P+ = ((phi C^T) * p_x) C``,
-``phi J = (phi C^T) * p_x`` and ``xi J^T = (xi * p_x) C``, so no
-``|A| x |A|`` or ``|A| x |X|`` matrix is formed.  Minimization is plain
-full-batch gradient descent with step halving.
-
-``loss_scl_direct`` and ``loss_sclip_direct`` sum directly over the dense
-pair and joint distributions; they are independent oracles for the tests,
-and nothing else calls them.
+``J = C^T diag(p_x)`` of the table ``C = p(a|x)`` enter only through the
+operators of :mod:`augrkhs.spectral`: ``(phi C^T)^T`` is
+``apply_gamma_star(phi^T)``, and ``((rows * p_x) C)^T`` is
+``apply_joint(rows^T)``, so no ``|A| x |A|`` or ``|A| x |X|`` matrix is
+formed.  Minimization is plain full-batch gradient descent with step halving.
+The tests keep direct summations over the dense pair and joint laws as the
+oracle for every value and gradient.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import numpy as np
 
 from .exceptions import DivergenceError, ValidationError
 from .processes import AugmentationProcess
-from .spectral import SpectralDecomposition, joint_distribution, pair_distribution
+from .spectral import SpectralDecomposition, apply_gamma_star, apply_joint
 
 KINDS = ("scl", "sclip", "rbt", "vicreg")
 
@@ -87,21 +85,16 @@ class MinimizeResult:
         return float(self.losses[-1])
 
 
-def _through_x(rows: np.ndarray, process: AugmentationProcess) -> np.ndarray:
-    """``rows C^T``: each augmentation-side row averaged under ``p(a|x)``."""
-    return rows @ process.conditional.T
-
-
-def _back_to_a(rows: np.ndarray, process: AugmentationProcess) -> np.ndarray:
-    """``(rows * p_x) C``: data-side rows taken through the joint law."""
-    return (rows * process.p_x.mass[None, :]) @ process.conditional
+def _pair_rows(phi, process: AugmentationProcess) -> np.ndarray:
+    """``phi P+``: each row averaged onto the data, then taken back by ``J``."""
+    return apply_joint(process, apply_gamma_star(process, phi.T)).T
 
 
 def _scl_value_grad(phi, process: AugmentationProcess):
     """``-2 Tr(phi P+ phi^T) + ||G||_F^2`` with ``G = phi diag(p_a) phi^T``."""
     p_a = process.p_a.mass
     G = (phi * p_a[None, :]) @ phi.T
-    PhiPair = _back_to_a(_through_x(phi, process), process)  # phi P+
+    PhiPair = _pair_rows(phi, process)
     value = -2.0 * float(np.sum(PhiPair * phi)) + float(np.sum(G * G))
     grad = -4.0 * PhiPair + 4.0 * (G @ phi) * p_a[None, :]
     return value, grad
@@ -113,9 +106,10 @@ def _sclip_value_grad(params, process: AugmentationProcess):
     p_a, p_x = process.p_a.mass, process.p_x.mass
     G = (phi * p_a[None, :]) @ phi.T
     H = (xi * p_x[None, :]) @ xi.T
-    PhiJ = _through_x(phi, process) * p_x[None, :]  # phi J, d x |X|
+    PhiJ = apply_gamma_star(process, phi.T).T * p_x[None, :]  # phi J, d x |X|
     value = -2.0 * float(np.sum(PhiJ * xi)) + float(np.sum(G * H))
-    grad_phi = -2.0 * _back_to_a(xi, process) + 2.0 * (H @ phi) * p_a[None, :]
+    grad_phi = (-2.0 * apply_joint(process, xi.T).T
+                + 2.0 * (H @ phi) * p_a[None, :])
     grad_xi = -2.0 * PhiJ + 2.0 * (G @ xi) * p_x[None, :]
     return value, (grad_phi, grad_xi)
 
@@ -126,7 +120,7 @@ def _rbt_value_grad(phi, process: AugmentationProcess, alpha_w, beta_w):
     ``M = phi P+ phi^T`` and ``G = phi diag(p_a) phi^T``.
     """
     p_a = process.p_a.mass
-    PhiPair = _back_to_a(_through_x(phi, process), process)
+    PhiPair = _pair_rows(phi, process)
     M = PhiPair @ phi.T
     diag = np.diag(M)
     off = M - np.diag(diag)
@@ -142,7 +136,7 @@ def _vicreg_value_grad(phi, process: AugmentationProcess, beta_w):
     """``||G - I||_F^2 + beta_w (2 Tr(G) - 2 Tr(M))``, ``M = phi P+ phi^T``."""
     p_a = process.p_a.mass
     G = (phi * p_a[None, :]) @ phi.T
-    PhiPair = _back_to_a(_through_x(phi, process), process)
+    PhiPair = _pair_rows(phi, process)
     eye = np.eye(phi.shape[0])
     value = float(np.sum((G - eye) ** 2)) + beta_w * (
         2.0 * float(np.trace(G)) - 2.0 * float(np.sum(PhiPair * phi)))
@@ -161,19 +155,6 @@ def loss_scl(phi_hat: np.ndarray, dec: SpectralDecomposition) -> float:
     return _scl_value_grad(phi_hat, dec.process)[0]
 
 
-def loss_scl_direct(phi_hat: np.ndarray, process: AugmentationProcess) -> float:
-    """Independent route: direct summation over the pair distributions.
-
-    Builds the dense ``|A| x |A|`` positive-pair law; a test oracle.
-    """
-    pair = pair_distribution(process)
-    positive = float(np.trace(phi_hat @ pair @ phi_hat.T))
-    inner = phi_hat.T @ phi_hat  # |A| x |A| table of <phi(a), phi(a')>
-    p_a = process.p_a.mass
-    negative = float(np.sum((inner * inner) * np.outer(p_a, p_a)))
-    return -2.0 * positive + negative
-
-
 def loss_sclip(phi_hat: np.ndarray, xi_hat: np.ndarray,
                dec: SpectralDecomposition) -> float:
     """Two-encoder contrastive loss.
@@ -187,19 +168,6 @@ def loss_sclip(phi_hat: np.ndarray, xi_hat: np.ndarray,
             f"encoder dimensions differ: {phi_hat.shape[0]} vs {xi_hat.shape[0]}"
         )
     return _sclip_value_grad((phi_hat, xi_hat), dec.process)[0]
-
-
-def loss_sclip_direct(phi_hat: np.ndarray, xi_hat: np.ndarray,
-                      process: AugmentationProcess) -> float:
-    """Independent route: direct summation over the joint distribution.
-
-    Builds the dense ``|A| x |X|`` joint law; a test oracle.
-    """
-    J = joint_distribution(process)
-    positive = float(np.trace(phi_hat @ J @ xi_hat.T))
-    inner = phi_hat.T @ xi_hat  # |A| x |X|
-    weights = np.outer(process.p_a.mass, process.p_x.mass)
-    return -2.0 * positive + float(np.sum(inner * inner * weights))
 
 
 def loss_rbt(phi_hat: np.ndarray, dec: SpectralDecomposition,

@@ -1,10 +1,12 @@
-"""Dual kernels, conditional-expectation operators, and their exact spectra.
+"""Conditional-expectation operators, the data kernel, and their exact spectra.
 
-The two kernels are density ratios: ``K_A`` compares the distribution of two
-augmentations of a shared original against independent augmentations, and
-``K_X`` is its data-space counterpart obtained by swapping roles and applying
-Bayes.  Both are realized as plain matrices here, weighted by the relevant
-marginals.
+Functions cross the table ``p(a|x)`` through the operators of this module,
+which the other modules call rather than multiply by the table themselves:
+:func:`apply_joint` takes a data-space function through the joint law,
+:func:`apply_gamma` divides that by ``p_a``, and :func:`apply_gamma_star`
+averages an augmentation-space function under ``p(a|x)``.  The data kernel
+``K_X`` is kept as a plain matrix, an independent route that
+:func:`verify_integral_identity` checks the operators against.
 
 The spectral decomposition of a hypercube masking process comes from its
 subset law: the eigenfunctions are the Walsh characters
@@ -14,7 +16,9 @@ and the flip probability ``q``, because each scheme is invariant under a
 joint sign flip of ``x`` and ``a`` while ``p_x`` is uniform.  Every other
 process (custom tables, the empirical route) goes through one SVD of the
 symmetrized joint table, which yields the eigenvalues together with both
-eigenfunction families and their duality at once.
+eigenfunction families and their duality at once.  The constant pair at
+``lambda = 1`` is known exactly, so it is deflated from the table before
+that SVD and put first.
 """
 
 from __future__ import annotations
@@ -40,7 +44,9 @@ _DUALITY_FLOOR = 1e-6  # duality is only certified above this eigenvalue
 def kernel_x(process: AugmentationProcess) -> np.ndarray:
     """Data-space kernel ``K_X(x1,x2) = sum_a p(a|x1) p(a|x2) / p_a(a)``.
 
-    Symmetric and positive semidefinite under the ``p_x`` weighting.
+    Symmetric and positive semidefinite under the ``p_x`` weighting.  Read
+    from the table directly, not through :func:`apply_gamma`, because
+    :func:`verify_integral_identity` checks the operator route against it.
     """
     C = process.conditional
     inv_pa = 1.0 / process.p_a.mass
@@ -49,35 +55,11 @@ def kernel_x(process: AugmentationProcess) -> np.ndarray:
     return (C * inv_pa) @ C.T
 
 
-def kernel_a(process: AugmentationProcess) -> np.ndarray:
-    """Positive-pair kernel ``K_A(a1,a2) = P+(a1,a2) / (p_a(a1) p_a(a2))``.
+def apply_joint(process: AugmentationProcess, f: np.ndarray) -> np.ndarray:
+    """Joint law applied to a data-space function, ``sum_x f(x) p(a|x) p_x(x)``.
 
-    ``P+(a1,a2) = sum_x p(a1|x) p(a2|x) p_x(x)`` is the distribution of two
-    augmentations drawn from a shared original.
-    """
-    pair = pair_distribution(process)
-    p_a = process.p_a.mass
-    return pair / p_a[:, None] / p_a[None, :]
-
-
-def pair_distribution(process: AugmentationProcess) -> np.ndarray:
-    """Joint law ``P+`` of two augmentations of one original, ``|A| x |A|``."""
-    C = process.conditional
-    p_x = process.p_x.mass
-    if sp.issparse(C):
-        return (C.multiply(p_x[:, None]).T @ C).toarray()
-    return (C * p_x[:, None]).T @ C
-
-
-def joint_distribution(process: AugmentationProcess) -> np.ndarray:
-    """Joint law ``p(a, x) = p(a|x) p_x(x)`` as an ``|A| x |X|`` array."""
-    return (process.conditional_dense() * process.p_x.mass[:, None]).T
-
-
-def apply_gamma(process: AugmentationProcess, f: np.ndarray) -> np.ndarray:
-    """Conditional expectation of a data-space function given the augmentation.
-
-    ``(Gamma f)(a) = sum_x f(x) p(x|a)``.
+    The product ``C^T (f p_x)`` that :func:`apply_gamma` divides by ``p_a``;
+    ``f`` may hold one function per column.
     """
     f = np.asarray(f, dtype=float)
     if f.shape[0] != process.n_x:
@@ -85,7 +67,16 @@ def apply_gamma(process: AugmentationProcess, f: np.ndarray) -> np.ndarray:
             f"function has length {f.shape[0]}, data space has {process.n_x}"
         )
     weighted = f * process.p_x.mass if f.ndim == 1 else f * process.p_x.mass[:, None]
-    out = np.asarray(process.conditional.T @ weighted)
+    return np.asarray(process.conditional.T @ weighted)
+
+
+def apply_gamma(process: AugmentationProcess, f: np.ndarray) -> np.ndarray:
+    """Conditional expectation of a data-space function given the augmentation.
+
+    ``(Gamma f)(a) = sum_x f(x) p(x|a)``, the joint product of
+    :func:`apply_joint` divided by ``p_a``.
+    """
+    out = apply_joint(process, f)
     if out.ndim == 1:
         return out / process.p_a.mass
     return out / process.p_a.mass[:, None]
@@ -132,40 +123,6 @@ class SpectralDecomposition:
         """Squared norm ``sum u_i^2 / lambda_i`` of ``sum u_i psi_i``."""
         u = np.asarray(coefficients, dtype=float)
         return float(np.sum(u * u / self.lambdas))
-
-
-def _rotate_constant_first(lambdas, columns_x, columns_a, sqrt_wx):
-    """Rotate the top degenerate block so the first column is the constant.
-
-    The constant function always belongs to the leading eigenspace; a bare
-    SVD returns an arbitrary basis for it when the top eigenvalue is
-    degenerate, so the block is deterministically rotated by a Householder
-    map sending the first basis vector onto the constant's coordinates.
-    Only the top block is rotated; rotating near-degenerate blocks at tiny
-    eigenvalues would destroy duality.
-    """
-    block = np.nonzero(np.abs(lambdas - lambdas[0]) <= _TIE_TOL)[0]
-    m = block.size
-    # coordinates of the constant in the block basis of V (where it is sqrt_wx)
-    c = columns_x[:, block].T @ sqrt_wx
-    norm = np.linalg.norm(c)
-    if norm < 1.0 - 1e-6:
-        raise ValidationError(
-            "constant function missing from the top eigenspace; "
-            "the process tables are inconsistent"
-        )
-    c = c / norm
-    e1 = np.zeros(m)
-    e1[0] = 1.0
-    v = c - e1
-    vn = np.linalg.norm(v)
-    if vn > 1e-14:
-        v = v / vn
-        H = np.eye(m) - 2.0 * np.outer(v, v)
-    else:
-        H = np.eye(m)
-    columns_x[:, block] = columns_x[:, block] @ H
-    columns_a[:, block] = columns_a[:, block] @ H
 
 
 def _fix_signs(psi, phi):
@@ -245,27 +202,29 @@ def _spectral_engine(conditional, sqrt_wx: np.ndarray, sqrt_wa: np.ndarray,
     """Weighted spectrum of a conditional table: the one SVD route.
 
     ``conditional`` holds ``p(a|x)`` with one row per data point (sparse or
-    dense), ``sqrt_wx`` and ``sqrt_wa`` the square roots of the data and
-    augmentation weights.  The SVD of ``B(a,x) = p(a|x) sqrt_wx(x) /
-    sqrt_wa(a)`` is truncated at ``rank_tol``; the constant is rotated into
-    the first column and every column pair is sign-fixed.  Returns
-    ``(lambdas, psi, phi)`` with ``psi = V / sqrt_wx``, ``phi = U / sqrt_wa``.
+    dense), ``sqrt_wx`` and ``sqrt_wa`` the square roots of the data
+    weights and of the augmentation weights they induce.  Since each row
+    sums to 1, ``(1, sqrt_wa, sqrt_wx)`` is an exact singular triple of
+    ``B(a,x) = p(a|x) sqrt_wx(x) / sqrt_wa(a)``, the constant pair at
+    ``lambda = 1``.  It is subtracted before the SVD and put first as
+    ``(1, 1, 1)``; the rest is truncated at ``rank_tol``, or at the SVD's
+    rounding of zero if that is larger, and every column pair is sign-fixed.  Returns ``(lambdas, psi, phi)`` with
+    ``psi = V / sqrt_wx``, ``phi = U / sqrt_wa``.
     """
     if sp.issparse(conditional):
         B = conditional.multiply(sqrt_wx[:, None]).multiply(1.0 / sqrt_wa).T.toarray()
     else:
         B = (conditional * sqrt_wx[:, None] / sqrt_wa).T
+    B -= np.outer(sqrt_wa, sqrt_wx)
     U, s, Vt = np.linalg.svd(B, full_matrices=False)
     lambdas = s * s
-    rank = int(np.count_nonzero(lambdas > rank_tol))
-    if rank == 0:
-        raise ValidationError("empty spectrum; the leading eigenvalue should be 1")
-    lambdas = lambdas[:rank].copy()
-    V = Vt[:rank].T.copy()
-    Uk = U[:, :rank].copy()
-    _rotate_constant_first(lambdas, V, Uk, sqrt_wx)
-    psi = V / sqrt_wx[:, None]
-    phi = Uk / sqrt_wa[:, None]
+    # at or below the SVD's rounding of zero, where the deflated pair lands,
+    # whatever rank_tol says
+    floor = (np.finfo(float).eps * max(B.shape)) ** 2
+    rank = int(np.count_nonzero(lambdas > max(rank_tol, floor)))
+    lambdas = np.concatenate(([1.0], lambdas[:rank]))
+    psi = np.hstack((np.ones((sqrt_wx.size, 1)), Vt[:rank].T / sqrt_wx[:, None]))
+    phi = np.hstack((np.ones((sqrt_wa.size, 1)), U[:, :rank] / sqrt_wa[:, None]))
     _fix_signs(psi, phi)
     return lambdas, psi, phi
 
@@ -329,11 +288,11 @@ def decompose(process: AugmentationProcess,
     from the subset law and its data eigenfunctions from the Walsh
     characters, with ``phi_i = Gamma psi_i / sqrt(lambda_i)``.  Every other
     process takes them from the SVD of the symmetrized joint table
-    ``B(a,x) = p(a,x) / sqrt(p_a(a) p_x(x))``, whose singular values squared
-    are the shared eigenvalues, with ``phi_i = U_i / sqrt(p_a)`` and
-    ``psi_i = V_i / sqrt(p_x)``.  Eigenvalues at or below ``rank_tol`` are
-    dropped, and each degenerate block is put in lexicographic order of
-    ``psi``.
+    ``B(a,x) = p(a,x) / sqrt(p_a(a) p_x(x))`` with its constant pair
+    deflated, whose singular values squared are the shared eigenvalues, with
+    ``phi_i = U_i / sqrt(p_a)`` and ``psi_i = V_i / sqrt(p_x)``.  Eigenvalues
+    at or below ``rank_tol`` are dropped, and each degenerate block is put
+    in lexicographic order of ``psi``.
 
     Returns
     -------

@@ -53,6 +53,17 @@ def test_resolve_config_validation(tmp_path):
         resolve_config(kappa_config(
             tmp_path, grid={"scheme": ["mystery"], "d_x": [3],
                             "alpha": [0.5]}))
+    # a misspelt option would otherwise be ignored and its default used
+    with pytest.raises(ValidationError, match="'max_iter'"):
+        resolve_config({"command": "pretrain",
+                        "grid": {"scheme": ["random_mask"], "d_x": [3],
+                                 "alpha": [0.5], "objective": ["scl"],
+                                 "d": [2]},
+                        "seeds": [0], "output_dir": "x",
+                        "options": {"max_iter": 5}})
+    options = {name: 1.0 for name in harness.OPTIONS}
+    assert resolve_config(kappa_config(tmp_path, options=options)).options \
+        == options
 
 
 def test_cell_seed_stable_and_distinct():
@@ -357,6 +368,7 @@ def test_cli_print_config(tmp_path, capsys):
 @pytest.mark.parametrize("bad", [
     {"master_seed": "abc"}, {"seeds": ["x"]}, {"seeds": [1.5]}, {"seeds": 3},
     {"budget": "big"}, {"jobs": [2]}, {"grid": ["scheme"]}, {"options": "x"},
+    {"options": {"max_iter": 5}},
 ])
 def test_cli_reports_config_type_errors(tmp_path, capsys, bad):
     cfg_path = tmp_path / "cfg.json"

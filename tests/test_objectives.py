@@ -14,9 +14,7 @@ from augrkhs.objectives import (
     _vicreg_value_grad,
     loss_rbt,
     loss_scl,
-    loss_scl_direct,
     loss_sclip,
-    loss_sclip_direct,
     loss_vicreg,
     minimize,
     rbt_penalty_path,
@@ -24,11 +22,25 @@ from augrkhs.objectives import (
 )
 from augrkhs.processes import (
     SCHEMES,
+    AugmentationProcess,
     HypercubeConfig,
     build_custom,
     build_hypercube,
 )
-from augrkhs.spectral import decompose, joint_distribution, pair_distribution
+from augrkhs.spectral import decompose
+
+
+# Oracle inputs: the dense laws that the objectives never form.  The losses
+# apply them through the conditional table; these tests sum over them.
+def pair_distribution(process):
+    """Joint law ``P+`` of two augmentations of one original, ``|A| x |A|``."""
+    C = process.conditional_dense()
+    return (C * process.p_x.mass[:, None]).T @ C
+
+
+def joint_distribution(process):
+    """Joint law ``p(a, x) = p(a|x) p_x(x)`` as an ``|A| x |X|`` array."""
+    return (process.conditional_dense() * process.p_x.mass[:, None]).T
 
 
 @pytest.fixture(scope="module")
@@ -81,12 +93,16 @@ def test_scl_scaled_top_d_reaches_floor(pair):
 
 
 def test_scl_expansion_matches_direct(pair):
+    # direct summation over positive pairs and independent pairs
     process, dec = pair
+    p_a = process.p_a.mass
     rng = np.random.default_rng(12)
     for _ in range(10):
         table = rng.normal(size=(3, process.n_a))
-        assert loss_scl(table, dec) == pytest.approx(
-            loss_scl_direct(table, process), abs=1e-9)
+        inner = table.T @ table  # <phi(a), phi(a')> for every pair
+        direct = (-2.0 * float(np.sum(inner * pair_distribution(process)))
+                  + float(np.sum(inner * inner * np.outer(p_a, p_a))))
+        assert loss_scl(table, dec) == pytest.approx(direct, abs=1e-9)
 
 
 def test_scl_loss_floor_seeded(pair):
@@ -120,13 +136,18 @@ def test_sclip_dimension_mismatch(pair):
 
 
 def test_sclip_expansion_matches_direct(pair):
+    # direct summation over the joint law and the product of the marginals
     process, dec = pair
+    weights = np.outer(process.p_a.mass, process.p_x.mass)
     rng = np.random.default_rng(21)
     for _ in range(10):
         table_a = rng.normal(size=(2, process.n_a))
         table_x = rng.normal(size=(2, process.n_x))
-        assert loss_sclip(table_a, table_x, dec) == pytest.approx(
-            loss_sclip_direct(table_a, table_x, process), abs=1e-9)
+        inner = table_a.T @ table_x  # <phi(a), xi(x)>, |A| x |X|
+        direct = (-2.0 * float(np.sum(inner * joint_distribution(process)))
+                  + float(np.sum(inner * inner * weights)))
+        assert loss_sclip(table_a, table_x, dec) == pytest.approx(direct,
+                                                                  abs=1e-9)
 
 
 def test_sclip_inner_least_squares_projector_form(pair):
@@ -325,7 +346,7 @@ def test_degenerate_spectrum_loss_only(small_process, small_decomposition):
 
 # Oracle: the dense route the objectives used before they applied P+ and J
 # through the conditional table.  It forms the |A| x |A| pair law and the
-# |A| x |X| joint law; nothing outside these tests keeps it.
+# |A| x |X| joint law (above); nothing outside these tests keeps it.
 def _oracle_value_grad(kind, params, process, alpha_w=0.7, beta_w=0.2):
     p_a, p_x = process.p_a.mass, process.p_x.mass
     pair = pair_distribution(process)
@@ -419,24 +440,26 @@ def test_value_grad_matches_dense_oracle_on_hypercube(scheme):
     _assert_matches_oracle(process, np.random.default_rng(31), 3)
 
 
-def test_no_pair_or_joint_matrix_is_formed(pair, monkeypatch):
-    process, dec = pair
+def test_no_pair_or_joint_matrix_is_formed(pair, gapped, monkeypatch):
+    # every dense law starts from the dense table, which no loss and no
+    # minimize step may form, on sparse-stored and dense-stored tables alike
+    def refuse(self):
+        raise AssertionError("the dense conditional table was formed")
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a dense pair or joint law was formed")
-
-    monkeypatch.setattr(objectives, "pair_distribution", refuse)
-    monkeypatch.setattr(objectives, "joint_distribution", refuse)
+    monkeypatch.setattr(AugmentationProcess, "conditional_dense", refuse)
     rng = np.random.default_rng(2)
-    phi = rng.normal(size=(2, process.n_a))
-    xi = rng.normal(size=(2, process.n_x))
-    for kind in ("scl", "sclip", "rbt", "vicreg"):
-        params = (phi, xi) if kind == "sclip" else phi
-        assert np.isfinite(_public_loss(kind, params, dec))
-        spec = ObjectiveSpec(kind, 2, alpha_w=1.0 if kind == "rbt" else None,
-                             beta_w=None if kind in ("scl", "sclip") else 0.5)
-        result = minimize(spec, process, dec,
-                          OptimizerConfig(max_iters=20, seed=1))
-        assert result.iterations == 20
-    with pytest.raises(AssertionError, match="dense pair"):
-        loss_scl_direct(phi, process)
+    for process, dec in (pair, gapped):
+        phi = rng.normal(size=(2, process.n_a))
+        xi = rng.normal(size=(2, process.n_x))
+        for kind in ("scl", "sclip", "rbt", "vicreg"):
+            params = (phi, xi) if kind == "sclip" else phi
+            assert np.isfinite(_public_loss(kind, params, dec))
+            spec = ObjectiveSpec(kind, 2,
+                                 alpha_w=1.0 if kind == "rbt" else None,
+                                 beta_w=None if kind in ("scl", "sclip")
+                                 else 0.5)
+            result = minimize(spec, process, dec,
+                              OptimizerConfig(max_iters=20, seed=1))
+            assert result.iterations == 20
+        with pytest.raises(AssertionError, match="dense conditional"):
+            _oracle_value_grad("scl", phi, process)
