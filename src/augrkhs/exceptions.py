@@ -6,7 +6,7 @@ class ValidationError(ValueError):
 
 
 class BudgetExceededError(ValidationError):
-    """Raised when a brute-force enumeration would exceed the entry budget."""
+    """Raised when an enumeration or a dense array would exceed the entry budget."""
 
 
 class RankDeficiencyError(ValidationError):

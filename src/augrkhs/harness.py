@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import complexity, encoders, objectives, regression, spectral
-from .exceptions import ValidationError
+from .exceptions import BudgetExceededError, ValidationError
 from .processes import DEFAULT_BUDGET, SCHEMES, HypercubeConfig, build_hypercube
 
 SCHEMA_VERSION = "1"
@@ -297,6 +297,17 @@ def _hypercube(cell) -> HypercubeConfig:
     return HypercubeConfig(cell["d_x"], cell["alpha"], cell["scheme"])
 
 
+def _check_dense(shape: tuple[int, ...], budget: int, what: str) -> None:
+    """Raise :class:`BudgetExceededError` naming ``what`` if a dense array
+    of ``shape`` would hold more than ``budget`` entries."""
+    entries = math.prod(shape)
+    if entries > budget:
+        raise BudgetExceededError(
+            f"{what} needs a {' x '.join(map(str, shape))} = {entries} entry "
+            f"dense array, exceeding the budget of {budget}"
+        )
+
+
 def _error_row(cell: dict, exc: Exception) -> dict:
     row = _base_row(cell)
     row["error"] = f"{type(exc).__name__}: {exc}".replace(",", ";")
@@ -358,6 +369,8 @@ def _spectrum_cell(cell, config: ExperimentConfig, process, dec, once) -> dict:
     row["rank"] = dec.rank
     row["lambda_top"] = float(dec.lambdas[0])
     row["s_lambda"] = float(dec.lambdas.sum())
+    _check_dense((process.n_x, process.n_x), config.budget,
+                 "the |X| x |X| kernel of the reconstruction residual")
     # the residuals do not depend on the seed
     row["duality_residual"], row["reconstruction_residual"] = once(
         ("residuals",), lambda: (spectral.duality_residual(dec),

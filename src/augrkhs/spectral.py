@@ -39,6 +39,7 @@ _TIE_TOL = 1e-10
 _ORTHONORMALITY_TOL = 1e-8
 _DUALITY_TOL = 1e-8
 _DUALITY_FLOOR = 1e-6  # duality is only certified above this eigenvalue
+_BLOCK_ENTRIES = 4096  # entries per block of rows an export formats at once
 
 
 def kernel_x(process: AugmentationProcess) -> np.ndarray:
@@ -367,24 +368,41 @@ def _replacing(path: str):
         raise
 
 
+def _write_table(fh, header: str, M: np.ndarray) -> None:
+    """Write ``header`` and the rows of ``M`` as CSV, floats as ``.17g``.
+
+    Rows go out a block of about ``_BLOCK_ENTRIES`` entries at a time, one
+    ``write`` per block.  Within a block each distinct value is formatted
+    once: values are keyed by their int64 bit patterns, so ``-0.0`` and
+    ``0.0`` stay apart (the former is written ``-0``).
+    """
+    fh.write(header + "\n")
+    rows = max(1, _BLOCK_ENTRIES // M.shape[1])
+    for start in range(0, M.shape[0], rows):
+        block = np.ascontiguousarray(M[start:start + rows], dtype=np.float64)
+        bits, inverse = np.unique(block.view(np.int64).ravel(),
+                                  return_inverse=True)
+        text = np.array([f"{v:.17g}" for v in bits.view(np.float64).tolist()],
+                        dtype=object)
+        cells = text[inverse.reshape(block.shape)].tolist()
+        fh.write("".join(",".join(row) + "\n" for row in cells))
+
+
 def export_decomposition(decomposition: SpectralDecomposition,
                          out_dir, stem: str = "decomposition") -> dict[str, str]:
-    """Write lambda/psi/phi CSV files, eigenfunctions as columns, 17 digits.
+    """Write lambda/psi/phi CSV files, eigenfunctions as columns.
 
-    Each file is streamed row by row and replaces its target atomically.
+    Floats are written as ``f"{v:.17g}"``, so they read back exactly and
+    ``-0.0`` is written ``-0``.  Each file is streamed in blocks of rows
+    (see :func:`_write_table`) and replaces its target atomically.
     """
     paths = {}
-    lam_path = os.path.join(out_dir, f"{stem}_lambdas.csv")
-    with _replacing(lam_path) as fh:
-        fh.write("lambda\n")
-        for v in decomposition.lambdas:
-            fh.write(f"{v:.17g}\n")
-    paths["lambdas"] = lam_path
-    for name, M in (("psi", decomposition.psi), ("phi", decomposition.phi)):
+    for name, M in (("lambdas", decomposition.lambdas[:, None]),
+                    ("psi", decomposition.psi), ("phi", decomposition.phi)):
+        header = ("lambda" if name == "lambdas" else
+                  ",".join(f"{name}_{i + 1}" for i in range(M.shape[1])))
         path = os.path.join(out_dir, f"{stem}_{name}.csv")
         with _replacing(path) as fh:
-            fh.write(",".join(f"{name}_{i + 1}" for i in range(M.shape[1])) + "\n")
-            for row in M:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            _write_table(fh, header, M)
         paths[name] = path
     return paths

@@ -155,6 +155,26 @@ def test_partial_failure_exit_code(tmp_path):
     assert len(clean) == 1
 
 
+def test_spectrum_residual_kernel_over_budget(tmp_path):
+    # block_mask d_x=6 alpha=0.5: the 64 x 32 table fits a budget of 3000,
+    # the 64 x 64 kernel of the reconstruction residual does not; d_x=5
+    # (32 x 12 table, 32 x 32 kernel) fits both
+    cfg = {"command": "spectrum",
+           "grid": {"scheme": ["block_mask"], "d_x": [5, 6], "alpha": [0.5]},
+           "seeds": [0], "output_dir": str(tmp_path / "out"), "budget": 3000}
+    outcome = run(resolve_config(cfg))
+    assert outcome.exit_code == 2 and outcome.failures == 1
+    ok, failed = outcome.records
+    assert not ok.get("error") and ok["reconstruction_residual"] <= 1e-10
+    assert failed["error"] == (
+        "BudgetExceededError: the |X| x |X| kernel of the reconstruction "
+        "residual needs a 64 x 64 = 4096 entry dense array; exceeding the "
+        "budget of 3000")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["spectrum", "--config", str(cfg_path)]) == 2
+
+
 def test_parallel_jobs_identical_output(tmp_path):
     serial = run(resolve_config(kappa_config(tmp_path)))
     parallel = run(resolve_config(kappa_config(

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -349,6 +350,64 @@ def test_export_decomposition(tmp_path, small_decomposition):
     np.testing.assert_allclose(psi, small_decomposition.psi, rtol=1e-15)
     phi = np.loadtxt(paths["phi"], skiprows=1, delimiter=",")
     np.testing.assert_allclose(phi, small_decomposition.phi, rtol=1e-15)
+
+
+def _export_row_by_row(dec, out_dir, stem):
+    """The row-by-row writer the block export replaced, kept as its oracle."""
+    paths = {}
+    for name, M in (("lambdas", dec.lambdas[:, None]), ("psi", dec.psi),
+                    ("phi", dec.phi)):
+        paths[name] = os.path.join(out_dir, f"{stem}_{name}.csv")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            fh.write("lambda\n" if name == "lambdas" else
+                     ",".join(f"{name}_{i + 1}" for i in range(M.shape[1])) + "\n")
+            for row in M:
+                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    return paths
+
+
+def _assert_same_bytes(dec, tmp_path):
+    new = export_decomposition(dec, tmp_path / "block", stem="dec")
+    (tmp_path / "rows").mkdir()
+    old = _export_row_by_row(dec, tmp_path / "rows", stem="dec")
+    for name in ("lambdas", "psi", "phi"):
+        with open(new[name], "rb") as a, open(old[name], "rb") as b:
+            assert a.read() == b.read(), name
+
+
+_EDGE_VALUES = [-0.0, 0.0, 5e-324, 1.7976931348623157e308,
+                -1.7976931348623157e308, 1 / 3, np.nextafter(1 / 3, 1)]
+
+
+def _edge_matrix(rng, rows, cols):
+    """Edge values (the first row holds each one) mixed with random draws."""
+    M = rng.choice(_EDGE_VALUES + list(rng.standard_normal(5)), size=(rows, cols))
+    M.flat[:len(_EDGE_VALUES)] = _EDGE_VALUES[:M.size]
+    return M
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_export_matches_row_formatter(tmp_path, small_process, case):
+    # rows: 1, one block less one, one block, one block plus one, several;
+    # the last case has phi rows longer than a block
+    def rows(cols):
+        block = spectral._BLOCK_ENTRIES // cols
+        return [1, block - 1, block, block + 1, 3 * block + 2, 3][case]
+
+    phi_cols = spectral._BLOCK_ENTRIES + 1 if case == 5 else 9
+    rng = np.random.default_rng(case)
+    dec = spectral.SpectralDecomposition(
+        lambdas=_edge_matrix(rng, rows(1), 1)[:, 0],
+        psi=_edge_matrix(rng, rows(7), 7),
+        phi=np.asfortranarray(_edge_matrix(rng, rows(phi_cols), phi_cols)),
+        rank=7, rank_tol=0.0, process=small_process)
+    _assert_same_bytes(dec, tmp_path)
+
+
+def test_export_matches_row_formatter_on_a_decomposition(tmp_path, decomp_cache):
+    dec = decomp_cache("random_mask", 7, 0.2)
+    assert np.any(np.signbit(dec.phi) & (dec.phi == 0))  # phi holds -0.0
+    _assert_same_bytes(dec, tmp_path)
 
 
 @pytest.mark.parametrize("scheme", ["random_mask", "random_mask_flip",
