@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .complexity import partial_trace
@@ -84,7 +83,7 @@ def build_average_encoder(process: AugmentationProcess, phi_hat,
             f"augmentation space has {process.n_a}"
         )
     G = gram_a(process, phi_hat)
-    smallest = float(np.min(sla.svdvals(G)))
+    smallest = float(np.min(np.linalg.svd(G, compute_uv=False)))
     if smallest <= _GRAM_RANK_TOL:
         raise RankDeficiencyError(
             f"encoder rows are rank deficient: smallest Gram singular value "
@@ -117,9 +116,15 @@ def ratio_trace(cov: CovariancePair) -> float:
 
 
 def pencil_eigenvalues(cov: CovariancePair) -> np.ndarray:
-    """Descending generalized eigenvalues of the pencil ``(F, G)``."""
-    mu = sla.eigh(cov.F, cov.G, eigvals_only=True)
-    return mu[::-1]
+    """Descending generalized eigenvalues of the pencil ``(F, G)``.
+
+    Solved by Cholesky reduction: with ``G = L L^T``, they are the
+    eigenvalues of the symmetric ``L^-1 F L^-T``.  :func:`covariances`
+    has already refused a ``G`` whose condition exceeds ``1e12``.
+    """
+    L = np.linalg.cholesky(cov.G)
+    M = np.linalg.solve(L, np.linalg.solve(L, cov.F).T)
+    return np.linalg.eigvalsh(0.5 * (M + M.T))[::-1]
 
 
 def trace_gap(encoder: Encoder) -> float:

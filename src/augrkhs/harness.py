@@ -369,8 +369,9 @@ def _spectrum_cell(cell, config: ExperimentConfig, process, dec, once) -> dict:
     row["rank"] = dec.rank
     row["lambda_top"] = float(dec.lambdas[0])
     row["s_lambda"] = float(dec.lambdas.sum())
-    _check_dense((process.n_x, process.n_x), config.budget,
-                 "the |X| x |X| kernel of the reconstruction residual")
+    _check_dense((spectral.RESIDUAL_ARRAYS, process.n_x, process.n_x),
+                 config.budget,
+                 "the reconstruction residual (four |X| x |X| arrays)")
     # the residuals do not depend on the seed
     row["duality_residual"], row["reconstruction_residual"] = once(
         ("residuals",), lambda: (spectral.duality_residual(dec),

@@ -29,7 +29,7 @@ DEFAULT_BUDGET = 10**8
 SCHEMES = ("random_mask", "block_mask", "block_mask_flip", "random_mask_flip")
 FLIP_SCHEMES = ("block_mask_flip", "random_mask_flip")
 
-_SYMBOL = {-1: "-", 0: "0", 1: "+"}
+_SYMBOLS = np.frombuffer(b"-0+", dtype=np.uint8)  # bytes of -1, 0, +1
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,16 +203,19 @@ class HypercubeConfig:
         return max(1, int(np.ceil(self.alpha * self.d_x - 1e-12)))
 
 
-def _labels(points: Sequence[tuple[int, ...]]) -> tuple[str, ...]:
-    return tuple("".join(_SYMBOL[v] for v in p) for p in points)
+def _labels(points: Sequence[Sequence[int]]) -> tuple[str, ...]:
+    """One ``-``/``0``/``+`` string per point, all formed at once."""
+    codes = np.ascontiguousarray(_SYMBOLS[np.asarray(points) + 1])
+    return tuple(codes.view(f"S{codes.shape[1]}").ravel().astype(str).tolist())
 
 
 def _sign_points(d: int) -> list[tuple[int, ...]]:
     return list(itertools.product((-1, 1), repeat=d))
 
 
-def _ternary_points(d: int) -> list[tuple[int, ...]]:
-    return list(itertools.product((-1, 0, 1), repeat=d))
+def _ternary_points(d: int) -> np.ndarray:
+    """``3^d x d`` table of ``{-1,0,+1}^d`` in lexicographic order."""
+    return np.indices((3,) * d).reshape(d, -1).T - 1
 
 
 def _finalize_storage(conditional):
@@ -236,22 +239,25 @@ def _assemble(x_points, a_points, p_x_mass, conditional,
     """Prune zero-mass augmentations and build the hypercube process."""
     p_a_mass = derive_marginal(conditional, p_x_mass)
     keep = np.nonzero(p_a_mass > 0.0)[0]
-    if keep.size < len(a_points):
+    pruned = keep.size < len(a_points)
+    if pruned:
         conditional = (
             conditional[:, keep] if not sp.issparse(conditional)
             else conditional.tocsc()[:, keep].tocsr()
         )
         a_points = [a_points[j] for j in keep]
-        p_a_mass = derive_marginal(conditional, p_x_mass)
-    conditional = _finalize_storage(conditional)
+    stored = _finalize_storage(conditional)
+    if pruned or stored is not conditional:
+        # p_a is always derived from the stored table
+        p_a_mass = derive_marginal(stored, p_x_mass)
     x_space = FiniteSpace(len(x_points), _labels(x_points))
     a_space = FiniteSpace(len(a_points), _labels(a_points))
     return AugmentationProcess(
         x_space=x_space,
         a_space=a_space,
         p_x=Distribution(x_space, p_x_mass),
-        conditional=conditional,
-        p_a=Distribution(a_space, derive_marginal(conditional, p_x_mass)),
+        conditional=stored,
+        p_a=Distribution(a_space, p_a_mass),
         hypercube=hypercube,
     )
 
@@ -268,6 +274,16 @@ def _coordinate_channel(config: HypercubeConfig) -> np.ndarray:
     return np.array([[keep, m, flip], [flip, m, keep]])
 
 
+def _kron_dense(acc: np.ndarray, channel: np.ndarray) -> np.ndarray:
+    """``np.kron(acc, channel)``, entry for entry, one multiply per entry of
+    ``channel`` over all of ``acc``, so no loop runs over a short axis."""
+    n, m = acc.shape
+    out = np.empty((n, channel.shape[0], m, channel.shape[1]))
+    for (i, j), c in np.ndenumerate(channel):
+        np.multiply(acc, c, out=out[:, i, :, j])
+    return out.reshape(n * channel.shape[0], m * channel.shape[1])
+
+
 def _build_product_scheme(config: HypercubeConfig, budget: int) -> AugmentationProcess:
     d = config.d_x
     entries = (3**d) * (2**d)
@@ -276,11 +292,19 @@ def _build_product_scheme(config: HypercubeConfig, budget: int) -> AugmentationP
             f"{config.scheme} at d_x={d} needs a {2**d} x {3**d} = {entries} "
             f"entry table, exceeding the budget of {budget}"
         )
-    channel = sp.csr_array(_coordinate_channel(config))
-    conditional = reduce(
-        lambda acc, _: sp.csr_array(sp.kron(acc, channel, format="csr")),
-        range(d - 1), channel,
-    )
+    channel = _coordinate_channel(config)
+    # the product is multiplied out in the storage the table ends up in: a
+    # channel without zeros gives a table without zeros, stored dense, and
+    # any other one gives a table below 25% density from d_x = 4 on
+    if channel.all():
+        conditional = reduce(lambda acc, _: _kron_dense(acc, channel),
+                             range(d - 1), channel)
+    else:
+        channel = sp.csr_array(channel)
+        conditional = reduce(
+            lambda acc, _: sp.csr_array(sp.kron(acc, channel, format="csr")),
+            range(d - 1), channel,
+        )
     p_x = np.full(2**d, 1.0 / 2**d)
     return _assemble(_sign_points(d), _ternary_points(d), p_x, conditional,
                      config)

@@ -40,6 +40,9 @@ _ORTHONORMALITY_TOL = 1e-8
 _DUALITY_TOL = 1e-8
 _DUALITY_FLOOR = 1e-6  # duality is only certified above this eigenvalue
 _BLOCK_ENTRIES = 4096  # entries per block of rows an export formats at once
+# |X| x |X| arrays verify_integral_identity holds at once, besides one
+# |A| x |X| array of the table's size
+RESIDUAL_ARRAYS = 4
 
 
 def kernel_x(process: AugmentationProcess) -> np.ndarray:
@@ -78,9 +81,8 @@ def apply_gamma(process: AugmentationProcess, f: np.ndarray) -> np.ndarray:
     :func:`apply_joint` divided by ``p_a``.
     """
     out = apply_joint(process, f)
-    if out.ndim == 1:
-        return out / process.p_a.mass
-    return out / process.p_a.mass[:, None]
+    out /= process.p_a.mass if out.ndim == 1 else process.p_a.mass[:, None]
+    return out
 
 
 def apply_gamma_star(process: AugmentationProcess, g: np.ndarray) -> np.ndarray:
@@ -126,38 +128,54 @@ class SpectralDecomposition:
         return float(np.sum(u * u / self.lambdas))
 
 
+def _flipped(psi: np.ndarray) -> np.ndarray:
+    """Columns of ``psi`` whose largest-magnitude entry is negative.
+
+    The largest-magnitude entry is ``argmax(|psi|, axis=0)``, which takes
+    the first row on ties in ``|psi|``.
+    """
+    lead = np.argmax(np.abs(psi), axis=0)
+    return psi[lead, np.arange(psi.shape[1])] < 0
+
+
 def _fix_signs(psi, phi):
     """Scale every ``psi`` column so its largest-magnitude entry is positive.
 
-    The paired ``phi`` column is flipped along with it.
+    The largest-magnitude entry is the first one on ties in ``|psi|``
+    (:func:`_flipped`).  Each flipped column, and its paired ``phi`` column,
+    is negated, so a ``0.0`` entry in it becomes ``-0.0``.
     """
-    for i in range(psi.shape[1]):
-        col = psi[:, i]
-        lead = int(np.argmax(np.abs(col)))
-        if col[lead] < 0:
-            psi[:, i] = -col
-            phi[:, i] = -phi[:, i]
+    flip = _flipped(psi)
+    psi[:, flip] = -psi[:, flip]
+    phi[:, flip] = -phi[:, flip]
 
 
 def _order_ties(lambdas, psi, phi):
-    """Permute each degenerate block into lexicographic order of ``psi``.
+    """``(lambdas, psi, phi)`` with each degenerate block in lexicographic
+    order of the ``psi`` columns.
 
-    The top block keeps the constant first and orders the rest.
+    A block is a run within ``_TIE_TOL`` of its first eigenvalue.  Columns
+    compare entry by entry from the first row as floats, so ``-0.0`` and
+    ``0.0`` are equal, and equal columns keep their order.  The top block
+    keeps the constant first and orders the rest.  One permutation is
+    applied to C-ordered copies, or none when every block is in order.
     """
-    r = lambdas.size
+    lam = lambdas.tolist()
+    order = np.arange(len(lam))
     start = 0
-    while start < r:
+    while start < len(lam):
         stop = start + 1
-        while stop < r and abs(lambdas[stop] - lambdas[start]) <= _TIE_TOL:
+        while stop < len(lam) and abs(lam[stop] - lam[start]) <= _TIE_TOL:
             stop += 1
-        if stop - start > 1:
-            first = 1 if start == 0 else start  # the constant anchors the top
-            order = list(range(start, first)) + sorted(
-                range(first, stop), key=lambda j: tuple(psi[:, j]))
-            psi[:, start:stop] = psi[:, order]
-            phi[:, start:stop] = phi[:, order]
-            lambdas[start:stop] = lambdas[order]
+        first = max(start, 1)  # the constant anchors the top
+        if stop - first > 1:
+            # lexsort's last key is its primary one
+            order[first:stop] = first + np.lexsort(psi[::-1, first:stop])
         start = stop
+    if np.array_equal(order, np.arange(order.size)):
+        return lambdas, psi, phi
+    return (lambdas[order], np.take(psi, order, axis=1),
+            np.take(phi, order, axis=1))
 
 
 def _validate_decomposition(dec: SpectralDecomposition) -> None:
@@ -169,10 +187,11 @@ def _validate_decomposition(dec: SpectralDecomposition) -> None:
     psi1 = dec.psi[:, 0]
     if np.max(np.abs(psi1 - psi1[0])) > 1e-8 or abs(psi1[0] - 1.0) > 1e-8:
         raise ValidationError("leading data eigenfunction is not the constant 1")
-    p_x = dec.process.p_x.mass
-    p_a = dec.process.p_a.mass
-    gram_x = (dec.psi * p_x[:, None]).T @ dec.psi
-    gram_a = (dec.phi * p_a[:, None]).T @ dec.phi
+    # W^T W with W = f sqrt(p) runs as one symmetric rank-k update
+    w_x = dec.psi * np.sqrt(dec.process.p_x.mass)[:, None]
+    w_a = dec.phi * np.sqrt(dec.process.p_a.mass)[:, None]
+    gram_x = w_x.T @ w_x
+    gram_a = w_a.T @ w_a
     eye = np.eye(dec.rank)
     if np.max(np.abs(gram_x - eye)) > _ORTHONORMALITY_TOL:
         raise ValidationError("psi columns are not orthonormal under p_x")
@@ -275,10 +294,15 @@ def _walsh_engine(process: AugmentationProcess, rank_tol: float):
     order = order[law[order] > rank_tol]
     lambdas = law[order]
     # chi_S(x) is -1 to the number of coordinates of S where x is -1
-    psi = 1.0 - 2.0 * (((1 - bits) @ bits[order].T) % 2)
-    phi = apply_gamma(process, psi) / np.sqrt(lambdas)
-    _fix_signs(psi, phi)
-    return lambdas, psi, phi
+    chi = 1.0 - 2.0 * (((1 - bits) @ bits[order].T) % 2)
+    # the signs are settled on the characters; a flipped column of phi is
+    # divided by -sqrt(lambda), which gives exactly the negation _fix_signs
+    # applies.  The tie order is not: a dense product's column results
+    # depend on the column's position, so phi is formed in this order.
+    sign = np.where(_flipped(chi), -1.0, 1.0)
+    phi = apply_gamma(process, chi)
+    phi /= sign * np.sqrt(lambdas)
+    return lambdas, chi * sign, phi
 
 
 def decompose(process: AugmentationProcess,
@@ -307,7 +331,7 @@ def decompose(process: AugmentationProcess,
         lambdas, psi, phi = _spectral_engine(
             process.conditional, np.sqrt(process.p_x.mass),
             np.sqrt(process.p_a.mass), rank_tol)
-    _order_ties(lambdas, psi, phi)
+    lambdas, psi, phi = _order_ties(lambdas, psi, phi)
     psi.setflags(write=False)
     phi.setflags(write=False)
     lambdas.setflags(write=False)
@@ -329,20 +353,30 @@ def verify_integral_identity(process: AugmentationProcess,
     when a decomposition is supplied its spectral reconstruction of the
     kernel is checked as well.  Returns the largest entrywise residual,
     which the contract bounds by 1e-10.
+
+    With the default test vectors (the identity) it holds at most
+    ``RESIDUAL_ARRAYS`` (4) arrays of ``|X| x |X|`` entries at once, and
+    one ``|A| x |X|`` array, the size of the table, on the operator route:
+    each residual is reduced in place and dropped before the next product
+    is formed.
     """
-    if test_vectors is None:
-        test_vectors = np.eye(process.n_x)
-    F = np.asarray(test_vectors, dtype=float)
+    F = np.asarray(np.eye(process.n_x) if test_vectors is None
+                   else test_vectors, dtype=float)
     if F.ndim == 1:
         F = F[:, None]
     op_route = apply_gamma_star(process, apply_gamma(process, F))
-    KX = kernel_x(process)
-    kernel_route = KX @ (F * process.p_x.mass[:, None])
-    residual = float(np.max(np.abs(op_route - kernel_route)))
+    weighted = F * process.p_x.mass[:, None]
+    del F
+    kernel_route = kernel_x(process) @ weighted
+    op_route -= kernel_route
+    residual = float(np.max(np.abs(op_route, out=op_route)))
+    del op_route
     if decomposition is not None:
-        spectral_kernel = (decomposition.psi * decomposition.lambdas) @ decomposition.psi.T
-        spectral_route = spectral_kernel @ (F * process.p_x.mass[:, None])
-        residual = max(residual, float(np.max(np.abs(spectral_route - kernel_route))))
+        spectral_route = ((decomposition.psi * decomposition.lambdas)
+                          @ decomposition.psi.T) @ weighted
+        spectral_route -= kernel_route
+        residual = max(residual, float(np.max(np.abs(spectral_route,
+                                                     out=spectral_route))))
     return residual
 
 

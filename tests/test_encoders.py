@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from augrkhs import encoders
 from augrkhs.complexity import partial_trace
 from augrkhs.encoders import (
+    CovariancePair,
     build_average_encoder,
     covariances,
     empirical_decomposition,
@@ -13,6 +16,7 @@ from augrkhs.encoders import (
     load_encoder,
     near_optimal_encoder,
     optimal_encoder,
+    pencil_eigenvalues,
     population_empirical_decomposition,
     ratio_trace,
     save_encoder,
@@ -80,6 +84,68 @@ def test_rank_deficiency_error_names_value(small_process,
     table = np.vstack([np.ones(small_process.n_a),
                        np.ones(small_process.n_a)])
     with pytest.raises(RankDeficiencyError, match="singular value"):
+        build_average_encoder(small_process, table, small_decomposition)
+
+
+def _scaled_pencil(seed, d, g_cond, exponents):
+    """A random SPD pencil ``(F, G)``, congruent by ``diag(2^-k)`` to one
+    whose ``G`` has condition about ``g_cond``.
+
+    A power-of-two congruence leaves the pencil's eigenvalues and every
+    rounding of a Cholesky reduction unchanged while it drives the
+    condition of ``G`` up; on a generic pencil that ill-conditioned, any
+    two solvers agree only to about ``eps * cond(G)``.
+    """
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    G0 = (Q * np.logspace(0, -np.log10(g_cond), d)) @ Q.T
+    B = rng.normal(size=(d, d + 1))
+    s = 2.0 ** -np.asarray(exponents, dtype=float)
+    F = (B @ B.T) * s[:, None] * s[None, :]
+    G = 0.5 * (G0 + G0.T) * s[:, None] * s[None, :]
+    return CovariancePair(F=F, G=G, gamma_g=float(np.linalg.cond(G)))
+
+
+def _assert_pencil_matches_scipy(cov):
+    oracle = sla.eigh(cov.F, cov.G, eigvals_only=True)[::-1]  # the oracle
+    mu = pencil_eigenvalues(cov)
+    assert mu.shape == oracle.shape
+    assert np.all(np.diff(mu) <= 0)
+    assert np.max(np.abs(mu - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.floats(1.0, 1e3),
+       st.lists(st.integers(0, 19), min_size=10, max_size=10))
+def test_pencil_eigenvalues_match_the_scipy_oracle(seed, d, g_cond, exponents):
+    _assert_pencil_matches_scipy(
+        _scaled_pencil(seed, d, g_cond, exponents[:d]))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_pencil_eigenvalues_near_the_condition_limit(seed):
+    cov = _scaled_pencil(seed, 6, 10.0, [0, 19, 3, 11, 18, 0])
+    assert 1e11 < cov.gamma_g < encoders._CONDITION_LIMIT
+    _assert_pencil_matches_scipy(cov)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4),
+       st.sampled_from(["independent", "duplicate", "scaled"]),
+       st.sampled_from([1e-2, 1e-4, 1e-5, 1e-6, 1e-8]))
+def test_rank_check_matches_the_scipy_oracle(small_process, small_decomposition,
+                                             seed, rows, kind, scale):
+    table = np.random.default_rng(seed).normal(size=(rows, small_process.n_a))
+    if kind == "duplicate" and rows > 1:
+        table[-1] = scale * table[0]
+    elif kind == "scaled":
+        table[-1] *= scale
+    G = encoders.gram_a(small_process, table)
+    # the parent check, scipy's gesdd singular values, is the oracle
+    if np.min(sla.svdvals(G)) <= encoders._GRAM_RANK_TOL:
+        with pytest.raises(RankDeficiencyError, match="singular value"):
+            build_average_encoder(small_process, table, small_decomposition)
+    else:
         build_average_encoder(small_process, table, small_decomposition)
 
 

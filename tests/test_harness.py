@@ -3,6 +3,7 @@ import json
 import math
 import os
 import stat
+import subprocess
 import sys
 import threading
 import time
@@ -156,20 +157,20 @@ def test_partial_failure_exit_code(tmp_path):
 
 
 def test_spectrum_residual_kernel_over_budget(tmp_path):
-    # block_mask d_x=6 alpha=0.5: the 64 x 32 table fits a budget of 3000,
-    # the 64 x 64 kernel of the reconstruction residual does not; d_x=5
-    # (32 x 12 table, 32 x 32 kernel) fits both
+    # block_mask d_x=6 alpha=0.5: the 64 x 32 table fits a budget of 10000,
+    # the four 64 x 64 arrays of the reconstruction residual do not; d_x=5
+    # (32 x 12 table, four 32 x 32 arrays) fits both
     cfg = {"command": "spectrum",
            "grid": {"scheme": ["block_mask"], "d_x": [5, 6], "alpha": [0.5]},
-           "seeds": [0], "output_dir": str(tmp_path / "out"), "budget": 3000}
+           "seeds": [0], "output_dir": str(tmp_path / "out"), "budget": 10000}
     outcome = run(resolve_config(cfg))
     assert outcome.exit_code == 2 and outcome.failures == 1
     ok, failed = outcome.records
     assert not ok.get("error") and ok["reconstruction_residual"] <= 1e-10
     assert failed["error"] == (
-        "BudgetExceededError: the |X| x |X| kernel of the reconstruction "
-        "residual needs a 64 x 64 = 4096 entry dense array; exceeding the "
-        "budget of 3000")
+        "BudgetExceededError: the reconstruction residual (four |X| x |X| "
+        "arrays) needs a 4 x 64 x 64 = 16384 entry dense array; exceeding "
+        "the budget of 10000")
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["spectrum", "--config", str(cfg_path)]) == 2
@@ -658,3 +659,16 @@ def test_pretrain_needs_no_pair_matrix_budget(tmp_path):
     for record in outcome.records:
         assert not record.get("error")
         assert math.isfinite(record["final_loss"])
+
+
+def test_cli_import_leaves_scipy_linalg_out():
+    # the runtime needs numpy and scipy.sparse only; scipy.linalg is a
+    # test oracle, and importing it costs every sweep start-up time
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+        __file__))), "src")
+    probe = ("import sys, augrkhs.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src),
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

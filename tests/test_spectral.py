@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,7 +255,7 @@ def test_custom_process_takes_the_svd_route(small_process):
     lambdas, psi, phi = spectral._spectral_engine(
         custom.conditional, np.sqrt(custom.p_x.mass),
         np.sqrt(custom.p_a.mass), dec.rank_tol)
-    spectral._order_ties(lambdas, psi, phi)
+    lambdas, psi, phi = spectral._order_ties(lambdas, psi, phi)
     for got, want in ((dec.lambdas, lambdas), (dec.psi, psi), (dec.phi, phi)):
         assert got.tobytes() == want.tobytes()
 
@@ -332,6 +333,30 @@ def test_integral_identity_block_seeded_vectors():
     rng = np.random.default_rng(42)
     vectors = rng.normal(size=(p.n_x, 8))
     assert verify_integral_identity(p, dec, vectors) <= 1e-10
+
+
+@pytest.mark.parametrize("scheme,d_x", [("block_mask", 8),
+                                         ("block_mask_flip", 7),
+                                         ("random_mask", 6)])
+def test_reconstruction_residual_fits_the_guard(process_cache, decomp_cache,
+                                                scheme, d_x):
+    # the spectrum cell admits RESIDUAL_ARRAYS |X| x |X| arrays, and the
+    # build admitted the |X| x |A| table, whose size the operator route's
+    # one |A| x |X| array has; one call first, so that caches numpy and
+    # scipy fill once per process are not counted
+    process = process_cache(scheme, d_x, 0.5)
+    dec = decomp_cache(scheme, d_x, 0.5)
+    verify_integral_identity(process, dec)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        verify_integral_identity(process, dec)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    n_x, n_a = process.n_x, process.n_a
+    admitted = spectral.RESIDUAL_ARRAYS * n_x * n_x + n_x * n_a
+    assert peak <= 8 * admitted, (peak, 8 * admitted)
 
 
 def test_eigenvalue_indexing(small_decomposition):
@@ -422,6 +447,131 @@ def test_tie_blocks_are_in_lexicographic_order(process_cache, scheme):
         first = 1 if start == 0 else start  # the constant stays first
         columns = [tuple(dec.psi[:, j]) for j in range(first, stop)]
         assert columns == sorted(columns), (start, stop)
+
+
+def oracle_fix_signs(psi, phi):
+    """Oracle for ``spectral._fix_signs``: the column loop it replaced.
+
+    Each column's leading entry is the first index of the largest ``|psi|``;
+    a column led by a negative entry is negated along with its ``phi``.
+    """
+    for i in range(psi.shape[1]):
+        col = psi[:, i]
+        lead = int(np.argmax(np.abs(col)))
+        if col[lead] < 0:
+            psi[:, i] = -col
+            phi[:, i] = -phi[:, i]
+
+
+def oracle_order_ties(lambdas, psi, phi):
+    """Oracle for ``spectral._order_ties``: the block loop it replaced.
+
+    Sorts each tie block's columns (the top block after the constant) by
+    the tuple of their ``psi`` entries, in place.
+    """
+    r = lambdas.size
+    start = 0
+    while start < r:
+        stop = start + 1
+        while stop < r and abs(lambdas[stop] - lambdas[start]) <= spectral._TIE_TOL:
+            stop += 1
+        if stop - start > 1:
+            first = 1 if start == 0 else start
+            order = list(range(start, first)) + sorted(
+                range(first, stop), key=lambda j: tuple(psi[:, j]))
+            psi[:, start:stop] = psi[:, order]
+            phi[:, start:stop] = phi[:, order]
+            lambdas[start:stop] = lambdas[order]
+        start = stop
+
+
+def _assert_same_bytes_as_oracle(lambdas, psi, phi):
+    want = [a.copy() for a in (lambdas, psi, phi)]
+    oracle_fix_signs(want[1], want[2])
+    oracle_order_ties(*want)
+    got = [a.copy() for a in (lambdas, psi, phi)]
+    spectral._fix_signs(got[1], got[2])
+    got = spectral._order_ties(*got)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+_TIE = spectral._TIE_TOL
+# entries with ties in |psi| and both signs of zero
+_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0])
+# gaps between neighbouring eigenvalues: ties, just inside and just
+# outside _TIE_TOL, and clear gaps
+_GAPS = st.sampled_from([0.0, 0.4 * _TIE, 0.999 * _TIE, 1.001 * _TIE, 1e-3])
+
+
+@st.composite
+def eigen_systems(draw):
+    r = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    psi = np.array(draw(st.lists(_ENTRIES, min_size=n * r, max_size=n * r)),
+                   dtype=float).reshape(n, r)
+    phi = np.array(draw(st.lists(_ENTRIES, min_size=m * r, max_size=m * r)),
+                   dtype=float).reshape(m, r)
+    gaps = draw(st.lists(_GAPS, min_size=r - 1, max_size=r - 1))
+    lambdas = 1.0 - np.concatenate(([0.0], np.cumsum(gaps)))
+    return lambdas, psi, phi
+
+
+# the first of the tied |psi| entries leads: +1 before -1 keeps the column
+@example((np.array([1.0]), np.array([[1.0], [-1.0]]),
+          np.array([[0.0], [-0.0]])))
+# -0.0 and 0.0 compare equal, so the second row orders the tie block
+@example((np.array([1.0, 0.5, 0.5]),
+          np.array([[1.0, 0.0, -0.0], [1.0, 2.0, 1.0]]),
+          np.array([[1.0, 0.0, -0.0]])))
+@settings(max_examples=300, deadline=None)
+@given(eigen_systems())
+def test_sign_and_tie_conventions_match_the_loop_oracle(system):
+    _assert_same_bytes_as_oracle(*system)
+
+
+def _law_route_oracle(process):
+    """``decompose``'s law route as the loop oracles put it together: psi
+    the characters, phi = Gamma psi / sqrt(lambda), then signs and ties."""
+    config = process.hypercube
+    bits = spectral._subset_bits(config.d_x)
+    law = spectral._subset_law(config, bits)
+    order = np.argsort(-law, kind="stable")
+    order = order[law[order] > spectral.DEFAULT_RANK_TOL]
+    lambdas = law[order]
+    psi = 1.0 - 2.0 * (((1 - bits) @ bits[order].T) % 2)
+    phi = apply_gamma(process, psi) / np.sqrt(lambdas)
+    oracle_fix_signs(psi, phi)
+    oracle_order_ties(lambdas, psi, phi)
+    return lambdas, psi, phi
+
+
+def _with_oracle_conventions(monkeypatch, process):
+    """``decompose`` with the loop oracles in place of the new routines."""
+    def order_ties(lambdas, psi, phi):
+        oracle_order_ties(lambdas, psi, phi)
+        return lambdas, psi, phi
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_fix_signs", oracle_fix_signs)
+        patch.setattr(spectral, "_order_ties", order_ties)
+        dec = decompose(process)
+    return dec.lambdas, dec.psi, dec.phi
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("d_x", range(1, 9))
+def test_decompose_conventions_match_the_loop_oracle(monkeypatch, process_cache,
+                                                     scheme, d_x):
+    for alpha in (0.3, 0.7):
+        process = process_cache(scheme, d_x, alpha)
+        svd = dataclasses.replace(process, hypercube=None)
+        for dec, want in ((decompose(process), _law_route_oracle(process)),
+                          (decompose(svd),
+                           _with_oracle_conventions(monkeypatch, svd))):
+            for got, w in zip((dec.lambdas, dec.psi, dec.phi), want):
+                assert got.tobytes() == w.tobytes()
 
 
 def test_decompose_deterministic(small_process):
