@@ -7,12 +7,17 @@ Barlow Twins loss, and a VICReg variant.  Each loss has one route, its
 and gradient; the public ``loss_*`` functions and :func:`minimize` both run
 it.  The positive-pair law ``P+ = C^T diag(p_x) C`` and the joint law
 ``J = C^T diag(p_x)`` of the table ``C = p(a|x)`` enter only through the
-operators of :mod:`augrkhs.spectral`: ``(phi C^T)^T`` is
-``apply_gamma_star(phi^T)``, and ``((rows * p_x) C)^T`` is
-``apply_joint(rows^T)``, so no ``|A| x |A|`` or ``|A| x |X|`` matrix is
-formed.  Minimization is plain full-batch gradient descent with step halving.
-The tests keep direct summations over the dense pair and joint laws as the
-oracle for every value and gradient.
+operators of :mod:`augrkhs.spectral`, so no ``|A| x |A|`` or ``|A| x |X|``
+matrix is formed.  Each evaluation crosses the table once in each direction.
+Forward, ``Z = apply_gamma_star(phi^T) = C phi^T`` (``|X| x d``) averages
+the encoder onto the data; the positive-pair energy
+``Tr(phi P+ phi^T) = sum_x p_x |Z_x|^2`` and the Barlow Twins matrix
+``M = Z^T diag(p_x) Z`` are read from the small ``Z``.  Back,
+``phi P+ = apply_joint(Z)^T`` enters the gradient.  The two-encoder loss
+goes forward on ``phi`` and back on ``xi``.  Minimization is plain
+full-batch gradient descent with step halving.  The tests keep direct
+summations over the dense pair and joint laws as the oracle for every value
+and gradient.
 """
 
 from __future__ import annotations
@@ -85,64 +90,60 @@ class MinimizeResult:
         return float(self.losses[-1])
 
 
-def _pair_rows(phi, process: AugmentationProcess) -> np.ndarray:
-    """``phi P+``: each row averaged onto the data, then taken back by ``J``."""
-    return apply_joint(process, apply_gamma_star(process, phi.T)).T
-
-
 def _scl_value_grad(phi, process: AugmentationProcess):
     """``-2 Tr(phi P+ phi^T) + ||G||_F^2`` with ``G = phi diag(p_a) phi^T``."""
-    p_a = process.p_a.mass
-    G = (phi * p_a[None, :]) @ phi.T
-    PhiPair = _pair_rows(phi, process)
-    value = -2.0 * float(np.sum(PhiPair * phi)) + float(np.sum(G * G))
-    grad = -4.0 * PhiPair + 4.0 * (G @ phi) * p_a[None, :]
-    return value, grad
+    p_x = process.p_x.mass
+    phi_pa = phi * process.p_a.mass
+    G = phi_pa @ phi.T
+    Z = apply_gamma_star(process, phi.T)
+    PhiPair = apply_joint(process, Z).T  # phi P+
+    value = -2.0 * float(np.sum(p_x @ (Z * Z))) + float(np.sum(G * G))
+    return value, 4.0 * (G @ phi_pa - PhiPair)
 
 
 def _sclip_value_grad(params, process: AugmentationProcess):
     """``-2 Tr(phi J xi^T) + Tr(G H)`` with ``H = xi diag(p_x) xi^T``."""
     phi, xi = params
-    p_a, p_x = process.p_a.mass, process.p_x.mass
-    G = (phi * p_a[None, :]) @ phi.T
-    H = (xi * p_x[None, :]) @ xi.T
-    PhiJ = apply_gamma_star(process, phi.T).T * p_x[None, :]  # phi J, d x |X|
+    p_x = process.p_x.mass
+    phi_pa = phi * process.p_a.mass
+    xi_px = xi * p_x
+    G = phi_pa @ phi.T
+    H = xi_px @ xi.T
+    PhiJ = apply_gamma_star(process, phi.T).T * p_x  # phi J, d x |X|
     value = -2.0 * float(np.sum(PhiJ * xi)) + float(np.sum(G * H))
-    grad_phi = (-2.0 * apply_joint(process, xi.T).T
-                + 2.0 * (H @ phi) * p_a[None, :])
-    grad_xi = -2.0 * PhiJ + 2.0 * (G @ xi) * p_x[None, :]
+    grad_phi = 2.0 * (H @ phi_pa - apply_joint(process, xi.T).T)
+    grad_xi = 2.0 * (G @ xi_px - PhiJ)
     return value, (grad_phi, grad_xi)
 
 
 def _rbt_value_grad(phi, process: AugmentationProcess, alpha_w, beta_w):
     """``||diag(M) - 1||^2 + alpha_w ||off(M)||^2 + beta_w Tr(G)``.
 
-    ``M = phi P+ phi^T`` and ``G = phi diag(p_a) phi^T``.
+    ``M = phi P+ phi^T = Z^T diag(p_x) Z`` and ``G = phi diag(p_a) phi^T``.
     """
-    p_a = process.p_a.mass
-    PhiPair = _pair_rows(phi, process)
-    M = PhiPair @ phi.T
+    phi_pa = phi * process.p_a.mass
+    Z = apply_gamma_star(process, phi.T)
+    M = (Z * process.p_x.mass[:, None]).T @ Z
     diag = np.diag(M)
     off = M - np.diag(diag)
-    trace_g = float(np.sum(phi * phi @ p_a))
     value = (float(np.sum((diag - 1.0) ** 2)) + alpha_w * float(np.sum(off * off))
-             + beta_w * trace_g)
+             + beta_w * float(np.sum(phi_pa * phi)))
     coeff = 2.0 * np.diag(diag - 1.0) + 2.0 * alpha_w * off
-    grad = 2.0 * (coeff @ PhiPair) + 2.0 * beta_w * phi * p_a[None, :]
-    return value, grad
+    PhiPair = apply_joint(process, Z).T  # phi P+
+    return value, 2.0 * (coeff @ PhiPair + beta_w * phi_pa)
 
 
 def _vicreg_value_grad(phi, process: AugmentationProcess, beta_w):
     """``||G - I||_F^2 + beta_w (2 Tr(G) - 2 Tr(M))``, ``M = phi P+ phi^T``."""
-    p_a = process.p_a.mass
-    G = (phi * p_a[None, :]) @ phi.T
-    PhiPair = _pair_rows(phi, process)
-    eye = np.eye(phi.shape[0])
-    value = float(np.sum((G - eye) ** 2)) + beta_w * (
-        2.0 * float(np.trace(G)) - 2.0 * float(np.sum(PhiPair * phi)))
-    grad = (4.0 * ((G - eye) @ phi) * p_a[None, :]
-            + 4.0 * beta_w * (phi * p_a[None, :] - PhiPair))
-    return value, grad
+    p_x = process.p_x.mass
+    phi_pa = phi * process.p_a.mass
+    G = phi_pa @ phi.T
+    Z = apply_gamma_star(process, phi.T)
+    PhiPair = apply_joint(process, Z).T  # phi P+
+    G_eye = G - np.eye(phi.shape[0])
+    value = float(np.sum(G_eye ** 2)) + beta_w * (
+        2.0 * float(np.trace(G)) - 2.0 * float(np.sum(p_x @ (Z * Z))))
+    return value, 4.0 * (G_eye @ phi_pa + beta_w * (phi_pa - PhiPair))
 
 
 def loss_scl(phi_hat: np.ndarray, dec: SpectralDecomposition) -> float:

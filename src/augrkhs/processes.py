@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -99,6 +99,12 @@ class AugmentationProcess:
     hypercube : HypercubeConfig or None
         The masking scheme a hypercube process was built from, whose
         spectrum has a closed form; ``None`` for every other process.
+    conditional_transpose : ndarray or scipy.sparse.csr_array
+        The ``|A| x |X|`` transpose of ``conditional``, built on first use
+        and kept for the life of the process: the ``.T`` view of a dense
+        table, or a row-major copy of a sparse one (its ``.T`` would be a
+        new column-major object on every access).  Its arrays are
+        read-only.
     """
 
     x_space: FiniteSpace
@@ -160,6 +166,15 @@ class AugmentationProcess:
     @property
     def is_sparse(self) -> bool:
         return sp.issparse(self.conditional)
+
+    @cached_property
+    def conditional_transpose(self):
+        if not self.is_sparse:
+            return self.conditional.T
+        transpose = sp.csr_array(self.conditional.T)
+        for array in (transpose.data, transpose.indices, transpose.indptr):
+            array.setflags(write=False)
+        return transpose
 
     def conditional_dense(self) -> np.ndarray:
         """The conditional table as a dense ``|X| x |A|`` array."""
@@ -342,13 +357,20 @@ def _build_block_scheme(config: HypercubeConfig, budget: int) -> AugmentationPro
     a_points, meta = _block_support(d, r)
     X = np.array(x_points)
     if config.scheme == "block_mask":
-        conditional = sp.lil_array((n_x, n_a))
-        index = {pt: j for j, pt in enumerate(a_points)}
-        for i, x in enumerate(x_points):
-            for start in range(n_pos):
-                masked = x[:start] + (0,) * r + x[start + r:]
-                conditional[i, index[masked]] = 1.0 / n_pos
-        conditional = conditional.tocsr()
+        # each point is a base-3 code of its digits a + 1, which orders
+        # points as their lexicographic enumeration does
+        place = 3 ** np.arange(d - 1, -1, -1)
+        a_codes = (np.array(a_points) + 1) @ place
+        masked = np.repeat(X[:, None, :] + 1, n_pos, axis=1)
+        for start in range(n_pos):
+            masked[:, start, start:start + r] = 1
+        # int32 indices unless the entries need int64, as scipy itself picks
+        index = sp.get_index_dtype(maxval=n_x * n_pos)
+        cols = np.searchsorted(a_codes, masked @ place).ravel().astype(index)
+        rows = np.repeat(np.arange(n_x, dtype=index), n_pos)
+        conditional = sp.coo_array(
+            (np.full(cols.size, 1.0 / n_pos), (rows, cols)),
+            shape=(n_x, n_a)).tocsr()
     else:  # block_mask_flip
         q = config.flip_prob
         free = d - r

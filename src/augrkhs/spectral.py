@@ -63,7 +63,10 @@ def apply_joint(process: AugmentationProcess, f: np.ndarray) -> np.ndarray:
     """Joint law applied to a data-space function, ``sum_x f(x) p(a|x) p_x(x)``.
 
     The product ``C^T (f p_x)`` that :func:`apply_gamma` divides by ``p_a``;
-    ``f`` may hold one function per column.
+    ``f`` may hold one function per column.  ``C^T`` is the process's
+    ``conditional_transpose``, built once: on a sparse table its row-major
+    product adds the same terms in the same order as the column-major
+    ``C.T`` would, so the result is the same to the bit.
     """
     f = np.asarray(f, dtype=float)
     if f.shape[0] != process.n_x:
@@ -71,7 +74,7 @@ def apply_joint(process: AugmentationProcess, f: np.ndarray) -> np.ndarray:
             f"function has length {f.shape[0]}, data space has {process.n_x}"
         )
     weighted = f * process.p_x.mass if f.ndim == 1 else f * process.p_x.mass[:, None]
-    return np.asarray(process.conditional.T @ weighted)
+    return np.asarray(process.conditional_transpose @ weighted)
 
 
 def apply_gamma(process: AugmentationProcess, f: np.ndarray) -> np.ndarray:

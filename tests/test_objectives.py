@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -463,3 +464,27 @@ def test_no_pair_or_joint_matrix_is_formed(pair, gapped, monkeypatch):
             assert result.iterations == 20
         with pytest.raises(AssertionError, match="dense conditional"):
             _oracle_value_grad("scl", phi, process)
+
+
+def test_minimize_transposes_a_sparse_table_at_most_once(monkeypatch):
+    # a sparse table's .T is a new column-major object, checked in full on
+    # every call; the steps go through the transpose the process builds once
+    process = build_hypercube(HypercubeConfig(5, 0.5, "random_mask"))
+    assert process.is_sparse
+    dec = decompose(process)
+    calls = []
+    transpose = sp.csr_array.transpose
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.shape)
+        return transpose(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.csr_array, "transpose", counted)
+    for kind in ("scl", "sclip", "rbt", "vicreg"):
+        spec = ObjectiveSpec(kind, 3,
+                             alpha_w=1.0 if kind == "rbt" else None,
+                             beta_w=None if kind in ("scl", "sclip") else 0.5)
+        result = minimize(spec, process, dec,
+                          OptimizerConfig(max_iters=20, seed=3))
+        assert result.iterations == 20
+    assert len(calls) <= 1, calls

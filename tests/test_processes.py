@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,6 +84,43 @@ def test_block_mask_probabilities_by_enumeration():
             lbl = "".join(symbol[v] for v in masked)
             expected[i, a_labels[lbl]] += 1.0 / positions
     np.testing.assert_allclose(dense, expected, atol=1e-15)
+
+
+def block_mask_oracle(d, alpha):
+    """``block_mask`` from its definition: a block of ``ceil(alpha d)``
+    coordinates, at a uniform start, is set to 0.  Returns the dense table
+    over the reachable points, enumerated in lexicographic order."""
+    r = max(1, int(np.ceil(alpha * d - 1e-12)))
+    positions = d - r + 1
+    xs = list(itertools.product((-1, 1), repeat=d))
+    masked = [x[:s] + (0,) * r + x[s + r:]
+              for x in xs for s in range(positions)]
+    support = sorted(set(masked))  # -1 < 0 < +1, as tuples compare
+    column = {a: j for j, a in enumerate(support)}
+    table = np.zeros((len(xs), len(support)))
+    for k, a in enumerate(masked):
+        table[k // positions, column[a]] += 1.0 / positions
+    return table, support
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 1.0])
+@pytest.mark.parametrize("d", range(1, 10))
+def test_block_mask_table_matches_its_definition(d, alpha):
+    p = build_hypercube(HypercubeConfig(d, alpha, "block_mask"))
+    table, support = block_mask_oracle(d, alpha)
+    symbol = {-1: "-", 0: "0", 1: "+"}
+    assert p.a_space.labels == tuple(
+        "".join(symbol[v] for v in a) for a in support)
+    if not p.is_sparse:
+        assert np.array_equal(p.conditional, table)
+        return
+    want = sp.csr_array(table)
+    assert p.conditional.has_sorted_indices
+    for got, ref in ((p.conditional.data, want.data),
+                     (p.conditional.indices, want.indices),
+                     (p.conditional.indptr, want.indptr)):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
 
 
 def test_block_mask_flip_probabilities_by_enumeration():

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from augrkhs import spectral
@@ -20,6 +20,7 @@ from augrkhs.processes import (
 from augrkhs.spectral import (
     apply_gamma,
     apply_gamma_star,
+    apply_joint,
     decompose,
     duality_residual,
     export_decomposition,
@@ -93,6 +94,61 @@ def test_gamma_length_mismatch():
         apply_gamma(p, np.ones(3))
     with pytest.raises(ValidationError):
         apply_gamma_star(p, np.ones(2))
+
+
+def _assert_joint_matches_column_major_route(process, rng):
+    """``apply_joint`` on the built-once transpose against the table's own
+    ``.T`` (a new column-major view per call), bit for bit."""
+    p_x = process.p_x.mass
+    for f in (rng.normal(size=process.n_x),
+              rng.normal(size=(process.n_x, int(rng.integers(1, 6))))):
+        weighted = f * p_x if f.ndim == 1 else f * p_x[:, None]
+        want = np.asarray(process.conditional.T @ weighted)
+        got = apply_joint(process, f)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    transpose = process.conditional_transpose
+    assert process.conditional_transpose is transpose
+    arrays = ((transpose.data, transpose.indices, transpose.indptr)
+              if process.is_sparse else (transpose,))
+    for array in arrays:
+        assert not array.flags.writeable
+
+
+@st.composite
+def sparse_custom_processes(draw):
+    """A custom process with one to three entries per row, sparse-stored."""
+    n_x, n_a = draw(st.integers(2, 16)), draw(st.integers(12, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    triples = []
+    for i in range(n_x):
+        support = rng.choice(n_a, size=int(rng.integers(1, 4)), replace=False)
+        for j, prob in zip(support, rng.dirichlet(np.ones(support.size))):
+            triples.append((i, int(j), float(prob)))
+    process, _ = build_custom(n_x, n_a, rng.dirichlet(np.ones(n_x)), triples)
+    assume(process.is_sparse)
+    return process, int(rng.integers(2**31))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_custom_processes())
+def test_joint_on_the_transpose_matches_the_table_on_custom(case):
+    process, seed = case
+    _assert_joint_matches_column_major_route(
+        process, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.9])
+@pytest.mark.parametrize("d_x", [4, 7])
+@pytest.mark.parametrize("scheme", ["random_mask", "block_mask",
+                                    "block_mask_flip"])
+def test_joint_on_the_transpose_matches_the_table_on_schemes(
+        process_cache, scheme, d_x, alpha):
+    # block_mask is stored dense at d_x 4 from alpha 0.5 on and at d_x 7
+    # at alpha 0.9; block_mask_flip is always dense
+    process = process_cache(scheme, d_x, alpha)
+    _assert_joint_matches_column_major_route(
+        process, np.random.default_rng(d_x))
 
 
 def test_decompose_identity_process_all_ones():
