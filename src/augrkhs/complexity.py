@@ -108,7 +108,9 @@ def kappa_exact(source, beta: float = 99.0,
 
     ``source`` may be a process or an existing decomposition.  The diagonal
     is computed both by direct summation and through the spectral expansion
-    ``sum_i lambda_i psi_i(x)^2``; the two must agree within 1e-8.
+    ``sum_i lambda_i psi_i(x)^2``; the two must agree within 1e-8.  Only
+    the decomposition's ``lambdas`` and ``psi`` are read, so its ``phi`` is
+    never formed here.
     """
     if isinstance(source, SpectralDecomposition):
         dec = source

@@ -24,9 +24,11 @@ that SVD and put first.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import secrets
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -102,7 +104,50 @@ def apply_gamma_star(process: AugmentationProcess, g: np.ndarray) -> np.ndarray:
     return np.asarray(process.conditional @ g)
 
 
-@dataclass(frozen=True, eq=False)
+class _PhiOnce:
+    """``phi`` of one decomposition, formed and checked on its first read.
+
+    ``form()`` returns ``phi``, which is made read-only; ``check(phi)``
+    raises :class:`ValidationError` or returns the duality residual it
+    measured.  They run under a lock, so once at any number of reading
+    threads, and what they returned or raised is kept for every later
+    reader.  :meth:`given` serves an array as it is, unchecked.
+    """
+
+    def __init__(self, form, check):
+        self._form, self._check = form, check
+        self._lock = threading.Lock()
+        self._result = None  # (phi, residual, error) once formed
+
+    @classmethod
+    def given(cls, phi: np.ndarray) -> "_PhiOnce":
+        once = cls(None, None)
+        once._result = (phi, None, None)
+        return once
+
+    def __call__(self):
+        """``(phi, duality residual)``; raises what formation raised."""
+        if self._result is None:
+            with self._lock:
+                if self._result is None:
+                    self._result = self._run()
+        phi, residual, error = self._result
+        if error is not None:
+            raise error
+        return phi, residual
+
+    def _run(self):
+        try:
+            phi = self._form()
+            phi.setflags(write=False)
+            result = (phi, self._check(phi), None)
+        except Exception as exc:
+            result = (None, None, exc)
+        self._form = self._check = None  # what formation held is not needed
+        return result
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class SpectralDecomposition:
     """Weighted spectral system of the augmentation operator pair.
 
@@ -110,14 +155,45 @@ class SpectralDecomposition:
     ``i``-th eigenfunction on the data / augmentation space.  Columns are
     orthonormal under the respective marginal-weighted inner products and
     tied to each other by duality.
+
+    ``phi`` is a property.  A ``phi`` array given to the constructor is
+    served as it is; :func:`decompose` instead gives a holder that forms
+    ``phi`` and runs its checks on the first read, once, and keeps the
+    result.  A ``dataclasses.replace`` copy shares its source's holder.
     """
 
     lambdas: np.ndarray
     psi: np.ndarray
-    phi: np.ndarray
     rank: int
     rank_tol: float
     process: AugmentationProcess
+    _phi: _PhiOnce = field(repr=False)
+
+    def __init__(self, lambdas, psi, phi=None, *, rank, rank_tol, process,
+                 _phi=None):
+        if (phi is None) == (_phi is None):
+            raise ValidationError("give exactly one of phi and its holder")
+        if _phi is None:
+            _phi = _PhiOnce.given(phi)
+        for name, value in (("lambdas", lambdas), ("psi", psi), ("rank", rank),
+                            ("rank_tol", rank_tol), ("process", process),
+                            ("_phi", _phi)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def phi(self) -> np.ndarray:
+        """Augmentation eigenfunctions; raises if their checks failed."""
+        return self._phi()[0]
+
+    @property
+    def checked_duality_residual(self) -> float | None:
+        """:func:`duality_residual` as measured by ``phi``'s checks.
+
+        Reading it reads ``phi``.  It belongs to the ``psi`` that
+        :func:`decompose` gave, also on a copy with another ``psi``; it is
+        ``None`` when ``phi`` was given to the constructor.
+        """
+        return self._phi()[1]
 
     def eigenvalue(self, index: int) -> float:
         """``lambda_index`` with 1-based indexing; zero beyond the rank."""
@@ -153,15 +229,15 @@ def _fix_signs(psi, phi):
     phi[:, flip] = -phi[:, flip]
 
 
-def _order_ties(lambdas, psi, phi):
-    """``(lambdas, psi, phi)`` with each degenerate block in lexicographic
-    order of the ``psi`` columns.
+def _tie_order(lambdas, psi):
+    """The column permutation that puts each degenerate block in
+    lexicographic order of the ``psi`` columns; ``None`` when every block
+    is in order.
 
     A block is a run within ``_TIE_TOL`` of its first eigenvalue.  Columns
     compare entry by entry from the first row as floats, so ``-0.0`` and
     ``0.0`` are equal, and equal columns keep their order.  The top block
-    keeps the constant first and orders the rest.  One permutation is
-    applied to C-ordered copies, or none when every block is in order.
+    keeps the constant first and orders the rest.
     """
     lam = lambdas.tolist()
     order = np.arange(len(lam))
@@ -175,13 +251,28 @@ def _order_ties(lambdas, psi, phi):
             # lexsort's last key is its primary one
             order[first:stop] = first + np.lexsort(psi[::-1, first:stop])
         start = stop
-    if np.array_equal(order, np.arange(order.size)):
+    return None if np.array_equal(order, np.arange(order.size)) else order
+
+
+def _order_ties(lambdas, psi, phi):
+    """``(lambdas, psi, phi)`` permuted by :func:`_tie_order`, as C-ordered
+    copies, or as they are when every block is in order."""
+    order = _tie_order(lambdas, psi)
+    if order is None:
         return lambdas, psi, phi
     return (lambdas[order], np.take(psi, order, axis=1),
             np.take(phi, order, axis=1))
 
 
+def _gram_defect(f: np.ndarray, weights: np.ndarray) -> float:
+    """Largest entry of ``|f^T diag(weights) f - I|``."""
+    # W^T W with W = f sqrt(p) runs as one symmetric rank-k update
+    w = f * np.sqrt(weights)[:, None]
+    return float(np.max(np.abs(w.T @ w - np.eye(f.shape[1]))))
+
+
 def _validate_decomposition(dec: SpectralDecomposition) -> None:
+    """The checks of ``lambdas`` and ``psi``, which :func:`decompose` runs."""
     lam = dec.lambdas
     if lam.size and (lam.min() < -1e-10 or lam.max() > 1.0 + 1e-10):
         raise ValidationError(f"eigenvalues outside [0, 1]: {lam.min()}..{lam.max()}")
@@ -190,19 +281,19 @@ def _validate_decomposition(dec: SpectralDecomposition) -> None:
     psi1 = dec.psi[:, 0]
     if np.max(np.abs(psi1 - psi1[0])) > 1e-8 or abs(psi1[0] - 1.0) > 1e-8:
         raise ValidationError("leading data eigenfunction is not the constant 1")
-    # W^T W with W = f sqrt(p) runs as one symmetric rank-k update
-    w_x = dec.psi * np.sqrt(dec.process.p_x.mass)[:, None]
-    w_a = dec.phi * np.sqrt(dec.process.p_a.mass)[:, None]
-    gram_x = w_x.T @ w_x
-    gram_a = w_a.T @ w_a
-    eye = np.eye(dec.rank)
-    if np.max(np.abs(gram_x - eye)) > _ORTHONORMALITY_TOL:
+    if _gram_defect(dec.psi, dec.process.p_x.mass) > _ORTHONORMALITY_TOL:
         raise ValidationError("psi columns are not orthonormal under p_x")
-    if np.max(np.abs(gram_a - eye)) > _ORTHONORMALITY_TOL:
+
+
+def _check_phi(process, lambdas, psi, phi) -> float:
+    """The checks of ``phi`` against the ``psi`` it pairs with; returns the
+    duality residual they measured."""
+    if _gram_defect(phi, process.p_a.mass) > _ORTHONORMALITY_TOL:
         raise ValidationError("phi columns are not orthonormal under p_a")
-    worst = duality_residual(dec)
+    worst = _duality_residual(process, lambdas, psi, phi)
     if worst > _DUALITY_TOL:
         raise ValidationError(f"duality residual {worst!r} exceeds {_DUALITY_TOL}")
+    return worst
 
 
 def duality_residual(dec: SpectralDecomposition) -> float:
@@ -210,13 +301,17 @@ def duality_residual(dec: SpectralDecomposition) -> float:
 
     Taken over the certified pairs, ``lambda_i > 1e-6``; zero when none is.
     """
-    certified = dec.lambdas > _DUALITY_FLOOR
+    return _duality_residual(dec.process, dec.lambdas, dec.psi, dec.phi)
+
+
+def _duality_residual(process, lambdas, psi, phi) -> float:
+    certified = lambdas > _DUALITY_FLOOR
     if not certified.any():
         return 0.0
-    back = apply_gamma_star(dec.process, dec.phi[:, certified])
-    back /= np.sqrt(dec.lambdas[certified])[None, :]
-    resid = back - dec.psi[:, certified]
-    p_x = dec.process.p_x.mass
+    back = apply_gamma_star(process, phi[:, certified])
+    back /= np.sqrt(lambdas[certified])[None, :]
+    resid = back - psi[:, certified]
+    p_x = process.p_x.mass
     return float(np.sqrt(np.max(np.sum(resid * resid * p_x[:, None], axis=0))))
 
 
@@ -286,10 +381,11 @@ def _walsh_engine(process: AugmentationProcess, rank_tol: float):
     """Spectrum of a hypercube process from its subset law, without an SVD.
 
     Eigenvalues above ``rank_tol`` are sorted descending (stably);
-    ``psi`` holds the matching +-1 characters and
-    ``phi = Gamma psi / sqrt(lambda)`` is applied through the stored table,
-    so duality holds by construction.  The constant (``S`` empty,
-    ``lambda = 1``) comes first; every column pair is sign-fixed.
+    ``psi`` holds the matching +-1 characters.  Returns
+    ``(lambdas, psi, form_phi)``: ``form_phi()`` applies
+    ``phi = Gamma psi / sqrt(lambda)`` through the stored table, so duality
+    holds by construction.  The constant (``S`` empty, ``lambda = 1``)
+    comes first; every column pair is sign-fixed.
     """
     bits = _subset_bits(process.hypercube.d_x)
     law = _subset_law(process.hypercube, bits)
@@ -303,9 +399,13 @@ def _walsh_engine(process: AugmentationProcess, rank_tol: float):
     # applies.  The tie order is not: a dense product's column results
     # depend on the column's position, so phi is formed in this order.
     sign = np.where(_flipped(chi), -1.0, 1.0)
-    phi = apply_gamma(process, chi)
-    phi /= sign * np.sqrt(lambdas)
-    return lambdas, chi * sign, phi
+
+    def form_phi():
+        phi = apply_gamma(process, chi)
+        phi /= sign * np.sqrt(lambdas)
+        return phi
+
+    return lambdas, chi * sign, form_phi
 
 
 def decompose(process: AugmentationProcess,
@@ -325,22 +425,35 @@ def decompose(process: AugmentationProcess,
     Returns
     -------
     SpectralDecomposition
-        Validated: eigenvalues in [0, 1], leading pair ``(1, constant)``,
-        orthonormal columns, duality residual below 1e-8.
+        Validated here: eigenvalues in [0, 1], leading pair
+        ``(1, constant)``, ``psi`` orthonormal under ``p_x``.  ``phi`` is
+        formed on its first read (on the law route; the SVD route has it
+        already), and before it is first returned it is checked:
+        orthonormal under ``p_a``, duality residual below 1e-8.  A cell that
+        reads only ``lambdas`` and ``psi`` never pays for ``phi``.
     """
     if process.hypercube is not None:
-        lambdas, psi, phi = _walsh_engine(process, rank_tol)
+        lambdas, psi, form_phi = _walsh_engine(process, rank_tol)
+        order = _tie_order(lambdas, psi)
+        if order is not None:
+            lambdas, psi = lambdas[order], np.take(psi, order, axis=1)
+            law_order_phi = form_phi
+
+            def form_phi():
+                return np.take(law_order_phi(), order, axis=1)
     else:
-        lambdas, psi, phi = _spectral_engine(
+        lambdas, psi, phi = _order_ties(*_spectral_engine(
             process.conditional, np.sqrt(process.p_x.mass),
-            np.sqrt(process.p_a.mass), rank_tol)
-    lambdas, psi, phi = _order_ties(lambdas, psi, phi)
+            np.sqrt(process.p_a.mass), rank_tol))
+
+        def form_phi():
+            return phi
     psi.setflags(write=False)
-    phi.setflags(write=False)
     lambdas.setflags(write=False)
     dec = SpectralDecomposition(
-        lambdas=lambdas, psi=psi, phi=phi, rank=lambdas.size,
-        rank_tol=rank_tol, process=process,
+        lambdas=lambdas, psi=psi, rank=lambdas.size, rank_tol=rank_tol,
+        process=process, _phi=_PhiOnce(
+            form_phi, functools.partial(_check_phi, process, lambdas, psi)),
     )
     _validate_decomposition(dec)
     return dec

@@ -1,3 +1,4 @@
+import concurrent.futures
 import gc
 import json
 import math
@@ -590,7 +591,7 @@ def test_spectrum_residuals_computed_once_per_process(tmp_path, monkeypatch,
     grid = {"scheme": ["random_mask", "block_mask_flip"], "d_x": [3],
             "alpha": [0.25, 0.5]}
     calls = Counter()
-    for name in ("duality_residual", "verify_integral_identity"):
+    for name in ("_duality_residual", "verify_integral_identity"):
         def counting(*args, _fn=getattr(spectral, name), _name=name, **kw):
             calls[_name] += 1
             return _fn(*args, **kw)
@@ -606,8 +607,9 @@ def test_spectrum_residuals_computed_once_per_process(tmp_path, monkeypatch,
 
     one, one_calls = spectrum([4], "one")
     three, three_calls = spectrum([4, 5, 6], "three")
-    # decompose validates duality itself; the rows add one call per process
+    # phi's checks measure duality, and the rows read that value
     assert three_calls == one_calls
+    assert one_calls["_duality_residual"] == 4
     assert one_calls["verify_integral_identity"] == 4
     lines = open(three.files["spectrum"]).read().splitlines()[1:]
     one_lines = open(one.files["spectrum"]).read().splitlines()[1:]
@@ -672,3 +674,121 @@ def test_cli_import_leaves_scipy_linalg_out():
                          text=True, env=dict(os.environ, PYTHONPATH=src),
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def _count_phi(monkeypatch, scale=None):
+    """Count the formations and checks of phi on the law route, the duality
+    residuals measured, and the ``apply_gamma`` calls ``spectral`` makes
+    (phi's formation is one).
+
+    Each formation sleeps briefly, so that parallel first readers of one
+    phi overlap; with ``scale`` the formed phi is multiplied by it.
+    """
+    counts = Counter()
+    lock = threading.Lock()
+    walsh_engine = spectral._walsh_engine
+    check_phi, apply_gamma = spectral._check_phi, spectral.apply_gamma
+    duality = spectral._duality_residual
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            with lock:
+                counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    def form(form_phi):
+        time.sleep(0.01)
+        phi = form_phi()
+        return phi if scale is None else phi * scale
+
+    def engine(process, rank_tol):
+        lambdas, psi, form_phi = walsh_engine(process, rank_tol)
+        return lambdas, psi, counted("form", lambda: form(form_phi))
+
+    monkeypatch.setattr(spectral, "_walsh_engine", engine)
+    monkeypatch.setattr(spectral, "_check_phi", counted("check", check_phi))
+    monkeypatch.setattr(spectral, "_duality_residual",
+                        counted("duality", duality))
+    monkeypatch.setattr(spectral, "apply_gamma",
+                        counted("apply_gamma", apply_gamma))
+    return counts
+
+
+@pytest.mark.parametrize("jobs", [1, 4])
+@pytest.mark.parametrize("make_config", [kappa_config, tracegap_config])
+def test_complexity_cells_never_form_phi(tmp_path, monkeypatch, make_config,
+                                         jobs):
+    counts = _count_phi(monkeypatch)
+    command = "kappa" if make_config is kappa_config else "sweep"
+    outcome = run(resolve_config(make_config(
+        tmp_path, command=command, seeds=[0, 1], jobs=jobs)))
+    assert outcome.exit_code == 0
+    kappa_rows = sum(1 for r in outcome.records if "kappa_sq_exact" in r)
+    assert kappa_rows == (8 if command == "kappa" else 4)  # processes x seeds
+    if command == "sweep":
+        assert sum(1 for r in outcome.records if "gap" in r) > 0
+    assert counts == {}
+
+
+_PHI_READERS = {
+    "spectrum": {"scheme": ["random_mask", "block_mask_flip"], "d_x": [3],
+                 "alpha": [0.5]},
+    "pretrain": {"scheme": ["random_mask", "block_mask_flip"], "d_x": [3],
+                 "alpha": [0.5], "objective": ["scl", "vicreg"], "d": [2]},
+    "regress": {"scheme": ["random_mask", "block_mask_flip"], "d_x": [3],
+                "alpha": [0.5], "d": [1, 2], "n": [16], "sigma": [0.1],
+                "B": [1.0], "epsilon": [0.2]},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PHI_READERS))
+def test_phi_formed_and_checked_once_per_process(tmp_path, monkeypatch,
+                                                 command):
+    counts = _count_phi(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # frequent switches among first readers
+    try:
+        outcome = run(resolve_config({
+            "command": command, "grid": _PHI_READERS[command],
+            "seeds": [0, 1, 2], "jobs": 4, "output_dir": str(tmp_path / "out"),
+            "options": {"max_iters": 20} if command == "pretrain" else {}}))
+    finally:
+        sys.setswitchinterval(interval)
+    assert outcome.exit_code == 0 and len(outcome.records) >= 6
+    # two processes; phi's checks measure duality, and the spectrum rows
+    # read their value
+    assert counts["form"] == counts["check"] == counts["duality"] == 2
+
+
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_failed_phi_check_fails_only_the_cells_that_read_phi(tmp_path,
+                                                             monkeypatch, jobs):
+    counts = _count_phi(monkeypatch, scale=1 + 1e-6)
+    grid = dict(_PHI_READERS["regress"], objective=["scl"])
+    config = resolve_config({
+        "command": "regress", "grid": grid, "seeds": [0, 1], "jobs": jobs,
+        "output_dir": str(tmp_path / "out"), "options": {"max_iters": 20}})
+    axes = harness._grid_axes(config)
+    outputs = [("kappa", harness._PROCESS_AXES),
+               ("spectrum", harness._PROCESS_AXES),
+               ("regress", tuple(a for a in axes if a != "objective")),
+               ("pretrain", ("scheme", "d_x", "alpha", "objective", "d"))]
+    group = next(harness._groups(config, outputs))
+    pool = concurrent.futures.ThreadPoolExecutor(jobs)
+    try:
+        rows = harness._run_group(config, group, pool.map)
+    finally:
+        pool.shutdown()
+    assert counts["form"] == counts["check"] == 1
+    for (name, _), row in zip(group, rows):
+        if name == "kappa":
+            assert not row.get("error") and row["kappa_sq_exact"] > 1.0
+        else:
+            assert row["error"] == ("ValidationError: phi columns are not "
+                                    "orthonormal under p_a"), name
+    # a sweep's cells read lambda and psi only, so the same fault fails none
+    outcome = run(resolve_config(tracegap_config(
+        tmp_path, command="sweep", jobs=jobs,
+        output_dir=str(tmp_path / "sweep"))))
+    assert outcome.exit_code == 0

@@ -9,7 +9,7 @@ import scipy.linalg as sla
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from augrkhs import spectral
+from augrkhs import complexity, spectral
 from augrkhs.exceptions import ValidationError
 from augrkhs.processes import (
     SCHEMES,
@@ -248,6 +248,8 @@ def assert_law_matches_oracle(process):
         - law.psi * law.lambdas
     assert np.sqrt(np.max((resid * resid).T @ process.p_x.mass)) <= 1e-12
     spectral._validate_decomposition(law)
+    # the first read of phi runs its checks
+    assert law.checked_duality_residual <= spectral._DUALITY_TOL
     return law
 
 
@@ -636,3 +638,82 @@ def test_decompose_deterministic(small_process):
     np.testing.assert_array_equal(a.lambdas, b.lambdas)
     np.testing.assert_array_equal(a.psi, b.psi)
     np.testing.assert_array_equal(a.phi, b.phi)
+
+
+def _eager_law_route(process):
+    """``decompose``'s law route with ``phi`` formed at once: ``_order_ties``
+    over the Walsh characters and ``Gamma chi / (sign sqrt(lambda))``."""
+    lambdas, psi, form_phi = spectral._walsh_engine(process,
+                                                    spectral.DEFAULT_RANK_TOL)
+    return spectral._order_ties(lambdas, psi, form_phi())
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("d_x", range(1, 9))
+def test_lazy_phi_is_the_eager_phi(process_cache, scheme, d_x):
+    for alpha in (0.2, 0.5, 0.9):
+        process = process_cache(scheme, d_x, alpha)
+        dec = decompose(process)
+        assert dec._phi._result is None  # nothing read phi yet
+        want = _eager_law_route(process)
+        for got, w in zip((dec.lambdas, dec.psi, dec.phi), want):
+            assert got.tobytes() == w.tobytes()  # -0.0 included
+        assert dec.phi is dec.phi
+        assert not dec.phi.flags.writeable
+
+
+def _corrupting_engine(scale):
+    """``spectral._walsh_engine`` whose ``phi`` comes out scaled by ``scale``."""
+    walsh_engine = spectral._walsh_engine
+
+    def engine(process, rank_tol):
+        lambdas, psi, form_phi = walsh_engine(process, rank_tol)
+        return lambdas, psi, lambda: form_phi() * scale
+
+    return engine
+
+
+def test_corrupted_phi_fails_its_checks_on_first_read(monkeypatch, process_cache):
+    process = process_cache("block_mask_flip", 5, 0.5)
+    monkeypatch.setattr(spectral, "_walsh_engine", _corrupting_engine(1 + 1e-6))
+    dec = decompose(process)  # the checks of lambda and psi pass
+    for _ in range(2):  # and every later read raises the same
+        with pytest.raises(ValidationError, match="phi columns are not orthonormal"):
+            dec.phi
+    with pytest.raises(ValidationError):
+        duality_residual(dec)
+    # a reader of lambda and psi alone is served
+    assert complexity.kappa_exact(dec).kappa_sq_max > 1.0
+
+
+def test_orthonormal_phi_that_is_not_dual_fails_on_first_read(monkeypatch,
+                                                             process_cache):
+    # an orthonormal phi that is not dual to psi: reversing the columns of
+    # the random_mask d_x 1 pair swaps the constant and the character
+    process = process_cache("random_mask", 1, 0.5)
+    walsh_engine = spectral._walsh_engine
+
+    def swapped(process, rank_tol):
+        lambdas, psi, form_phi = walsh_engine(process, rank_tol)
+        return lambdas, psi, lambda: form_phi()[:, ::-1].copy()
+
+    monkeypatch.setattr(spectral, "_walsh_engine", swapped)
+    dec = decompose(process)
+    with pytest.raises(ValidationError, match="duality residual"):
+        dec.phi
+
+
+def test_phi_given_to_the_constructor_is_served_as_given(small_decomposition):
+    dec = small_decomposition
+    phi = np.array(dec.phi)
+    built = spectral.SpectralDecomposition(
+        lambdas=dec.lambdas, psi=dec.psi, phi=phi, rank=dec.rank,
+        rank_tol=dec.rank_tol, process=dec.process)
+    assert built.phi is phi and built.phi.flags.writeable
+    assert built.checked_duality_residual is None
+    copy = dataclasses.replace(dec, psi=dec.psi.copy())
+    assert copy.phi is dec.phi
+    assert copy.checked_duality_residual == dec.checked_duality_residual \
+        == duality_residual(dec)
+    with pytest.raises(ValidationError):
+        dataclasses.replace(dec, phi=phi)  # phi and a holder
