@@ -26,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--jobs", type=int, default=None,
-                       help="parallel cells (default 1)")
+                       help="1 only; cells run in grid order")
         p.add_argument("--seed", type=int, default=None,
                        help="override the seed list with a single seed")
         p.add_argument("--out", default=None, help="output directory")

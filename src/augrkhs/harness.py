@@ -6,22 +6,20 @@ Every cell of the grid-times-seeds cross product executes independently
 with a seed derived from the master seed and the cell's axis values, so any
 cell can be reproduced in isolation; failures are recorded per cell without
 aborting the sweep.  Processes are built one after another: each is built
-and decomposed once, its cells run (on ``jobs`` threads), and it is dropped
-before the next is built.  Floats are written with 17 significant digits
-and rows are merged in grid order, so identical configs produce
-byte-identical files.
+and decomposed once, its cells run in grid order in the calling thread, and
+it is dropped before the next is built.  Floats are written with 17
+significant digits and rows are written in grid order, so identical configs
+produce byte-identical files.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import itertools
 import json
 import math
 import numbers
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,7 +74,6 @@ class ExperimentConfig:
     output_dir: str
     budget: int = DEFAULT_BUDGET
     master_seed: int = 0
-    jobs: int = 1
     options: dict = field(default_factory=dict)
 
 
@@ -172,6 +169,17 @@ def resolve_config(raw: dict, command: str | None = None,
     if unknown:
         raise ValidationError(
             f"unknown options {unknown}; the cells read {list(OPTIONS)}")
+    for name, value in options.items():
+        what = f"option {name!r}"
+        if name == "max_iters":
+            if _integer(value, what) < 0:
+                raise ValidationError(f"{what} must be >= 0, got {value!r}")
+        elif not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise ValidationError(f"{what} must be a number, got {value!r}")
+    jobs = _integer(jobs if jobs is not None else raw.get("jobs", 1), "jobs")
+    if jobs != 1:
+        raise ValidationError(
+            f"jobs must be 1 (cells run in grid order), got {jobs}")
     config = ExperimentConfig(
         command=cmd,
         grid=grid,
@@ -180,7 +188,6 @@ def resolve_config(raw: dict, command: str | None = None,
         budget=_integer(budget if budget is not None
                         else raw.get("budget", DEFAULT_BUDGET), "budget"),
         master_seed=_integer(raw.get("master_seed", 0), "master_seed"),
-        jobs=_integer(jobs if jobs is not None else raw.get("jobs", 1), "jobs"),
         options=options,
     )
     if any(name == "tracegap" for name, _ in _outputs(config)):
@@ -196,7 +203,6 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "output_dir": config.output_dir,
         "budget": config.budget,
         "master_seed": config.master_seed,
-        "jobs": config.jobs,
         "options": config.options,
     }
 
@@ -314,35 +320,22 @@ def _error_row(cell: dict, exc: Exception) -> dict:
     return row
 
 
-class _Once:
-    """Per-group memo in which each key's value is computed exactly once.
+class _Memo(dict):
+    """Per-group memo of seed-independent results, one
+    :class:`spectral._Once` per key.
 
-    ``once(key, compute)`` returns ``compute()``; callers of a key that is
-    being computed wait for it, and an exception it raised is raised again
-    to each of them, so under any ``jobs`` a value is computed once.
+    ``once(key, compute)`` returns ``compute()``, computed on the key's first
+    call; an exception it raised is raised again to every later caller, so a
+    failing value is computed once too.
     """
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._key_locks = {}
-        self._results = {}
-
     def __call__(self, key, compute):
-        with self._lock:
-            key_lock = self._key_locks.setdefault(key, threading.Lock())
-        with key_lock:
-            if key not in self._results:
-                try:
-                    self._results[key] = (compute(), None)
-                except Exception as exc:
-                    self._results[key] = (None, exc)
-        value, error = self._results[key]
-        if error is not None:
-            raise error
-        return value
+        if key not in self:
+            self[key] = spectral._Once(compute)
+        return self[key]()
 
 
-def _kappa(once: _Once, dec, beta: float = 99.0):
+def _kappa(once: _Memo, dec, beta: float = 99.0):
     """The process's complexity report at ``beta``, computed once per group."""
     return once(("kappa", beta),
                 lambda: complexity.kappa_exact(dec, beta))
@@ -468,7 +461,7 @@ def _tracegap_cell(cell, config: ExperimentConfig, process, dec, once) -> dict:
 
 
 # output name -> cell function ``(cell, config, process, dec, once)``, where
-# ``once`` is the group's ``_Once`` memo of seed-independent results
+# ``once`` is the group's ``_Memo`` of seed-independent results
 _CELL_FN = {
     "kappa": _kappa_cell,
     "spectrum": _spectrum_cell,
@@ -478,8 +471,9 @@ _CELL_FN = {
 }
 
 
-def _run_group(config: ExperimentConfig, group, run_cells) -> list[dict]:
-    """Build the group's process once and run its cells; return their rows.
+def _run_group(config: ExperimentConfig, group) -> list[dict]:
+    """Build the group's process once and run its cells in turn; return
+    their rows.
 
     The process, its decomposition and the group's memo are locals of this
     call, so they are dropped when it returns.  A failed build gives every
@@ -490,35 +484,26 @@ def _run_group(config: ExperimentConfig, group, run_cells) -> list[dict]:
         dec = spectral.decompose(process)
     except Exception as exc:  # each cell's error row, never abort
         return [_error_row(cell, exc) for _, cell in group]
-    once = _Once()
-
-    def guarded(item):
-        name, cell = item
+    once = _Memo()
+    rows = []
+    for name, cell in group:
         try:
-            return _CELL_FN[name](cell, config, process, dec, once)
+            rows.append(_CELL_FN[name](cell, config, process, dec, once))
         except Exception as exc:  # cell isolation: record, never abort
-            return _error_row(cell, exc)
-
-    return list(run_cells(guarded, group))
+            rows.append(_error_row(cell, exc))
+    return rows
 
 
 def _execute(config: ExperimentConfig, outputs) -> dict[str, list]:
     """Run the cells of ``outputs``; return each output's rows in grid order.
 
-    Processes are built one after another, so at most one is alive; the
-    cells of each run in turn, or on one pool of ``jobs`` threads.
+    Processes are built one after another, so at most one is alive, and the
+    cells of each run in grid order in the calling thread.
     """
     by_output = {name: [] for name, _ in outputs}
-    pool = (concurrent.futures.ThreadPoolExecutor(config.jobs)
-            if config.jobs > 1 else None)
-    try:
-        for group in _groups(config, outputs):
-            rows = _run_group(config, group, pool.map if pool else map)
-            for (name, _), row in zip(group, rows):
-                by_output[name].append(row)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for group in _groups(config, outputs):
+        for (name, _), row in zip(group, _run_group(config, group)):
+            by_output[name].append(row)
     return by_output
 
 
@@ -539,7 +524,8 @@ def _check_rate_grid(grid: dict) -> None:
 
 
 def _rate_summary(rows) -> tuple[list, float | None]:
-    """One median row per (axes, N) group, and the log-log slope in N."""
+    """One median row per (axes, N) group, in grid order, and the log-log
+    slope in N."""
     groups: dict[tuple, list] = {}
     for row in rows:
         if row.get("error"):
@@ -549,7 +535,7 @@ def _rate_summary(rows) -> tuple[list, float | None]:
         groups.setdefault(key, []).append(row["gap"])
     median_rows = []
     medians: dict[int, list] = {}
-    for key, gaps in sorted(groups.items(), key=lambda kv: str(kv[0])):
+    for key, gaps in groups.items():
         med = float(np.median(gaps))
         median_rows.append({
             "schema": SCHEMA_VERSION, "scheme": key[0], "d_x": key[1],
@@ -620,7 +606,7 @@ _WRITERS = {
 def run(config: ExperimentConfig) -> RunOutcome:
     """Execute a config and write its output files.
 
-    Cells run independently (optionally in parallel) and deterministically;
+    Cells run independently and deterministically, in grid order;
     failed cells contribute an error row.  Returns the records plus the
     failure count, which drives the process exit code.
     """

@@ -24,10 +24,8 @@ that SVD and put first.
 from __future__ import annotations
 
 import contextlib
-import functools
 import os
 import secrets
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,47 +102,28 @@ def apply_gamma_star(process: AugmentationProcess, g: np.ndarray) -> np.ndarray:
     return np.asarray(process.conditional @ g)
 
 
-class _PhiOnce:
-    """``phi`` of one decomposition, formed and checked on its first read.
+class _Once:
+    """A value computed on its first read, once.
 
-    ``form()`` returns ``phi``, which is made read-only; ``check(phi)``
-    raises :class:`ValidationError` or returns the duality residual it
-    measured.  They run under a lock, so once at any number of reading
-    threads, and what they returned or raised is kept for every later
-    reader.  :meth:`given` serves an array as it is, unchecked.
+    ``once()`` returns ``compute()``; what that returned or raised is kept,
+    and every later read returns it or raises it again.
     """
 
-    def __init__(self, form, check):
-        self._form, self._check = form, check
-        self._lock = threading.Lock()
-        self._result = None  # (phi, residual, error) once formed
-
-    @classmethod
-    def given(cls, phi: np.ndarray) -> "_PhiOnce":
-        once = cls(None, None)
-        once._result = (phi, None, None)
-        return once
+    def __init__(self, compute):
+        self._compute = compute
+        self._result = None  # (value, error) once computed
 
     def __call__(self):
-        """``(phi, duality residual)``; raises what formation raised."""
         if self._result is None:
-            with self._lock:
-                if self._result is None:
-                    self._result = self._run()
-        phi, residual, error = self._result
+            try:
+                self._result = (self._compute(), None)
+            except Exception as exc:
+                self._result = (None, exc)
+            self._compute = None  # what the computation held is not needed
+        value, error = self._result
         if error is not None:
             raise error
-        return phi, residual
-
-    def _run(self):
-        try:
-            phi = self._form()
-            phi.setflags(write=False)
-            result = (phi, self._check(phi), None)
-        except Exception as exc:
-            result = (None, None, exc)
-        self._form = self._check = None  # what formation held is not needed
-        return result
+        return value
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -157,9 +136,10 @@ class SpectralDecomposition:
     tied to each other by duality.
 
     ``phi`` is a property.  A ``phi`` array given to the constructor is
-    served as it is; :func:`decompose` instead gives a holder that forms
-    ``phi`` and runs its checks on the first read, once, and keeps the
-    result.  A ``dataclasses.replace`` copy shares its source's holder.
+    served as it is; :func:`decompose` instead gives a holder, an
+    :class:`_Once` that forms ``phi`` and runs its checks on the first read
+    and keeps the result.  A ``dataclasses.replace`` copy shares its
+    source's holder.
     """
 
     lambdas: np.ndarray
@@ -167,14 +147,14 @@ class SpectralDecomposition:
     rank: int
     rank_tol: float
     process: AugmentationProcess
-    _phi: _PhiOnce = field(repr=False)
+    _phi: _Once = field(repr=False)  # (phi, checked duality residual)
 
     def __init__(self, lambdas, psi, phi=None, *, rank, rank_tol, process,
                  _phi=None):
         if (phi is None) == (_phi is None):
             raise ValidationError("give exactly one of phi and its holder")
         if _phi is None:
-            _phi = _PhiOnce.given(phi)
+            _phi = _Once(lambda: (phi, None))
         for name, value in (("lambdas", lambdas), ("psi", psi), ("rank", rank),
                             ("rank_tol", rank_tol), ("process", process),
                             ("_phi", _phi)):
@@ -450,10 +430,15 @@ def decompose(process: AugmentationProcess,
             return phi
     psi.setflags(write=False)
     lambdas.setflags(write=False)
+
+    def checked_phi():
+        phi = form_phi()
+        phi.setflags(write=False)
+        return phi, _check_phi(process, lambdas, psi, phi)
+
     dec = SpectralDecomposition(
         lambdas=lambdas, psi=psi, rank=lambdas.size, rank_tol=rank_tol,
-        process=process, _phi=_PhiOnce(
-            form_phi, functools.partial(_check_phi, process, lambdas, psi)),
+        process=process, _phi=_Once(checked_phi),
     )
     _validate_decomposition(dec)
     return dec

@@ -1,4 +1,3 @@
-import concurrent.futures
 import gc
 import json
 import math
@@ -6,8 +5,6 @@ import os
 import stat
 import subprocess
 import sys
-import threading
-import time
 import weakref
 from collections import Counter
 
@@ -177,14 +174,6 @@ def test_spectrum_residual_kernel_over_budget(tmp_path):
     assert main(["spectrum", "--config", str(cfg_path)]) == 2
 
 
-def test_parallel_jobs_identical_output(tmp_path):
-    serial = run(resolve_config(kappa_config(tmp_path)))
-    parallel = run(resolve_config(kappa_config(
-        tmp_path, output_dir=str(tmp_path / "par"), jobs=4)))
-    assert open(serial.files["kappa"]).read().splitlines()[1:] == \
-        open(parallel.files["kappa"]).read().splitlines()[1:]
-
-
 def test_spectrum_run_exports(tmp_path):
     cfg = resolve_config({
         "command": "spectrum",
@@ -205,23 +194,20 @@ def test_spectrum_run_exports(tmp_path):
                                [1.0, 0.5, 0.5, 0.25], atol=1e-10)
 
 
-@pytest.mark.parametrize("jobs", [1, 4])
-def test_spectrum_exports_each_process_once(tmp_path, monkeypatch, jobs):
+def test_spectrum_exports_each_process_once(tmp_path, monkeypatch):
     grid = {"scheme": ["random_mask", "block_mask"], "d_x": [3],
             "alpha": [0.25, 0.5]}
     one = run(resolve_config({"command": "spectrum", "grid": grid,
                               "seeds": [4], "output_dir": str(tmp_path / "one")}))
     stems, export = Counter(), spectral.export_decomposition
-    lock = threading.Lock()
 
     def counting_export(dec, out_dir, stem):
-        with lock:
-            stems[stem] += 1
+        stems[stem] += 1
         return export(dec, out_dir, stem=stem)
 
     monkeypatch.setattr(spectral, "export_decomposition", counting_export)
     three = run(resolve_config({"command": "spectrum", "grid": grid,
-                                "seeds": [4, 5, 6], "jobs": jobs,
+                                "seeds": [4, 5, 6],
                                 "output_dir": str(tmp_path / "three")}))
     assert one.exit_code == three.exit_code == 0
     assert len(stems) == 4 and set(stems.values()) == {1}
@@ -317,8 +303,9 @@ def test_tracegap_run_outputs(tmp_path):
     assert outcome.exit_code == 0
     lines = open(outcome.files["tracegap"]).read().splitlines()
     assert lines[0] == ",".join(HEADERS["tracegap"])
-    median_rows = [ln for ln in lines[1:] if ",median," in ln]
-    assert len(median_rows) == 4
+    median_rows = [ln.split(",") for ln in lines[1:] if ",median," in ln]
+    # one per N, in grid order
+    assert [row[5] for row in median_rows] == ["16", "32", "64", "256"]
     fit = json.loads(open(outcome.files["fit"]).read())
     assert "slope" in fit
     empirical = [json.loads(ln) for ln in
@@ -380,17 +367,20 @@ def test_cli_print_config(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(kappa_config(tmp_path)))
     assert main(["kappa", "--config", str(cfg_path), "--print-config",
-                 "--seed", "7", "--jobs", "2"]) == 0
+                 "--seed", "7", "--jobs", "1"]) == 0
     resolved = json.loads(capsys.readouterr().out)
     assert resolved["seeds"] == [7]
-    assert resolved["jobs"] == 2
+    assert "jobs" not in resolved  # cells always run in grid order
     assert resolved["command"] == "kappa"
 
 
 @pytest.mark.parametrize("bad", [
     {"master_seed": "abc"}, {"seeds": ["x"]}, {"seeds": [1.5]}, {"seeds": 3},
     {"budget": "big"}, {"jobs": [2]}, {"grid": ["scheme"]}, {"options": "x"},
-    {"options": {"max_iter": 5}},
+    {"options": {"max_iter": 5}}, {"options": {"max_iters": "many"}},
+    {"options": {"max_iters": 2.7}}, {"options": {"max_iters": -1}},
+    {"options": {"beta": True}}, {"options": {"learning_rate": "0.2"}},
+    {"options": {"c0": None}}, {"jobs": 4},
 ])
 def test_cli_reports_config_type_errors(tmp_path, capsys, bad):
     cfg_path = tmp_path / "cfg.json"
@@ -400,6 +390,22 @@ def test_cli_reports_config_type_errors(tmp_path, capsys, bad):
     assert captured.err.startswith("config error:")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_cli_accepts_jobs_1_only(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(kappa_config(tmp_path, jobs=1)))
+    assert main(["kappa", "--config", str(cfg_path)]) == 0
+    assert main(["kappa", "--config", str(cfg_path), "--jobs", "1"]) == 0
+    capsys.readouterr()
+    for jobs in ("2", "0", "-3"):
+        assert main(["kappa", "--config", str(cfg_path), "--jobs", jobs]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: jobs must be 1 (cells run in grid order), "
+            f"got {jobs}\n")
+    cfg_path.write_text(json.dumps(kappa_config(tmp_path, jobs=4)))
+    assert main(["kappa", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith("config error: jobs must be 1")
 
 
 @pytest.mark.parametrize("command", ["tracegap", "sweep"])
@@ -441,24 +447,19 @@ def tracegap_config(tmp_path, **overrides):
 def counted_builds(monkeypatch):
     """Count process builds and decompositions per (scheme, d_x, alpha).
 
-    Builds sleep briefly so that parallel cells of one key overlap; every
-    built process is tracked by a weak reference.
+    Every built process is tracked by a weak reference.
     """
     builds, decompositions, alive = Counter(), Counter(), []
-    lock = threading.Lock()
     build, decompose = harness.build_hypercube, spectral.decompose
 
     def counting_build(hc, budget):
-        with lock:
-            builds[(hc.scheme, hc.d_x, hc.alpha)] += 1
-        time.sleep(0.01)
+        builds[(hc.scheme, hc.d_x, hc.alpha)] += 1
         process = build(hc, budget=budget)
         alive.append(weakref.ref(process))
         return process
 
     def counting_decompose(process, *args, **kwargs):
-        with lock:
-            decompositions[(process.n_x, process.n_a)] += 1
+        decompositions[(process.n_x, process.n_a)] += 1
         return decompose(process, *args, **kwargs)
 
     monkeypatch.setattr(harness, "build_hypercube", counting_build)
@@ -467,37 +468,26 @@ def counted_builds(monkeypatch):
     return builds, decompositions, alive
 
 
-@pytest.mark.parametrize("jobs", [1, 4, 8])
 @pytest.mark.parametrize("make_config", [kappa_config, tracegap_config])
 def test_each_process_built_and_decomposed_once(tmp_path, counted_builds,
-                                               make_config, jobs):
+                                               make_config):
     builds, decompositions, _ = counted_builds
-    cfg = make_config(tmp_path, seeds=[0, 1], jobs=jobs)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # frequent switches while cells share entries
-    try:
-        outcome = run(resolve_config(cfg))
-    finally:
-        sys.setswitchinterval(interval)
+    cfg = make_config(tmp_path, seeds=[0, 1])
+    outcome = run(resolve_config(cfg))
     assert outcome.exit_code == 0
     grid = cfg["grid"]
     keys = {(s, d_x, a) for s in grid["scheme"] for d_x in grid["d_x"]
             for a in grid["alpha"]}
     assert set(builds) == keys and set(builds.values()) == {1}
     assert sum(decompositions.values()) == len(keys)
-    serial = run(resolve_config(make_config(
-        tmp_path, seeds=[0, 1], output_dir=str(tmp_path / "serial"))))
-    for name, path in outcome.files.items():
-        assert open(path).read() == open(serial.files[name]).read(), name
 
 
-@pytest.mark.parametrize("jobs", [1, 4])
-def test_failed_build_cached_for_every_cell(tmp_path, counted_builds, jobs):
+def test_failed_build_cached_for_every_cell(tmp_path, counted_builds):
     builds, _, _ = counted_builds
     cfg = resolve_config(kappa_config(
         tmp_path, grid={"scheme": ["random_mask"], "d_x": [3, 40],
                         "alpha": [0.5]},
-        seeds=[0, 1, 2], budget=10**6, jobs=jobs))
+        seeds=[0, 1, 2], budget=10**6))
     outcome = run(cfg)
     errors = [r for r in outcome.records if r.get("error")]
     assert outcome.failures == 3 and len(errors) == 3
@@ -507,8 +497,7 @@ def test_failed_build_cached_for_every_cell(tmp_path, counted_builds, jobs):
     assert builds == {("random_mask", 3, 0.5): 1, ("random_mask", 40, 0.5): 1}
 
 
-@pytest.mark.parametrize("jobs", [1, 4])
-def test_entries_released_after_their_last_cell(tmp_path, counted_builds, jobs):
+def test_entries_released_after_their_last_cell(tmp_path, counted_builds):
     _, _, alive = counted_builds
     live_after_build = []
     build = harness.build_hypercube
@@ -520,10 +509,9 @@ def test_entries_released_after_their_last_cell(tmp_path, counted_builds, jobs):
         return process
 
     harness.build_hypercube = count_after_build  # restored by the fixture
-    outcome = run(resolve_config(kappa_config(tmp_path, seeds=[0, 1],
-                                              jobs=jobs)))
+    outcome = run(resolve_config(kappa_config(tmp_path, seeds=[0, 1])))
     assert outcome.exit_code == 0
-    # one process at a time under any jobs, and none once run() has returned
+    # one process at a time, and none once run() has returned
     assert live_after_build == [1, 1, 1, 1]
     del outcome
     gc.collect()
@@ -533,27 +521,21 @@ def test_entries_released_after_their_last_cell(tmp_path, counted_builds, jobs):
 
 @pytest.fixture
 def counted_kappa(monkeypatch):
-    """Processes passed to ``complexity.kappa_exact``, one entry per call.
-
-    Each call sleeps briefly, so that parallel cells of one process overlap.
-    """
+    """Processes passed to ``complexity.kappa_exact``, one entry per call."""
     calls = []
     kappa_exact = complexity.kappa_exact
 
     def counting_kappa(dec, *args, **kwargs):
         calls.append(dec.process)
-        time.sleep(0.01)
         return kappa_exact(dec, *args, **kwargs)
 
     monkeypatch.setattr(complexity, "kappa_exact", counting_kappa)
     return calls
 
 
-@pytest.mark.parametrize("jobs", [1, 4])
-def test_kappa_computed_once_per_process(tmp_path, counted_kappa, jobs):
+def test_kappa_computed_once_per_process(tmp_path, counted_kappa):
     calls = counted_kappa
-    outcome = run(resolve_config(kappa_config(tmp_path, seeds=[0, 1],
-                                              jobs=jobs)))
+    outcome = run(resolve_config(kappa_config(tmp_path, seeds=[0, 1])))
     assert outcome.exit_code == 0 and len(outcome.records) == 8
     assert len(calls) == 4  # 4 processes, 2 seeds each
     calls.clear()
@@ -563,7 +545,6 @@ def test_kappa_computed_once_per_process(tmp_path, counted_kappa, jobs):
                  "alpha": [0.5], "d": [1, 2], "n": [16, 32], "sigma": [0.1],
                  "B": [1.0], "epsilon": [0.2]},
         "seeds": [0, 1],
-        "jobs": jobs,
         "output_dir": str(tmp_path / "regress"),
         "options": {"beta": 50.0},
     }))
@@ -571,11 +552,9 @@ def test_kappa_computed_once_per_process(tmp_path, counted_kappa, jobs):
     assert len(calls) == 2  # 2 processes, 8 cells each
 
 
-@pytest.mark.parametrize("jobs", [1, 4])
-def test_bad_beta_fails_only_the_kappa_cells(tmp_path, counted_kappa, jobs):
+def test_bad_beta_fails_only_the_kappa_cells(tmp_path, counted_kappa):
     outcome = run(resolve_config(tracegap_config(
-        tmp_path, command="sweep", seeds=[0, 1], jobs=jobs,
-        options={"beta": 500.0})))
+        tmp_path, command="sweep", seeds=[0, 1], options={"beta": 500.0})))
     kappa_rows = [r for r in outcome.records if "kappa_sq_exact" in r
                   or r.get("error")]
     assert len(kappa_rows) == outcome.failures == 4  # 2 processes x 2 seeds
@@ -585,9 +564,7 @@ def test_bad_beta_fails_only_the_kappa_cells(tmp_path, counted_kappa, jobs):
     assert len(counted_kappa) == 2  # the failure is computed once per process
 
 
-@pytest.mark.parametrize("jobs", [1, 4])
-def test_spectrum_residuals_computed_once_per_process(tmp_path, monkeypatch,
-                                                      jobs):
+def test_spectrum_residuals_computed_once_per_process(tmp_path, monkeypatch):
     grid = {"scheme": ["random_mask", "block_mask_flip"], "d_x": [3],
             "alpha": [0.25, 0.5]}
     calls = Counter()
@@ -600,7 +577,7 @@ def test_spectrum_residuals_computed_once_per_process(tmp_path, monkeypatch,
     def spectrum(seeds, label):
         calls.clear()
         outcome = run(resolve_config({
-            "command": "spectrum", "grid": grid, "seeds": seeds, "jobs": jobs,
+            "command": "spectrum", "grid": grid, "seeds": seeds,
             "output_dir": str(tmp_path / label)}))
         assert outcome.exit_code == 0
         return outcome, dict(calls)
@@ -679,26 +656,21 @@ def test_cli_import_leaves_scipy_linalg_out():
 def _count_phi(monkeypatch, scale=None):
     """Count the formations and checks of phi on the law route, the duality
     residuals measured, and the ``apply_gamma`` calls ``spectral`` makes
-    (phi's formation is one).
-
-    Each formation sleeps briefly, so that parallel first readers of one
-    phi overlap; with ``scale`` the formed phi is multiplied by it.
+    (phi's formation is one).  With ``scale`` the formed phi is multiplied
+    by it.
     """
     counts = Counter()
-    lock = threading.Lock()
     walsh_engine = spectral._walsh_engine
     check_phi, apply_gamma = spectral._check_phi, spectral.apply_gamma
     duality = spectral._duality_residual
 
     def counted(name, fn):
         def call(*args, **kwargs):
-            with lock:
-                counts[name] += 1
+            counts[name] += 1
             return fn(*args, **kwargs)
         return call
 
     def form(form_phi):
-        time.sleep(0.01)
         phi = form_phi()
         return phi if scale is None else phi * scale
 
@@ -715,14 +687,12 @@ def _count_phi(monkeypatch, scale=None):
     return counts
 
 
-@pytest.mark.parametrize("jobs", [1, 4])
 @pytest.mark.parametrize("make_config", [kappa_config, tracegap_config])
-def test_complexity_cells_never_form_phi(tmp_path, monkeypatch, make_config,
-                                         jobs):
+def test_complexity_cells_never_form_phi(tmp_path, monkeypatch, make_config):
     counts = _count_phi(monkeypatch)
     command = "kappa" if make_config is kappa_config else "sweep"
     outcome = run(resolve_config(make_config(
-        tmp_path, command=command, seeds=[0, 1], jobs=jobs)))
+        tmp_path, command=command, seeds=[0, 1])))
     assert outcome.exit_code == 0
     kappa_rows = sum(1 for r in outcome.records if "kappa_sq_exact" in r)
     assert kappa_rows == (8 if command == "kappa" else 4)  # processes x seeds
@@ -746,28 +716,22 @@ _PHI_READERS = {
 def test_phi_formed_and_checked_once_per_process(tmp_path, monkeypatch,
                                                  command):
     counts = _count_phi(monkeypatch)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # frequent switches among first readers
-    try:
-        outcome = run(resolve_config({
-            "command": command, "grid": _PHI_READERS[command],
-            "seeds": [0, 1, 2], "jobs": 4, "output_dir": str(tmp_path / "out"),
-            "options": {"max_iters": 20} if command == "pretrain" else {}}))
-    finally:
-        sys.setswitchinterval(interval)
+    outcome = run(resolve_config({
+        "command": command, "grid": _PHI_READERS[command],
+        "seeds": [0, 1, 2], "output_dir": str(tmp_path / "out"),
+        "options": {"max_iters": 20} if command == "pretrain" else {}}))
     assert outcome.exit_code == 0 and len(outcome.records) >= 6
     # two processes; phi's checks measure duality, and the spectrum rows
     # read their value
     assert counts["form"] == counts["check"] == counts["duality"] == 2
 
 
-@pytest.mark.parametrize("jobs", [1, 4])
 def test_failed_phi_check_fails_only_the_cells_that_read_phi(tmp_path,
-                                                             monkeypatch, jobs):
+                                                             monkeypatch):
     counts = _count_phi(monkeypatch, scale=1 + 1e-6)
     grid = dict(_PHI_READERS["regress"], objective=["scl"])
     config = resolve_config({
-        "command": "regress", "grid": grid, "seeds": [0, 1], "jobs": jobs,
+        "command": "regress", "grid": grid, "seeds": [0, 1],
         "output_dir": str(tmp_path / "out"), "options": {"max_iters": 20}})
     axes = harness._grid_axes(config)
     outputs = [("kappa", harness._PROCESS_AXES),
@@ -775,11 +739,7 @@ def test_failed_phi_check_fails_only_the_cells_that_read_phi(tmp_path,
                ("regress", tuple(a for a in axes if a != "objective")),
                ("pretrain", ("scheme", "d_x", "alpha", "objective", "d"))]
     group = next(harness._groups(config, outputs))
-    pool = concurrent.futures.ThreadPoolExecutor(jobs)
-    try:
-        rows = harness._run_group(config, group, pool.map)
-    finally:
-        pool.shutdown()
+    rows = harness._run_group(config, group)
     assert counts["form"] == counts["check"] == 1
     for (name, _), row in zip(group, rows):
         if name == "kappa":
@@ -789,6 +749,39 @@ def test_failed_phi_check_fails_only_the_cells_that_read_phi(tmp_path,
                                     "orthonormal under p_a"), name
     # a sweep's cells read lambda and psi only, so the same fault fails none
     outcome = run(resolve_config(tracegap_config(
-        tmp_path, command="sweep", jobs=jobs,
-        output_dir=str(tmp_path / "sweep"))))
+        tmp_path, command="sweep", output_dir=str(tmp_path / "sweep"))))
     assert outcome.exit_code == 0
+
+
+_RERUN_GRIDS = {  # command -> (grid, options, files written)
+    "kappa": ({"scheme": ["random_mask", "block_mask_flip"], "d_x": [3],
+               "alpha": [0.3, 0.7]}, {}, 1),
+    "spectrum": ({"scheme": ["random_mask", "block_mask"], "d_x": [3],
+                  "alpha": [0.5]}, {}, 7),  # lambdas, psi and phi per process
+    "pretrain": ({"scheme": ["random_mask"], "d_x": [3], "alpha": [0.5],
+                  "objective": ["scl", "rbt"], "d": [2]},
+                 {"max_iters": 30}, 5),  # a trace per cell
+    "regress": ({"scheme": ["random_mask", "block_mask_flip"], "d_x": [3],
+                 "alpha": [0.5], "d": [2], "n": [16, 64], "sigma": [0.1],
+                 "B": [1.0], "epsilon": [0.2]}, {}, 1),
+    "tracegap": ({"scheme": ["random_mask"], "d_x": [3], "alpha": [0.5],
+                  "d": [2], "N": [16, 32, 64, 256]}, {}, 3),
+    "sweep": ({"scheme": ["random_mask", "block_mask"], "d_x": [3],
+               "alpha": [0.5], "d": [2], "N": [16, 32, 64, 256]}, {}, 5),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_RERUN_GRIDS))
+def test_rerun_writes_the_same_bytes(tmp_path, capsys, command):
+    grid, options, n_files = _RERUN_GRIDS[command]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"command": command, "grid": grid,
+                                    "seeds": [0, 1], "options": options}))
+    trees = []
+    for label in ("first", "second"):
+        out = tmp_path / label
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+        trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+    capsys.readouterr()
+    assert len(trees[0]) == n_files
+    assert trees[0] == trees[1]
