@@ -12,6 +12,7 @@ from augrkhs import (
     HypercubeConfig,
     build_hypercube,
     closed_form_kappa,
+    decompose,
     figure_4a_data,
     kappa_exact,
     kappa_monte_carlo,
@@ -25,14 +26,14 @@ print(f"{'scheme':<18}{'alpha':>6}{'exact':>12}{'closed form':>14}{'kind':>13}")
 for scheme in ("random_mask", "block_mask", "block_mask_flip"):
     for alpha in (0.2, 0.5, 0.8):
         config = HypercubeConfig(6, alpha, scheme)
-        report = kappa_exact(build_hypercube(config))
+        report = kappa_exact(decompose(build_hypercube(config)))
         closed = closed_form_kappa(config)
         print(f"{scheme:<18}{alpha:>6}{report.kappa_sq_max:>12.4f}"
               f"{closed.value:>14.4f}{closed.kind:>13}")
 
 print("\n=== Trace identity ===")
 process = build_hypercube(HypercubeConfig(6, 0.5, "random_mask"))
-report = kappa_exact(process)
+report = kappa_exact(decompose(process))
 print(f"sum of eigenvalues: {report.s_lambda_total:.6f}")
 print(f"identity residual vs 1 + mean chi-squared divergence: "
       f"{report.chi_sq_identity_residual:.2e}")

@@ -39,9 +39,8 @@ print(f"trace gap {trace_gap(best):.6f} vs next eigenvalue "
 
 print("\n=== A mediocre encoder for contrast ===")
 rng = np.random.default_rng(0)
-rough = build_average_encoder(process,
-                              1.0 + 0.8 * rng.normal(size=(d, process.n_a)),
-                              dec)
+rough = build_average_encoder(dec,
+                              1.0 + 0.8 * rng.normal(size=(d, process.n_a)))
 print(f"ratio trace {ratio_trace(covariances(rough)):.4f} "
       f"(ceiling {partial_trace(dec, d):.4f})")
 print(f"trace gap {trace_gap(rough):.4f} "

@@ -40,7 +40,7 @@ opt = OptimizerConfig(learning_rate=0.3, max_iters=20000, grad_tol=1e-8,
                       seed=0)
 
 print("\n=== Contrastive loss ===")
-run = minimize(ObjectiveSpec("scl", d), process, dec, opt)
+run = minimize(ObjectiveSpec("scl", d), process, opt)
 print(f"final loss {run.final_loss:.8f} vs optimum "
       f"{-(dec.lambdas[:d]**2).sum():.8f}")
 print(f"principal angle to the top-{d} eigenspace: "
@@ -48,12 +48,12 @@ print(f"principal angle to the top-{d} eigenspace: "
       f"({run.iterations} iterations)")
 
 print("\n=== Two-encoder contrastive loss ===")
-clip = minimize(ObjectiveSpec("sclip", d), process, dec, opt)
+clip = minimize(ObjectiveSpec("sclip", d), process, opt)
 print(f"final loss {clip.final_loss:.8f} vs optimum "
       f"{-dec.lambdas[:d].sum():.8f}")
 
 print("\n=== Identity-covariance loss at unit coupling ===")
-vic = minimize(ObjectiveSpec("vicreg", d, beta_w=1.0), process, dec, opt)
+vic = minimize(ObjectiveSpec("vicreg", d, beta_w=1.0), process, opt)
 print(f"final loss {vic.final_loss:.8f} "
       f"(contrastive optimum shifted by d: "
       f"{d - (dec.lambdas[:d]**2).sum():.8f})")
@@ -61,7 +61,7 @@ print(f"angle: {subspace_angle(vic.phi_hat, dec, d):.2e}")
 
 print("\n=== Decorrelation loss with a vanishing energy penalty ===")
 results, trace_g = rbt_penalty_path(
-    process, dec, d, alpha_w=1.0,
+    process, d, alpha_w=1.0,
     opt=OptimizerConfig(learning_rate=0.1, max_iters=15000, grad_tol=1e-9,
                         seed=1))
 print(f"energy at the constrained limit: {trace_g:.6f} vs "
@@ -73,10 +73,10 @@ print("\n=== Small-coupling identity-covariance runs track the ratio trace ===")
 # reported as an observation, not asserted: as the coupling shrinks, the
 # minimizer's ratio trace approaches its ceiling
 for beta in (0.5, 0.1, 0.02):
-    run = minimize(ObjectiveSpec("vicreg", d, beta_w=beta), process, dec,
+    run = minimize(ObjectiveSpec("vicreg", d, beta_w=beta), process,
                    OptimizerConfig(learning_rate=0.2, max_iters=20000,
                                    grad_tol=1e-9, seed=4))
-    enc = build_average_encoder(process, run.phi_hat, dec)
+    enc = build_average_encoder(dec, run.phi_hat)
     rt = ratio_trace(covariances(enc))
     print(f"beta={beta:<5} ratio trace {rt:.6f} "
           f"(ceiling {partial_trace(dec, d):.6f})")

@@ -48,7 +48,7 @@ print(f"\n{'n':>6}{'prediction err':>16}{'estimation err':>16}"
 f_psi, _ = project_fpsi(target, encoder)
 for n in (32, 128, 512, 2048):
     fit = fit_least_squares(
-        encoder, generate_labels(target, process, n, sigma, seed=n),
+        encoder, generate_labels(target, n, sigma, seed=n),
         B, eps, target=target)
     est = fit.f_hat_values - f_psi
     est_err = float(np.sum(est * est * process.p_x.mass))

@@ -17,6 +17,7 @@ import scipy.sparse as sp
 
 from .exceptions import ValidationError
 from .processes import AugmentationProcess, HypercubeConfig
+# decompose stays bound here: perfbench's tracer test checks this binding
 from .spectral import SpectralDecomposition, decompose
 
 _ROUTE_AGREEMENT_TOL = 1e-8
@@ -102,22 +103,15 @@ def weighted_percentile(values: np.ndarray, weights: np.ndarray,
     return float(values[order][idx])
 
 
-def kappa_exact(source, beta: float = 99.0,
-                rank_tol: float = 1e-10) -> KappaReport:
-    """Exact complexity report with a two-route consistency check.
+def kappa_exact(dec: SpectralDecomposition, beta: float = 99.0) -> KappaReport:
+    """Exact complexity report of ``dec.process`` with a two-route check.
 
-    ``source`` may be a process or an existing decomposition.  The diagonal
-    is computed both by direct summation and through the spectral expansion
-    ``sum_i lambda_i psi_i(x)^2``; the two must agree within 1e-8.  Only
-    the decomposition's ``lambdas`` and ``psi`` are read, so its ``phi`` is
-    never formed here.
+    The diagonal is computed both by direct summation and through the
+    spectral expansion ``sum_i lambda_i psi_i(x)^2``; the two must agree
+    within 1e-8.  Only the decomposition's ``lambdas`` and ``psi`` are
+    read, so its ``phi`` is never formed here.
     """
-    if isinstance(source, SpectralDecomposition):
-        dec = source
-        process = dec.process
-    else:
-        process = source
-        dec = decompose(process, rank_tol=rank_tol)
+    process = dec.process
     direct = diagonal_kernel_values(process)
     spectral_diag = ((dec.psi * dec.psi) * dec.lambdas).sum(axis=1)
     gap = float(np.max(np.abs(direct - spectral_diag)))
@@ -159,11 +153,14 @@ def kappa_monte_carlo(process: AugmentationProcess, m: int, r: int,
     if m < 1 or r < 1:
         raise ValidationError("m and r must be >= 1")
     rng = np.random.default_rng(seed)
-    dense = process.conditional_dense()
     xs = rng.choice(process.n_x, size=m, p=process.p_x.mass)
+    # only the distinct sampled rows are made dense
+    points, inverse = np.unique(xs, return_inverse=True)
+    C = process.conditional
+    rows = C[points].toarray() if sp.issparse(C) else C[points]
     averages = np.empty(m)
-    for k, x in enumerate(xs):
-        row = dense[x]
+    for k, i in enumerate(inverse):
+        row = rows[i]
         draws = rng.choice(process.n_a, size=r, p=row)
         averages[k] = float(np.mean(row[draws] / process.p_a.mass[draws]))
     uniform = np.full(m, 1.0 / m)

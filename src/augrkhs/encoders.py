@@ -19,6 +19,7 @@ import scipy.sparse as sp
 from .complexity import partial_trace
 from .exceptions import RankDeficiencyError, ValidationError
 from .processes import AugmentationProcess
+# decompose stays bound here: perfbench's tracer test checks this binding
 from .spectral import (
     SpectralDecomposition,
     _spectral_engine,
@@ -36,17 +37,25 @@ class Encoder:
 
     ``psi_hat`` row ``i`` is the conditional expectation of ``phi_hat`` row
     ``i`` given the data point, computed exactly from the process tables.
+    The encoder is judged against ``decomposition``, whose process it is
+    defined on.
     """
 
     phi_hat: np.ndarray
     psi_hat: np.ndarray
-    d: int
-    process: AugmentationProcess
     decomposition: SpectralDecomposition
 
     def __post_init__(self):
         self.phi_hat.setflags(write=False)
         self.psi_hat.setflags(write=False)
+
+    @property
+    def d(self) -> int:
+        return self.phi_hat.shape[0]
+
+    @property
+    def process(self) -> AugmentationProcess:
+        return self.decomposition.process
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,14 +77,15 @@ def gram_x(process: AugmentationProcess, psi_hat: np.ndarray) -> np.ndarray:
     return (psi_hat * process.p_x.mass[None, :]) @ psi_hat.T
 
 
-def build_average_encoder(process: AugmentationProcess, phi_hat,
-                          decomposition: SpectralDecomposition | None = None
-                          ) -> Encoder:
-    """Wrap a raw table as an :class:`Encoder` with its average encoder.
+def build_average_encoder(decomposition: SpectralDecomposition,
+                          phi_hat) -> Encoder:
+    """Wrap a raw table on ``decomposition.process`` as an :class:`Encoder`
+    with its average encoder.
 
     Raises :class:`RankDeficiencyError` naming the deficient singular value
     when the rows are not linearly independent under the ``p_a`` weighting.
     """
+    process = decomposition.process
     phi_hat = np.atleast_2d(np.asarray(phi_hat, dtype=float)).copy()
     if phi_hat.shape[1] != process.n_a:
         raise ValidationError(
@@ -89,11 +99,9 @@ def build_average_encoder(process: AugmentationProcess, phi_hat,
             f"encoder rows are rank deficient: smallest Gram singular value "
             f"{smallest:.3e} <= {_GRAM_RANK_TOL}"
         )
-    if decomposition is None:
-        decomposition = decompose(process)
     psi_hat = apply_gamma_star(process, phi_hat.T).T
-    return Encoder(phi_hat=phi_hat, psi_hat=psi_hat, d=phi_hat.shape[0],
-                   process=process, decomposition=decomposition)
+    return Encoder(phi_hat=phi_hat, psi_hat=psi_hat,
+                   decomposition=decomposition)
 
 
 def covariances(encoder: Encoder) -> CovariancePair:
@@ -159,9 +167,7 @@ def optimal_encoder(decomposition: SpectralDecomposition, d: int) -> Encoder:
         raise ValidationError(
             f"d must lie in [1, rank={decomposition.rank}], got {d}"
         )
-    return build_average_encoder(
-        decomposition.process, decomposition.phi[:, :d].T, decomposition
-    )
+    return build_average_encoder(decomposition, decomposition.phi[:, :d].T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,8 +190,10 @@ class EmpiricalDecomposition:
     lambdas_bar: np.ndarray
     psi_bar: np.ndarray
     phi_bar: np.ndarray
-    N: int
-    rank: int
+
+    @property
+    def rank(self) -> int:
+        return self.lambdas_bar.size
 
 
 def _empirical_from_weights(process, indices, weights, rank_tol):
@@ -194,7 +202,7 @@ def _empirical_from_weights(process, indices, weights, rank_tol):
     points, inverse = np.unique(indices, return_inverse=True)
     point_weights = np.bincount(inverse, weights=weights)
     C = process.conditional
-    rows = C[points].toarray() if sp.issparse(C) else process.conditional_dense()[points]
+    rows = C[points].toarray() if sp.issparse(C) else C[points]
     p_a_hat = point_weights @ rows
     kept = np.nonzero(p_a_hat > 0.0)[0]
     lambdas, psi, phi = _spectral_engine(
@@ -206,8 +214,7 @@ def _empirical_from_weights(process, indices, weights, rank_tol):
     return EmpiricalDecomposition(
         process=process, sample_indices=indices, weights=weights,
         p_a_hat=full, lambdas_bar=lambdas, psi_bar=psi[inverse],
-        phi_bar=phi_bar, N=indices.size, rank=lambdas.size,
-    )
+        phi_bar=phi_bar)
 
 
 def empirical_decomposition(process: AugmentationProcess, N: int, seed: int,
@@ -236,16 +243,21 @@ def population_empirical_decomposition(process: AugmentationProcess,
 
 
 def near_optimal_encoder(empirical: EmpiricalDecomposition, d: int,
-                         decomposition: SpectralDecomposition | None = None
-                         ) -> Encoder:
-    """Encoder whose rows are the top ``d`` empirical eigenfunctions."""
+                         decomposition: SpectralDecomposition) -> Encoder:
+    """Encoder whose rows are the top ``d`` empirical eigenfunctions.
+
+    ``decomposition`` must belong to the process the sample was drawn from.
+    """
+    if empirical.process is not decomposition.process:
+        raise ValidationError(
+            "the empirical and population decompositions belong to "
+            "different processes"
+        )
     if not (1 <= d <= empirical.rank):
         raise ValidationError(
             f"d must lie in [1, empirical rank={empirical.rank}], got {d}"
         )
-    return build_average_encoder(
-        empirical.process, empirical.phi_bar[:, :d].T, decomposition
-    )
+    return build_average_encoder(decomposition, empirical.phi_bar[:, :d].T)
 
 
 def empirical_ratio_trace(encoder: Encoder,
@@ -270,9 +282,9 @@ def save_encoder(path, encoder: Encoder) -> None:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def load_encoder(path, process: AugmentationProcess,
-                 decomposition: SpectralDecomposition | None = None) -> Encoder:
-    """Read a table written by :func:`save_encoder` and rebuild the encoder."""
+def load_encoder(path, decomposition: SpectralDecomposition) -> Encoder:
+    """Read a table written by :func:`save_encoder` and rebuild the encoder
+    on ``decomposition``."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -285,4 +297,4 @@ def load_encoder(path, process: AugmentationProcess,
         raise ValidationError(
             f"encoder body has shape {table.shape}, header says ({d}, {a_size})"
         )
-    return build_average_encoder(process, table, decomposition)
+    return build_average_encoder(decomposition, table)

@@ -341,7 +341,7 @@ def _kappa(once: _Memo, dec, beta: float = 99.0):
                 lambda: complexity.kappa_exact(dec, beta))
 
 
-def _kappa_cell(cell, config: ExperimentConfig, process, dec, once) -> dict:
+def _kappa_cell(cell, config: ExperimentConfig, dec, once) -> dict:
     row = _base_row(cell)
     report = _kappa(once, dec, float(config.options.get("beta", 99.0)))
     row["kappa_sq_exact"] = report.kappa_sq_max
@@ -357,8 +357,9 @@ def _kappa_cell(cell, config: ExperimentConfig, process, dec, once) -> dict:
     return row
 
 
-def _spectrum_cell(cell, config: ExperimentConfig, process, dec, once) -> dict:
+def _spectrum_cell(cell, config: ExperimentConfig, dec, once) -> dict:
     row = _base_row(cell)
+    process = dec.process
     row["rank"] = dec.rank
     row["lambda_top"] = float(dec.lambdas[0])
     row["s_lambda"] = float(dec.lambdas.sum())
@@ -377,7 +378,7 @@ def _spectrum_cell(cell, config: ExperimentConfig, process, dec, once) -> dict:
     return row
 
 
-def _pretrain_cell(cell, config: ExperimentConfig, process, dec, once) -> dict:
+def _pretrain_cell(cell, config: ExperimentConfig, dec, once) -> dict:
     row = _base_row(cell)
     d = int(cell["d"])
     opts = config.options
@@ -395,7 +396,7 @@ def _pretrain_cell(cell, config: ExperimentConfig, process, dec, once) -> dict:
         beta_w=float(opts.get("beta_w", 1.0)) if kind in ("rbt", "vicreg")
         else None,
     )
-    result = objectives.minimize(spec, process, dec, opt)
+    result = objectives.minimize(spec, dec.process, opt)
     lam = dec.lambdas[:d]
     if kind == "scl":
         target = float(-(lam ** 2).sum())
@@ -413,15 +414,14 @@ def _pretrain_cell(cell, config: ExperimentConfig, process, dec, once) -> dict:
     return row
 
 
-def _regress_cell(cell, config: ExperimentConfig, process, dec, once) -> dict:
+def _regress_cell(cell, config: ExperimentConfig, dec, once) -> dict:
     row = _base_row(cell)
     d = int(cell["d"])
     encoder = encoders.optimal_encoder(dec, d)
     B, eps = float(cell["B"]), float(cell["epsilon"])
     target = regression.sample_target(dec, B, eps, seed=cell["seed"])
     samples = regression.generate_labels(
-        target, process, int(cell["n"]), float(cell["sigma"]),
-        seed=cell["seed"] + 1)
+        target, int(cell["n"]), float(cell["sigma"]), seed=cell["seed"] + 1)
     fit = regression.fit_least_squares(encoder, samples, B, eps, target=target)
     f_psi, approx_err = regression.project_fpsi(target, encoder)
     est = fit.f_hat_values - f_psi
@@ -439,17 +439,18 @@ def _regress_cell(cell, config: ExperimentConfig, process, dec, once) -> dict:
     row["tau_sq"] = tau_sq
     row["pred_err"] = fit.prediction_error
     row["approx_err"] = approx_err
-    row["est_err"] = float(np.sum(est * est * process.p_x.mass))
+    row["est_err"] = float(np.sum(est * est * dec.process.p_x.mass))
     row["lemma32_rhs"] = bounds.lemma32_rhs
     row["thm31_rhs"] = bounds.thm31_rhs
     row["constraint_active"] = int(fit.lagrange_mu > 0)
     return row
 
 
-def _tracegap_cell(cell, config: ExperimentConfig, process, dec, once) -> dict:
+def _tracegap_cell(cell, config: ExperimentConfig, dec, once) -> dict:
     row = _base_row(cell)
     d, N = int(cell["d"]), int(cell["N"])
-    empirical = encoders.empirical_decomposition(process, N, seed=cell["seed"])
+    empirical = encoders.empirical_decomposition(dec.process, N,
+                                                 seed=cell["seed"])
     encoder = encoders.near_optimal_encoder(empirical, d, dec)
     cov = encoders.covariances(encoder)
     rt = encoders.ratio_trace(cov)
@@ -460,7 +461,7 @@ def _tracegap_cell(cell, config: ExperimentConfig, process, dec, once) -> dict:
     return row
 
 
-# output name -> cell function ``(cell, config, process, dec, once)``, where
+# output name -> cell function ``(cell, config, dec, once)``, where
 # ``once`` is the group's ``_Memo`` of seed-independent results
 _CELL_FN = {
     "kappa": _kappa_cell,
@@ -480,15 +481,15 @@ def _run_group(config: ExperimentConfig, group) -> list[dict]:
     cell of the group the build's error row.
     """
     try:
-        process = build_hypercube(_hypercube(group[0][1]), budget=config.budget)
-        dec = spectral.decompose(process)
+        dec = spectral.decompose(
+            build_hypercube(_hypercube(group[0][1]), budget=config.budget))
     except Exception as exc:  # each cell's error row, never abort
         return [_error_row(cell, exc) for _, cell in group]
     once = _Memo()
     rows = []
     for name, cell in group:
         try:
-            rows.append(_CELL_FN[name](cell, config, process, dec, once))
+            rows.append(_CELL_FN[name](cell, config, dec, once))
         except Exception as exc:  # cell isolation: record, never abort
             rows.append(_error_row(cell, exc))
     return rows

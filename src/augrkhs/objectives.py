@@ -5,7 +5,8 @@ spectral contrastive loss, its two-encoder CLIP variant, a regularized
 Barlow Twins loss, and a VICReg variant.  Each loss has one route, its
 ``_<kind>_value_grad(params, process, ...)``, which returns the exact value
 and gradient; the public ``loss_*`` functions and :func:`minimize` both run
-it.  The positive-pair law ``P+ = C^T diag(p_x) C`` and the joint law
+it, and both take the process, the only object they read.  The
+positive-pair law ``P+ = C^T diag(p_x) C`` and the joint law
 ``J = C^T diag(p_x)`` of the table ``C = p(a|x)`` enter only through the
 operators of :mod:`augrkhs.spectral`, so no ``|A| x |A|`` or ``|A| x |X|``
 matrix is formed.  Each evaluation crosses the table once in each direction.
@@ -146,18 +147,18 @@ def _vicreg_value_grad(phi, process: AugmentationProcess, beta_w):
     return value, 4.0 * (G_eye @ phi_pa + beta_w * (phi_pa - PhiPair))
 
 
-def loss_scl(phi_hat: np.ndarray, dec: SpectralDecomposition) -> float:
+def loss_scl(phi_hat: np.ndarray, process: AugmentationProcess) -> float:
     """Spectral contrastive loss.
 
     ``-2 E+[<phi(a), phi(a')>] + E[<phi(a), phi(a')>^2]``, the first
     expectation over positive pairs (two augmentations of one original), the
     second over independent augmentations.
     """
-    return _scl_value_grad(phi_hat, dec.process)[0]
+    return _scl_value_grad(phi_hat, process)[0]
 
 
 def loss_sclip(phi_hat: np.ndarray, xi_hat: np.ndarray,
-               dec: SpectralDecomposition) -> float:
+               process: AugmentationProcess) -> float:
     """Two-encoder contrastive loss.
 
     ``phi_hat`` lives on the augmentation space, ``xi_hat`` on the data
@@ -168,23 +169,23 @@ def loss_sclip(phi_hat: np.ndarray, xi_hat: np.ndarray,
         raise ValidationError(
             f"encoder dimensions differ: {phi_hat.shape[0]} vs {xi_hat.shape[0]}"
         )
-    return _sclip_value_grad((phi_hat, xi_hat), dec.process)[0]
+    return _sclip_value_grad((phi_hat, xi_hat), process)[0]
 
 
-def loss_rbt(phi_hat: np.ndarray, dec: SpectralDecomposition,
+def loss_rbt(phi_hat: np.ndarray, process: AugmentationProcess,
              alpha_w: float, beta_w: float) -> float:
     """Regularized Barlow Twins loss, exact over the pair distribution."""
     if alpha_w < 0 or beta_w < 0:
         raise ValidationError("weights must be nonnegative")
-    return _rbt_value_grad(phi_hat, dec.process, alpha_w, beta_w)[0]
+    return _rbt_value_grad(phi_hat, process, alpha_w, beta_w)[0]
 
 
-def loss_vicreg(phi_hat: np.ndarray, dec: SpectralDecomposition,
+def loss_vicreg(phi_hat: np.ndarray, process: AugmentationProcess,
                 beta_w: float) -> float:
     """VICReg variant: identity-covariance penalty plus positive-pair energy."""
     if beta_w < 0:
         raise ValidationError("beta_w must be nonnegative")
-    return _vicreg_value_grad(phi_hat, dec.process, beta_w)[0]
+    return _vicreg_value_grad(phi_hat, process, beta_w)[0]
 
 
 def _value_grad_fn(spec: ObjectiveSpec, process: AugmentationProcess):
@@ -198,7 +199,6 @@ def _value_grad_fn(spec: ObjectiveSpec, process: AugmentationProcess):
 
 
 def minimize(spec: ObjectiveSpec, process: AugmentationProcess,
-             decomposition: SpectralDecomposition,
              opt: OptimizerConfig,
              init: np.ndarray | tuple[np.ndarray, np.ndarray] | None = None
              ) -> MinimizeResult:
@@ -274,13 +274,12 @@ def minimize(spec: ObjectiveSpec, process: AugmentationProcess,
 
 def subspace_angle(phi_hat, decomposition: SpectralDecomposition,
                    d: int) -> float:
-    """Largest principal angle to the top-``d`` eigenspace, in radians.
+    """Largest principal angle from the rows of the table ``phi_hat`` to
+    the top-``d`` eigenspace, in radians.
 
-    Angles are taken under the augmentation-side weighted inner product;
-    accepts an :class:`~augrkhs.encoders.Encoder` or a raw table.
+    Angles are taken under the augmentation-side weighted inner product.
     """
-    table = getattr(phi_hat, "phi_hat", phi_hat)
-    table = np.atleast_2d(np.asarray(table, dtype=float))
+    table = np.atleast_2d(np.asarray(phi_hat, dtype=float))
     if not (1 <= d <= decomposition.rank):
         raise ValidationError(f"d must lie in [1, rank], got {d}")
     sqrt_pa = np.sqrt(decomposition.process.p_a.mass)
@@ -300,9 +299,7 @@ def subspace_angle(phi_hat, decomposition: SpectralDecomposition,
     return float(np.arcsin(largest))
 
 
-def rbt_penalty_path(process: AugmentationProcess,
-                     decomposition: SpectralDecomposition,
-                     d: int, alpha_w: float,
+def rbt_penalty_path(process: AugmentationProcess, d: int, alpha_w: float,
                      betas=(1e-1, 1e-2, 1e-3, 1e-4),
                      opt: OptimizerConfig | None = None
                      ) -> tuple[list[MinimizeResult], float]:
@@ -320,7 +317,7 @@ def rbt_penalty_path(process: AugmentationProcess,
     init = None
     for beta in betas:
         spec = ObjectiveSpec(kind="rbt", d=d, alpha_w=alpha_w, beta_w=beta)
-        res = minimize(spec, process, decomposition, opt, init=init)
+        res = minimize(spec, process, opt, init=init)
         results.append(res)
         init = res.phi_hat
     final = results[-1].phi_hat

@@ -325,22 +325,11 @@ def _build_product_scheme(config: HypercubeConfig, budget: int) -> AugmentationP
                      config)
 
 
-def _block_support(d: int, r: int) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
-    """Reachable block-masked points in lexicographic order.
-
-    Returns the points plus, aligned with them, the (start, pattern-id) pair
-    identifying each point's masked block and surviving sign pattern.
-    """
-    free = d - r
-    points = []
-    meta = []
-    for start in range(d - r + 1):
-        for bits in itertools.product((-1, 1), repeat=free):
-            a = list(bits[:start]) + [0] * r + list(bits[start:])
-            points.append(tuple(a))
-            meta.append((start, bits))
-    order = sorted(range(len(points)), key=lambda i: points[i])
-    return [points[i] for i in order], [meta[i] for i in order]
+def _block_support(d: int, r: int) -> list[tuple[int, ...]]:
+    """Reachable block-masked points in lexicographic order."""
+    return sorted(tuple(bits[:start]) + (0,) * r + tuple(bits[start:])
+                  for start in range(d - r + 1)
+                  for bits in itertools.product((-1, 1), repeat=d - r))
 
 
 def _build_block_scheme(config: HypercubeConfig, budget: int) -> AugmentationProcess:
@@ -354,7 +343,7 @@ def _build_block_scheme(config: HypercubeConfig, budget: int) -> AugmentationPro
             f"= {n_x * n_a} entry table, exceeding the budget of {budget}"
         )
     x_points = _sign_points(d)
-    a_points, meta = _block_support(d, r)
+    a_points = _block_support(d, r)
     X = np.array(x_points)
     if config.scheme == "block_mask":
         # each point is a base-3 code of its digits a + 1, which orders
@@ -374,12 +363,11 @@ def _build_block_scheme(config: HypercubeConfig, budget: int) -> AugmentationPro
     else:  # block_mask_flip
         q = config.flip_prob
         free = d - r
-        conditional = np.empty((n_x, n_a))
-        for j, (start, bits) in enumerate(meta):
-            idx = list(range(start)) + list(range(start + r, d))
-            agree = (X[:, idx] @ np.array(bits) + free) / 2.0
-            k = free - agree  # disagreeing survivor coordinates
-            conditional[:, j] = (q**k) * ((1.0 - q) ** agree) / n_pos
+        # a masked coordinate of a point is 0, so the product sums the signs
+        # of the survivors only: agreeing ones less disagreeing ones
+        agree = (X @ np.array(a_points).T + free) / 2.0
+        k = free - agree  # disagreeing survivor coordinates
+        conditional = (q**k) * ((1.0 - q) ** agree) / n_pos
     p_x = np.full(n_x, 1.0 / n_x)
     return _assemble(x_points, a_points, p_x, conditional, config)
 
@@ -494,11 +482,17 @@ def load_process(path) -> tuple[AugmentationProcess, np.ndarray]:
 
 
 def dump_process(path, process: AugmentationProcess) -> None:
-    """Write a process in the text format read by :func:`load_process`."""
-    dense = process.conditional_dense()
+    """Write a process in the text format read by :func:`load_process`.
+
+    One triple per nonzero entry, in row-major order, read from the stored
+    entries: a sparse table is never made dense.
+    """
+    entries = sp.coo_array(process.conditional)
+    entries.sum_duplicates()  # one entry per position, in row-major order
+    keep = entries.data != 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{process.n_x} {process.n_a}\n")
         fh.write(" ".join(f"{v:.17g}" for v in process.p_x.mass) + "\n")
-        for i in range(process.n_x):
-            for j in np.nonzero(dense[i])[0]:
-                fh.write(f"{i} {j} {dense[i, j]:.17g}\n")
+        fh.writelines(f"{i} {j} {v:.17g}\n" for i, j, v in zip(
+            entries.row[keep].tolist(), entries.col[keep].tolist(),
+            entries.data[keep].tolist()))

@@ -18,7 +18,6 @@ import numpy as np
 
 from .encoders import Encoder
 from .exceptions import InfeasibleTargetError, RankDeficiencyError, ValidationError
-from .processes import AugmentationProcess
 from .spectral import SpectralDecomposition, apply_gamma_star
 
 _MEMBERSHIP_TOL = 1e-12
@@ -204,13 +203,14 @@ def worst_case_target(decomposition: SpectralDecomposition, d: int,
     return _finish_target(u, dec, B, epsilon)
 
 
-def generate_labels(target: TargetFunction, process: AugmentationProcess,
-                    n: int, sigma: float, seed: int) -> list[LabeledSample]:
-    """Draw ``n`` data points from ``p_x`` with Gaussian-noise labels."""
+def generate_labels(target: TargetFunction, n: int, sigma: float,
+                    seed: int) -> list[LabeledSample]:
+    """Draw ``n`` points from the target's ``p_x`` with Gaussian-noise labels."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     if sigma < 0:
         raise ValidationError(f"sigma must be >= 0, got {sigma}")
+    process = target.decomposition.process
     rng = np.random.default_rng(seed)
     xs = rng.choice(process.n_x, size=n, p=process.p_x.mass)
     noise = rng.normal(size=n) * sigma if sigma > 0 else np.zeros(n)

@@ -106,59 +106,53 @@ class _Once:
     """A value computed on its first read, once.
 
     ``once()`` returns ``compute()``; what that returned or raised is kept,
-    and every later read returns it or raises it again.
+    and every later read returns it or raises it again, with the traceback
+    of the first failure, so tracebacks do not grow with the reads.
     """
 
     def __init__(self, compute):
         self._compute = compute
-        self._result = None  # (value, error) once computed
+        self._result = None  # (value, error, traceback) once computed
 
     def __call__(self):
         if self._result is None:
             try:
-                self._result = (self._compute(), None)
+                self._result = (self._compute(), None, None)
             except Exception as exc:
-                self._result = (None, exc)
+                self._result = (None, exc, exc.__traceback__)
             self._compute = None  # what the computation held is not needed
-        value, error = self._result
+        value, error, tb = self._result
         if error is not None:
-            raise error
+            raise error.with_traceback(tb)
         return value
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Weighted spectral system of the augmentation operator pair.
 
     ``lambdas`` descend from 1; column ``i`` of ``psi`` / ``phi`` holds the
     ``i``-th eigenfunction on the data / augmentation space.  Columns are
     orthonormal under the respective marginal-weighted inner products and
-    tied to each other by duality.
+    tied to each other by duality.  ``process`` is the process they belong
+    to; every function that reads a decomposition takes the process from it.
 
-    ``phi`` is a property.  A ``phi`` array given to the constructor is
-    served as it is; :func:`decompose` instead gives a holder, an
-    :class:`_Once` that forms ``phi`` and runs its checks on the first read
-    and keeps the result.  A ``dataclasses.replace`` copy shares its
-    source's holder.
+    ``phi`` is a property served by the holder ``_phi``, an :class:`_Once`
+    that :func:`decompose` gives: it forms ``phi`` and runs its checks on
+    the first read and keeps the result.  A ``dataclasses.replace`` copy
+    shares its source's holder.
     """
 
     lambdas: np.ndarray
     psi: np.ndarray
-    rank: int
     rank_tol: float
     process: AugmentationProcess
     _phi: _Once = field(repr=False)  # (phi, checked duality residual)
 
-    def __init__(self, lambdas, psi, phi=None, *, rank, rank_tol, process,
-                 _phi=None):
-        if (phi is None) == (_phi is None):
-            raise ValidationError("give exactly one of phi and its holder")
-        if _phi is None:
-            _phi = _Once(lambda: (phi, None))
-        for name, value in (("lambdas", lambdas), ("psi", psi), ("rank", rank),
-                            ("rank_tol", rank_tol), ("process", process),
-                            ("_phi", _phi)):
-            object.__setattr__(self, name, value)
+    @property
+    def rank(self) -> int:
+        """Number of retained eigenpairs, the constant included."""
+        return self.lambdas.size
 
     @property
     def phi(self) -> np.ndarray:
@@ -166,12 +160,11 @@ class SpectralDecomposition:
         return self._phi()[0]
 
     @property
-    def checked_duality_residual(self) -> float | None:
+    def checked_duality_residual(self) -> float:
         """:func:`duality_residual` as measured by ``phi``'s checks.
 
         Reading it reads ``phi``.  It belongs to the ``psi`` that
-        :func:`decompose` gave, also on a copy with another ``psi``; it is
-        ``None`` when ``phi`` was given to the constructor.
+        :func:`decompose` gave, also on a copy with another ``psi``.
         """
         return self._phi()[1]
 
@@ -436,10 +429,8 @@ def decompose(process: AugmentationProcess,
         phi.setflags(write=False)
         return phi, _check_phi(process, lambdas, psi, phi)
 
-    dec = SpectralDecomposition(
-        lambdas=lambdas, psi=psi, rank=lambdas.size, rank_tol=rank_tol,
-        process=process, _phi=_Once(checked_phi),
-    )
+    dec = SpectralDecomposition(lambdas=lambdas, psi=psi, rank_tol=rank_tol,
+                                process=process, _phi=_Once(checked_phi))
     _validate_decomposition(dec)
     return dec
 

@@ -176,20 +176,20 @@ def test_criterion_05_objective_landscapes(distinct_pair, process_cache,
         clip_target = -float(dec.lambdas[:d].sum())
         for seed in range(5):
             run = ob.minimize(
-                ob.ObjectiveSpec("scl", d), process, dec,
+                ob.ObjectiveSpec("scl", d), process,
                 ob.OptimizerConfig(learning_rate=0.4, max_iters=8000,
                                    grad_tol=2e-6, seed=seed))
             worst_loss = max(worst_loss, abs(run.final_loss - scl_target))
             worst_angle = max(worst_angle,
                               ob.subspace_angle(run.phi_hat, dec, d))
             clip = ob.minimize(
-                ob.ObjectiveSpec("sclip", d), process, dec,
+                ob.ObjectiveSpec("sclip", d), process,
                 ob.OptimizerConfig(learning_rate=0.3, max_iters=10000,
                                    grad_tol=2e-6, seed=seed))
             worst_clip = max(worst_clip, abs(clip.final_loss - clip_target))
 
     _, trace_g = ob.rbt_penalty_path(
-        p1, d1, 2, alpha_w=1.0,
+        p1, 2, alpha_w=1.0,
         opt=ob.OptimizerConfig(learning_rate=0.1, max_iters=15000,
                                grad_tol=1e-9, seed=2))
     rbt_expected = float((1.0 / d1.lambdas[:2]).sum())
@@ -263,7 +263,7 @@ def test_criterion_06_trace_gap_optimality(distinct_pair, process_cache,
         table = rng.normal(size=(d, process.n_a))
         if rng.uniform() < 0.5:
             table = table + 1.0  # anchor half the draws near the constant
-        enc = build_average_encoder(process, table, dec)
+        enc = build_average_encoder(dec, table)
         if trace_gap(enc) < dec.eigenvalue(d + 1) - 1e-9:
             floor_ok = False
         if ratio_trace(covariances(enc)) > partial_trace(dec, d) + 1e-9:
@@ -363,7 +363,7 @@ def test_criterion_08_approximation_bound_soundness(distinct_pair, process_cache
         process, dec = pool[checked % len(pool)]
         d = int(rng.integers(1, 4))
         table = 1.0 + 0.5 * rng.normal(size=(d, process.n_a))
-        enc = build_average_encoder(process, table, dec)
+        enc = build_average_encoder(dec, table)
         tau_sq = trace_gap(enc)
         seed += 1
         if tau_sq >= 1.0:
@@ -429,7 +429,7 @@ def test_criterion_10_regression_behavior(process_cache, decomp_cache):
                                           epsilon=0.2, target=target)
     f_psi, approx_err = rg.project_fpsi(target, enc)
     projection_gap = float(np.max(np.abs(pop.f_hat_values - f_psi)))
-    labels = rg.generate_labels(target, process, 128, 0.25, seed=1)
+    labels = rg.generate_labels(target, 128, 0.25, seed=1)
     noisy = rg.fit_least_squares(enc, labels, B=1.0, epsilon=0.2,
                                  target=target)
     est = noisy.f_hat_values - f_psi
@@ -445,7 +445,7 @@ def test_criterion_10_regression_behavior(process_cache, decomp_cache):
     for n in ns:
         errs = []
         for s in range(20):
-            lab = rg.generate_labels(target, process, n, sigma,
+            lab = rg.generate_labels(target, n, sigma,
                                      seed=31 * n + s)
             f = rg.fit_least_squares(enc, lab, B, eps, target=target)
             diff = f.f_hat_values - f_psi

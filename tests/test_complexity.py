@@ -16,8 +16,13 @@ from augrkhs.complexity import (
     weighted_percentile,
 )
 from augrkhs.exceptions import ValidationError
-from augrkhs.processes import HypercubeConfig, build_custom, build_hypercube
-from augrkhs.spectral import apply_gamma_star
+from augrkhs.processes import (
+    AugmentationProcess,
+    HypercubeConfig,
+    build_custom,
+    build_hypercube,
+)
+from augrkhs.spectral import apply_gamma_star, decompose
 
 
 def brute_kappa_sq(process):
@@ -36,28 +41,28 @@ def brute_kappa_sq(process):
 
 def test_fully_masked_kappa_is_one():
     p = build_hypercube(HypercubeConfig(2, 1.0, "random_mask"))
-    report = kappa_exact(p)
+    report = kappa_exact(decompose(p))
     assert report.kappa_sq_max == pytest.approx(1.0, abs=1e-12)
     assert report.s_lambda_total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_random_mask_formula_d8():
     p = build_hypercube(HypercubeConfig(8, 0.5, "random_mask"))
-    report = kappa_exact(p)
+    report = kappa_exact(decompose(p))
     assert report.kappa_sq_max == pytest.approx(1.5**8, rel=1e-12)
     assert report.kappa_sq_max == pytest.approx(25.62890625, rel=1e-12)
 
 
 def test_block_mask_saturates_bound_d8():
     p = build_hypercube(HypercubeConfig(8, 0.5, "block_mask"))
-    report = kappa_exact(p)
+    report = kappa_exact(decompose(p))
     assert report.kappa_sq_max == pytest.approx(16.0, rel=1e-12)
     bound = closed_form_kappa(HypercubeConfig(8, 0.5, "block_mask"))
     assert bound.value == pytest.approx(16.0, rel=1e-12)
 
 
 def test_kappa_exact_two_routes_agree(small_process):
-    report = kappa_exact(small_process)
+    report = kappa_exact(decompose(small_process))
     oracle = brute_kappa_sq(small_process)
     assert report.kappa_sq_max == pytest.approx(oracle, rel=1e-12)
     assert report.chi_sq_identity_residual <= 1e-10
@@ -91,7 +96,7 @@ def test_percentile_beta_validation(small_process):
 
 def test_percentile_on_symmetric_hypercube(small_process):
     # the diagonal is constant by symmetry, so every percentile is the max
-    report = kappa_exact(small_process)
+    report = kappa_exact(decompose(small_process))
     for beta in (1.0, 50.0, 99.0, 100.0):
         assert kappa_percentile(small_process, beta) == pytest.approx(
             report.kappa_sq_max, rel=1e-12)
@@ -116,6 +121,42 @@ def test_monte_carlo_converges_to_exact():
     exact = kappa_percentile(p, 99.0)
     est = kappa_monte_carlo(p, m=p.n_x, r=10**5, beta=99.0, seed=0)
     assert abs(est.estimate - exact) / exact <= 0.05
+
+
+def dense_kappa_monte_carlo(process, m, r, beta, seed, n_bootstrap=200):
+    """The loop ``kappa_monte_carlo`` ran over the dense table, as an oracle
+    for the draws, the estimate and the standard error."""
+    rng = np.random.default_rng(seed)
+    dense = process.conditional_dense()
+    xs = rng.choice(process.n_x, size=m, p=process.p_x.mass)
+    averages = np.empty(m)
+    for k, x in enumerate(xs):
+        row = dense[x]
+        draws = rng.choice(process.n_a, size=r, p=row)
+        averages[k] = float(np.mean(row[draws] / process.p_a.mass[draws]))
+    uniform = np.full(m, 1.0 / m)
+    boot = np.empty(n_bootstrap)
+    for b in range(n_bootstrap):
+        resample = averages[rng.integers(0, m, size=m)]
+        boot[b] = weighted_percentile(resample, uniform, beta)
+    return (weighted_percentile(averages, uniform, beta),
+            float(boot.std(ddof=1)))
+
+
+@pytest.mark.parametrize("scheme", ["random_mask", "block_mask",
+                                    "block_mask_flip", "random_mask_flip"])
+def test_monte_carlo_reads_only_the_sampled_rows(monkeypatch, scheme):
+    # random_mask and block_mask are stored sparse, the flip schemes dense
+    p = build_hypercube(HypercubeConfig(5, 0.4, scheme))
+    want = [dense_kappa_monte_carlo(p, 40, 25, 90.0, seed) for seed in (0, 7)]
+
+    def refuse(self):
+        raise AssertionError("the dense conditional table was formed")
+
+    monkeypatch.setattr(AugmentationProcess, "conditional_dense", refuse)
+    for (estimate, error), seed in zip(want, (0, 7)):
+        got = kappa_monte_carlo(p, m=40, r=25, beta=90.0, seed=seed)
+        assert (got.estimate, got.standard_error) == (estimate, error)
 
 
 def test_closed_forms():
@@ -165,8 +206,8 @@ def test_kappa_monotone_in_alpha():
     alphas = [0.05 + 0.05 * i for i in range(16)]
     for scheme in ("random_mask", "block_mask", "block_mask_flip",
                    "random_mask_flip"):
-        values = [kappa_exact(build_hypercube(
-            HypercubeConfig(4, a, scheme))).kappa_sq_max for a in alphas]
+        values = [kappa_exact(decompose(build_hypercube(
+            HypercubeConfig(4, a, scheme)))).kappa_sq_max for a in alphas]
         diffs = np.diff(values)
         assert np.all(diffs <= 1e-9), (scheme, values)
 
@@ -174,22 +215,13 @@ def test_kappa_monotone_in_alpha():
 def test_uniform_bound_on_adjoint_outputs(small_process):
     # |Gamma* g| is pointwise at most kappa times the weighted norm of g
     p = small_process
-    kappa = math.sqrt(kappa_exact(p).kappa_sq_max)
+    kappa = math.sqrt(kappa_exact(decompose(p)).kappa_sq_max)
     rng = np.random.default_rng(5)
     for _ in range(100):
         g = rng.normal(size=p.n_a)
         norm = math.sqrt(float(np.sum(g * g * p.p_a.mass)))
         values = apply_gamma_star(p, g)
         assert np.max(np.abs(values)) <= kappa * norm + 1e-9
-
-
-def test_kappa_exact_accepts_decomposition(small_process,
-                                           small_decomposition):
-    via_process = kappa_exact(small_process)
-    via_dec = kappa_exact(small_decomposition)
-    assert via_process.kappa_sq_max == via_dec.kappa_sq_max
-    assert via_process.s_lambda_total == pytest.approx(
-        via_dec.s_lambda_total, abs=1e-12)
 
 
 def test_custom_process_percentile_weighting():

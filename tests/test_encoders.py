@@ -53,7 +53,7 @@ def projector(columns, weights):
 
 def test_average_encoder_duality_rows(small_process, small_decomposition):
     dec = small_decomposition
-    enc = build_average_encoder(small_process, dec.phi[:, :3].T, dec)
+    enc = build_average_encoder(dec, dec.phi[:, :3].T)
     for i in range(3):
         expected = np.sqrt(dec.lambdas[i]) * dec.psi[:, i]
         np.testing.assert_allclose(enc.psi_hat[i], expected, atol=1e-10)
@@ -61,8 +61,7 @@ def test_average_encoder_duality_rows(small_process, small_decomposition):
 
 def test_average_encoder_constant_row(small_process, small_decomposition):
     enc = build_average_encoder(
-        small_process, 2.5 * np.ones((1, small_process.n_a)),
-        small_decomposition)
+        small_decomposition, 2.5 * np.ones((1, small_process.n_a)))
     np.testing.assert_allclose(enc.psi_hat, 2.5, atol=1e-12)
 
 
@@ -70,7 +69,7 @@ def test_average_encoder_matches_direct_sum(small_process,
                                             small_decomposition):
     rng = np.random.default_rng(9)
     table = rng.normal(size=(3, small_process.n_a))
-    enc = build_average_encoder(small_process, table, small_decomposition)
+    enc = build_average_encoder(small_decomposition, table)
     dense = small_process.conditional_dense()
     expected = np.zeros((3, small_process.n_x))
     for i in range(3):
@@ -84,7 +83,7 @@ def test_rank_deficiency_error_names_value(small_process,
     table = np.vstack([np.ones(small_process.n_a),
                        np.ones(small_process.n_a)])
     with pytest.raises(RankDeficiencyError, match="singular value"):
-        build_average_encoder(small_process, table, small_decomposition)
+        build_average_encoder(small_decomposition, table)
 
 
 def _scaled_pencil(seed, d, g_cond, exponents):
@@ -144,9 +143,9 @@ def test_rank_check_matches_the_scipy_oracle(small_process, small_decomposition,
     # the parent check, scipy's gesdd singular values, is the oracle
     if np.min(sla.svdvals(G)) <= encoders._GRAM_RANK_TOL:
         with pytest.raises(RankDeficiencyError, match="singular value"):
-            build_average_encoder(small_process, table, small_decomposition)
+            build_average_encoder(small_decomposition, table)
     else:
-        build_average_encoder(small_process, table, small_decomposition)
+        build_average_encoder(small_decomposition, table)
 
 
 def test_covariances_of_optimal_encoder(small_decomposition):
@@ -163,8 +162,7 @@ def test_covariance_normalized_matrix_contracts(small_process,
     rng = np.random.default_rng(17)
     for _ in range(20):
         table = rng.normal(size=(3, small_process.n_a))
-        cov = covariances(build_average_encoder(small_process, table,
-                                                small_decomposition))
+        cov = covariances(build_average_encoder(small_decomposition, table))
         inv_sqrt = np.linalg.inv(np.linalg.cholesky(cov.G))
         normalized = inv_sqrt @ cov.F @ inv_sqrt.T
         eigs = np.linalg.eigvalsh(normalized)
@@ -185,8 +183,7 @@ def test_ratio_trace_matches_independent_solve(small_process,
                                                small_decomposition):
     rng = np.random.default_rng(23)
     table = rng.normal(size=(2, small_process.n_a))
-    cov = covariances(build_average_encoder(small_process, table,
-                                            small_decomposition))
+    cov = covariances(build_average_encoder(small_decomposition, table))
     oracle = float(np.trace(np.linalg.inv(cov.G) @ cov.F))
     assert ratio_trace(cov) == pytest.approx(oracle, rel=1e-10)
 
@@ -195,10 +192,9 @@ def test_ratio_trace_scale_invariance(small_process, small_decomposition):
     rng = np.random.default_rng(31)
     table = rng.normal(size=(3, small_process.n_a))
     base = ratio_trace(covariances(
-        build_average_encoder(small_process, table, small_decomposition)))
+        build_average_encoder(small_decomposition, table)))
     doubled = ratio_trace(covariances(
-        build_average_encoder(small_process, 2.0 * table,
-                              small_decomposition)))
+        build_average_encoder(small_decomposition, 2.0 * table)))
     assert doubled == pytest.approx(base, rel=1e-10)
 
 
@@ -208,7 +204,7 @@ def test_ratio_trace_ceiling_seeded(small_process, small_decomposition):
         d = int(rng.integers(1, 5))
         table = rng.normal(size=(d, small_process.n_a))
         rt = ratio_trace(covariances(
-            build_average_encoder(small_process, table, small_decomposition)))
+            build_average_encoder(small_decomposition, table)))
         assert rt <= partial_trace(small_decomposition, d) + 1e-9
 
 
@@ -223,14 +219,14 @@ def test_trace_gap_optimal_is_next_eigenvalue(small_decomposition):
 def test_trace_gap_constant_encoder_dx2():
     p = build_hypercube(HypercubeConfig(2, 0.5, "random_mask"))
     dec = decompose(p)
-    enc = build_average_encoder(p, np.ones((1, p.n_a)), dec)
+    enc = build_average_encoder(dec, np.ones((1, p.n_a)))
     assert trace_gap(enc) == pytest.approx(0.5, abs=1e-10)
 
 
 def test_trace_gap_skipping_second_eigenfunction(distinct):
     process, dec = distinct
     table = dec.phi[:, [0, 2]].T  # spans the first and third eigenfunctions
-    enc = build_average_encoder(process, table, dec)
+    enc = build_average_encoder(dec, table)
     assert trace_gap(enc) == pytest.approx(dec.eigenvalue(2), abs=1e-8)
 
 
@@ -240,7 +236,7 @@ def test_trace_gap_sandwich_seeded(small_process, small_decomposition):
     for _ in range(50):
         d = int(rng.integers(1, 5))
         table = rng.normal(size=(d, small_process.n_a))
-        enc = build_average_encoder(small_process, table, dec)
+        enc = build_average_encoder(dec, table)
         tg = trace_gap(enc)
         rt = ratio_trace(covariances(enc))
         assert tg >= dec.eigenvalue(d + 1) - 1e-9
@@ -251,7 +247,7 @@ def test_invariance_under_invertible_mixing(small_process,
                                             small_decomposition):
     rng = np.random.default_rng(41)
     table = rng.normal(size=(3, small_process.n_a))
-    enc = build_average_encoder(small_process, table, small_decomposition)
+    enc = build_average_encoder(small_decomposition, table)
     base_rt = ratio_trace(covariances(enc))
     base_tg = trace_gap(enc)
     for _ in range(5):
@@ -259,17 +255,15 @@ def test_invariance_under_invertible_mixing(small_process,
             M = rng.normal(size=(3, 3))
             if abs(np.linalg.det(M)) > 0.1:
                 break
-        mixed = build_average_encoder(small_process, M @ table,
-                                      small_decomposition)
+        mixed = build_average_encoder(small_decomposition, M @ table)
         assert ratio_trace(covariances(mixed)) == pytest.approx(
             base_rt, abs=1e-8)
         assert trace_gap(mixed) == pytest.approx(base_tg, abs=1e-8)
 
 
 def test_learned_kernel_constant_encoder(small_process, small_decomposition):
-    enc = build_average_encoder(small_process,
-                                np.ones((1, small_process.n_a)),
-                                small_decomposition)
+    enc = build_average_encoder(small_decomposition,
+                                np.ones((1, small_process.n_a)))
     np.testing.assert_allclose(learned_kernel(enc), 1.0, atol=1e-10)
 
 
@@ -295,7 +289,7 @@ def test_learned_kernel_reproducing_property(small_decomposition):
     p = dec.process
     rng = np.random.default_rng(3)
     mix = rng.normal(size=(3, 4))
-    enc = build_average_encoder(p, mix @ dec.phi[:, :4].T, dec)
+    enc = build_average_encoder(dec, mix @ dec.phi[:, :4].T)
     K = learned_kernel(enc)
     w = rng.normal(size=3)
     f = enc.psi_hat.T @ w
@@ -322,7 +316,7 @@ def test_condition_number_guard(small_process, small_decomposition):
     eps_row = base + 1e-9 * np.arange(small_process.n_a)
     with pytest.raises(RankDeficiencyError):
         covariances(build_average_encoder(
-            small_process, np.vstack([base, eps_row]), small_decomposition))
+            small_decomposition, np.vstack([base, eps_row])))
 
 
 def test_empirical_full_population_matches(small_process,
@@ -454,6 +448,15 @@ def test_near_optimal_first_row_constant(small_process, small_decomposition):
         near_optimal_encoder(emp, emp.rank + 1, small_decomposition)
 
 
+def test_near_optimal_refuses_another_process(small_process, decomp_cache):
+    emp = empirical_decomposition(small_process, N=48, seed=2)
+    # the same scheme built again is a different process
+    other = decompose(build_hypercube(HypercubeConfig(3, 0.5, "random_mask")))
+    for dec in (decomp_cache("block_mask", 4, 0.5), other):
+        with pytest.raises(ValidationError, match="different processes"):
+            near_optimal_encoder(emp, 1, dec)
+
+
 def test_empirical_ratio_trace_identity(small_process, small_decomposition):
     emp = empirical_decomposition(small_process, N=64, seed=3)
     for d in (1, 2, 4):
@@ -468,7 +471,7 @@ def test_empirical_ratio_trace_population_limit(small_process,
     emp = population_empirical_decomposition(small_process)
     rng = np.random.default_rng(19)
     table = rng.normal(size=(3, small_process.n_a))
-    enc = build_average_encoder(small_process, table, small_decomposition)
+    enc = build_average_encoder(small_decomposition, table)
     empirical = empirical_ratio_trace(enc, emp)
     population = ratio_trace(covariances(enc))
     assert empirical == pytest.approx(population, abs=1e-8)
@@ -481,7 +484,7 @@ def test_concentration_trend_median_nonincreasing(small_process,
     # verified to exhibit the trend
     rng = np.random.default_rng(0)
     table = rng.normal(size=(3, small_process.n_a))
-    enc = build_average_encoder(small_process, table, small_decomposition)
+    enc = build_average_encoder(small_decomposition, table)
     population = ratio_trace(covariances(enc))
     medians = []
     for exponent in range(6, 13):
@@ -498,11 +501,11 @@ def test_encoder_save_load_roundtrip(tmp_path, small_process,
                                      small_decomposition):
     rng = np.random.default_rng(8)
     table = rng.normal(size=(2, small_process.n_a))
-    enc = build_average_encoder(small_process, table, small_decomposition)
+    enc = build_average_encoder(small_decomposition, table)
     path = tmp_path / "encoder.csv"
     save_encoder(path, enc)
     header = path.read_text().splitlines()[0]
     assert header == f"2 {small_process.n_a}"
-    loaded = load_encoder(path, small_process, small_decomposition)
+    loaded = load_encoder(path, small_decomposition)
     np.testing.assert_allclose(loaded.phi_hat, enc.phi_hat, rtol=1e-15)
     np.testing.assert_allclose(loaded.psi_hat, enc.psi_hat, rtol=1e-12)

@@ -77,12 +77,13 @@ def test_objective_spec_validation():
 
 def test_scl_zero_encoder(pair):
     process, dec = pair
-    assert loss_scl(np.zeros((2, process.n_a)), dec) == 0.0
+    assert loss_scl(np.zeros((2, process.n_a)), process) == 0.0
 
 
 def test_scl_single_eigenfunction(pair):
     process, dec = pair
-    assert loss_scl(dec.phi[:, :1].T, dec) == pytest.approx(-1.0, abs=1e-10)
+    assert loss_scl(dec.phi[:, :1].T, process) == pytest.approx(-1.0,
+                                                             abs=1e-10)
 
 
 def test_scl_scaled_top_d_reaches_floor(pair):
@@ -90,7 +91,7 @@ def test_scl_scaled_top_d_reaches_floor(pair):
     for d in (1, 2, 3):
         table = (dec.phi[:, :d] * np.sqrt(dec.lambdas[:d])).T
         expected = -float((dec.lambdas[:d] ** 2).sum())
-        assert loss_scl(table, dec) == pytest.approx(expected, abs=1e-10)
+        assert loss_scl(table, process) == pytest.approx(expected, abs=1e-10)
 
 
 def test_scl_expansion_matches_direct(pair):
@@ -103,7 +104,7 @@ def test_scl_expansion_matches_direct(pair):
         inner = table.T @ table  # <phi(a), phi(a')> for every pair
         direct = (-2.0 * float(np.sum(inner * pair_distribution(process)))
                   + float(np.sum(inner * inner * np.outer(p_a, p_a))))
-        assert loss_scl(table, dec) == pytest.approx(direct, abs=1e-9)
+        assert loss_scl(table, process) == pytest.approx(direct, abs=1e-9)
 
 
 def test_scl_loss_floor_seeded(pair):
@@ -113,27 +114,27 @@ def test_scl_loss_floor_seeded(pair):
     for _ in range(100):
         d = int(rng.integers(1, 5))
         table = rng.normal(size=(d, process.n_a)) * rng.uniform(0.1, 3.0)
-        assert loss_scl(table, dec) >= floor - 1e-9
+        assert loss_scl(table, process) >= floor - 1e-9
 
 
 def test_sclip_zero_and_optimal(pair):
     process, dec = pair
     zero_a = np.zeros((2, process.n_a))
     zero_x = np.zeros((2, process.n_x))
-    assert loss_sclip(zero_a, zero_x, dec) == 0.0
+    assert loss_sclip(zero_a, zero_x, process) == 0.0
     d = 2
     table_a = dec.phi[:, :d].T
     table_x = (dec.psi[:, :d] * np.sqrt(dec.lambdas[:d])).T
     expected = -float(dec.lambdas[:d].sum())
-    assert loss_sclip(table_a, table_x, dec) == pytest.approx(expected,
-                                                              abs=1e-10)
+    assert loss_sclip(table_a, table_x, process) == pytest.approx(expected,
+                                                                  abs=1e-10)
 
 
 def test_sclip_dimension_mismatch(pair):
     process, dec = pair
     with pytest.raises(ValidationError):
         loss_sclip(np.zeros((2, process.n_a)), np.zeros((3, process.n_x)),
-                   dec)
+                   process)
 
 
 def test_sclip_expansion_matches_direct(pair):
@@ -147,8 +148,8 @@ def test_sclip_expansion_matches_direct(pair):
         inner = table_a.T @ table_x  # <phi(a), xi(x)>, |A| x |X|
         direct = (-2.0 * float(np.sum(inner * joint_distribution(process)))
                   + float(np.sum(inner * inner * weights)))
-        assert loss_sclip(table_a, table_x, dec) == pytest.approx(direct,
-                                                                  abs=1e-9)
+        assert loss_sclip(table_a, table_x, process) == pytest.approx(direct,
+                                                                      abs=1e-9)
 
 
 def test_sclip_inner_least_squares_projector_form(pair):
@@ -165,21 +166,21 @@ def test_sclip_inner_least_squares_projector_form(pair):
     expected = float(np.sum(residual**2) - np.sum(dec.lambdas))
     best_c = np.diag(joint_half[:d])  # C = D_d^(1/2) embeds the solution
     table_a = (dec.phi[:, :d] @ best_c).T
-    assert loss_sclip(table_a, table_x, dec) == pytest.approx(expected,
-                                                              abs=1e-10)
+    assert loss_sclip(table_a, table_x, process) == pytest.approx(expected,
+                                                                  abs=1e-10)
 
 
 def test_rbt_values(pair):
     process, dec = pair
     d = 3
-    assert loss_rbt(np.zeros((d, process.n_a)), dec, 1.0, 0.7) == \
+    assert loss_rbt(np.zeros((d, process.n_a)), process, 1.0, 0.7) == \
         pytest.approx(d, abs=1e-12)
     table = (dec.phi[:, :2] / np.sqrt(dec.lambdas[:2])).T
     expected = 0.3 * float((1.0 / dec.lambdas[:2]).sum())
-    assert loss_rbt(table, dec, 1.0, 0.3) == pytest.approx(expected,
-                                                           abs=1e-10)
-    assert loss_rbt(table, dec, 1.0, 0.6) == pytest.approx(2 * expected,
-                                                           abs=1e-10)
+    assert loss_rbt(table, process, 1.0, 0.3) == pytest.approx(expected,
+                                                               abs=1e-10)
+    assert loss_rbt(table, process, 1.0, 0.6) == pytest.approx(2 * expected,
+                                                               abs=1e-10)
 
 
 def test_vicreg_values(pair):
@@ -187,9 +188,9 @@ def test_vicreg_values(pair):
     table = dec.phi[:, :2].T  # orthonormal rows
     beta = 0.8
     energy = 2.0 * 2.0 - 2.0 * float(dec.lambdas[:2].sum())
-    assert loss_vicreg(table, dec, beta) == pytest.approx(beta * energy,
-                                                          abs=1e-10)
-    assert loss_vicreg(np.zeros((3, process.n_a)), dec, 1.0) == \
+    assert loss_vicreg(table, process, beta) == pytest.approx(beta * energy,
+                                                              abs=1e-10)
+    assert loss_vicreg(np.zeros((3, process.n_a)), process, 1.0) == \
         pytest.approx(3.0, abs=1e-12)
 
 
@@ -235,7 +236,7 @@ def test_gradients_match_finite_differences(pair):
 def test_minimize_zero_iterations_returns_init(pair):
     process, dec = pair
     opt = OptimizerConfig(max_iters=0, seed=5)
-    result = minimize(ObjectiveSpec("scl", 2), process, dec, opt)
+    result = minimize(ObjectiveSpec("scl", 2), process, opt)
     rng = np.random.default_rng(5)
     expected = rng.uniform(-0.5, 0.5, size=(2, process.n_a))
     np.testing.assert_array_equal(result.phi_hat, expected)
@@ -246,7 +247,7 @@ def test_minimize_zero_iterations_returns_init(pair):
 def test_minimize_trace_is_monotone(gapped):
     process, dec = gapped
     opt = OptimizerConfig(learning_rate=0.5, max_iters=500, seed=1)
-    result = minimize(ObjectiveSpec("scl", 2), process, dec, opt)
+    result = minimize(ObjectiveSpec("scl", 2), process, opt)
     assert np.all(np.diff(result.losses) <= 0.0)
 
 
@@ -255,7 +256,7 @@ def test_minimize_scl_recovers_top_spaces(gapped):
     for d in (1, 2, 3):
         opt = OptimizerConfig(learning_rate=0.4, max_iters=20000,
                               grad_tol=1e-9, seed=d)
-        result = minimize(ObjectiveSpec("scl", d), process, dec, opt)
+        result = minimize(ObjectiveSpec("scl", d), process, opt)
         target = -float((dec.lambdas[:d] ** 2).sum())
         assert result.final_loss == pytest.approx(target, abs=1e-6)
         assert subspace_angle(result.phi_hat, dec, d) <= 1e-2
@@ -265,7 +266,7 @@ def test_minimize_sclip_reaches_partial_trace(gapped):
     process, dec = gapped
     opt = OptimizerConfig(learning_rate=0.3, max_iters=30000,
                           grad_tol=1e-9, seed=9)
-    result = minimize(ObjectiveSpec("sclip", 2), process, dec, opt)
+    result = minimize(ObjectiveSpec("sclip", 2), process, opt)
     assert result.xi_hat is not None
     assert result.final_loss == pytest.approx(-float(dec.lambdas[:2].sum()),
                                               abs=1e-6)
@@ -278,8 +279,8 @@ def test_minimize_vicreg_beta_one_matches_scl_minimizers(gapped):
     d = 2
     opt = OptimizerConfig(learning_rate=0.2, max_iters=30000,
                           grad_tol=1e-9, seed=3)
-    scl = minimize(ObjectiveSpec("scl", d), process, dec, opt)
-    vic = minimize(ObjectiveSpec("vicreg", d, beta_w=1.0), process, dec, opt)
+    scl = minimize(ObjectiveSpec("scl", d), process, opt)
+    vic = minimize(ObjectiveSpec("vicreg", d, beta_w=1.0), process, opt)
     assert subspace_angle(scl.phi_hat, dec, d) <= 1e-2
     assert subspace_angle(vic.phi_hat, dec, d) <= 1e-2
     assert vic.final_loss == pytest.approx(scl.final_loss + d, abs=1e-5)
@@ -289,7 +290,7 @@ def test_rbt_penalty_path_limit(gapped):
     process, dec = gapped
     d = 2
     results, trace_g = rbt_penalty_path(
-        process, dec, d, alpha_w=1.0,
+        process, d, alpha_w=1.0,
         opt=OptimizerConfig(learning_rate=0.1, max_iters=20000,
                             grad_tol=1e-10, seed=2))
     expected = float((1.0 / dec.lambdas[:d]).sum())
@@ -318,7 +319,7 @@ def test_minimize_recovers_parity_space(small_process, small_decomposition):
     assert dec.eigenvalue(4) - dec.eigenvalue(5) >= 0.05
     opt = OptimizerConfig(learning_rate=0.4, max_iters=12000, grad_tol=2e-6,
                           seed=0)
-    result = minimize(ObjectiveSpec("scl", 4), process, dec, opt)
+    result = minimize(ObjectiveSpec("scl", 4), process, opt)
     assert subspace_angle(result.phi_hat, dec, 4) <= 1e-2
     target = -float((dec.lambdas[:4] ** 2).sum())
     assert result.final_loss == pytest.approx(target, abs=1e-4)
@@ -329,7 +330,7 @@ def test_minimize_divergence_error(pair):
     from augrkhs.exceptions import DivergenceError
     with np.errstate(all="ignore"):
         with pytest.raises(DivergenceError, match="iteration"):
-            minimize(ObjectiveSpec("scl", 2), process, dec,
+            minimize(ObjectiveSpec("scl", 2), process,
                      OptimizerConfig(learning_rate=1e200, max_iters=5,
                                      seed=0))
 
@@ -340,7 +341,7 @@ def test_degenerate_spectrum_loss_only(small_process, small_decomposition):
     d = 2
     opt = OptimizerConfig(learning_rate=0.3, max_iters=20000, grad_tol=1e-9,
                           seed=8)
-    result = minimize(ObjectiveSpec("scl", d), process, dec, opt)
+    result = minimize(ObjectiveSpec("scl", d), process, opt)
     target = -float((dec.lambdas[:d] ** 2).sum())
     assert result.final_loss == pytest.approx(target, abs=1e-5)
 
@@ -383,18 +384,17 @@ def _oracle_value_grad(kind, params, process, alpha_w=0.7, beta_w=0.2):
                    + 4.0 * beta_w * (phi * p_a[None, :] - phi @ pair))
 
 
-def _public_loss(kind, params, dec, alpha_w=0.7, beta_w=0.2):
+def _public_loss(kind, params, process, alpha_w=0.7, beta_w=0.2):
     if kind == "scl":
-        return loss_scl(params, dec)
+        return loss_scl(params, process)
     if kind == "sclip":
-        return loss_sclip(params[0], params[1], dec)
+        return loss_sclip(params[0], params[1], process)
     if kind == "rbt":
-        return loss_rbt(params, dec, alpha_w, beta_w)
-    return loss_vicreg(params, dec, beta_w)
+        return loss_rbt(params, process, alpha_w, beta_w)
+    return loss_vicreg(params, process, beta_w)
 
 
 def _assert_matches_oracle(process, rng, d):
-    dec = decompose(process)
     for kind in ("scl", "sclip", "rbt", "vicreg"):
         phi = rng.normal(size=(d, process.n_a))
         params = (phi, rng.normal(size=(d, process.n_x))) \
@@ -403,7 +403,7 @@ def _assert_matches_oracle(process, rng, d):
         value, grad = objectives._value_grad_fn(spec, process)(params)
         want_value, want_grad = _oracle_value_grad(kind, params, process)
         assert abs(value - want_value) <= 1e-12 * max(1.0, abs(want_value))
-        assert _public_loss(kind, params, dec) == value
+        assert _public_loss(kind, params, process) == value
         for got, want in zip(*((grad, want_grad) if kind == "sclip"
                                else ((grad,), (want_grad,)))):
             scale = max(1.0, float(np.max(np.abs(want))))
@@ -454,12 +454,12 @@ def test_no_pair_or_joint_matrix_is_formed(pair, gapped, monkeypatch):
         xi = rng.normal(size=(2, process.n_x))
         for kind in ("scl", "sclip", "rbt", "vicreg"):
             params = (phi, xi) if kind == "sclip" else phi
-            assert np.isfinite(_public_loss(kind, params, dec))
+            assert np.isfinite(_public_loss(kind, params, process))
             spec = ObjectiveSpec(kind, 2,
                                  alpha_w=1.0 if kind == "rbt" else None,
                                  beta_w=None if kind in ("scl", "sclip")
                                  else 0.5)
-            result = minimize(spec, process, dec,
+            result = minimize(spec, process,
                               OptimizerConfig(max_iters=20, seed=1))
             assert result.iterations == 20
         with pytest.raises(AssertionError, match="dense conditional"):
@@ -471,7 +471,6 @@ def test_minimize_transposes_a_sparse_table_at_most_once(monkeypatch):
     # every call; the steps go through the transpose the process builds once
     process = build_hypercube(HypercubeConfig(5, 0.5, "random_mask"))
     assert process.is_sparse
-    dec = decompose(process)
     calls = []
     transpose = sp.csr_array.transpose
 
@@ -484,7 +483,7 @@ def test_minimize_transposes_a_sparse_table_at_most_once(monkeypatch):
         spec = ObjectiveSpec(kind, 3,
                              alpha_w=1.0 if kind == "rbt" else None,
                              beta_w=None if kind in ("scl", "sclip") else 0.5)
-        result = minimize(spec, process, dec,
+        result = minimize(spec, process,
                           OptimizerConfig(max_iters=20, seed=3))
         assert result.iterations == 20
     assert len(calls) <= 1, calls

@@ -20,6 +20,7 @@ from augrkhs.processes import (
     dump_process,
     load_process,
 )
+from augrkhs.processes import AugmentationProcess
 from augrkhs.spectral import kernel_x
 
 
@@ -121,6 +122,38 @@ def test_block_mask_table_matches_its_definition(d, alpha):
                      (p.conditional.indptr, want.indptr)):
         assert got.dtype == ref.dtype
         assert np.array_equal(got, ref)
+
+
+def block_mask_flip_oracle(d, alpha):
+    """``block_mask_flip`` from its definition: ``block_mask``'s block, then
+    each surviving coordinate flipped with probability ``q = alpha / 2``.
+
+    Returns the reachable points in lexicographic order and the dense table,
+    each entry ``q^k (1 - q)^(d - r - k) / positions`` for the ``k``
+    survivors a point flips, the counts enumerated point by point.
+    """
+    r = max(1, int(np.ceil(alpha * d - 1e-12)))
+    q = alpha / 2.0
+    positions = d - r + 1
+    support = sorted({bits[:s] + (0,) * r + bits[s:]
+                      for s in range(positions)
+                      for bits in itertools.product((-1, 1), repeat=d - r)})
+    A = np.array(support)[None, :, :]
+    X = np.array(list(itertools.product((-1, 1), repeat=d)))[:, None, :]
+    flips = np.count_nonzero((A != 0) & (A != X), axis=2).astype(float)
+    return q**flips * (1.0 - q) ** (d - r - flips) / positions, support
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 1.0])
+@pytest.mark.parametrize("d", range(1, 10))
+def test_block_mask_flip_table_matches_its_definition(d, alpha):
+    p = build_hypercube(HypercubeConfig(d, alpha, "block_mask_flip"))
+    table, support = block_mask_flip_oracle(d, alpha)
+    symbol = {-1: "-", 0: "0", 1: "+"}
+    assert p.a_space.labels == tuple(
+        "".join(symbol[v] for v in a) for a in support)
+    assert not p.is_sparse
+    assert p.conditional.tobytes() == table.tobytes()
 
 
 def test_block_mask_flip_probabilities_by_enumeration():
@@ -309,6 +342,35 @@ def test_process_file_roundtrip(tmp_path, small_process):
                                small_process.conditional_dense(), atol=1e-15)
     np.testing.assert_allclose(loaded.p_a.mass, small_process.p_a.mass,
                                atol=1e-15)
+
+
+def dump_process_oracle(path, process):
+    """The dense writer ``dump_process`` replaced: every row of the dense
+    table, its nonzero entries in column order."""
+    dense = process.conditional_dense()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{process.n_x} {process.n_a}\n")
+        fh.write(" ".join(f"{v:.17g}" for v in process.p_x.mass) + "\n")
+        for i in range(process.n_x):
+            for j in np.nonzero(dense[i])[0]:
+                fh.write(f"{i} {j} {dense[i, j]:.17g}\n")
+
+
+@pytest.mark.parametrize("scheme", ["random_mask", "block_mask",
+                                    "block_mask_flip", "random_mask_flip"])
+def test_dump_writes_the_stored_rows(tmp_path, monkeypatch, scheme):
+    # random_mask and block_mask are stored sparse, the flip schemes dense
+    process = build_hypercube(HypercubeConfig(5, 0.4, scheme))
+    assert process.is_sparse == (scheme in ("random_mask", "block_mask"))
+    dump_process_oracle(tmp_path / "oracle.txt", process)
+
+    def refuse(self):
+        raise AssertionError("the dense conditional table was formed")
+
+    monkeypatch.setattr(AugmentationProcess, "conditional_dense", refuse)
+    dump_process(tmp_path / "process.txt", process)
+    assert (tmp_path / "process.txt").read_bytes() == \
+        (tmp_path / "oracle.txt").read_bytes()
 
 
 def test_process_file_comments_and_errors(tmp_path):

@@ -90,10 +90,10 @@ def test_target_uniform_boundedness(small_decomposition):
 def test_generate_labels_noiseless_and_deterministic(small_process,
                                                      small_decomposition):
     target = sample_target(small_decomposition, 1.0, 0.25, seed=1)
-    clean = generate_labels(target, small_process, 32, 0.0, seed=9)
+    clean = generate_labels(target, 32, 0.0, seed=9)
     for s in clean:
         assert s.y == pytest.approx(target.values[s.x_index], abs=0.0)
-    again = generate_labels(target, small_process, 32, 0.0, seed=9)
+    again = generate_labels(target, 32, 0.0, seed=9)
     assert [(s.x_index, s.y) for s in clean] == \
         [(s.x_index, s.y) for s in again]
 
@@ -102,7 +102,7 @@ def test_generate_labels_clt_sanity(small_process, small_decomposition):
     target = sample_target(small_decomposition, 1.0, 0.25, seed=2)
     sigma = 0.3
     n = 10**4
-    samples = generate_labels(target, small_process, n, sigma, seed=3)
+    samples = generate_labels(target, n, sigma, seed=3)
     mean_y = float(np.mean([s.y for s in samples]))
     expected = float(target.values @ small_process.p_x.mass)
     total_var = float(
@@ -131,7 +131,7 @@ def test_fit_interpolates_in_span(small_process, small_decomposition):
 def test_fit_zero_budget(small_process, small_decomposition):
     target = sample_target(small_decomposition, 1.0, 0.25, seed=5)
     enc = optimal_encoder(small_decomposition, 3)
-    samples = generate_labels(target, small_process, 16, 0.1, seed=6)
+    samples = generate_labels(target, 16, 0.1, seed=6)
     fit = fit_least_squares(enc, samples, B=0.0, epsilon=0.25, target=target)
     np.testing.assert_array_equal(fit.w, 0.0)
     assert fit.prediction_error == pytest.approx(target.norm_sq, abs=1e-10)
@@ -141,7 +141,7 @@ def test_fit_constraint_activation_and_slackness(small_process,
                                                  small_decomposition):
     target = sample_target(small_decomposition, 1.0, 0.25, seed=7)
     enc = optimal_encoder(small_decomposition, 3)
-    samples = generate_labels(target, small_process, 24, 0.5, seed=8)
+    samples = generate_labels(target, 24, 0.5, seed=8)
     fit = fit_least_squares(enc, samples, B=0.05, epsilon=0.25, target=target)
     radius_sq = 0.05**2 / 0.75
     assert fit.lagrange_mu > 0
@@ -153,7 +153,7 @@ def test_fit_constraint_activation_and_slackness(small_process,
 def test_fit_error_monotone_in_budget(small_process, small_decomposition):
     target = sample_target(small_decomposition, 1.0, 0.25, seed=9)
     enc = optimal_encoder(small_decomposition, 4)
-    samples = generate_labels(target, small_process, 48, 0.2, seed=10)
+    samples = generate_labels(target, 48, 0.2, seed=10)
     errors = []
     for B in (0.01, 0.05, 0.1, 0.3, 0.6, 1.0, 2.0):
         fit = fit_least_squares(enc, samples, B=B, epsilon=0.25,
@@ -168,7 +168,7 @@ def test_population_fit_is_projection_for_eigen_span(small_process,
     target = sample_target(dec, 1.0, 0.25, seed=11)
     rng = np.random.default_rng(12)
     mix = rng.normal(size=(3, 3)) + np.eye(3)
-    enc = build_average_encoder(small_process, mix @ dec.phi[:, :3].T, dec)
+    enc = build_average_encoder(dec, mix @ dec.phi[:, :3].T)
     fit = fit_least_squares_population(enc, target.values, B=5.0,
                                        epsilon=0.25, target=target)
     f_psi, approx_err = project_fpsi(target, enc)
@@ -181,7 +181,7 @@ def test_population_pythagoras_eigen_span(small_process,
     dec = small_decomposition
     target = sample_target(dec, 1.0, 0.2, seed=13)
     enc = optimal_encoder(dec, 3)
-    labels = generate_labels(target, small_process, 64, 0.3, seed=14)
+    labels = generate_labels(target, 64, 0.3, seed=14)
     fit = fit_least_squares(enc, labels, B=2.0, epsilon=0.2, target=target)
     f_psi, approx_err = project_fpsi(target, enc)
     est = fit.f_hat_values - f_psi
@@ -251,9 +251,7 @@ def test_worst_case_lower_bound_over_top_d_spans(small_process,
             mix = rng.normal(size=(d, d))
             if abs(np.linalg.det(mix)) > 0.1:
                 break
-        enc = build_average_encoder(small_process,
-                                    mix @ dec.phi[:, :d].T,
-                                    dec)
+        enc = build_average_encoder(dec, mix @ dec.phi[:, :d].T)
         _, err = project_fpsi(target, enc)
         assert err >= rhs - 1e-8
         assert err == pytest.approx(rhs, abs=1e-8)
@@ -274,7 +272,7 @@ def test_approximation_bound_soundness_sweep(small_process, small_decomposition)
     for seed in range(80):
         d = int(rng.integers(1, 4))
         table = 1.0 + 0.4 * rng.normal(size=(d, small_process.n_a))
-        enc = build_average_encoder(small_process, table, dec)
+        enc = build_average_encoder(dec, table)
         tau_sq = trace_gap(enc)
         if tau_sq >= 1.0:
             continue
