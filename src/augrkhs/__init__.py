@@ -28,7 +28,6 @@ from .encoders import (
     load_encoder,
     near_optimal_encoder,
     optimal_encoder,
-    population_empirical_decomposition,
     ratio_trace,
     save_encoder,
     trace_gap,
@@ -69,6 +68,7 @@ from .processes import (
     conditional_reverse,
     dump_process,
     load_process,
+    sample_process,
 )
 from .regression import (
     BoundContext,

@@ -6,7 +6,10 @@ Quality is captured by the covariance pair (F on data, G on augmentations),
 the ratio trace ``Tr(G^-1 F)``, and the trace gap, the worst residual
 between partial eigenvalue sums and the best ratio trace achievable inside
 the encoder's span.  The empirical route replaces the data marginal with an
-N-sample empirical measure and extracts near-optimal encoders from it.
+N-sample empirical measure, which is itself a process (the sample process of
+:func:`processes.sample_process`); :func:`decompose` solves it like any
+other, and the near-optimal encoder is its top eigenfunctions extended by
+zero to the augmentations the sample never reaches.
 """
 
 from __future__ import annotations
@@ -14,18 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .complexity import partial_trace
 from .exceptions import RankDeficiencyError, ValidationError
-from .processes import AugmentationProcess
-# decompose stays bound here: perfbench's tracer test checks this binding
-from .spectral import (
-    SpectralDecomposition,
-    _spectral_engine,
-    apply_gamma_star,
-    decompose,
-)
+from .processes import AugmentationProcess, sample_process
+from .spectral import SpectralDecomposition, apply_gamma_star, decompose
 
 _GRAM_RANK_TOL = 1e-10
 _CONDITION_LIMIT = 1e12
@@ -174,77 +170,41 @@ def optimal_encoder(decomposition: SpectralDecomposition, d: int) -> Encoder:
 class EmpiricalDecomposition:
     """Spectral system of the empirical operator built from N samples.
 
-    The empirical operator depends on the sample only through its distinct
-    points and their summed weights, so the spectrum is solved on the
-    distinct sampled points.  ``psi_bar`` has one row per sample, equal on
-    duplicate samples (orthonormal under the empirical inner product);
-    ``phi_bar`` is stored on the full augmentation space,
-    zero on augmentations the sample never reaches, orthonormal under the
-    empirical augmentation marginal ``p_a_hat``.
+    ``decomposition`` is :func:`decompose` of the sample process, so its
+    ``psi`` lives on the distinct sampled points and its ``phi`` on
+    ``kept``, the augmentations of ``process`` that the sample reaches;
+    both are orthonormal under the sample's marginals.  ``process`` is the
+    population that ``sample_indices`` were drawn from.
     """
 
     process: AugmentationProcess
     sample_indices: np.ndarray
-    weights: np.ndarray
-    p_a_hat: np.ndarray
-    lambdas_bar: np.ndarray
-    psi_bar: np.ndarray
-    phi_bar: np.ndarray
+    kept: np.ndarray
+    decomposition: SpectralDecomposition
+
+    @property
+    def lambdas_bar(self) -> np.ndarray:
+        return self.decomposition.lambdas
 
     @property
     def rank(self) -> int:
-        return self.lambdas_bar.size
-
-
-def _empirical_from_weights(process, indices, weights, rank_tol):
-    # the empirical operator sees the sample only through its distinct
-    # points and their summed weights, so the spectrum is solved on those
-    points, inverse = np.unique(indices, return_inverse=True)
-    point_weights = np.bincount(inverse, weights=weights)
-    C = process.conditional
-    rows = C[points].toarray() if sp.issparse(C) else C[points]
-    p_a_hat = point_weights @ rows
-    kept = np.nonzero(p_a_hat > 0.0)[0]
-    lambdas, psi, phi = _spectral_engine(
-        rows[:, kept], np.sqrt(point_weights), np.sqrt(p_a_hat[kept]), rank_tol)
-    phi_bar = np.zeros((process.n_a, lambdas.size))
-    phi_bar[kept] = phi
-    full = np.zeros(process.n_a)
-    full[kept] = p_a_hat[kept]
-    return EmpiricalDecomposition(
-        process=process, sample_indices=indices, weights=weights,
-        p_a_hat=full, lambdas_bar=lambdas, psi_bar=psi[inverse],
-        phi_bar=phi_bar)
+        return self.decomposition.rank
 
 
 def empirical_decomposition(process: AugmentationProcess, N: int, seed: int,
                             rank_tol: float = 1e-10) -> EmpiricalDecomposition:
-    """Spectral system from ``N`` i.i.d. draws of the data marginal."""
-    if N < 1:
-        raise ValidationError(f"N must be >= 1, got {N}")
-    rng = np.random.default_rng(seed)
-    indices = rng.choice(process.n_x, size=N, p=process.p_x.mass)
-    weights = np.full(N, 1.0 / N)
-    return _empirical_from_weights(process, indices, weights, rank_tol)
-
-
-def population_empirical_decomposition(process: AugmentationProcess,
-                                       rank_tol: float = 1e-10
-                                       ) -> EmpiricalDecomposition:
-    """Empirical route evaluated on the exact data marginal.
-
-    Uses every data point once, weighted by ``p_x``; the empirical operator
-    then coincides with the population operator, which pins down the
-    large-N limit of :func:`empirical_decomposition` without sampling noise.
-    """
-    indices = np.arange(process.n_x)
-    return _empirical_from_weights(process, indices, process.p_x.mass.copy(),
-                                   rank_tol)
+    """Spectral system from ``N`` i.i.d. draws of the data marginal: the
+    decomposition of :func:`processes.sample_process`'s sample."""
+    sample, draws, kept = sample_process(process, N, seed)
+    return EmpiricalDecomposition(process=process, sample_indices=draws,
+                                  kept=kept,
+                                  decomposition=decompose(sample, rank_tol))
 
 
 def near_optimal_encoder(empirical: EmpiricalDecomposition, d: int,
                          decomposition: SpectralDecomposition) -> Encoder:
-    """Encoder whose rows are the top ``d`` empirical eigenfunctions.
+    """Encoder whose rows are the top ``d`` empirical eigenfunctions, zero on
+    the augmentations the sample never reaches.
 
     ``decomposition`` must belong to the process the sample was drawn from.
     """
@@ -257,21 +217,17 @@ def near_optimal_encoder(empirical: EmpiricalDecomposition, d: int,
         raise ValidationError(
             f"d must lie in [1, empirical rank={empirical.rank}], got {d}"
         )
-    return build_average_encoder(decomposition, empirical.phi_bar[:, :d].T)
+    phi_hat = np.zeros((d, empirical.process.n_a))
+    phi_hat[:, empirical.kept] = empirical.decomposition.phi[:, :d].T
+    return build_average_encoder(decomposition, phi_hat)
 
 
 def empirical_ratio_trace(encoder: Encoder,
                           empirical: EmpiricalDecomposition) -> float:
-    """Ratio trace under the empirical inner products of a sample."""
-    sampled = encoder.psi_hat[:, empirical.sample_indices]
-    F_hat = (sampled * empirical.weights[None, :]) @ sampled.T
-    G_hat = (encoder.phi_hat * empirical.p_a_hat[None, :]) @ encoder.phi_hat.T
-    eigs = np.linalg.eigvalsh(0.5 * (G_hat + G_hat.T))
-    if eigs[0] <= 0 or eigs[-1] / eigs[0] > _CONDITION_LIMIT:
-        raise RankDeficiencyError(
-            "empirical G is numerically singular for this encoder and sample"
-        )
-    return float(np.trace(np.linalg.solve(G_hat, F_hat)))
+    """Ratio trace under the empirical inner products of a sample: the
+    ratio trace of the encoder's restriction to the sample process."""
+    return ratio_trace(covariances(build_average_encoder(
+        empirical.decomposition, encoder.phi_hat[:, empirical.kept])))
 
 
 def save_encoder(path, encoder: Encoder) -> None:

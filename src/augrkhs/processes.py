@@ -446,6 +446,33 @@ def build_custom(x_size: int, a_size: int, p_x, triples
     return process, kept
 
 
+def sample_process(process: AugmentationProcess, N: int, seed: int
+                   ) -> tuple[AugmentationProcess, np.ndarray, np.ndarray]:
+    """The empirical measure of ``N`` i.i.d. draws of ``p_x``, as a process.
+
+    The draws are ``default_rng(seed).choice(n_x, N, p=p_x)``.  The sample's
+    data points are the distinct draws in index order, weighted by their
+    count over ``N``; its table holds their rows of ``p(a|x)``, dense, on the
+    augmentations they reach.  Returns ``(sample, draws, kept)``, ``kept``
+    holding the population indices of the sample's augmentations.
+    """
+    if N < 1:
+        raise ValidationError(f"N must be >= 1, got {N}")
+    rng = np.random.default_rng(seed)
+    draws = rng.choice(process.n_x, size=N, p=process.p_x.mass)
+    points, counts = np.unique(draws, return_counts=True)
+    p_x = counts / N
+    C = process.conditional
+    rows = C[points].toarray() if sp.issparse(C) else C[points]
+    p_a = derive_marginal(rows, p_x)
+    kept = np.nonzero(p_a > 0.0)[0]
+    x_space, a_space = FiniteSpace(points.size), FiniteSpace(kept.size)
+    sample = AugmentationProcess(
+        x_space=x_space, a_space=a_space, p_x=Distribution(x_space, p_x),
+        conditional=rows[:, kept], p_a=Distribution(a_space, p_a[kept]))
+    return sample, draws, kept
+
+
 def conditional_reverse(process: AugmentationProcess) -> np.ndarray:
     """Posterior table ``p(x|a) = p(a|x) p_x(x) / p_a(a)``, shape ``|A| x |X|``."""
     weighted = process.conditional_dense() * process.p_x.mass[:, None]

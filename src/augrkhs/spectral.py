@@ -14,11 +14,12 @@ subset law: the eigenfunctions are the Walsh characters
 ``lambda_S = P(M cap S = empty) (1 - 2q)^(2|S|)`` for the masked set ``M``
 and the flip probability ``q``, because each scheme is invariant under a
 joint sign flip of ``x`` and ``a`` while ``p_x`` is uniform.  Every other
-process (custom tables, the empirical route) goes through one SVD of the
-symmetrized joint table, which yields the eigenvalues together with both
-eigenfunction families and their duality at once.  The constant pair at
-``lambda = 1`` is known exactly, so it is deflated from the table before
-that SVD and put first.
+process goes through one SVD of the symmetrized joint table, which yields
+the eigenvalues together with both eigenfunction families and their duality
+at once: a custom table, or the sample process of ``N`` draws
+(:func:`processes.sample_process`) that the empirical route of ``encoders``
+decomposes.  The constant pair at ``lambda = 1`` is known exactly, so it is
+deflated from the table before that SVD and put first.
 """
 
 from __future__ import annotations
@@ -288,20 +289,20 @@ def _duality_residual(process, lambdas, psi, phi) -> float:
     return float(np.sqrt(np.max(np.sum(resid * resid * p_x[:, None], axis=0))))
 
 
-def _spectral_engine(conditional, sqrt_wx: np.ndarray, sqrt_wa: np.ndarray,
-                     rank_tol: float):
-    """Weighted spectrum of a conditional table: the one SVD route.
+def _spectral_engine(process: AugmentationProcess, rank_tol: float):
+    """Weighted spectrum of a process's table: the one SVD route.
 
-    ``conditional`` holds ``p(a|x)`` with one row per data point (sparse or
-    dense), ``sqrt_wx`` and ``sqrt_wa`` the square roots of the data
-    weights and of the augmentation weights they induce.  Since each row
-    sums to 1, ``(1, sqrt_wa, sqrt_wx)`` is an exact singular triple of
-    ``B(a,x) = p(a|x) sqrt_wx(x) / sqrt_wa(a)``, the constant pair at
-    ``lambda = 1``.  It is subtracted before the SVD and put first as
-    ``(1, 1, 1)``; the rest is truncated at ``rank_tol``, or at the SVD's
-    rounding of zero if that is larger, and every column pair is sign-fixed.  Returns ``(lambdas, psi, phi)`` with
-    ``psi = V / sqrt_wx``, ``phi = U / sqrt_wa``.
+    With ``sqrt_wx = sqrt(p_x)`` and ``sqrt_wa = sqrt(p_a)``, and since each
+    row of ``p(a|x)`` sums to 1, ``(1, sqrt_wa, sqrt_wx)`` is an exact
+    singular triple of ``B(a,x) = p(a|x) sqrt_wx(x) / sqrt_wa(a)``, the
+    constant pair at ``lambda = 1``.  It is subtracted before the SVD and
+    put first as ``(1, 1, 1)``; the rest is truncated at ``rank_tol``, or at
+    the SVD's rounding of zero if that is larger, and every column pair is
+    sign-fixed.  Returns ``(lambdas, psi, phi)`` with ``psi = V / sqrt_wx``,
+    ``phi = U / sqrt_wa``.
     """
+    conditional = process.conditional
+    sqrt_wx, sqrt_wa = np.sqrt(process.p_x.mass), np.sqrt(process.p_a.mass)
     if sp.issparse(conditional):
         B = conditional.multiply(sqrt_wx[:, None]).multiply(1.0 / sqrt_wa).T.toarray()
     else:
@@ -415,9 +416,7 @@ def decompose(process: AugmentationProcess,
             def form_phi():
                 return np.take(law_order_phi(), order, axis=1)
     else:
-        lambdas, psi, phi = _order_ties(*_spectral_engine(
-            process.conditional, np.sqrt(process.p_x.mass),
-            np.sqrt(process.p_a.mass), rank_tol))
+        lambdas, psi, phi = _order_ties(*_spectral_engine(process, rank_tol))
 
         def form_phi():
             return phi

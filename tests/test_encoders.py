@@ -8,6 +8,7 @@ from augrkhs import encoders
 from augrkhs.complexity import partial_trace
 from augrkhs.encoders import (
     CovariancePair,
+    EmpiricalDecomposition,
     build_average_encoder,
     covariances,
     empirical_decomposition,
@@ -17,7 +18,6 @@ from augrkhs.encoders import (
     near_optimal_encoder,
     optimal_encoder,
     pencil_eigenvalues,
-    population_empirical_decomposition,
     ratio_trace,
     save_encoder,
     trace_gap,
@@ -319,28 +319,14 @@ def test_condition_number_guard(small_process, small_decomposition):
             small_decomposition, np.vstack([base, eps_row])))
 
 
-def test_empirical_full_population_matches(small_process,
-                                           small_decomposition):
-    emp = population_empirical_decomposition(small_process)
-    np.testing.assert_allclose(emp.lambdas_bar, small_decomposition.lambdas,
-                               atol=1e-9)
-    assert abs(emp.p_a_hat.sum() - 1.0) <= 1e-12
-
-
-def test_population_empirical_shares_the_decompose_engine(small_process,
-                                                          distinct):
-    # every point once, weighted by p_x: the same engine as decompose
-    for process in (small_process, distinct[0]):
-        dec = decompose(process)
-        emp = population_empirical_decomposition(process)
-        assert emp.rank == dec.rank
-        np.testing.assert_allclose(emp.lambdas_bar, dec.lambdas, rtol=0,
-                                   atol=1e-12)
-        np.testing.assert_allclose(emp.psi_bar[:, 0], dec.psi[:, 0], rtol=0,
-                                   atol=1e-12)
-        np.testing.assert_allclose(emp.phi_bar[:, 0], dec.phi[:, 0], rtol=0,
-                                   atol=1e-12)
-        np.testing.assert_allclose(dec.psi[:, 0], 1.0, rtol=0, atol=1e-12)
+def population_empirical(dec):
+    """The empirical route at its population limit: every point drawn once,
+    with the population's own decomposition."""
+    process = dec.process
+    return EmpiricalDecomposition(process=process,
+                                  sample_indices=np.arange(process.n_x),
+                                  kept=np.arange(process.n_a),
+                                  decomposition=dec)
 
 
 def _oracle_empirical_svd(process, indices, weights, rank_tol=1e-10):
@@ -378,26 +364,35 @@ def sampled_custom_processes(draw):
 @settings(max_examples=40, deadline=None)
 @given(sampled_custom_processes())
 def test_empirical_route_matches_all_rows_svd_oracle(case):
+    """The independent oracle of the empirical route: one SVD over all N
+    sample rows, duplicates kept, against ``decompose`` on the sample
+    process of distinct points, read back on the population's spaces."""
     process, N, seed = case
     emp = empirical_decomposition(process, N, seed=seed)
+    dec = emp.decomposition
+    weights = np.full(N, 1.0 / N)
     lambdas, squares, phi = _oracle_empirical_svd(
-        process, emp.sample_indices, emp.weights)
+        process, emp.sample_indices, weights)
     assert emp.rank == lambdas.size
     np.testing.assert_allclose(emp.lambdas_bar, lambdas, rtol=0, atol=1e-12)
+    p_a_hat = np.zeros(process.n_a)
+    p_a_hat[emp.kept] = dec.process.p_a.mass
+    phi_bar = np.zeros((process.n_a, emp.rank))
+    phi_bar[emp.kept] = dec.phi
+    points, inverse = np.unique(emp.sample_indices, return_inverse=True)
+    assert dec.process.n_x == points.size
+    psi_bar = dec.psi[inverse]  # one row per sample
     # top-k spans agree wherever the k-th eigenvalue ends at a clear gap
-    w = np.sqrt(emp.p_a_hat)[:, None]
+    w = np.sqrt(p_a_hat)[:, None]
     following = np.append(squares[1:], 0.0)
     for k in range(1, emp.rank + 1):
         if squares[k - 1] - following[k - 1] <= 1e-8:
             continue
-        got, want = w * emp.phi_bar[:, :k], w * phi[:, :k]
+        got, want = w * phi_bar[:, :k], w * phi[:, :k]
         np.testing.assert_allclose(got @ got.T, want @ want.T, rtol=0,
                                    atol=1e-10)
-    for point in np.unique(emp.sample_indices):
-        same = emp.psi_bar[emp.sample_indices == point]
-        assert np.array_equal(same, np.broadcast_to(same[0], same.shape))
-    gram_x = (emp.psi_bar * emp.weights[:, None]).T @ emp.psi_bar
-    gram_a = (emp.phi_bar * emp.p_a_hat[:, None]).T @ emp.phi_bar
+    gram_x = (psi_bar * weights[:, None]).T @ psi_bar
+    gram_a = (phi_bar * p_a_hat[:, None]).T @ phi_bar
     np.testing.assert_allclose(gram_x, np.eye(emp.rank), rtol=0, atol=1e-8)
     np.testing.assert_allclose(gram_a, np.eye(emp.rank), rtol=0, atol=1e-8)
 
@@ -413,24 +408,26 @@ def test_empirical_determinism(small_process):
     a = empirical_decomposition(small_process, N=32, seed=5)
     b = empirical_decomposition(small_process, N=32, seed=5)
     np.testing.assert_array_equal(a.sample_indices, b.sample_indices)
+    np.testing.assert_array_equal(a.kept, b.kept)
     np.testing.assert_array_equal(a.lambdas_bar, b.lambdas_bar)
-    np.testing.assert_array_equal(a.phi_bar, b.phi_bar)
+    np.testing.assert_array_equal(a.decomposition.phi, b.decomposition.phi)
 
 
 def test_empirical_invariants(small_process):
     emp = empirical_decomposition(small_process, N=64, seed=21)
-    assert abs(emp.p_a_hat.sum() - 1.0) <= 1e-12
+    sample = emp.decomposition.process
+    assert abs(sample.p_a.mass.sum() - 1.0) <= 1e-12
     assert emp.lambdas_bar[0] <= 1.0 + 1e-9
     assert np.all(np.diff(emp.lambdas_bar) <= 1e-12)
-    gram = (emp.phi_bar * emp.p_a_hat[:, None]).T @ emp.phi_bar
+    phi = emp.decomposition.phi
+    gram = (phi * sample.p_a.mass[:, None]).T @ phi
     np.testing.assert_allclose(gram, np.eye(emp.rank), atol=1e-8)
 
 
 def test_near_optimal_full_population_equals_optimal(small_process,
                                                      small_decomposition):
     dec = small_decomposition
-    emp = population_empirical_decomposition(small_process)
-    ne = near_optimal_encoder(emp, 4, dec)
+    ne = near_optimal_encoder(population_empirical(dec), 4, dec)
     got = projector(ne.phi_hat.T, small_process.p_a.mass)
     want = projector(dec.phi[:, :4], small_process.p_a.mass)
     assert np.linalg.norm(got - want) <= 1e-8
@@ -442,8 +439,7 @@ def test_near_optimal_full_population_equals_optimal(small_process,
 def test_near_optimal_first_row_constant(small_process, small_decomposition):
     emp = empirical_decomposition(small_process, N=48, seed=2)
     ne = near_optimal_encoder(emp, 1, small_decomposition)
-    seen = emp.p_a_hat > 0
-    np.testing.assert_allclose(ne.phi_hat[0, seen], 1.0, atol=1e-8)
+    np.testing.assert_allclose(ne.phi_hat[0, emp.kept], 1.0, atol=1e-8)
     with pytest.raises(ValidationError):
         near_optimal_encoder(emp, emp.rank + 1, small_decomposition)
 
@@ -468,7 +464,7 @@ def test_empirical_ratio_trace_identity(small_process, small_decomposition):
 
 def test_empirical_ratio_trace_population_limit(small_process,
                                                 small_decomposition):
-    emp = population_empirical_decomposition(small_process)
+    emp = population_empirical(small_decomposition)
     rng = np.random.default_rng(19)
     table = rng.normal(size=(3, small_process.n_a))
     enc = build_average_encoder(small_decomposition, table)

@@ -656,8 +656,10 @@ def test_cli_import_leaves_scipy_linalg_out():
 def _count_phi(monkeypatch, scale=None):
     """Count the formations and checks of phi on the law route, the duality
     residuals measured, and the ``apply_gamma`` calls ``spectral`` makes
-    (phi's formation is one).  With ``scale`` the formed phi is multiplied
-    by it.
+    (phi's formation is one).  Checks, residuals and ``apply_gamma`` calls
+    on a process without a hypercube, such as the sample process of the
+    empirical route, are counted under ``sample_`` names.  With ``scale``
+    the formed phi is multiplied by it.
     """
     counts = Counter()
     walsh_engine = spectral._walsh_engine
@@ -670,6 +672,13 @@ def _count_phi(monkeypatch, scale=None):
             return fn(*args, **kwargs)
         return call
 
+    def by_process(name, fn):
+        def call(process, *args, **kwargs):
+            sample = process.hypercube is None
+            counts[f"sample_{name}" if sample else name] += 1
+            return fn(process, *args, **kwargs)
+        return call
+
     def form(form_phi):
         phi = form_phi()
         return phi if scale is None else phi * scale
@@ -679,11 +688,11 @@ def _count_phi(monkeypatch, scale=None):
         return lambdas, psi, counted("form", lambda: form(form_phi))
 
     monkeypatch.setattr(spectral, "_walsh_engine", engine)
-    monkeypatch.setattr(spectral, "_check_phi", counted("check", check_phi))
+    monkeypatch.setattr(spectral, "_check_phi", by_process("check", check_phi))
     monkeypatch.setattr(spectral, "_duality_residual",
-                        counted("duality", duality))
+                        by_process("duality", duality))
     monkeypatch.setattr(spectral, "apply_gamma",
-                        counted("apply_gamma", apply_gamma))
+                        by_process("apply_gamma", apply_gamma))
     return counts
 
 
@@ -696,8 +705,16 @@ def test_complexity_cells_never_form_phi(tmp_path, monkeypatch, make_config):
     assert outcome.exit_code == 0
     kappa_rows = sum(1 for r in outcome.records if "kappa_sq_exact" in r)
     assert kappa_rows == (8 if command == "kappa" else 4)  # processes x seeds
+    # one row per tracegap cell carries its empirical eigenvalues
+    cells = sum(1 for r in outcome.records if "lambdas_bar" in r)
+    # each tracegap cell checks its sample's phi once and measures its
+    # duality once; no population forms phi
+    sample = {k: counts.pop(k) for k in list(counts) if k.startswith("sample_")}
     if command == "sweep":
-        assert sum(1 for r in outcome.records if "gap" in r) > 0
+        assert cells == 16  # processes x N x seeds
+        assert sample == {"sample_check": cells, "sample_duality": cells}
+    else:
+        assert sample == {}
     assert counts == {}
 
 

@@ -27,6 +27,7 @@ from augrkhs.processes import (
     HypercubeConfig,
     build_custom,
     build_hypercube,
+    sample_process,
 )
 from augrkhs.spectral import decompose
 
@@ -92,6 +93,30 @@ def test_scl_scaled_top_d_reaches_floor(pair):
         table = (dec.phi[:, :d] * np.sqrt(dec.lambdas[:d])).T
         expected = -float((dec.lambdas[:d] ** 2).sum())
         assert loss_scl(table, process) == pytest.approx(expected, abs=1e-10)
+
+
+def test_scl_on_a_sample_is_the_empirical_loss():
+    # the sample process carries the empirical pretraining loss, whose floor
+    # is reached at the empirical top-d eigenfunctions scaled by sqrt(lambda)
+    process = build_hypercube(HypercubeConfig(4, 0.5, "block_mask"))
+    for N, seed in ((8, 0), (64, 1), (512, 2)):
+        dec = decompose(sample_process(process, N, seed)[0])
+        for d in range(1, min(dec.rank, 4) + 1):
+            table = (dec.phi[:, :d] * np.sqrt(dec.lambdas[:d])).T
+            expected = -float((dec.lambdas[:d] ** 2).sum())
+            assert loss_scl(table, dec.process) == pytest.approx(expected,
+                                                                 abs=1e-10)
+
+
+def test_minimize_runs_on_a_sample():
+    # convergence on a sample is not asserted here, only a monotone descent
+    process = build_hypercube(HypercubeConfig(4, 0.5, "random_mask"))
+    sample = sample_process(process, 64, 3)[0]
+    opt = OptimizerConfig(learning_rate=0.5, max_iters=200, seed=1)
+    result = minimize(ObjectiveSpec("scl", 3), sample, opt)
+    assert result.phi_hat.shape == (3, sample.n_a)
+    assert result.iterations > 0
+    assert np.all(np.diff(result.losses) <= 0.0)
 
 
 def test_scl_expansion_matches_direct(pair):

@@ -19,9 +19,10 @@ from augrkhs.processes import (
     derive_marginal,
     dump_process,
     load_process,
+    sample_process,
 )
 from augrkhs.processes import AugmentationProcess
-from augrkhs.spectral import kernel_x
+from augrkhs.spectral import _spectral_engine, _tie_order, decompose, kernel_x
 
 
 def test_finite_space_validation():
@@ -415,3 +416,66 @@ def test_random_custom_processes_validate(n_x, n_a, seed):
     np.testing.assert_allclose(rows, 1.0, atol=1e-12)
     rev = conditional_reverse(process)
     np.testing.assert_allclose(rev.sum(axis=1), 1.0, atol=1e-12)
+
+
+# one dense and one sparse population table
+_SAMPLED = [("random_mask", 3, 0.5), ("random_mask", 6, 0.5)]
+
+
+@pytest.mark.parametrize("scheme,d_x,alpha", _SAMPLED)
+def test_sample_process_weights_rng_choice_draws_by_count(process_cache,
+                                                          scheme, d_x, alpha):
+    process = process_cache(scheme, d_x, alpha)
+    for N, seed in ((1, 0), (37, 4), (512, 9)):
+        sample, draws, _ = sample_process(process, N, seed)
+        rng = np.random.default_rng(seed)
+        np.testing.assert_array_equal(
+            draws, rng.choice(process.n_x, size=N, p=process.p_x.mass))
+        _, counts = np.unique(draws, return_counts=True)
+        np.testing.assert_array_equal(sample.p_x.mass, counts / N)
+
+
+@pytest.mark.parametrize("scheme,d_x,alpha", _SAMPLED)
+def test_sample_process_rows_are_population_rows(process_cache, scheme, d_x,
+                                                 alpha):
+    process = process_cache(scheme, d_x, alpha)
+    assert process.is_sparse == (d_x == 6)
+    full = process.conditional_dense()
+    for N, seed in ((1, 0), (37, 4), (512, 9)):
+        sample, draws, kept = sample_process(process, N, seed)
+        rows = full[np.unique(draws)]
+        assert not sample.is_sparse
+        np.testing.assert_array_equal(sample.conditional, rows[:, kept])
+        # the augmentations left out carry no mass of the sampled rows
+        assert not np.delete(rows, kept, axis=1).any()
+        np.testing.assert_allclose(sample.conditional.sum(axis=1), 1.0,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            sample.p_a.mass, sample.p_x.mass @ rows[:, kept], rtol=0,
+            atol=1e-15)
+
+
+def test_sample_process_needs_a_draw(small_process):
+    for N in (0, -3):
+        with pytest.raises(ValidationError, match="N must be >= 1"):
+            sample_process(small_process, N, 0)
+
+
+@pytest.mark.parametrize("scheme", ["random_mask", "block_mask"])
+def test_sample_decomposition_follows_decompose_conventions(process_cache,
+                                                            scheme):
+    # four draws of a d_x 5 process tie often; the SVD gives some of those
+    # blocks out of order, and decompose puts every one in order
+    process = process_cache(scheme, 5, 0.3)
+    reordered = 0
+    for seed in range(32):
+        sample, _, _ = sample_process(process, 4, seed)
+        lambdas, psi, _ = _spectral_engine(sample, 1e-10)
+        reordered += _tie_order(lambdas, psi) is not None
+        dec = decompose(sample)
+        assert _tie_order(dec.lambdas, dec.psi) is None
+        again = decompose(sample_process(process, 4, seed)[0])
+        for got, want in ((again.lambdas, dec.lambdas), (again.psi, dec.psi),
+                          (again.phi, dec.phi)):
+            assert got.tobytes() == want.tobytes()
+    assert reordered > 0

@@ -311,9 +311,7 @@ def test_custom_process_takes_the_svd_route(small_process):
         [(i, j, dense[i, j]) for i, j in zip(*np.nonzero(dense))])
     assert custom.hypercube is None
     dec = decompose(custom)
-    lambdas, psi, phi = spectral._spectral_engine(
-        custom.conditional, np.sqrt(custom.p_x.mass),
-        np.sqrt(custom.p_a.mass), dec.rank_tol)
+    lambdas, psi, phi = spectral._spectral_engine(custom, dec.rank_tol)
     lambdas, psi, phi = spectral._order_ties(lambdas, psi, phi)
     for got, want in ((dec.lambdas, lambdas), (dec.psi, psi), (dec.phi, phi)):
         assert got.tobytes() == want.tobytes()
