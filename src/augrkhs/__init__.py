@@ -25,11 +25,9 @@ from .encoders import (
     empirical_decomposition,
     empirical_ratio_trace,
     learned_kernel,
-    load_encoder,
     near_optimal_encoder,
     optimal_encoder,
     ratio_trace,
-    save_encoder,
     trace_gap,
 )
 from .exceptions import (
@@ -50,13 +48,11 @@ from .objectives import (
     MinimizeResult,
     ObjectiveSpec,
     OptimizerConfig,
-    loss_rbt,
-    loss_scl,
-    loss_sclip,
-    loss_vicreg,
     minimize,
+    optimal_loss,
     rbt_penalty_path,
     subspace_angle,
+    value_grad,
 )
 from .processes import (
     AugmentationProcess,

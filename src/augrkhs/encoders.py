@@ -229,28 +229,3 @@ def empirical_ratio_trace(encoder: Encoder,
     return ratio_trace(covariances(build_average_encoder(
         empirical.decomposition, encoder.phi_hat[:, empirical.kept])))
 
-
-def save_encoder(path, encoder: Encoder) -> None:
-    """Write the table with a one-line ``d a_size`` header, 17 digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{encoder.d} {encoder.process.n_a}\n")
-        for row in encoder.phi_hat:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def load_encoder(path, decomposition: SpectralDecomposition) -> Encoder:
-    """Read a table written by :func:`save_encoder` and rebuild the encoder
-    on ``decomposition``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValidationError(f"bad encoder header {header!r}")
-        d, a_size = int(header[0]), int(header[1])
-        rows = [[float(tok) for tok in line.split(",")]
-                for line in fh if line.strip()]
-    table = np.array(rows)
-    if table.shape != (d, a_size):
-        raise ValidationError(
-            f"encoder body has shape {table.shape}, header says ({d}, {a_size})"
-        )
-    return build_average_encoder(decomposition, table)

@@ -47,6 +47,10 @@ _REQUIRED_AXES = {
 # the option names some cell reads; any other name is a config error
 OPTIONS = ("beta", "learning_rate", "max_iters", "grad_tol", "init_scale",
            "alpha_w", "beta_w", "c0")
+# the options the optimizer reads, with their casts; an option that is not set
+# keeps OptimizerConfig's default
+_OPTIMIZER_OPTIONS = {"learning_rate": float, "max_iters": int,
+                      "grad_tol": float, "init_scale": float}
 
 HEADERS = {
     "kappa": ["schema", "scheme", "d_x", "alpha", "seed", "kappa_sq_exact",
@@ -383,12 +387,9 @@ def _pretrain_cell(cell, config: ExperimentConfig, dec, once) -> dict:
     d = int(cell["d"])
     opts = config.options
     opt = objectives.OptimizerConfig(
-        learning_rate=float(opts.get("learning_rate", 0.2)),
-        max_iters=int(opts.get("max_iters", 20000)),
-        grad_tol=float(opts.get("grad_tol", 1e-8)),
-        seed=cell["seed"],
-        init_scale=float(opts.get("init_scale", 0.5)),
-    )
+        seed=cell["seed"], **{name: cast(opts[name])
+                              for name, cast in _OPTIMIZER_OPTIONS.items()
+                              if name in opts})
     kind = cell["objective"]
     spec = objectives.ObjectiveSpec(
         kind=kind, d=d,
@@ -397,17 +398,8 @@ def _pretrain_cell(cell, config: ExperimentConfig, dec, once) -> dict:
         else None,
     )
     result = objectives.minimize(spec, dec.process, opt)
-    lam = dec.lambdas[:d]
-    if kind == "scl":
-        target = float(-(lam ** 2).sum())
-    elif kind == "sclip":
-        target = float(-lam.sum())
-    elif kind == "vicreg" and spec.beta_w == 1.0:
-        target = float(d - (lam ** 2).sum())
-    else:
-        target = None
     row["final_loss"] = result.final_loss
-    row["target_loss"] = target
+    row["target_loss"] = objectives.optimal_loss(spec, dec)
     row["principal_angle"] = objectives.subspace_angle(result.phi_hat, dec, d)
     row["iterations"] = result.iterations
     row["trace"] = [float(v) for v in result.losses]

@@ -3,10 +3,14 @@
 Four population losses are evaluated in closed form on finite spaces: the
 spectral contrastive loss, its two-encoder CLIP variant, a regularized
 Barlow Twins loss, and a VICReg variant.  Each loss has one route, its
-``_<kind>_value_grad(params, process, ...)``, which returns the exact value
-and gradient; the public ``loss_*`` functions and :func:`minimize` both run
-it, and both take the process, the only object they read.  The
-positive-pair law ``P+ = C^T diag(p_x) C`` and the joint law
+value and gradient, which :func:`value_grad` reaches by ``spec.kind`` and
+:func:`minimize` steps on.  Both take the process, the only object they
+read, and the parameters as a tuple of tables: ``(phi,)`` on the
+augmentations, or ``(phi, xi)`` with ``xi`` on the data for the two-encoder
+loss; the gradient comes back in the same shape.  :func:`optimal_loss`
+states each minimum that has a closed form in the top eigenvalues.
+
+The positive-pair law ``P+ = C^T diag(p_x) C`` and the joint law
 ``J = C^T diag(p_x)`` of the table ``C = p(a|x)`` enter only through the
 operators of :mod:`augrkhs.spectral`, so no ``|A| x |A|`` or ``|A| x |X|``
 matrix is formed.  Each evaluation crosses the table once in each direction.
@@ -23,6 +27,7 @@ and gradient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +35,6 @@ import numpy as np
 from .exceptions import DivergenceError, ValidationError
 from .processes import AugmentationProcess
 from .spectral import SpectralDecomposition, apply_gamma_star, apply_joint
-
-KINDS = ("scl", "sclip", "rbt", "vicreg")
 
 
 @dataclass(frozen=True)
@@ -75,6 +78,9 @@ class OptimizerConfig:
             raise ValidationError("learning_rate must be positive")
         if self.max_iters < 0:
             raise ValidationError("max_iters must be >= 0")
+        if self.init_scale <= 0:
+            raise ValidationError(
+                f"init_scale must be positive, got {self.init_scale}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,19 +97,30 @@ class MinimizeResult:
         return float(self.losses[-1])
 
 
-def _scl_value_grad(phi, process: AugmentationProcess):
-    """``-2 Tr(phi P+ phi^T) + ||G||_F^2`` with ``G = phi diag(p_a) phi^T``."""
+def _scl_value_grad(params, process: AugmentationProcess, spec):
+    """``-2 Tr(phi P+ phi^T) + ||G||_F^2`` with ``G = phi diag(p_a) phi^T``.
+
+    The spectral contrastive loss ``-2 E+[<phi(a), phi(a')>] +
+    E[<phi(a), phi(a')>^2]``, the first expectation over positive pairs (two
+    augmentations of one original), the second over independent ones.
+    """
+    phi, = params
     p_x = process.p_x.mass
     phi_pa = phi * process.p_a.mass
     G = phi_pa @ phi.T
     Z = apply_gamma_star(process, phi.T)
     PhiPair = apply_joint(process, Z).T  # phi P+
     value = -2.0 * float(np.sum(p_x @ (Z * Z))) + float(np.sum(G * G))
-    return value, 4.0 * (G @ phi_pa - PhiPair)
+    return value, (4.0 * (G @ phi_pa - PhiPair),)
 
 
-def _sclip_value_grad(params, process: AugmentationProcess):
-    """``-2 Tr(phi J xi^T) + Tr(G H)`` with ``H = xi diag(p_x) xi^T``."""
+def _sclip_value_grad(params, process: AugmentationProcess, spec):
+    """``-2 Tr(phi J xi^T) + Tr(G H)`` with ``H = xi diag(p_x) xi^T``.
+
+    ``phi`` lives on the augmentation space, ``xi`` on the data space; the
+    positive term pairs them under the joint law ``p(a, x)``, the negative
+    term under the product of the marginals.
+    """
     phi, xi = params
     p_x = process.p_x.mass
     phi_pa = phi * process.p_a.mass
@@ -117,11 +134,14 @@ def _sclip_value_grad(params, process: AugmentationProcess):
     return value, (grad_phi, grad_xi)
 
 
-def _rbt_value_grad(phi, process: AugmentationProcess, alpha_w, beta_w):
+def _rbt_value_grad(params, process: AugmentationProcess, spec):
     """``||diag(M) - 1||^2 + alpha_w ||off(M)||^2 + beta_w Tr(G)``.
 
-    ``M = phi P+ phi^T = Z^T diag(p_x) Z`` and ``G = phi diag(p_a) phi^T``.
+    The regularized Barlow Twins loss, with ``M = phi P+ phi^T =
+    Z^T diag(p_x) Z`` and ``G = phi diag(p_a) phi^T``.
     """
+    phi, = params
+    alpha_w, beta_w = spec.alpha_w, spec.beta_w
     phi_pa = phi * process.p_a.mass
     Z = apply_gamma_star(process, phi.T)
     M = (Z * process.p_x.mass[:, None]).T @ Z
@@ -131,11 +151,17 @@ def _rbt_value_grad(phi, process: AugmentationProcess, alpha_w, beta_w):
              + beta_w * float(np.sum(phi_pa * phi)))
     coeff = 2.0 * np.diag(diag - 1.0) + 2.0 * alpha_w * off
     PhiPair = apply_joint(process, Z).T  # phi P+
-    return value, 2.0 * (coeff @ PhiPair + beta_w * phi_pa)
+    return value, (2.0 * (coeff @ PhiPair + beta_w * phi_pa),)
 
 
-def _vicreg_value_grad(phi, process: AugmentationProcess, beta_w):
-    """``||G - I||_F^2 + beta_w (2 Tr(G) - 2 Tr(M))``, ``M = phi P+ phi^T``."""
+def _vicreg_value_grad(params, process: AugmentationProcess, spec):
+    """``||G - I||_F^2 + beta_w (2 Tr(G) - 2 Tr(M))``, ``M = phi P+ phi^T``.
+
+    A VICReg variant: an identity-covariance penalty plus the positive-pair
+    energy.
+    """
+    phi, = params
+    beta_w = spec.beta_w
     p_x = process.p_x.mass
     phi_pa = phi * process.p_a.mass
     G = phi_pa @ phi.T
@@ -144,109 +170,102 @@ def _vicreg_value_grad(phi, process: AugmentationProcess, beta_w):
     G_eye = G - np.eye(phi.shape[0])
     value = float(np.sum(G_eye ** 2)) + beta_w * (
         2.0 * float(np.trace(G)) - 2.0 * float(np.sum(p_x @ (Z * Z))))
-    return value, 4.0 * (G_eye @ phi_pa + beta_w * (phi_pa - PhiPair))
+    return value, (4.0 * (G_eye @ phi_pa + beta_w * (phi_pa - PhiPair)),)
 
 
-def loss_scl(phi_hat: np.ndarray, process: AugmentationProcess) -> float:
-    """Spectral contrastive loss.
+# kind -> its value and gradient, and how many tables it takes: phi on the
+# augmentations, then xi on the data
+_LOSSES = {
+    "scl": (_scl_value_grad, 1),
+    "sclip": (_sclip_value_grad, 2),
+    "rbt": (_rbt_value_grad, 1),
+    "vicreg": (_vicreg_value_grad, 1),
+}
+KINDS = tuple(_LOSSES)
 
-    ``-2 E+[<phi(a), phi(a')>] + E[<phi(a), phi(a')>^2]``, the first
-    expectation over positive pairs (two augmentations of one original), the
-    second over independent augmentations.
-    """
-    return _scl_value_grad(phi_hat, process)[0]
+
+def _shapes(spec: ObjectiveSpec, process: AugmentationProcess):
+    tables = _LOSSES[spec.kind][1]
+    return tuple((spec.d, n) for n in (process.n_a, process.n_x)[:tables])
 
 
-def loss_sclip(phi_hat: np.ndarray, xi_hat: np.ndarray,
-               process: AugmentationProcess) -> float:
-    """Two-encoder contrastive loss.
-
-    ``phi_hat`` lives on the augmentation space, ``xi_hat`` on the data
-    space; the positive term pairs them under the joint law ``p(a, x)``, the
-    negative term under the product of the marginals.
-    """
-    if phi_hat.shape[0] != xi_hat.shape[0]:
+def _check_params(spec: ObjectiveSpec, process: AugmentationProcess, params):
+    want = _shapes(spec, process)
+    got = tuple(np.shape(table) for table in params)
+    if got != want:
         raise ValidationError(
-            f"encoder dimensions differ: {phi_hat.shape[0]} vs {xi_hat.shape[0]}"
-        )
-    return _sclip_value_grad((phi_hat, xi_hat), process)[0]
+            f"{spec.kind} takes tables of shapes {want}, got {got}")
 
 
-def loss_rbt(phi_hat: np.ndarray, process: AugmentationProcess,
-             alpha_w: float, beta_w: float) -> float:
-    """Regularized Barlow Twins loss, exact over the pair distribution."""
-    if alpha_w < 0 or beta_w < 0:
-        raise ValidationError("weights must be nonnegative")
-    return _rbt_value_grad(phi_hat, process, alpha_w, beta_w)[0]
+def value_grad(spec: ObjectiveSpec, process: AugmentationProcess, params):
+    """The exact loss ``spec`` and its gradient at ``params``.
+
+    ``params`` is a tuple of tables, ``(phi,)`` (``d x |A|``) or, for the
+    two-encoder loss, ``(phi, xi)`` (``xi`` is ``d x |X|``); the gradient
+    is a tuple of the same shapes.
+    """
+    params = tuple(np.asarray(table, dtype=float) for table in params)
+    _check_params(spec, process, params)
+    return _LOSSES[spec.kind][0](params, process, spec)
 
 
-def loss_vicreg(phi_hat: np.ndarray, process: AugmentationProcess,
-                beta_w: float) -> float:
-    """VICReg variant: identity-covariance penalty plus positive-pair energy."""
-    if beta_w < 0:
-        raise ValidationError("beta_w must be nonnegative")
-    return _vicreg_value_grad(phi_hat, process, beta_w)[0]
+def optimal_loss(spec: ObjectiveSpec,
+                 decomposition: SpectralDecomposition) -> float | None:
+    """The minimum of the loss ``spec`` over encoders, where a closed form
+    in the top-``d`` eigenvalues ``lambda`` is known, else ``None``.
 
-
-def _value_grad_fn(spec: ObjectiveSpec, process: AugmentationProcess):
+    ``-sum lambda^2`` for the contrastive loss, ``-sum lambda`` for its
+    two-encoder variant, and ``d - sum lambda^2`` for the VICReg variant at
+    unit coupling.
+    """
+    lam = decomposition.lambdas[:spec.d]
     if spec.kind == "scl":
-        return lambda p: _scl_value_grad(p, process)
+        return float(-(lam ** 2).sum())
     if spec.kind == "sclip":
-        return lambda p: _sclip_value_grad(p, process)
-    if spec.kind == "rbt":
-        return lambda p: _rbt_value_grad(p, process, spec.alpha_w, spec.beta_w)
-    return lambda p: _vicreg_value_grad(p, process, spec.beta_w)
+        return float(-lam.sum())
+    if spec.kind == "vicreg" and spec.beta_w == 1.0:
+        return float(spec.d - (lam ** 2).sum())
+    return None
+
+
+def _grad_norm(grads) -> float:
+    """Frobenius norm over the tables; for one table, ``np.linalg.norm``'s
+    bits exactly (``hypot`` of one number is its absolute value)."""
+    return math.hypot(*(np.linalg.norm(g) for g in grads))
 
 
 def minimize(spec: ObjectiveSpec, process: AugmentationProcess,
-             opt: OptimizerConfig,
-             init: np.ndarray | tuple[np.ndarray, np.ndarray] | None = None
+             opt: OptimizerConfig, init: tuple | None = None
              ) -> MinimizeResult:
     """Full-batch gradient descent on the exact population loss.
 
-    The encoder is parameterized directly as a ``d x |A|`` table (plus a
-    ``d x |X|`` table for the two-encoder loss); entries start i.i.d.
-    uniform in ``(-init_scale, init_scale)`` unless ``init`` is given.
-    Steps halve whenever the candidate loss increases, so the recorded
-    trace is monotone; iteration stops at ``grad_tol`` or ``max_iters``.
+    The encoder is parameterized directly by the tables of
+    :func:`value_grad`; entries start i.i.d. uniform in
+    ``(-init_scale, init_scale)``, ``phi`` drawn first, unless ``init``
+    gives the tuple.  Steps halve whenever the candidate loss increases, so
+    the recorded trace is monotone; iteration stops at ``grad_tol`` or
+    ``max_iters``.
     """
-    rng = np.random.default_rng(opt.seed)
-    pair_mode = spec.kind == "sclip"
     if init is None:
-        phi = rng.uniform(-opt.init_scale, opt.init_scale,
-                          size=(spec.d, process.n_a))
-        params = (phi, rng.uniform(-opt.init_scale, opt.init_scale,
-                                   size=(spec.d, process.n_x))) if pair_mode else phi
+        rng = np.random.default_rng(opt.seed)
+        params = tuple(rng.uniform(-opt.init_scale, opt.init_scale, size=shape)
+                       for shape in _shapes(spec, process))
     else:
-        params = (np.array(init[0], dtype=float), np.array(init[1], dtype=float)) \
-            if pair_mode else np.array(init, dtype=float)
-    fn = _value_grad_fn(spec, process)
+        params = tuple(np.array(table, dtype=float) for table in init)
+        _check_params(spec, process, params)
+    fn = _LOSSES[spec.kind][0]
 
-    def step(p, g, lr):
-        if pair_mode:
-            return (p[0] - lr * g[0], p[1] - lr * g[1])
-        return p - lr * g
-
-    def gnorm(g):
-        if pair_mode:
-            return float(np.sqrt(np.sum(g[0] ** 2) + np.sum(g[1] ** 2)))
-        return float(np.linalg.norm(g))
-
-    value, grad = fn(params)
+    value, grad = fn(params, process, spec)
     if not np.isfinite(value):
         raise DivergenceError("non-finite loss at iteration 0")
     losses = [value]
     lr = opt.learning_rate
-    iterations = 0
-    converged = False
     for it in range(opt.max_iters):
-        gn = gnorm(grad)
-        if gn <= opt.grad_tol:
-            converged = True
+        if _grad_norm(grad) <= opt.grad_tol:
             break
         while True:
-            candidate = step(params, grad, lr)
-            cand_value, cand_grad = fn(candidate)
+            candidate = tuple(p - lr * g for p, g in zip(params, grad))
+            cand_value, cand_grad = fn(candidate, process, spec)
             if not np.isfinite(cand_value):
                 raise DivergenceError(f"non-finite loss at iteration {it}")
             if cand_value <= value:
@@ -258,17 +277,11 @@ def minimize(spec: ObjectiveSpec, process: AugmentationProcess,
             break  # step size exhausted
         params, value, grad = candidate, cand_value, cand_grad
         losses.append(value)
-        iterations = it + 1
-    else:
-        converged = gnorm(grad) <= opt.grad_tol
-    if pair_mode:
-        phi_hat, xi_hat = params
-    else:
-        phi_hat, xi_hat = params, None
+    grad_norm = _grad_norm(grad)
     return MinimizeResult(
-        phi_hat=phi_hat, xi_hat=xi_hat, losses=np.array(losses),
-        iterations=iterations, grad_norm=gnorm(grad),
-        converged=converged or gnorm(grad) <= opt.grad_tol,
+        phi_hat=params[0], xi_hat=params[1] if len(params) > 1 else None,
+        losses=np.array(losses), iterations=len(losses) - 1,
+        grad_norm=grad_norm, converged=grad_norm <= opt.grad_tol,
     )
 
 
@@ -319,7 +332,7 @@ def rbt_penalty_path(process: AugmentationProcess, d: int, alpha_w: float,
         spec = ObjectiveSpec(kind="rbt", d=d, alpha_w=alpha_w, beta_w=beta)
         res = minimize(spec, process, opt, init=init)
         results.append(res)
-        init = res.phi_hat
+        init = (res.phi_hat,)
     final = results[-1].phi_hat
     trace_g = float(np.sum(final * final @ process.p_a.mass))
     return results, trace_g

@@ -356,9 +356,9 @@ def project_fpsi(target: TargetFunction, encoder: Encoder
     dec = target.decomposition
     process = encoder.process
     g_star = dec.phi @ (target.u / np.sqrt(dec.lambdas))
-    G = (encoder.phi_hat * process.p_a.mass[None, :]) @ encoder.phi_hat.T
-    rhs = (encoder.phi_hat * process.p_a.mass[None, :]) @ g_star
-    coeffs = np.linalg.solve(G, rhs)
+    # one weighting serves the Gram (encoders.gram_a) and the right side
+    weighted = encoder.phi_hat * process.p_a.mass[None, :]
+    coeffs = np.linalg.solve(weighted @ encoder.phi_hat.T, weighted @ g_star)
     projected = encoder.phi_hat.T @ coeffs
     f_psi = apply_gamma_star(process, projected)
     diff = f_psi - target.values

@@ -199,33 +199,25 @@ def test_criterion_05_objective_landscapes(distinct_pair, process_cache,
     rng = np.random.default_rng(123)
     h = 1e-5
     worst_grad = 0.0
-    fns = [lambda q: ob._scl_value_grad(q, p1),
-           lambda q: ob._rbt_value_grad(q, p1, 0.7, 0.2),
-           lambda q: ob._vicreg_value_grad(q, p1, 0.9),
-           "sclip"]
-    for fn in fns:
+    specs = [ob.ObjectiveSpec("scl", 2),
+             ob.ObjectiveSpec("rbt", 2, alpha_w=0.7, beta_w=0.2),
+             ob.ObjectiveSpec("vicreg", 2, beta_w=0.9),
+             ob.ObjectiveSpec("sclip", 2)]
+    for spec in specs:
+        columns = (p1.n_a, p1.n_x) if spec.kind == "sclip" else (p1.n_a,)
         for _ in range(5):
-            if fn == "sclip":
-                point = (rng.normal(size=(2, p1.n_a)),
-                         rng.normal(size=(2, p1.n_x)))
-                value, grad = ob._sclip_value_grad(point, p1)
-                flat = np.concatenate([q.ravel() for q in point])
-                grads = np.concatenate([g.ravel() for g in grad])
+            point = tuple(rng.normal(size=(2, n)) for n in columns)
+            value, grad = ob.value_grad(spec, p1, point)
+            flat = np.concatenate([q.ravel() for q in point])
+            grads = np.concatenate([g.ravel() for g in grad])
 
-                def evaluate(vec, shapes=[q.shape for q in point]):
-                    parts, i = [], 0
-                    for s in shapes:
-                        n = int(np.prod(s))
-                        parts.append(vec[i:i + n].reshape(s))
-                        i += n
-                    return ob._sclip_value_grad(tuple(parts), p1)[0]
-            else:
-                point = rng.normal(size=(2, p1.n_a))
-                value, grad = fn(point)
-                flat, grads = point.ravel(), grad.ravel()
-
-                def evaluate(vec, f=fn, shape=point.shape):
-                    return f(vec.reshape(shape))[0]
+            def evaluate(vec, spec=spec, shapes=[q.shape for q in point]):
+                parts, i = [], 0
+                for s in shapes:
+                    n = int(np.prod(s))
+                    parts.append(vec[i:i + n].reshape(s))
+                    i += n
+                return ob.value_grad(spec, p1, tuple(parts))[0]
             numeric = np.empty_like(flat)
             for i in range(flat.size):
                 up, down = flat.copy(), flat.copy()

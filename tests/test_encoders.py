@@ -14,12 +14,10 @@ from augrkhs.encoders import (
     empirical_decomposition,
     empirical_ratio_trace,
     learned_kernel,
-    load_encoder,
     near_optimal_encoder,
     optimal_encoder,
     pencil_eigenvalues,
     ratio_trace,
-    save_encoder,
     trace_gap,
 )
 from augrkhs.exceptions import RankDeficiencyError, ValidationError
@@ -492,16 +490,3 @@ def test_concentration_trend_median_nonincreasing(small_process,
         medians.append(float(np.median(gaps)))
     assert np.all(np.diff(medians) <= 1e-12), medians
 
-
-def test_encoder_save_load_roundtrip(tmp_path, small_process,
-                                     small_decomposition):
-    rng = np.random.default_rng(8)
-    table = rng.normal(size=(2, small_process.n_a))
-    enc = build_average_encoder(small_decomposition, table)
-    path = tmp_path / "encoder.csv"
-    save_encoder(path, enc)
-    header = path.read_text().splitlines()[0]
-    assert header == f"2 {small_process.n_a}"
-    loaded = load_encoder(path, small_decomposition)
-    np.testing.assert_allclose(loaded.phi_hat, enc.phi_hat, rtol=1e-15)
-    np.testing.assert_allclose(loaded.psi_hat, enc.psi_hat, rtol=1e-12)

@@ -640,6 +640,25 @@ def test_pretrain_needs_no_pair_matrix_budget(tmp_path):
         assert math.isfinite(record["final_loss"])
 
 
+def test_nonpositive_init_scale_fails_every_pretrain_cell(tmp_path):
+    cfg = {
+        "command": "pretrain",
+        "grid": {"scheme": ["random_mask", "block_mask"], "d_x": [2],
+                 "alpha": [0.5], "objective": ["scl", "sclip"], "d": [1]},
+        "seeds": [0, 1],
+        "output_dir": str(tmp_path / "out"),
+        "options": {"init_scale": 0},
+    }
+    outcome = run(resolve_config(cfg))
+    assert outcome.exit_code == 2
+    assert outcome.failures == len(outcome.records) == 8
+    assert {r["error"] for r in outcome.records} == {
+        "ValidationError: init_scale must be positive; got 0.0"}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["pretrain", "--config", str(cfg_path)]) == 2
+
+
 def test_cli_import_leaves_scipy_linalg_out():
     # the runtime needs numpy and scipy.sparse only; scipy.linalg is a
     # test oracle, and importing it costs every sweep start-up time

@@ -4,22 +4,15 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from augrkhs import objectives
 from augrkhs.exceptions import ValidationError
 from augrkhs.objectives import (
     ObjectiveSpec,
     OptimizerConfig,
-    _rbt_value_grad,
-    _scl_value_grad,
-    _sclip_value_grad,
-    _vicreg_value_grad,
-    loss_rbt,
-    loss_scl,
-    loss_sclip,
-    loss_vicreg,
     minimize,
+    optimal_loss,
     rbt_penalty_path,
     subspace_angle,
+    value_grad,
 )
 from augrkhs.processes import (
     SCHEMES,
@@ -76,15 +69,27 @@ def test_objective_spec_validation():
     ObjectiveSpec("rbt", 2, alpha_w=1.0, beta_w=0.1)
 
 
+@pytest.mark.parametrize("scale", [0.0, -0.5])
+def test_optimizer_config_refuses_a_nonpositive_init_scale(scale):
+    # a zero start is a stationary point, a negative one an empty interval
+    with pytest.raises(ValidationError, match="init_scale"):
+        OptimizerConfig(init_scale=scale)
+
+
+def scl_value(table, process):
+    return value_grad(ObjectiveSpec("scl", table.shape[0]), process,
+                      (table,))[0]
+
+
 def test_scl_zero_encoder(pair):
     process, dec = pair
-    assert loss_scl(np.zeros((2, process.n_a)), process) == 0.0
+    assert scl_value(np.zeros((2, process.n_a)), process) == 0.0
 
 
 def test_scl_single_eigenfunction(pair):
     process, dec = pair
-    assert loss_scl(dec.phi[:, :1].T, process) == pytest.approx(-1.0,
-                                                             abs=1e-10)
+    assert scl_value(dec.phi[:, :1].T, process) == pytest.approx(-1.0,
+                                                              abs=1e-10)
 
 
 def test_scl_scaled_top_d_reaches_floor(pair):
@@ -92,7 +97,7 @@ def test_scl_scaled_top_d_reaches_floor(pair):
     for d in (1, 2, 3):
         table = (dec.phi[:, :d] * np.sqrt(dec.lambdas[:d])).T
         expected = -float((dec.lambdas[:d] ** 2).sum())
-        assert loss_scl(table, process) == pytest.approx(expected, abs=1e-10)
+        assert scl_value(table, process) == pytest.approx(expected, abs=1e-10)
 
 
 def test_scl_on_a_sample_is_the_empirical_loss():
@@ -104,8 +109,8 @@ def test_scl_on_a_sample_is_the_empirical_loss():
         for d in range(1, min(dec.rank, 4) + 1):
             table = (dec.phi[:, :d] * np.sqrt(dec.lambdas[:d])).T
             expected = -float((dec.lambdas[:d] ** 2).sum())
-            assert loss_scl(table, dec.process) == pytest.approx(expected,
-                                                                 abs=1e-10)
+            assert scl_value(table, dec.process) == pytest.approx(expected,
+                                                                  abs=1e-10)
 
 
 def test_minimize_runs_on_a_sample():
@@ -129,7 +134,7 @@ def test_scl_expansion_matches_direct(pair):
         inner = table.T @ table  # <phi(a), phi(a')> for every pair
         direct = (-2.0 * float(np.sum(inner * pair_distribution(process)))
                   + float(np.sum(inner * inner * np.outer(p_a, p_a))))
-        assert loss_scl(table, process) == pytest.approx(direct, abs=1e-9)
+        assert scl_value(table, process) == pytest.approx(direct, abs=1e-9)
 
 
 def test_scl_loss_floor_seeded(pair):
@@ -139,27 +144,32 @@ def test_scl_loss_floor_seeded(pair):
     for _ in range(100):
         d = int(rng.integers(1, 5))
         table = rng.normal(size=(d, process.n_a)) * rng.uniform(0.1, 3.0)
-        assert loss_scl(table, process) >= floor - 1e-9
+        assert scl_value(table, process) >= floor - 1e-9
+
+
+def sclip_value(table_a, table_x, process):
+    return value_grad(ObjectiveSpec("sclip", table_a.shape[0]), process,
+                      (table_a, table_x))[0]
 
 
 def test_sclip_zero_and_optimal(pair):
     process, dec = pair
     zero_a = np.zeros((2, process.n_a))
     zero_x = np.zeros((2, process.n_x))
-    assert loss_sclip(zero_a, zero_x, process) == 0.0
+    assert sclip_value(zero_a, zero_x, process) == 0.0
     d = 2
     table_a = dec.phi[:, :d].T
     table_x = (dec.psi[:, :d] * np.sqrt(dec.lambdas[:d])).T
     expected = -float(dec.lambdas[:d].sum())
-    assert loss_sclip(table_a, table_x, process) == pytest.approx(expected,
-                                                                  abs=1e-10)
+    assert sclip_value(table_a, table_x, process) == pytest.approx(expected,
+                                                                   abs=1e-10)
 
 
 def test_sclip_dimension_mismatch(pair):
     process, dec = pair
     with pytest.raises(ValidationError):
-        loss_sclip(np.zeros((2, process.n_a)), np.zeros((3, process.n_x)),
-                   process)
+        sclip_value(np.zeros((2, process.n_a)), np.zeros((3, process.n_x)),
+                    process)
 
 
 def test_sclip_expansion_matches_direct(pair):
@@ -173,8 +183,8 @@ def test_sclip_expansion_matches_direct(pair):
         inner = table_a.T @ table_x  # <phi(a), xi(x)>, |A| x |X|
         direct = (-2.0 * float(np.sum(inner * joint_distribution(process)))
                   + float(np.sum(inner * inner * weights)))
-        assert loss_sclip(table_a, table_x, process) == pytest.approx(direct,
-                                                                      abs=1e-9)
+        assert sclip_value(table_a, table_x, process) == pytest.approx(
+            direct, abs=1e-9)
 
 
 def test_sclip_inner_least_squares_projector_form(pair):
@@ -191,31 +201,41 @@ def test_sclip_inner_least_squares_projector_form(pair):
     expected = float(np.sum(residual**2) - np.sum(dec.lambdas))
     best_c = np.diag(joint_half[:d])  # C = D_d^(1/2) embeds the solution
     table_a = (dec.phi[:, :d] @ best_c).T
-    assert loss_sclip(table_a, table_x, process) == pytest.approx(expected,
-                                                                  abs=1e-10)
+    assert sclip_value(table_a, table_x, process) == pytest.approx(expected,
+                                                                   abs=1e-10)
 
 
 def test_rbt_values(pair):
     process, dec = pair
+
+    def rbt_value(table, alpha_w, beta_w):
+        spec = ObjectiveSpec("rbt", table.shape[0], alpha_w=alpha_w,
+                             beta_w=beta_w)
+        return value_grad(spec, process, (table,))[0]
+
     d = 3
-    assert loss_rbt(np.zeros((d, process.n_a)), process, 1.0, 0.7) == \
+    assert rbt_value(np.zeros((d, process.n_a)), 1.0, 0.7) == \
         pytest.approx(d, abs=1e-12)
     table = (dec.phi[:, :2] / np.sqrt(dec.lambdas[:2])).T
     expected = 0.3 * float((1.0 / dec.lambdas[:2]).sum())
-    assert loss_rbt(table, process, 1.0, 0.3) == pytest.approx(expected,
-                                                               abs=1e-10)
-    assert loss_rbt(table, process, 1.0, 0.6) == pytest.approx(2 * expected,
-                                                               abs=1e-10)
+    assert rbt_value(table, 1.0, 0.3) == pytest.approx(expected, abs=1e-10)
+    assert rbt_value(table, 1.0, 0.6) == pytest.approx(2 * expected,
+                                                       abs=1e-10)
 
 
 def test_vicreg_values(pair):
     process, dec = pair
+
+    def vicreg_value(table, beta_w):
+        spec = ObjectiveSpec("vicreg", table.shape[0], beta_w=beta_w)
+        return value_grad(spec, process, (table,))[0]
+
     table = dec.phi[:, :2].T  # orthonormal rows
     beta = 0.8
     energy = 2.0 * 2.0 - 2.0 * float(dec.lambdas[:2].sum())
-    assert loss_vicreg(table, process, beta) == pytest.approx(beta * energy,
-                                                              abs=1e-10)
-    assert loss_vicreg(np.zeros((3, process.n_a)), process, 1.0) == \
+    assert vicreg_value(table, beta) == pytest.approx(beta * energy,
+                                                      abs=1e-10)
+    assert vicreg_value(np.zeros((3, process.n_a)), 1.0) == \
         pytest.approx(3.0, abs=1e-12)
 
 
@@ -224,38 +244,84 @@ def test_gradients_match_finite_differences(pair):
     rng = np.random.default_rng(77)
     h = 1e-5
 
-    def check(fn, point):
-        value, grad = fn(point)
-        flat = (np.concatenate([p.ravel() for p in point])
-                if isinstance(point, tuple) else point.ravel())
-        grads = (np.concatenate([g.ravel() for g in grad])
-                 if isinstance(grad, tuple) else grad.ravel())
+    def check(spec, point):
+        value, grad = value_grad(spec, process, point)
+        flat = np.concatenate([p.ravel() for p in point])
+        grads = np.concatenate([g.ravel() for g in grad])
 
-        def rebuild(vec):
-            if not isinstance(point, tuple):
-                return vec.reshape(point.shape)
+        def loss(vec):
             parts, i = [], 0
             for p in point:
                 parts.append(vec[i:i + p.size].reshape(p.shape))
                 i += p.size
-            return tuple(parts)
+            return value_grad(spec, process, tuple(parts))[0]
 
         numeric = np.empty_like(flat)
         for i in range(flat.size):
             up, down = flat.copy(), flat.copy()
             up[i] += h
             down[i] -= h
-            numeric[i] = (fn(rebuild(up))[0] - fn(rebuild(down))[0]) / (2 * h)
+            numeric[i] = (loss(up) - loss(down)) / (2 * h)
         scale = max(1.0, float(np.max(np.abs(grads))))
         assert np.max(np.abs(numeric - grads)) / scale <= 1e-5
 
     for _ in range(5):
         table = rng.normal(size=(2, process.n_a))
         table_x = rng.normal(size=(2, process.n_x))
-        check(lambda p: _scl_value_grad(p, process), table)
-        check(lambda p: _sclip_value_grad(p, process), (table, table_x))
-        check(lambda p: _rbt_value_grad(p, process, 0.7, 0.2), table)
-        check(lambda p: _vicreg_value_grad(p, process, 0.9), table)
+        check(ObjectiveSpec("scl", 2), (table,))
+        check(ObjectiveSpec("sclip", 2), (table, table_x))
+        check(ObjectiveSpec("rbt", 2, alpha_w=0.7, beta_w=0.2), (table,))
+        check(ObjectiveSpec("vicreg", 2, beta_w=0.9), (table,))
+
+
+def test_optimal_loss_is_attained(gapped):
+    # each closed form against its own minimizer, written out independently
+    process, dec = gapped
+    for d in (1, 2, 3):
+        lam = dec.lambdas[:d]
+        phi = dec.phi[:, :d].T
+        scaled = (dec.phi[:, :d] * np.sqrt(lam)).T
+        cases = [
+            (ObjectiveSpec("scl", d), (scaled,), -np.sum(lam ** 2)),
+            (ObjectiveSpec("sclip", d),
+             (phi, (dec.psi[:, :d] * np.sqrt(lam)).T), -np.sum(lam)),
+            (ObjectiveSpec("vicreg", d, beta_w=1.0), (scaled,),
+             d - np.sum(lam ** 2)),
+        ]
+        for spec, params, expected in cases:
+            optimum = optimal_loss(spec, dec)
+            assert optimum == pytest.approx(expected, abs=1e-12), spec
+            assert value_grad(spec, process, params)[0] == pytest.approx(
+                optimum, abs=1e-10), spec
+        assert optimal_loss(ObjectiveSpec("rbt", d, alpha_w=1.0, beta_w=0.1),
+                            dec) is None
+        assert optimal_loss(ObjectiveSpec("vicreg", d, beta_w=0.5),
+                            dec) is None
+
+
+def test_value_grad_and_minimize_refuse_wrong_shapes(pair):
+    process, dec = pair
+    d, n_a, n_x = 2, process.n_a, process.n_x
+    phi, xi = np.zeros((d, n_a)), np.zeros((d, n_x))
+    opt = OptimizerConfig(max_iters=1)
+    wrong = {
+        "scl": [phi, (), (phi, phi), (phi, xi), (np.zeros((d + 1, n_a)),),
+                (np.zeros((d, n_a + 1)),), (phi[0],)],
+        "sclip": [(phi,), (phi, xi, xi), (phi, np.zeros((d + 1, n_x))),
+                  (np.zeros((d + 1, n_a)), xi), (phi, np.zeros((d, n_x + 1))),
+                  (np.zeros((d, n_a + 1)), xi), (xi, phi)],
+    }
+    for kind, cases in wrong.items():
+        spec = ObjectiveSpec(kind, d)
+        for params in cases:
+            with pytest.raises(ValidationError, match="tables of shapes"):
+                value_grad(spec, process, params)
+            with pytest.raises(ValidationError, match="tables of shapes"):
+                minimize(spec, process, opt, init=params)
+    for kind in ("rbt", "vicreg"):
+        spec = ObjectiveSpec(kind, d, alpha_w=1.0, beta_w=0.5)
+        with pytest.raises(ValidationError, match="tables of shapes"):
+            value_grad(spec, process, (np.zeros((d + 1, n_a)),))
 
 
 def test_minimize_zero_iterations_returns_init(pair):
@@ -375,6 +441,8 @@ def test_degenerate_spectrum_loss_only(small_process, small_decomposition):
 # through the conditional table.  It forms the |A| x |A| pair law and the
 # |A| x |X| joint law (above); nothing outside these tests keeps it.
 def _oracle_value_grad(kind, params, process, alpha_w=0.7, beta_w=0.2):
+    """The value and the gradient tuple of :func:`value_grad`, summed over
+    the dense laws."""
     p_a, p_x = process.p_a.mass, process.p_x.mass
     pair = pair_distribution(process)
     if kind == "sclip":
@@ -386,12 +454,12 @@ def _oracle_value_grad(kind, params, process, alpha_w=0.7, beta_w=0.2):
         value = -2.0 * float(np.sum(PhiJ * xi)) + float(np.sum(G * H))
         return value, (-2.0 * (xi @ J.T) + 2.0 * (H @ phi) * p_a[None, :],
                        -2.0 * PhiJ + 2.0 * (G @ xi) * p_x[None, :])
-    phi = params
+    phi, = params
     G = (phi * p_a[None, :]) @ phi.T
     if kind == "scl":
         PhiPair = phi @ pair
         value = -2.0 * float(np.sum(PhiPair * phi)) + float(np.sum(G * G))
-        return value, -4.0 * PhiPair + 4.0 * (G @ phi) * p_a[None, :]
+        return value, (-4.0 * PhiPair + 4.0 * (G @ phi) * p_a[None, :],)
     M = phi @ pair @ phi.T
     if kind == "rbt":
         diag = np.diag(M)
@@ -401,36 +469,25 @@ def _oracle_value_grad(kind, params, process, alpha_w=0.7, beta_w=0.2):
                  + beta_w * float(np.sum(phi * phi @ p_a)))
         coeff = 2.0 * np.diag(diag - 1.0) + 2.0 * alpha_w * off
         return value, (2.0 * (coeff @ (phi @ pair))
-                       + 2.0 * beta_w * phi * p_a[None, :])
+                       + 2.0 * beta_w * phi * p_a[None, :],)
     eye = np.eye(phi.shape[0])
     value = float(np.sum((G - eye) ** 2)) + beta_w * (
         2.0 * float(np.trace(G)) - 2.0 * float(np.trace(M)))
     return value, (4.0 * ((G - eye) @ phi) * p_a[None, :]
-                   + 4.0 * beta_w * (phi * p_a[None, :] - phi @ pair))
-
-
-def _public_loss(kind, params, process, alpha_w=0.7, beta_w=0.2):
-    if kind == "scl":
-        return loss_scl(params, process)
-    if kind == "sclip":
-        return loss_sclip(params[0], params[1], process)
-    if kind == "rbt":
-        return loss_rbt(params, process, alpha_w, beta_w)
-    return loss_vicreg(params, process, beta_w)
+                   + 4.0 * beta_w * (phi * p_a[None, :] - phi @ pair),)
 
 
 def _assert_matches_oracle(process, rng, d):
     for kind in ("scl", "sclip", "rbt", "vicreg"):
         phi = rng.normal(size=(d, process.n_a))
         params = (phi, rng.normal(size=(d, process.n_x))) \
-            if kind == "sclip" else phi
+            if kind == "sclip" else (phi,)
         spec = ObjectiveSpec(kind, d, alpha_w=0.7, beta_w=0.2)
-        value, grad = objectives._value_grad_fn(spec, process)(params)
+        value, grad = value_grad(spec, process, params)
         want_value, want_grad = _oracle_value_grad(kind, params, process)
         assert abs(value - want_value) <= 1e-12 * max(1.0, abs(want_value))
-        assert _public_loss(kind, params, process) == value
-        for got, want in zip(*((grad, want_grad) if kind == "sclip"
-                               else ((grad,), (want_grad,)))):
+        assert len(grad) == len(want_grad) == len(params)
+        for got, want in zip(grad, want_grad):
             scale = max(1.0, float(np.max(np.abs(want))))
             assert float(np.max(np.abs(got - want))) <= 1e-12 * scale, kind
 
@@ -478,17 +535,17 @@ def test_no_pair_or_joint_matrix_is_formed(pair, gapped, monkeypatch):
         phi = rng.normal(size=(2, process.n_a))
         xi = rng.normal(size=(2, process.n_x))
         for kind in ("scl", "sclip", "rbt", "vicreg"):
-            params = (phi, xi) if kind == "sclip" else phi
-            assert np.isfinite(_public_loss(kind, params, process))
+            params = (phi, xi) if kind == "sclip" else (phi,)
             spec = ObjectiveSpec(kind, 2,
                                  alpha_w=1.0 if kind == "rbt" else None,
                                  beta_w=None if kind in ("scl", "sclip")
                                  else 0.5)
+            assert np.isfinite(value_grad(spec, process, params)[0])
             result = minimize(spec, process,
                               OptimizerConfig(max_iters=20, seed=1))
             assert result.iterations == 20
         with pytest.raises(AssertionError, match="dense conditional"):
-            _oracle_value_grad("scl", phi, process)
+            _oracle_value_grad("scl", (phi,), process)
 
 
 def test_minimize_transposes_a_sparse_table_at_most_once(monkeypatch):
