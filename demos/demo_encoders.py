@@ -51,8 +51,8 @@ print(f"{'N':>6}{'median excess gap':>20}")
 for N in (64, 256, 1024, 4096):
     gaps = []
     for seed in range(10):
-        emp = empirical_decomposition(process, N, seed=seed)
-        enc = near_optimal_encoder(emp, d, dec)
+        emp = empirical_decomposition(dec, N, seed=seed)
+        enc = near_optimal_encoder(emp, d)
         gap = (partial_trace(dec, d + 1) - ratio_trace(covariances(enc))
                - dec.eigenvalue(d + 1))
         gaps.append(gap)

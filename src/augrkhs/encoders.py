@@ -8,8 +8,10 @@ between partial eigenvalue sums and the best ratio trace achievable inside
 the encoder's span.  The empirical route replaces the data marginal with an
 N-sample empirical measure, which is itself a process (the sample process of
 :func:`processes.sample_process`); :func:`decompose` solves it like any
-other, and the near-optimal encoder is its top eigenfunctions extended by
-zero to the augmentations the sample never reaches.
+other.  The empirical route takes the population once, as a decomposition:
+:func:`empirical_decomposition` samples its process and keeps it, and the
+near-optimal encoder is the sample's top eigenfunctions extended by zero to
+the augmentations the sample never reaches, judged against that population.
 """
 
 from __future__ import annotations
@@ -173,14 +175,19 @@ class EmpiricalDecomposition:
     ``decomposition`` is :func:`decompose` of the sample process, so its
     ``psi`` lives on the distinct sampled points and its ``phi`` on
     ``kept``, the augmentations of ``process`` that the sample reaches;
-    both are orthonormal under the sample's marginals.  ``process`` is the
-    population that ``sample_indices`` were drawn from.
+    both are orthonormal under the sample's marginals.  ``population`` is
+    the decomposition of ``process``, the process that ``sample_indices``
+    were drawn from.
     """
 
-    process: AugmentationProcess
+    population: SpectralDecomposition
     sample_indices: np.ndarray
     kept: np.ndarray
     decomposition: SpectralDecomposition
+
+    @property
+    def process(self) -> AugmentationProcess:
+        return self.population.process
 
     @property
     def lambdas_bar(self) -> np.ndarray:
@@ -191,35 +198,27 @@ class EmpiricalDecomposition:
         return self.decomposition.rank
 
 
-def empirical_decomposition(process: AugmentationProcess, N: int, seed: int,
-                            rank_tol: float = 1e-10) -> EmpiricalDecomposition:
-    """Spectral system from ``N`` i.i.d. draws of the data marginal: the
-    decomposition of :func:`processes.sample_process`'s sample."""
-    sample, draws, kept = sample_process(process, N, seed)
-    return EmpiricalDecomposition(process=process, sample_indices=draws,
-                                  kept=kept,
-                                  decomposition=decompose(sample, rank_tol))
+def empirical_decomposition(population: SpectralDecomposition, N: int,
+                            seed: int) -> EmpiricalDecomposition:
+    """Spectral system from ``N`` i.i.d. draws of the data marginal of
+    ``population.process``: the decomposition of
+    :func:`processes.sample_process`'s sample."""
+    sample, draws, kept = sample_process(population.process, N, seed)
+    return EmpiricalDecomposition(population=population, sample_indices=draws,
+                                  kept=kept, decomposition=decompose(sample))
 
 
-def near_optimal_encoder(empirical: EmpiricalDecomposition, d: int,
-                         decomposition: SpectralDecomposition) -> Encoder:
+def near_optimal_encoder(empirical: EmpiricalDecomposition, d: int) -> Encoder:
     """Encoder whose rows are the top ``d`` empirical eigenfunctions, zero on
-    the augmentations the sample never reaches.
-
-    ``decomposition`` must belong to the process the sample was drawn from.
-    """
-    if empirical.process is not decomposition.process:
-        raise ValidationError(
-            "the empirical and population decompositions belong to "
-            "different processes"
-        )
+    the augmentations the sample never reaches, judged against the
+    population decomposition the sample was drawn from."""
     if not (1 <= d <= empirical.rank):
         raise ValidationError(
             f"d must lie in [1, empirical rank={empirical.rank}], got {d}"
         )
     phi_hat = np.zeros((d, empirical.process.n_a))
     phi_hat[:, empirical.kept] = empirical.decomposition.phi[:, :d].T
-    return build_average_encoder(decomposition, phi_hat)
+    return build_average_encoder(empirical.population, phi_hat)
 
 
 def empirical_ratio_trace(encoder: Encoder,

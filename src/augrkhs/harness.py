@@ -390,13 +390,10 @@ def _pretrain_cell(cell, config: ExperimentConfig, dec, once) -> dict:
         seed=cell["seed"], **{name: cast(opts[name])
                               for name, cast in _OPTIMIZER_OPTIONS.items()
                               if name in opts})
-    kind = cell["objective"]
     spec = objectives.ObjectiveSpec(
-        kind=kind, d=d,
-        alpha_w=float(opts.get("alpha_w", 1.0)) if kind == "rbt" else None,
-        beta_w=float(opts.get("beta_w", 1.0)) if kind in ("rbt", "vicreg")
-        else None,
-    )
+        kind=cell["objective"], d=d,
+        **{name: float(opts[name]) for name in ("alpha_w", "beta_w")
+           if name in opts})
     result = objectives.minimize(spec, dec.process, opt)
     row["final_loss"] = result.final_loss
     row["target_loss"] = objectives.optimal_loss(spec, dec)
@@ -441,9 +438,8 @@ def _regress_cell(cell, config: ExperimentConfig, dec, once) -> dict:
 def _tracegap_cell(cell, config: ExperimentConfig, dec, once) -> dict:
     row = _base_row(cell)
     d, N = int(cell["d"]), int(cell["N"])
-    empirical = encoders.empirical_decomposition(dec.process, N,
-                                                 seed=cell["seed"])
-    encoder = encoders.near_optimal_encoder(empirical, d, dec)
+    empirical = encoders.empirical_decomposition(dec, N, seed=cell["seed"])
+    encoder = encoders.near_optimal_encoder(empirical, d)
     cov = encoders.covariances(encoder)
     rt = encoders.ratio_trace(cov)
     gap = complexity.partial_trace(dec, d + 1) - rt - dec.eigenvalue(d + 1)

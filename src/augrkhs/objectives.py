@@ -43,24 +43,20 @@ class ObjectiveSpec:
 
     kind: str
     d: int
-    alpha_w: float | None = None
-    beta_w: float | None = None
+    alpha_w: float = 1.0
+    beta_w: float = 1.0
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown objective kind {self.kind!r}")
         if self.d < 1:
             raise ValidationError(f"d must be >= 1, got {self.d}")
-        if self.kind == "rbt":
-            if self.alpha_w is None or self.beta_w is None:
-                raise ValidationError("rbt needs alpha_w and beta_w")
-            if self.alpha_w < 0 or self.beta_w < 0:
-                raise ValidationError("rbt weights must be nonnegative")
-        if self.kind == "vicreg":
-            if self.beta_w is None:
-                raise ValidationError("vicreg needs beta_w")
-            if self.beta_w < 0:
-                raise ValidationError("vicreg beta_w must be nonnegative")
+        # a weight is checked only for the kinds that read it: rbt reads
+        # both, vicreg beta_w
+        if self.kind == "rbt" and (self.alpha_w < 0 or self.beta_w < 0):
+            raise ValidationError("rbt weights must be nonnegative")
+        if self.kind == "vicreg" and self.beta_w < 0:
+            raise ValidationError("vicreg beta_w must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -249,32 +249,36 @@ def _finalize_storage(conditional):
     return conditional
 
 
-def _assemble(x_points, a_points, p_x_mass, conditional,
-              hypercube: HypercubeConfig) -> AugmentationProcess:
-    """Prune zero-mass augmentations and build the hypercube process."""
-    p_a_mass = derive_marginal(conditional, p_x_mass)
-    keep = np.nonzero(p_a_mass > 0.0)[0]
-    pruned = keep.size < len(a_points)
-    if pruned:
-        conditional = (
-            conditional[:, keep] if not sp.issparse(conditional)
-            else conditional.tocsc()[:, keep].tocsr()
-        )
-        a_points = [a_points[j] for j in keep]
-    stored = _finalize_storage(conditional)
-    if pruned or stored is not conditional:
-        # p_a is always derived from the stored table
-        p_a_mass = derive_marginal(stored, p_x_mass)
-    x_space = FiniteSpace(len(x_points), _labels(x_points))
-    a_space = FiniteSpace(len(a_points), _labels(a_points))
-    return AugmentationProcess(
+def _assemble(p_x, table, hypercube: HypercubeConfig | None = None,
+              x_points=None, a_points=None
+              ) -> tuple[AugmentationProcess, np.ndarray]:
+    """The process of ``table`` over ``p_x``: zero-mass augmentations pruned,
+    the storage chosen, ``p_a`` derived from the stored table.
+
+    Points, when given, label the spaces.  Returns ``(process, kept)``,
+    ``kept`` holding the table's column indices that survive pruning.
+    """
+    p_a = derive_marginal(table, p_x)
+    kept = np.nonzero(p_a > 0.0)[0]
+    if kept.size < p_a.size:
+        table = (table[:, kept] if not sp.issparse(table)
+                 else table.tocsc()[:, kept].tocsr())
+        if a_points is not None:
+            a_points = [a_points[j] for j in kept]
+    stored = _finalize_storage(table)
+    x_space = FiniteSpace(stored.shape[0],
+                          None if x_points is None else _labels(x_points))
+    a_space = FiniteSpace(stored.shape[1],
+                          None if a_points is None else _labels(a_points))
+    process = AugmentationProcess(
         x_space=x_space,
         a_space=a_space,
-        p_x=Distribution(x_space, p_x_mass),
+        p_x=Distribution(x_space, p_x),
         conditional=stored,
-        p_a=Distribution(a_space, p_a_mass),
+        p_a=Distribution(a_space, derive_marginal(stored, p_x)),
         hypercube=hypercube,
     )
+    return process, kept
 
 
 def _coordinate_channel(config: HypercubeConfig) -> np.ndarray:
@@ -321,8 +325,8 @@ def _build_product_scheme(config: HypercubeConfig, budget: int) -> AugmentationP
             range(d - 1), channel,
         )
     p_x = np.full(2**d, 1.0 / 2**d)
-    return _assemble(_sign_points(d), _ternary_points(d), p_x, conditional,
-                     config)
+    return _assemble(p_x, conditional, config, _sign_points(d),
+                     _ternary_points(d))[0]
 
 
 def _block_support(d: int, r: int) -> list[tuple[int, ...]]:
@@ -369,7 +373,7 @@ def _build_block_scheme(config: HypercubeConfig, budget: int) -> AugmentationPro
         k = free - agree  # disagreeing survivor coordinates
         conditional = (q**k) * ((1.0 - q) ** agree) / n_pos
     p_x = np.full(n_x, 1.0 / n_x)
-    return _assemble(x_points, a_points, p_x, conditional, config)
+    return _assemble(p_x, conditional, config, x_points, a_points)[0]
 
 
 def build_hypercube(config: HypercubeConfig,
@@ -401,9 +405,10 @@ def build_custom(x_size: int, a_size: int, p_x, triples
     """Build a process from explicit ``(x_index, a_index, prob)`` triples.
 
     Row sums must equal 1 within ``1e-9``; rows are then renormalized
-    exactly.  Duplicate triples accumulate.  Zero-mass augmentations are
-    pruned; the second return value maps the surviving column positions back
-    to the original ``a`` indices.
+    exactly.  Duplicate triples accumulate.  The table is then assembled as
+    a hypercube table is: zero-mass augmentations pruned, stored sparse below
+    25% density; the second return value maps the surviving column positions
+    back to the original ``a`` indices.
     """
     p_x = np.asarray(p_x, dtype=float)
     if p_x.shape != (x_size,):
@@ -430,20 +435,7 @@ def build_custom(x_size: int, a_size: int, p_x, triples
             f"not 1 within {USER_INPUT_TOL}"
         )
     conditional /= row_sums[:, None]
-
-    p_a = derive_marginal(conditional, p_x)
-    kept = np.nonzero(p_a > 0.0)[0]
-    conditional = _finalize_storage(conditional[:, kept])
-    x_space = FiniteSpace(x_size)
-    a_space = FiniteSpace(kept.size)
-    process = AugmentationProcess(
-        x_space=x_space,
-        a_space=a_space,
-        p_x=Distribution(x_space, p_x),
-        conditional=conditional,
-        p_a=Distribution(a_space, derive_marginal(conditional, p_x)),
-    )
-    return process, kept
+    return _assemble(p_x, conditional)
 
 
 def sample_process(process: AugmentationProcess, N: int, seed: int
@@ -452,9 +444,11 @@ def sample_process(process: AugmentationProcess, N: int, seed: int
 
     The draws are ``default_rng(seed).choice(n_x, N, p=p_x)``.  The sample's
     data points are the distinct draws in index order, weighted by their
-    count over ``N``; its table holds their rows of ``p(a|x)``, dense, on the
-    augmentations they reach.  Returns ``(sample, draws, kept)``, ``kept``
-    holding the population indices of the sample's augmentations.
+    count over ``N``; its table holds their rows of ``p(a|x)`` on the
+    augmentations they reach, dense whatever its density, because the one
+    dense SVD that decomposes it would convert a sparse one.  Returns
+    ``(sample, draws, kept)``, ``kept`` holding the population indices of the
+    sample's augmentations.
     """
     if N < 1:
         raise ValidationError(f"N must be >= 1, got {N}")
@@ -466,6 +460,10 @@ def sample_process(process: AugmentationProcess, N: int, seed: int
     rows = C[points].toarray() if sp.issparse(C) else C[points]
     p_a = derive_marginal(rows, p_x)
     kept = np.nonzero(p_a > 0.0)[0]
+    # not through _assemble, whose storage rule would store, say, a
+    # random_mask d_x 6 sample (about 60 points x 725 columns, 9% dense)
+    # sparse: that moved its trace gaps by up to 2e-13 relative and made the
+    # tracegap cells about 7% slower
     x_space, a_space = FiniteSpace(points.size), FiniteSpace(kept.size)
     sample = AugmentationProcess(
         x_space=x_space, a_space=a_space, p_x=Distribution(x_space, p_x),

@@ -270,22 +270,27 @@ def _constrained_lstsq(design, weights, y, Q, radius_sq):
         z = np.zeros_like(z)
         mu = math.inf
     elif float(z @ z) > radius_sq:
+        # z and znorm are kept at hi, so each multiplier is solved once
         lo, hi = 0.0, 1.0
-        while float(solve_at(hi) @ solve_at(hi)) > radius_sq:
+        z = solve_at(hi)
+        znorm = float(z @ z)
+        while znorm > radius_sq:
             hi *= 2.0
             if hi > 1e300:
                 raise ArithmeticError("multiplier bracket overflow")
+            z = solve_at(hi)
+            znorm = float(z @ z)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if float(solve_at(mid) @ solve_at(mid)) > radius_sq:
+            z_mid = solve_at(mid)
+            mid_norm = float(z_mid @ z_mid)
+            if mid_norm > radius_sq:
                 lo = mid
             else:
-                hi = mid
-            znorm = float(solve_at(hi) @ solve_at(hi))
+                hi, z, znorm = mid, z_mid, mid_norm
             if abs(znorm - radius_sq) <= _CONSTRAINT_REL_TOL * radius_sq:
                 break
         mu = hi
-        z = solve_at(mu)
     w = whiten @ z
     return w, mu, float(z @ z)
 

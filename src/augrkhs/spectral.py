@@ -20,6 +20,12 @@ at once: a custom table, or the sample process of ``N`` draws
 (:func:`processes.sample_process`) that the empirical route of ``encoders``
 decomposes.  The constant pair at ``lambda = 1`` is known exactly, so it is
 deflated from the table before that SVD and put first.
+
+Both engines, the law's and the SVD's, return ``(lambdas, psi, form_phi)``:
+sign-fixed pairs in descending order, with ``phi`` formed by ``form_phi()``
+(the law's from the table when first read, the SVD's already formed).
+:func:`decompose` picks the engine by ``process.hypercube`` and orders the
+degenerate blocks of either in one step.
 """
 
 from __future__ import annotations
@@ -228,16 +234,6 @@ def _tie_order(lambdas, psi):
     return None if np.array_equal(order, np.arange(order.size)) else order
 
 
-def _order_ties(lambdas, psi, phi):
-    """``(lambdas, psi, phi)`` permuted by :func:`_tie_order`, as C-ordered
-    copies, or as they are when every block is in order."""
-    order = _tie_order(lambdas, psi)
-    if order is None:
-        return lambdas, psi, phi
-    return (lambdas[order], np.take(psi, order, axis=1),
-            np.take(phi, order, axis=1))
-
-
 def _gram_defect(f: np.ndarray, weights: np.ndarray) -> float:
     """Largest entry of ``|f^T diag(weights) f - I|``."""
     # W^T W with W = f sqrt(p) runs as one symmetric rank-k update
@@ -298,8 +294,9 @@ def _spectral_engine(process: AugmentationProcess, rank_tol: float):
     constant pair at ``lambda = 1``.  It is subtracted before the SVD and
     put first as ``(1, 1, 1)``; the rest is truncated at ``rank_tol``, or at
     the SVD's rounding of zero if that is larger, and every column pair is
-    sign-fixed.  Returns ``(lambdas, psi, phi)`` with ``psi = V / sqrt_wx``,
-    ``phi = U / sqrt_wa``.
+    sign-fixed.  Returns ``(lambdas, psi, form_phi)`` with
+    ``psi = V / sqrt_wx``; ``form_phi()`` returns ``phi = U / sqrt_wa``,
+    which the SVD has formed already.
     """
     conditional = process.conditional
     sqrt_wx, sqrt_wa = np.sqrt(process.p_x.mass), np.sqrt(process.p_a.mass)
@@ -318,7 +315,7 @@ def _spectral_engine(process: AugmentationProcess, rank_tol: float):
     psi = np.hstack((np.ones((sqrt_wx.size, 1)), Vt[:rank].T / sqrt_wx[:, None]))
     phi = np.hstack((np.ones((sqrt_wa.size, 1)), U[:, :rank] / sqrt_wa[:, None]))
     _fix_signs(psi, phi)
-    return lambdas, psi, phi
+    return lambdas, psi, lambda: phi
 
 
 def _subset_bits(d: int) -> np.ndarray:
@@ -393,8 +390,10 @@ def decompose(process: AugmentationProcess,
     ``B(a,x) = p(a,x) / sqrt(p_a(a) p_x(x))`` with its constant pair
     deflated, whose singular values squared are the shared eigenvalues, with
     ``phi_i = U_i / sqrt(p_a)`` and ``psi_i = V_i / sqrt(p_x)``.  Eigenvalues
-    at or below ``rank_tol`` are dropped, and each degenerate block is put
-    in lexicographic order of ``psi``.
+    at or below ``rank_tol`` are dropped.  Either engine returns
+    ``(lambdas, psi, form_phi)``; then one step, :func:`_tie_order`, puts
+    each degenerate block in lexicographic order of ``psi``, permuting
+    ``lambdas`` and ``psi`` at once and ``phi`` when it is first read.
 
     Returns
     -------
@@ -406,20 +405,15 @@ def decompose(process: AugmentationProcess,
         orthonormal under ``p_a``, duality residual below 1e-8.  A cell that
         reads only ``lambdas`` and ``psi`` never pays for ``phi``.
     """
-    if process.hypercube is not None:
-        lambdas, psi, form_phi = _walsh_engine(process, rank_tol)
-        order = _tie_order(lambdas, psi)
-        if order is not None:
-            lambdas, psi = lambdas[order], np.take(psi, order, axis=1)
-            law_order_phi = form_phi
-
-            def form_phi():
-                return np.take(law_order_phi(), order, axis=1)
-    else:
-        lambdas, psi, phi = _order_ties(*_spectral_engine(process, rank_tol))
+    engine = _walsh_engine if process.hypercube is not None else _spectral_engine
+    lambdas, psi, form_phi = engine(process, rank_tol)
+    order = _tie_order(lambdas, psi)
+    if order is not None:
+        lambdas, psi = lambdas[order], np.take(psi, order, axis=1)
+        engine_phi = form_phi
 
         def form_phi():
-            return phi
+            return np.take(engine_phi(), order, axis=1)
     psi.setflags(write=False)
     lambdas.setflags(write=False)
 

@@ -304,8 +304,8 @@ def test_criterion_07_near_optimal_rate(process_cache, decomp_cache):
         gaps = []
         sines = []
         for s in range(20):
-            emp = empirical_decomposition(process, N, seed=17 * N + s)
-            enc = near_optimal_encoder(emp, d, dec)
+            emp = empirical_decomposition(dec, N, seed=17 * N + s)
+            enc = near_optimal_encoder(emp, d)
             cov = covariances(enc)
             gap = s_next - ratio_trace(cov) - lam_next
             gaps.append(gap)

@@ -321,7 +321,7 @@ def population_empirical(dec):
     """The empirical route at its population limit: every point drawn once,
     with the population's own decomposition."""
     process = dec.process
-    return EmpiricalDecomposition(process=process,
+    return EmpiricalDecomposition(population=dec,
                                   sample_indices=np.arange(process.n_x),
                                   kept=np.arange(process.n_a),
                                   decomposition=dec)
@@ -366,7 +366,7 @@ def test_empirical_route_matches_all_rows_svd_oracle(case):
     sample rows, duplicates kept, against ``decompose`` on the sample
     process of distinct points, read back on the population's spaces."""
     process, N, seed = case
-    emp = empirical_decomposition(process, N, seed=seed)
+    emp = empirical_decomposition(decompose(process), N, seed=seed)
     dec = emp.decomposition
     weights = np.full(N, 1.0 / N)
     lambdas, squares, phi = _oracle_empirical_svd(
@@ -397,22 +397,22 @@ def test_empirical_route_matches_all_rows_svd_oracle(case):
 
 def test_empirical_single_sample():
     p = build_hypercube(HypercubeConfig(2, 0.5, "random_mask"))
-    emp = empirical_decomposition(p, N=1, seed=0)
+    emp = empirical_decomposition(decompose(p), N=1, seed=0)
     assert emp.rank == 1
     assert emp.lambdas_bar[0] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_empirical_determinism(small_process):
-    a = empirical_decomposition(small_process, N=32, seed=5)
-    b = empirical_decomposition(small_process, N=32, seed=5)
+def test_empirical_determinism(small_decomposition):
+    a = empirical_decomposition(small_decomposition, N=32, seed=5)
+    b = empirical_decomposition(small_decomposition, N=32, seed=5)
     np.testing.assert_array_equal(a.sample_indices, b.sample_indices)
     np.testing.assert_array_equal(a.kept, b.kept)
     np.testing.assert_array_equal(a.lambdas_bar, b.lambdas_bar)
     np.testing.assert_array_equal(a.decomposition.phi, b.decomposition.phi)
 
 
-def test_empirical_invariants(small_process):
-    emp = empirical_decomposition(small_process, N=64, seed=21)
+def test_empirical_invariants(small_decomposition):
+    emp = empirical_decomposition(small_decomposition, N=64, seed=21)
     sample = emp.decomposition.process
     assert abs(sample.p_a.mass.sum() - 1.0) <= 1e-12
     assert emp.lambdas_bar[0] <= 1.0 + 1e-9
@@ -425,7 +425,7 @@ def test_empirical_invariants(small_process):
 def test_near_optimal_full_population_equals_optimal(small_process,
                                                      small_decomposition):
     dec = small_decomposition
-    ne = near_optimal_encoder(population_empirical(dec), 4, dec)
+    ne = near_optimal_encoder(population_empirical(dec), 4)
     got = projector(ne.phi_hat.T, small_process.p_a.mass)
     want = projector(dec.phi[:, :4], small_process.p_a.mass)
     assert np.linalg.norm(got - want) <= 1e-8
@@ -434,27 +434,19 @@ def test_near_optimal_full_population_equals_optimal(small_process,
     assert abs(gap) <= 1e-8
 
 
-def test_near_optimal_first_row_constant(small_process, small_decomposition):
-    emp = empirical_decomposition(small_process, N=48, seed=2)
-    ne = near_optimal_encoder(emp, 1, small_decomposition)
+def test_near_optimal_first_row_constant(small_decomposition):
+    emp = empirical_decomposition(small_decomposition, N=48, seed=2)
+    ne = near_optimal_encoder(emp, 1)
+    assert ne.decomposition is small_decomposition
     np.testing.assert_allclose(ne.phi_hat[0, emp.kept], 1.0, atol=1e-8)
     with pytest.raises(ValidationError):
-        near_optimal_encoder(emp, emp.rank + 1, small_decomposition)
+        near_optimal_encoder(emp, emp.rank + 1)
 
 
-def test_near_optimal_refuses_another_process(small_process, decomp_cache):
-    emp = empirical_decomposition(small_process, N=48, seed=2)
-    # the same scheme built again is a different process
-    other = decompose(build_hypercube(HypercubeConfig(3, 0.5, "random_mask")))
-    for dec in (decomp_cache("block_mask", 4, 0.5), other):
-        with pytest.raises(ValidationError, match="different processes"):
-            near_optimal_encoder(emp, 1, dec)
-
-
-def test_empirical_ratio_trace_identity(small_process, small_decomposition):
-    emp = empirical_decomposition(small_process, N=64, seed=3)
+def test_empirical_ratio_trace_identity(small_decomposition):
+    emp = empirical_decomposition(small_decomposition, N=64, seed=3)
     for d in (1, 2, 4):
-        ne = near_optimal_encoder(emp, d, small_decomposition)
+        ne = near_optimal_encoder(emp, d)
         expected = float(emp.lambdas_bar[:d].sum())
         assert empirical_ratio_trace(ne, emp) == pytest.approx(expected,
                                                                abs=1e-8)
@@ -484,7 +476,7 @@ def test_concentration_trend_median_nonincreasing(small_process,
     for exponent in range(6, 13):
         gaps = []
         for seed in range(20):
-            emp = empirical_decomposition(small_process, 2**exponent,
+            emp = empirical_decomposition(small_decomposition, 2**exponent,
                                           seed=7777 + seed)
             gaps.append(abs(empirical_ratio_trace(enc, emp) - population))
         medians.append(float(np.median(gaps)))

@@ -659,6 +659,27 @@ def test_nonpositive_init_scale_fails_every_pretrain_cell(tmp_path):
     assert main(["pretrain", "--config", str(cfg_path)]) == 2
 
 
+@pytest.mark.parametrize("weight, failing", [("alpha_w", {"rbt"}),
+                                             ("beta_w", {"rbt", "vicreg"})])
+def test_negative_loss_weight_fails_only_the_kinds_that_read_it(
+        tmp_path, weight, failing):
+    cfg = {
+        "command": "pretrain",
+        "grid": {"scheme": ["random_mask"], "d_x": [2], "alpha": [0.5],
+                 "objective": ["scl", "sclip", "rbt", "vicreg"], "d": [1]},
+        "seeds": [0],
+        "output_dir": str(tmp_path / "out"),
+        "options": {weight: -1.0, "max_iters": 5},
+    }
+    outcome = run(resolve_config(cfg))
+    assert outcome.exit_code == 2
+    failed = {r["objective"] for r in outcome.records if r.get("error")}
+    assert failed == failing
+    for record in outcome.records:
+        if record["objective"] in failing:
+            assert "must be nonnegative" in record["error"]
+
+
 def test_cli_import_leaves_scipy_linalg_out():
     # the runtime needs numpy and scipy.sparse only; scipy.linalg is a
     # test oracle, and importing it costs every sweep start-up time

@@ -62,8 +62,8 @@ def gapped():
 def test_objective_spec_validation():
     with pytest.raises(ValidationError):
         ObjectiveSpec("nce", 2)
-    with pytest.raises(ValidationError):
-        ObjectiveSpec("rbt", 2)  # missing weights
+    spec = ObjectiveSpec("rbt", 2)
+    assert (spec.alpha_w, spec.beta_w) == (1.0, 1.0)
     with pytest.raises(ValidationError):
         ObjectiveSpec("vicreg", 2, beta_w=-1.0)
     ObjectiveSpec("rbt", 2, alpha_w=1.0, beta_w=0.1)
@@ -536,10 +536,7 @@ def test_no_pair_or_joint_matrix_is_formed(pair, gapped, monkeypatch):
         xi = rng.normal(size=(2, process.n_x))
         for kind in ("scl", "sclip", "rbt", "vicreg"):
             params = (phi, xi) if kind == "sclip" else (phi,)
-            spec = ObjectiveSpec(kind, 2,
-                                 alpha_w=1.0 if kind == "rbt" else None,
-                                 beta_w=None if kind in ("scl", "sclip")
-                                 else 0.5)
+            spec = ObjectiveSpec(kind, 2, alpha_w=1.0, beta_w=0.5)
             assert np.isfinite(value_grad(spec, process, params)[0])
             result = minimize(spec, process,
                               OptimizerConfig(max_iters=20, seed=1))
@@ -562,9 +559,7 @@ def test_minimize_transposes_a_sparse_table_at_most_once(monkeypatch):
 
     monkeypatch.setattr(sp.csr_array, "transpose", counted)
     for kind in ("scl", "sclip", "rbt", "vicreg"):
-        spec = ObjectiveSpec(kind, 3,
-                             alpha_w=1.0 if kind == "rbt" else None,
-                             beta_w=None if kind in ("scl", "sclip") else 0.5)
+        spec = ObjectiveSpec(kind, 3, alpha_w=1.0, beta_w=0.5)
         result = minimize(spec, process,
                           OptimizerConfig(max_iters=20, seed=3))
         assert result.iterations == 20

@@ -1,7 +1,9 @@
 """Each public function above the spectral layer takes the one object it
-reads: a decomposition carries its process, an encoder its decomposition."""
+reads: a decomposition carries its process, and an encoder, an empirical
+decomposition and a target function each carry their decomposition."""
 
 import inspect
+import re
 
 from augrkhs import complexity, encoders, objectives, regression
 
@@ -35,6 +37,20 @@ def test_no_function_takes_a_process_and_a_decomposition():
             optional.append(name)
     assert both == [], f"take a process and a decomposition: {both}"
     assert optional == [], f"default a decomposition to None: {optional}"
+
+
+# the types that carry a decomposition, matched as words of an annotation
+_CARRIER = re.compile(r"\b(Encoder|EmpiricalDecomposition|TargetFunction)\b")
+
+
+def test_no_function_takes_a_decomposition_beside_its_carrier():
+    both = []
+    for name, signature in _public_functions():
+        params = signature.parameters.values()
+        carries = any(_CARRIER.search(str(p.annotation)) for p in params)
+        if carries and any(_is_decomposition(p) for p in params):
+            both.append(name)
+    assert both == [], f"take a decomposition and its carrier: {both}"
 
 
 def test_the_guard_sees_every_layer():

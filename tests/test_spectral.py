@@ -311,8 +311,8 @@ def test_custom_process_takes_the_svd_route(small_process):
         [(i, j, dense[i, j]) for i, j in zip(*np.nonzero(dense))])
     assert custom.hypercube is None
     dec = decompose(custom)
-    lambdas, psi, phi = spectral._spectral_engine(custom, dec.rank_tol)
-    lambdas, psi, phi = spectral._order_ties(lambdas, psi, phi)
+    lambdas, psi, form_phi = spectral._spectral_engine(custom, dec.rank_tol)
+    lambdas, psi, phi = _tie_ordered(lambdas, psi, form_phi())
     for got, want in ((dec.lambdas, lambdas), (dec.psi, psi), (dec.phi, phi)):
         assert got.tobytes() == want.tobytes()
 
@@ -527,7 +527,7 @@ def oracle_fix_signs(psi, phi):
 
 
 def oracle_order_ties(lambdas, psi, phi):
-    """Oracle for ``spectral._order_ties``: the block loop it replaced.
+    """Oracle for ``spectral._tie_order``: the block loop it replaced.
 
     Sorts each tie block's columns (the top block after the constant) by
     the tuple of their ``psi`` entries, in place.
@@ -548,13 +548,23 @@ def oracle_order_ties(lambdas, psi, phi):
         start = stop
 
 
+def _tie_ordered(lambdas, psi, phi):
+    """``(lambdas, psi, phi)`` in ``decompose``'s tie order: permuted by
+    ``spectral._tie_order`` through ``np.take``, or as they are."""
+    order = spectral._tie_order(lambdas, psi)
+    if order is None:
+        return lambdas, psi, phi
+    return (lambdas[order], np.take(psi, order, axis=1),
+            np.take(phi, order, axis=1))
+
+
 def _assert_same_bytes_as_oracle(lambdas, psi, phi):
     want = [a.copy() for a in (lambdas, psi, phi)]
     oracle_fix_signs(want[1], want[2])
     oracle_order_ties(*want)
     got = [a.copy() for a in (lambdas, psi, phi)]
     spectral._fix_signs(got[1], got[2])
-    got = spectral._order_ties(*got)
+    got = _tie_ordered(*got)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
 
@@ -612,13 +622,15 @@ def _law_route_oracle(process):
 
 def _with_oracle_conventions(monkeypatch, process):
     """``decompose`` with the loop oracles in place of the new routines."""
-    def order_ties(lambdas, psi, phi):
-        oracle_order_ties(lambdas, psi, phi)
-        return lambdas, psi, phi
+    def tie_order(lambdas, psi):
+        # the permutation the oracle applies, read off a row of indices
+        index = np.arange(lambdas.size, dtype=float)[None, :]
+        oracle_order_ties(lambdas.copy(), psi.copy(), index)
+        return index[0].astype(int)
 
     with monkeypatch.context() as patch:
         patch.setattr(spectral, "_fix_signs", oracle_fix_signs)
-        patch.setattr(spectral, "_order_ties", order_ties)
+        patch.setattr(spectral, "_tie_order", tie_order)
         dec = decompose(process)
     return dec.lambdas, dec.psi, dec.phi
 
@@ -646,11 +658,11 @@ def test_decompose_deterministic(small_process):
 
 
 def _eager_law_route(process):
-    """``decompose``'s law route with ``phi`` formed at once: ``_order_ties``
+    """``decompose``'s law route with ``phi`` formed at once: the tie order
     over the Walsh characters and ``Gamma chi / (sign sqrt(lambda))``."""
     lambdas, psi, form_phi = spectral._walsh_engine(process,
                                                     spectral.DEFAULT_RANK_TOL)
-    return spectral._order_ties(lambdas, psi, form_phi())
+    return _tie_ordered(lambdas, psi, form_phi())
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
