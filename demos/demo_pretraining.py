@@ -45,8 +45,10 @@ spec = ObjectiveSpec("scl", d)
 run = minimize(spec, process, opt)
 print(f"final loss {run.final_loss:.8f} vs optimum "
       f"{optimal_loss(spec, dec):.8f}")
-print(f"principal angle to the top-{d} eigenspace: "
-      f"{subspace_angle(run.phi_hat, dec, d):.2e} "
+# the converged angles are at rounding level, so they are printed against
+# a bound rather than by their digits
+print(f"principal angle to the top-{d} eigenspace <= 1e-06: "
+      f"{subspace_angle(run.phi_hat, dec, d) <= 1e-6} "
       f"({run.iterations} iterations)")
 
 print("\n=== Two-encoder contrastive loss ===")
@@ -61,7 +63,7 @@ vic = minimize(spec, process, opt)
 print(f"final loss {vic.final_loss:.8f} "
       f"(contrastive optimum shifted by d: "
       f"{optimal_loss(spec, dec):.8f})")
-print(f"angle: {subspace_angle(vic.phi_hat, dec, d):.2e}")
+print(f"angle <= 1e-06: {subspace_angle(vic.phi_hat, dec, d) <= 1e-6}")
 
 print("\n=== Decorrelation loss with a vanishing energy penalty ===")
 results, trace_g = rbt_penalty_path(

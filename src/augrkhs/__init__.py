@@ -23,8 +23,6 @@ from .encoders import (
     build_average_encoder,
     covariances,
     empirical_decomposition,
-    empirical_ratio_trace,
-    learned_kernel,
     near_optimal_encoder,
     optimal_encoder,
     ratio_trace,
@@ -70,7 +68,6 @@ from .regression import (
     BoundContext,
     BoundReport,
     FitResult,
-    LabeledSample,
     TargetFunction,
     evaluate_bounds,
     fit_least_squares,

@@ -21,6 +21,7 @@ from .processes import AugmentationProcess, HypercubeConfig
 from .spectral import SpectralDecomposition, decompose
 
 _ROUTE_AGREEMENT_TOL = 1e-8
+_BOOTSTRAP_RESAMPLES = 200  # kappa_monte_carlo's standard error
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,8 +142,7 @@ def kappa_percentile(process: AugmentationProcess, beta: float) -> float:
 
 
 def kappa_monte_carlo(process: AugmentationProcess, m: int, r: int,
-                      beta: float = 99.0, seed: int = 0,
-                      n_bootstrap: int = 200) -> MonteCarloKappa:
+                      beta: float = 99.0, seed: int = 0) -> MonteCarloKappa:
     """Sampled percentile estimate of the complexity.
 
     Draws ``m`` points from ``p_x``; for each, averages the exact density
@@ -165,8 +165,8 @@ def kappa_monte_carlo(process: AugmentationProcess, m: int, r: int,
         averages[k] = float(np.mean(row[draws] / process.p_a.mass[draws]))
     uniform = np.full(m, 1.0 / m)
     estimate = weighted_percentile(averages, uniform, beta)
-    boot = np.empty(n_bootstrap)
-    for b in range(n_bootstrap):
+    boot = np.empty(_BOOTSTRAP_RESAMPLES)
+    for b in range(_BOOTSTRAP_RESAMPLES):
         resample = averages[rng.integers(0, m, size=m)]
         boot[b] = weighted_percentile(resample, uniform, beta)
     return MonteCarloKappa(estimate=estimate,

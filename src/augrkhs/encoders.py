@@ -153,12 +153,6 @@ def trace_gap(encoder: Encoder) -> float:
     return float(best)
 
 
-def learned_kernel(encoder: Encoder) -> np.ndarray:
-    """Kernel of the encoder's span, ``psi_hat(x)^T G^-1 psi_hat(x')``."""
-    cov = covariances(encoder)
-    return encoder.psi_hat.T @ np.linalg.solve(cov.G, encoder.psi_hat)
-
-
 def optimal_encoder(decomposition: SpectralDecomposition, d: int) -> Encoder:
     """Encoder whose rows are the top ``d`` augmentation eigenfunctions."""
     if not (1 <= d <= decomposition.rank):
@@ -219,12 +213,3 @@ def near_optimal_encoder(empirical: EmpiricalDecomposition, d: int) -> Encoder:
     phi_hat = np.zeros((d, empirical.process.n_a))
     phi_hat[:, empirical.kept] = empirical.decomposition.phi[:, :d].T
     return build_average_encoder(empirical.population, phi_hat)
-
-
-def empirical_ratio_trace(encoder: Encoder,
-                          empirical: EmpiricalDecomposition) -> float:
-    """Ratio trace under the empirical inner products of a sample: the
-    ratio trace of the encoder's restriction to the sample process."""
-    return ratio_trace(covariances(build_average_encoder(
-        empirical.decomposition, encoder.phi_hat[:, empirical.kept])))
-

@@ -374,7 +374,7 @@ def _spectrum_cell(cell, config: ExperimentConfig, dec, once) -> dict:
     row["duality_residual"] = dec.checked_duality_residual
     row["reconstruction_residual"] = once(
         ("reconstruction",),
-        lambda: spectral.verify_integral_identity(process, dec))
+        lambda: spectral.verify_integral_identity(dec))
     if cell["master"] == config.seeds[0]:  # the files do not depend on the seed
         stem = (f"{cell['scheme']}_dx{cell['d_x']}_a{cell['alpha']!r}"
                 .replace(".", "p"))

@@ -53,12 +53,6 @@ class TargetFunction:
         return self.decomposition.h_norm_sq(self.u)
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    x_index: int
-    y: float
-
-
 @dataclass(frozen=True, eq=False)
 class FitResult:
     """Solution of the norm-constrained least-squares probe."""
@@ -114,17 +108,15 @@ def target_from_coefficients(decomposition: SpectralDecomposition,
 
 
 def sample_target(decomposition: SpectralDecomposition, B: float,
-                  epsilon: float, seed: int,
-                  nonconstant: bool = False) -> TargetFunction:
+                  epsilon: float, seed: int) -> TargetFunction:
     """Draw a random member of the soft-invariance class.
 
     Raw coefficients are Gaussian with variance matching the spectrum.  When
     the soft-invariance constraint fails, the mass on components with
     eigenvalue below ``1 - epsilon`` is shrunk by the single factor that
     restores equality (bisection to 1e-12), and the result is rescaled to
-    norm ``B``.  With ``nonconstant=True`` an
-    :class:`InfeasibleTargetError` is raised when the feasible set contains
-    no direction beyond the constant.
+    norm ``B``.  The constant direction always survives the repair, and it
+    may be the only one that does.
     """
     if B <= 0:
         raise ValidationError(f"B must be positive, got {B}")
@@ -136,20 +128,10 @@ def sample_target(decomposition: SpectralDecomposition, B: float,
     u = rng.normal(size=dec.rank) * np.sqrt(lam)
     if epsilon == 0.0:
         # feasible set collapses to the top eigenspace; no partial repair
-        feasible = lam >= 1.0 - 1e-9
-        if nonconstant and not np.any(feasible[1:]):
-            raise InfeasibleTargetError(
-                "no nonconstant direction is exactly invariant (epsilon=0)"
-            )
-        u[~feasible] = 0.0
+        u[lam < 1.0 - 1e-9] = 0.0
     else:
         coeff = (1.0 - epsilon - lam) / lam  # negative on aligned components
         shrink = coeff > 0.0
-        if nonconstant and not np.any(~shrink[1:]):
-            raise InfeasibleTargetError(
-                "no nonconstant direction satisfies the soft-invariance "
-                f"constraint at epsilon={epsilon}"
-            )
         good = float(np.sum(coeff[~shrink] * u[~shrink] ** 2))
         bad = float(np.sum(coeff[shrink] * u[shrink] ** 2))
         if good + bad > 0.0:
@@ -166,8 +148,6 @@ def sample_target(decomposition: SpectralDecomposition, B: float,
     if norm == 0.0:
         raise InfeasibleTargetError("repaired draw is identically zero")
     u *= B / norm
-    if nonconstant and float(np.sum(u[1:] ** 2)) <= 0.0:
-        raise InfeasibleTargetError("only the constant direction survived repair")
     return _finish_target(u, dec, B, epsilon)
 
 
@@ -204,8 +184,9 @@ def worst_case_target(decomposition: SpectralDecomposition, d: int,
 
 
 def generate_labels(target: TargetFunction, n: int, sigma: float,
-                    seed: int) -> list[LabeledSample]:
-    """Draw ``n`` points from the target's ``p_x`` with Gaussian-noise labels."""
+                    seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``n`` points from the target's ``p_x`` with Gaussian-noise labels,
+    as ``(x_indices, y)``: ``y[k]`` labels the data point ``x_indices[k]``."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     if sigma < 0:
@@ -214,8 +195,7 @@ def generate_labels(target: TargetFunction, n: int, sigma: float,
     rng = np.random.default_rng(seed)
     xs = rng.choice(process.n_x, size=n, p=process.p_x.mass)
     noise = rng.normal(size=n) * sigma if sigma > 0 else np.zeros(n)
-    ys = target.values[xs] + noise
-    return [LabeledSample(int(x), float(y)) for x, y in zip(xs, ys)]
+    return xs, target.values[xs] + noise
 
 
 def induced_gram(encoder: Encoder) -> np.ndarray:
@@ -318,19 +298,26 @@ def _fit(encoder: Encoder, x_indices, weights, y, B, epsilon, target):
                      prediction_error=prediction_error)
 
 
-def fit_least_squares(encoder: Encoder, samples, B: float, epsilon: float,
+def fit_least_squares(encoder: Encoder, labels, B: float, epsilon: float,
                       target: TargetFunction | None = None) -> FitResult:
     """Norm-constrained least squares on labeled samples.
 
-    Minimizes the mean squared training error over the encoder's span
-    subject to the induced-norm budget ``B / sqrt(1 - epsilon)``.  When the
-    true target is supplied, the exact prediction error is reported.
+    ``labels`` is ``(x_indices, y)`` as :func:`generate_labels` returns it,
+    with integer indices in ``[0, |X|)``.  Minimizes the mean squared
+    training error over the encoder's span subject to the induced-norm
+    budget ``B / sqrt(1 - epsilon)``.  When the true target is supplied, the
+    exact prediction error is reported.
     """
-    if len(samples) < 1:
+    x_idx, y = np.asarray(labels[0]), np.asarray(labels[1], dtype=float)
+    if x_idx.ndim != 1 or x_idx.shape != y.shape:
+        raise ValidationError(f"{x_idx.shape} indices against {y.shape} labels")
+    if x_idx.size < 1:
         raise ValidationError("at least one sample is required")
-    x_idx = np.array([s.x_index for s in samples])
-    y = np.array([s.y for s in samples])
-    weights = np.full(len(samples), 1.0 / len(samples))
+    n_x = encoder.process.n_x
+    if (not np.issubdtype(x_idx.dtype, np.integer)
+            or x_idx.min() < 0 or x_idx.max() >= n_x):
+        raise ValidationError(f"indices must be integers in [0, {n_x})")
+    weights = np.full(x_idx.size, 1.0 / x_idx.size)
     return _fit(encoder, x_idx, weights, y, B, epsilon, target)
 
 
@@ -399,7 +386,6 @@ class BoundReport:
     lemma32_rhs: float | None
     prop41_rhs: float | None
     thm41_rhs: float | None
-    tau_applicable: bool
 
 
 def evaluate_bounds(context: BoundContext) -> BoundReport:
@@ -412,9 +398,8 @@ def evaluate_bounds(context: BoundContext) -> BoundReport:
     """
     c = context
     tau = math.sqrt(max(c.tau_sq, 0.0))
-    applicable = tau < 1.0
     lemma32 = thm31 = None
-    if applicable:
+    if tau < 1.0:
         lemma32 = (c.tau_sq * (tau + c.epsilon) * c.B * c.B
                    / ((1.0 - c.tau_sq) * (1.0 - c.epsilon)))
         thm31 = (9.0 * lemma32
@@ -434,5 +419,4 @@ def evaluate_bounds(context: BoundContext) -> BoundReport:
                     + 2.0)
                  * c.kappa * c.kappa * c.d / math.sqrt(c.N))
     return BoundReport(thm31_rhs=thm31, lemma32_rhs=lemma32,
-                       prop41_rhs=prop41, thm41_rhs=thm41,
-                       tau_applicable=applicable)
+                       prop41_rhs=prop41, thm41_rhs=thm41)

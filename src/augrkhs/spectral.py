@@ -6,7 +6,7 @@ which the other modules call rather than multiply by the table themselves:
 :func:`apply_gamma` divides that by ``p_a``, and :func:`apply_gamma_star`
 averages an augmentation-space function under ``p(a|x)``.  The data kernel
 ``K_X`` is kept as a plain matrix, an independent route that
-:func:`verify_integral_identity` checks the operators against.
+:func:`verify_integral_identity` checks the operators and a spectrum against.
 
 The spectral decomposition of a hypercube masking process comes from its
 subset law: the eigenfunctions are the Walsh characters
@@ -22,10 +22,10 @@ decomposes.  The constant pair at ``lambda = 1`` is known exactly, so it is
 deflated from the table before that SVD and put first.
 
 Both engines, the law's and the SVD's, return ``(lambdas, psi, form_phi)``:
-sign-fixed pairs in descending order, with ``phi`` formed by ``form_phi()``
-(the law's from the table when first read, the SVD's already formed).
-:func:`decompose` picks the engine by ``process.hypercube`` and orders the
-degenerate blocks of either in one step.
+sign-fixed pairs above ``_RANK_TOL`` in descending order, with ``phi`` formed
+by ``form_phi()`` (the law's from the table when first read, the SVD's
+already formed).  :func:`decompose` picks the engine by ``process.hypercube``
+and orders the degenerate blocks of either in one step.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import scipy.sparse as sp
 from .exceptions import ValidationError
 from .processes import AugmentationProcess, HypercubeConfig
 
-DEFAULT_RANK_TOL = 1e-10
+_RANK_TOL = 1e-10  # eigenvalues at or below it are dropped
 _TIE_TOL = 1e-10
 _ORTHONORMALITY_TOL = 1e-8
 _DUALITY_TOL = 1e-8
@@ -152,7 +152,6 @@ class SpectralDecomposition:
 
     lambdas: np.ndarray
     psi: np.ndarray
-    rank_tol: float
     process: AugmentationProcess
     _phi: _Once = field(repr=False)  # (phi, checked duality residual)
 
@@ -168,7 +167,9 @@ class SpectralDecomposition:
 
     @property
     def checked_duality_residual(self) -> float:
-        """:func:`duality_residual` as measured by ``phi``'s checks.
+        """Worst ``p_x``-norm of ``Gamma* phi_i / sqrt(lambda_i) - psi_i``
+        over the pairs with ``lambda_i > 1e-6``, as measured by ``phi``'s
+        checks; zero when no pair is that large.
 
         Reading it reads ``phi``.  It belongs to the ``psi`` that
         :func:`decompose` gave, also on a copy with another ``psi``.
@@ -266,14 +267,6 @@ def _check_phi(process, lambdas, psi, phi) -> float:
     return worst
 
 
-def duality_residual(dec: SpectralDecomposition) -> float:
-    """Worst ``p_x``-norm of ``Gamma* phi_i / sqrt(lambda_i) - psi_i``.
-
-    Taken over the certified pairs, ``lambda_i > 1e-6``; zero when none is.
-    """
-    return _duality_residual(dec.process, dec.lambdas, dec.psi, dec.phi)
-
-
 def _duality_residual(process, lambdas, psi, phi) -> float:
     certified = lambdas > _DUALITY_FLOOR
     if not certified.any():
@@ -285,17 +278,17 @@ def _duality_residual(process, lambdas, psi, phi) -> float:
     return float(np.sqrt(np.max(np.sum(resid * resid * p_x[:, None], axis=0))))
 
 
-def _spectral_engine(process: AugmentationProcess, rank_tol: float):
+def _spectral_engine(process: AugmentationProcess):
     """Weighted spectrum of a process's table: the one SVD route.
 
     With ``sqrt_wx = sqrt(p_x)`` and ``sqrt_wa = sqrt(p_a)``, and since each
     row of ``p(a|x)`` sums to 1, ``(1, sqrt_wa, sqrt_wx)`` is an exact
     singular triple of ``B(a,x) = p(a|x) sqrt_wx(x) / sqrt_wa(a)``, the
     constant pair at ``lambda = 1``.  It is subtracted before the SVD and
-    put first as ``(1, 1, 1)``; the rest is truncated at ``rank_tol``, or at
-    the SVD's rounding of zero if that is larger, and every column pair is
-    sign-fixed.  Returns ``(lambdas, psi, form_phi)`` with
-    ``psi = V / sqrt_wx``; ``form_phi()`` returns ``phi = U / sqrt_wa``,
+    put first as ``(1, 1, 1)``; the rest is truncated at ``_RANK_TOL``, which
+    also drops the rounding-level value the deflated pair leaves behind, and
+    every column pair is sign-fixed.  Returns ``(lambdas, psi, form_phi)``
+    with ``psi = V / sqrt_wx``; ``form_phi()`` returns ``phi = U / sqrt_wa``,
     which the SVD has formed already.
     """
     conditional = process.conditional
@@ -307,10 +300,7 @@ def _spectral_engine(process: AugmentationProcess, rank_tol: float):
     B -= np.outer(sqrt_wa, sqrt_wx)
     U, s, Vt = np.linalg.svd(B, full_matrices=False)
     lambdas = s * s
-    # at or below the SVD's rounding of zero, where the deflated pair lands,
-    # whatever rank_tol says
-    floor = (np.finfo(float).eps * max(B.shape)) ** 2
-    rank = int(np.count_nonzero(lambdas > max(rank_tol, floor)))
+    rank = int(np.count_nonzero(lambdas > _RANK_TOL))
     lambdas = np.concatenate(([1.0], lambdas[:rank]))
     psi = np.hstack((np.ones((sqrt_wx.size, 1)), Vt[:rank].T / sqrt_wx[:, None]))
     phi = np.hstack((np.ones((sqrt_wa.size, 1)), U[:, :rank] / sqrt_wa[:, None]))
@@ -348,10 +338,10 @@ def _subset_law(config: HypercubeConfig, bits: np.ndarray) -> np.ndarray:
     return miss * (1.0 - 2.0 * config.flip_prob) ** (2 * size)
 
 
-def _walsh_engine(process: AugmentationProcess, rank_tol: float):
+def _walsh_engine(process: AugmentationProcess):
     """Spectrum of a hypercube process from its subset law, without an SVD.
 
-    Eigenvalues above ``rank_tol`` are sorted descending (stably);
+    Eigenvalues above ``_RANK_TOL`` are sorted descending (stably);
     ``psi`` holds the matching +-1 characters.  Returns
     ``(lambdas, psi, form_phi)``: ``form_phi()`` applies
     ``phi = Gamma psi / sqrt(lambda)`` through the stored table, so duality
@@ -361,7 +351,7 @@ def _walsh_engine(process: AugmentationProcess, rank_tol: float):
     bits = _subset_bits(process.hypercube.d_x)
     law = _subset_law(process.hypercube, bits)
     order = np.argsort(-law, kind="stable")
-    order = order[law[order] > rank_tol]
+    order = order[law[order] > _RANK_TOL]
     lambdas = law[order]
     # chi_S(x) is -1 to the number of coordinates of S where x is -1
     chi = 1.0 - 2.0 * (((1 - bits) @ bits[order].T) % 2)
@@ -379,8 +369,7 @@ def _walsh_engine(process: AugmentationProcess, rank_tol: float):
     return lambdas, chi * sign, form_phi
 
 
-def decompose(process: AugmentationProcess,
-              rank_tol: float = DEFAULT_RANK_TOL) -> SpectralDecomposition:
+def decompose(process: AugmentationProcess) -> SpectralDecomposition:
     """Exact weighted spectral decomposition of the operator pair.
 
     A hypercube process (``process.hypercube`` set) takes its eigenvalues
@@ -390,7 +379,7 @@ def decompose(process: AugmentationProcess,
     ``B(a,x) = p(a,x) / sqrt(p_a(a) p_x(x))`` with its constant pair
     deflated, whose singular values squared are the shared eigenvalues, with
     ``phi_i = U_i / sqrt(p_a)`` and ``psi_i = V_i / sqrt(p_x)``.  Eigenvalues
-    at or below ``rank_tol`` are dropped.  Either engine returns
+    at or below ``_RANK_TOL`` (1e-10) are dropped.  Either engine returns
     ``(lambdas, psi, form_phi)``; then one step, :func:`_tie_order`, puts
     each degenerate block in lexicographic order of ``psi``, permuting
     ``lambdas`` and ``psi`` at once and ``phi`` when it is first read.
@@ -406,7 +395,7 @@ def decompose(process: AugmentationProcess,
         reads only ``lambdas`` and ``psi`` never pays for ``phi``.
     """
     engine = _walsh_engine if process.hypercube is not None else _spectral_engine
-    lambdas, psi, form_phi = engine(process, rank_tol)
+    lambdas, psi, form_phi = engine(process)
     order = _tie_order(lambdas, psi)
     if order is not None:
         lambdas, psi = lambdas[order], np.take(psi, order, axis=1)
@@ -422,33 +411,29 @@ def decompose(process: AugmentationProcess,
         phi.setflags(write=False)
         return phi, _check_phi(process, lambdas, psi, phi)
 
-    dec = SpectralDecomposition(lambdas=lambdas, psi=psi, rank_tol=rank_tol,
-                                process=process, _phi=_Once(checked_phi))
+    dec = SpectralDecomposition(lambdas=lambdas, psi=psi, process=process,
+                                _phi=_Once(checked_phi))
     _validate_decomposition(dec)
     return dec
 
 
-def verify_integral_identity(process: AugmentationProcess,
-                             decomposition: SpectralDecomposition | None = None,
-                             test_vectors: np.ndarray | None = None) -> float:
-    """Max-norm residual between the operator and kernel routes.
+def verify_integral_identity(decomposition: SpectralDecomposition) -> float:
+    """Max-norm residual of the operator and spectral routes against ``K_X``.
 
-    Applies ``Gamma* Gamma`` to each test vector via the conditional tables
-    and, independently, integrates against ``K_X`` under the ``p_x`` weight;
-    when a decomposition is supplied its spectral reconstruction of the
-    kernel is checked as well.  Returns the largest entrywise residual,
-    which the contract bounds by 1e-10.
+    On ``decomposition.process``, ``Gamma* Gamma`` via the conditional
+    tables and the reconstruction ``psi diag(lambda) psi^T`` are each
+    applied to every point indicator (the identity's columns, which cover
+    every function by linearity) and compared with integration against
+    ``K_X`` under the ``p_x`` weight.  Returns the largest entrywise
+    residual, which the contract bounds by 1e-10.
 
-    With the default test vectors (the identity) it holds at most
-    ``RESIDUAL_ARRAYS`` (4) arrays of ``|X| x |X|`` entries at once, and
-    one ``|A| x |X|`` array, the size of the table, on the operator route:
-    each residual is reduced in place and dropped before the next product
-    is formed.
+    It holds at most ``RESIDUAL_ARRAYS`` (4) arrays of ``|X| x |X|`` entries
+    at once, and one ``|A| x |X|`` array, the size of the table, on the
+    operator route: each residual is reduced in place and dropped before
+    the next product is formed.
     """
-    F = np.asarray(np.eye(process.n_x) if test_vectors is None
-                   else test_vectors, dtype=float)
-    if F.ndim == 1:
-        F = F[:, None]
+    process = decomposition.process
+    F = np.eye(process.n_x)
     op_route = apply_gamma_star(process, apply_gamma(process, F))
     weighted = F * process.p_x.mass[:, None]
     del F
@@ -456,13 +441,11 @@ def verify_integral_identity(process: AugmentationProcess,
     op_route -= kernel_route
     residual = float(np.max(np.abs(op_route, out=op_route)))
     del op_route
-    if decomposition is not None:
-        spectral_route = ((decomposition.psi * decomposition.lambdas)
-                          @ decomposition.psi.T) @ weighted
-        spectral_route -= kernel_route
-        residual = max(residual, float(np.max(np.abs(spectral_route,
-                                                     out=spectral_route))))
-    return residual
+    spectral_route = ((decomposition.psi * decomposition.lambdas)
+                      @ decomposition.psi.T) @ weighted
+    spectral_route -= kernel_route
+    return max(residual, float(np.max(np.abs(spectral_route,
+                                             out=spectral_route))))
 
 
 @contextlib.contextmanager

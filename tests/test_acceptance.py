@@ -410,8 +410,7 @@ def test_criterion_10_regression_behavior(process_cache, decomp_cache):
     values = enc.psi_hat.T @ w_true
     rng = np.random.default_rng(10)
     idx = rng.integers(0, process.n_x, size=48)
-    samples = [rg.LabeledSample(int(i), float(values[i])) for i in idx]
-    fit = rg.fit_least_squares(enc, samples, B=10.0, epsilon=0.2)
+    fit = rg.fit_least_squares(enc, (idx, values[idx]), B=10.0, epsilon=0.2)
     recovery = float(np.sum((fit.f_hat_values - values) ** 2
                             * process.p_x.mass))
 

@@ -12,8 +12,6 @@ from augrkhs.encoders import (
     build_average_encoder,
     covariances,
     empirical_decomposition,
-    empirical_ratio_trace,
-    learned_kernel,
     near_optimal_encoder,
     optimal_encoder,
     pencil_eigenvalues,
@@ -259,45 +257,6 @@ def test_invariance_under_invertible_mixing(small_process,
         assert trace_gap(mixed) == pytest.approx(base_tg, abs=1e-8)
 
 
-def test_learned_kernel_constant_encoder(small_process, small_decomposition):
-    enc = build_average_encoder(small_decomposition,
-                                np.ones((1, small_process.n_a)))
-    np.testing.assert_allclose(learned_kernel(enc), 1.0, atol=1e-10)
-
-
-def test_learned_kernel_top_d_expansion(small_decomposition):
-    dec = small_decomposition
-    enc = optimal_encoder(dec, 4)
-    expected = (dec.psi[:, :4] * dec.lambdas[:4]) @ dec.psi[:, :4].T
-    np.testing.assert_allclose(learned_kernel(enc), expected, atol=1e-9)
-
-
-def test_learned_kernel_full_span_recovers_kernel(small_decomposition):
-    from augrkhs.spectral import kernel_x
-    dec = small_decomposition
-    enc = optimal_encoder(dec, dec.rank)
-    np.testing.assert_allclose(learned_kernel(enc),
-                               kernel_x(dec.process), atol=1e-8)
-
-
-def test_learned_kernel_reproducing_property(small_decomposition):
-    # for f in the span, the H-inner product against the kernel section
-    # evaluates f; coefficients taken over the eigenbasis
-    dec = small_decomposition
-    p = dec.process
-    rng = np.random.default_rng(3)
-    mix = rng.normal(size=(3, 4))
-    enc = build_average_encoder(dec, mix @ dec.phi[:, :4].T)
-    K = learned_kernel(enc)
-    w = rng.normal(size=3)
-    f = enc.psi_hat.T @ w
-    f_coeff = (dec.psi * p.p_x.mass[:, None]).T @ f
-    for x in (0, 3, 7):
-        section_coeff = (dec.psi * p.p_x.mass[:, None]).T @ K[x]
-        h_inner = float(np.sum(f_coeff * section_coeff / dec.lambdas))
-        assert h_inner == pytest.approx(f[x], abs=1e-8)
-
-
 def test_optimal_encoder_projector_and_errors(small_decomposition):
     dec = small_decomposition
     enc = optimal_encoder(dec, 4)
@@ -325,6 +284,13 @@ def population_empirical(dec):
                                   sample_indices=np.arange(process.n_x),
                                   kept=np.arange(process.n_a),
                                   decomposition=dec)
+
+
+def ratio_trace_on_sample(encoder, emp):
+    """Ratio trace under the empirical inner products of a sample: the
+    ratio trace of the encoder's restriction to the sample process."""
+    return ratio_trace(covariances(build_average_encoder(
+        emp.decomposition, encoder.phi_hat[:, emp.kept])))
 
 
 def _oracle_empirical_svd(process, indices, weights, rank_tol=1e-10):
@@ -448,7 +414,7 @@ def test_empirical_ratio_trace_identity(small_decomposition):
     for d in (1, 2, 4):
         ne = near_optimal_encoder(emp, d)
         expected = float(emp.lambdas_bar[:d].sum())
-        assert empirical_ratio_trace(ne, emp) == pytest.approx(expected,
+        assert ratio_trace_on_sample(ne, emp) == pytest.approx(expected,
                                                                abs=1e-8)
 
 
@@ -458,7 +424,7 @@ def test_empirical_ratio_trace_population_limit(small_process,
     rng = np.random.default_rng(19)
     table = rng.normal(size=(3, small_process.n_a))
     enc = build_average_encoder(small_decomposition, table)
-    empirical = empirical_ratio_trace(enc, emp)
+    empirical = ratio_trace_on_sample(enc, emp)
     population = ratio_trace(covariances(enc))
     assert empirical == pytest.approx(population, abs=1e-8)
 
@@ -478,7 +444,7 @@ def test_concentration_trend_median_nonincreasing(small_process,
         for seed in range(20):
             emp = empirical_decomposition(small_decomposition, 2**exponent,
                                           seed=7777 + seed)
-            gaps.append(abs(empirical_ratio_trace(enc, emp) - population))
+            gaps.append(abs(ratio_trace_on_sample(enc, emp) - population))
         medians.append(float(np.median(gaps)))
     assert np.all(np.diff(medians) <= 1e-12), medians
 

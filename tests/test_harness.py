@@ -723,8 +723,8 @@ def _count_phi(monkeypatch, scale=None):
         phi = form_phi()
         return phi if scale is None else phi * scale
 
-    def engine(process, rank_tol):
-        lambdas, psi, form_phi = walsh_engine(process, rank_tol)
+    def engine(process):
+        lambdas, psi, form_phi = walsh_engine(process)
         return lambdas, psi, counted("form", lambda: form(form_phi))
 
     monkeypatch.setattr(spectral, "_walsh_engine", engine)

@@ -470,7 +470,7 @@ def test_sample_decomposition_follows_decompose_conventions(process_cache,
     reordered = 0
     for seed in range(32):
         sample, _, _ = sample_process(process, 4, seed)
-        lambdas, psi, _ = _spectral_engine(sample, 1e-10)
+        lambdas, psi, _ = _spectral_engine(sample)
         reordered += _tie_order(lambdas, psi) is not None
         dec = decompose(sample)
         assert _tie_order(dec.lambdas, dec.psi) is None

@@ -9,7 +9,7 @@ from augrkhs.encoders import (
     optimal_encoder,
     trace_gap,
 )
-from augrkhs.exceptions import InfeasibleTargetError, ValidationError
+from augrkhs.exceptions import ValidationError
 from augrkhs.processes import HypercubeConfig, build_hypercube
 from augrkhs.regression import (
     BoundContext,
@@ -72,9 +72,8 @@ def test_sample_target_determinism_and_invariants(small_decomposition):
 def test_sample_target_infeasible_nonconstant():
     masked = build_hypercube(HypercubeConfig(2, 1.0, "random_mask"))
     dec = decompose(masked)  # rank 1
-    with pytest.raises(InfeasibleTargetError):
-        sample_target(dec, 1.0, 0.0, seed=0, nonconstant=True)
-    # without the flag the constant target is always available
+    # no direction beyond the constant is feasible; the constant target is
+    # always available
     target = sample_target(dec, 1.0, 0.0, seed=0)
     assert target.norm_sq == pytest.approx(1.0, abs=1e-12)
 
@@ -90,20 +89,20 @@ def test_target_uniform_boundedness(small_decomposition):
 def test_generate_labels_noiseless_and_deterministic(small_process,
                                                      small_decomposition):
     target = sample_target(small_decomposition, 1.0, 0.25, seed=1)
-    clean = generate_labels(target, 32, 0.0, seed=9)
-    for s in clean:
-        assert s.y == pytest.approx(target.values[s.x_index], abs=0.0)
-    again = generate_labels(target, 32, 0.0, seed=9)
-    assert [(s.x_index, s.y) for s in clean] == \
-        [(s.x_index, s.y) for s in again]
+    idx, y = generate_labels(target, 32, 0.0, seed=9)
+    assert idx.shape == y.shape == (32,)
+    np.testing.assert_array_equal(y, target.values[idx])
+    again_idx, again_y = generate_labels(target, 32, 0.0, seed=9)
+    np.testing.assert_array_equal(again_idx, idx)
+    np.testing.assert_array_equal(again_y, y)
 
 
 def test_generate_labels_clt_sanity(small_process, small_decomposition):
     target = sample_target(small_decomposition, 1.0, 0.25, seed=2)
     sigma = 0.3
     n = 10**4
-    samples = generate_labels(target, n, sigma, seed=3)
-    mean_y = float(np.mean([s.y for s in samples]))
+    _, y = generate_labels(target, n, sigma, seed=3)
+    mean_y = float(np.mean(y))
     expected = float(target.values @ small_process.p_x.mass)
     total_var = float(
         (target.values - expected) ** 2 @ small_process.p_x.mass) + sigma**2
@@ -120,12 +119,28 @@ def test_fit_interpolates_in_span(small_process, small_decomposition):
         B=2.0, epsilon=0.5)
     rng = np.random.default_rng(0)
     idx = rng.integers(0, small_process.n_x, size=32)
-    samples = [type("S", (), {"x_index": int(i),
-                              "y": float(values[i])})() for i in idx]
-    fit = fit_least_squares(enc, samples, B=5.0, epsilon=0.5, target=target)
+    fit = fit_least_squares(enc, (idx, values[idx]), B=5.0, epsilon=0.5,
+                            target=target)
     assert fit.prediction_error <= 1e-16
     assert fit.lagrange_mu == 0.0
     assert fit.train_mse <= 1e-20
+
+
+@pytest.mark.parametrize("idx,y,match", [
+    ([0, 1, 2], [0.5, 0.5], "indices against"),
+    ([], [], "at least one sample"),
+    ([-1, 2], [0.5, 0.5], "integers in"),
+    ([2, 8], [0.5, 0.5], "integers in"),
+    ([0.0, 2.0], [0.5, 0.5], "integers in"),
+])
+def test_fit_rejects_malformed_labels(idx, y, match):
+    # random_mask d_x 3 has 8 data points: -1 would read point 7 and 8 past
+    # the end, so neither may reach the fit
+    dec = decompose(build_hypercube(HypercubeConfig(3, 0.5, "random_mask")))
+    enc = optimal_encoder(dec, 2)
+    with pytest.raises(ValidationError, match=match):
+        fit_least_squares(enc, (np.array(idx), np.array(y)), B=1.0,
+                          epsilon=0.2)
 
 
 def test_fit_zero_budget(small_process, small_decomposition):
@@ -302,7 +317,6 @@ def test_evaluate_bounds_formulas():
     thm41 = 0.25 + (2 + math.sqrt(2 * math.log(2 / 0.05))) \
         * (1 / 0.5 + math.sqrt(1.2) / 0.45 + 2) * 4.0 * 3 / 16.0
     assert report.thm41_rhs == pytest.approx(thm41, rel=1e-12)
-    assert report.tau_applicable
 
 
 def test_evaluate_bounds_collapse_and_inapplicable():
@@ -315,6 +329,5 @@ def test_evaluate_bounds_collapse_and_inapplicable():
     hot = BoundContext(tau_sq=1.21, epsilon=0.1, B=1.0, kappa=1.5,
                        s_lambda_dplus1=2.0, n=100, sigma=0.0)
     blocked = evaluate_bounds(hot)
-    assert not blocked.tau_applicable
     assert blocked.thm31_rhs is None
     assert blocked.lemma32_rhs is None

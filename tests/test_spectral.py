@@ -23,13 +23,18 @@ from augrkhs.spectral import (
     apply_gamma_star,
     apply_joint,
     decompose,
-    duality_residual,
     export_decomposition,
     kernel_x,
     verify_integral_identity,
 )
 
 from conftest import svd_oracle, weighted_norm
+
+
+def duality_residual(dec):
+    """The duality residual of ``dec``'s pairs, measured afresh."""
+    return spectral._duality_residual(dec.process, dec.lambdas, dec.psi,
+                                      dec.phi)
 
 
 def eig_oracle(process):
@@ -217,13 +222,13 @@ def svd_eigenvalue_error(process, lam):
 def assert_law_matches_oracle(process):
     """The subset-law route against the SVD oracle on one hypercube process.
 
-    Eigenvalues within the oracle's error bound of ``rank_tol`` are
+    Eigenvalues within the oracle's error bound of the rank tolerance are
     disputed: the oracle may keep or drop each of them, so inside that band
     only their location is checked.  Returns the law route's decomposition.
     """
     law = decompose(process)
     oracle = svd_oracle(process)
-    tol = law.rank_tol
+    tol = spectral._RANK_TOL
     band = svd_eigenvalue_error(process, tol)
     config = process.hypercube
     full = spectral._subset_law(config, spectral._subset_bits(config.d_x))
@@ -255,7 +260,7 @@ def assert_law_matches_oracle(process):
 
 
 # pinned: at random_mask d_x 8 alpha 0.99999, lambda_{|S|=2} lies 9e-22 below
-# rank_tol, and the SVD keeps one of its 28 copies
+# the rank tolerance, and the SVD keeps one of its 28 copies
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(SCHEMES), st.integers(1, 8), st.floats(1e-12, 1.0))
 @example(scheme="random_mask", d_x=8, alpha=0.99999)
@@ -289,13 +294,13 @@ def test_svd_route_keeps_the_constant_without_a_spectral_gap():
 
 def test_svd_route_with_zero_rank_tol():
     # the deflated constant leaves a rounding-level singular value behind;
-    # it must not come back as a second constant
+    # the rank tolerance drops it, so it does not come back as a second
+    # constant
     rows = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.5, 0.3, 0.2]])
     process, _ = build_custom(3, 3, [0.2, 0.3, 0.5],
                               [(i, j, rows[i, j]) for i in range(3)
                                for j in range(3)])
-    dec = decompose(process, rank_tol=0.0)
-    assert dec.rank == decompose(process).rank == 2
+    assert decompose(process).rank == 2
 
 
 def test_subset_law_rank_at_tolerance():
@@ -311,7 +316,7 @@ def test_custom_process_takes_the_svd_route(small_process):
         [(i, j, dense[i, j]) for i, j in zip(*np.nonzero(dense))])
     assert custom.hypercube is None
     dec = decompose(custom)
-    lambdas, psi, form_phi = spectral._spectral_engine(custom, dec.rank_tol)
+    lambdas, psi, form_phi = spectral._spectral_engine(custom)
     lambdas, psi, phi = _tie_ordered(lambdas, psi, form_phi())
     for got, want in ((dec.lambdas, lambdas), (dec.psi, psi), (dec.phi, phi)):
         assert got.tobytes() == want.tobytes()
@@ -324,7 +329,7 @@ def test_decomposition_invariants(decomp_cache):
         dec = decomp_cache(scheme, d_x, alpha)
         p = dec.process
         assert dec.lambdas[0] == pytest.approx(1.0, abs=1e-10)
-        assert dec.lambdas.min() > dec.rank_tol
+        assert dec.lambdas.min() > spectral._RANK_TOL
         assert dec.lambdas.max() <= 1.0 + 1e-10
         np.testing.assert_allclose(dec.psi[:, 0], 1.0, atol=1e-8)
         gram_psi = (dec.psi * p.p_x.mass[:, None]).T @ dec.psi
@@ -379,22 +384,19 @@ def test_reconstruction_of_symmetrized_joint(small_decomposition):
 def test_integral_identity_identity_process():
     process, _ = build_custom(3, 3, [0.25, 0.25, 0.5],
                               [(i, i, 1.0) for i in range(3)])
-    assert verify_integral_identity(process) <= 1e-14
+    assert verify_integral_identity(decompose(process)) <= 1e-14
 
 
 def test_integral_identity_random_mask_indicators():
     p = build_hypercube(HypercubeConfig(2, 0.3, "random_mask"))
-    dec = decompose(p)
-    indicators = np.eye(p.n_x)
-    assert verify_integral_identity(p, dec, indicators) <= 1e-12
+    # the identity's columns are the point indicators
+    assert verify_integral_identity(decompose(p)) <= 1e-12
 
 
 def test_integral_identity_block_seeded_vectors():
     p = build_hypercube(HypercubeConfig(4, 0.5, "block_mask"))
-    dec = decompose(p)
-    rng = np.random.default_rng(42)
-    vectors = rng.normal(size=(p.n_x, 8))
-    assert verify_integral_identity(p, dec, vectors) <= 1e-10
+    # the routes are linear, so the indicators cover every vector
+    assert verify_integral_identity(decompose(p)) <= 1e-10
 
 
 @pytest.mark.parametrize("scheme,d_x", [("block_mask", 8),
@@ -408,11 +410,11 @@ def test_reconstruction_residual_fits_the_guard(process_cache, decomp_cache,
     # scipy fill once per process are not counted
     process = process_cache(scheme, d_x, 0.5)
     dec = decomp_cache(scheme, d_x, 0.5)
-    verify_integral_identity(process, dec)
+    verify_integral_identity(dec)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        verify_integral_identity(process, dec)
+        verify_integral_identity(dec)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -487,7 +489,7 @@ def test_export_matches_row_formatter(tmp_path, small_process, case):
     psi = _edge_matrix(rng, rows(7), 7)
     phi = np.asfortranarray(_edge_matrix(rng, rows(phi_cols), phi_cols))
     dec = spectral.SpectralDecomposition(
-        lambdas=lambdas, psi=psi, rank_tol=0.0, process=small_process,
+        lambdas=lambdas, psi=psi, process=small_process,
         _phi=spectral._Once(lambda: (phi, None)))
     _assert_same_bytes(dec, tmp_path)
 
@@ -611,7 +613,7 @@ def _law_route_oracle(process):
     bits = spectral._subset_bits(config.d_x)
     law = spectral._subset_law(config, bits)
     order = np.argsort(-law, kind="stable")
-    order = order[law[order] > spectral.DEFAULT_RANK_TOL]
+    order = order[law[order] > spectral._RANK_TOL]
     lambdas = law[order]
     psi = 1.0 - 2.0 * (((1 - bits) @ bits[order].T) % 2)
     phi = apply_gamma(process, psi) / np.sqrt(lambdas)
@@ -660,8 +662,7 @@ def test_decompose_deterministic(small_process):
 def _eager_law_route(process):
     """``decompose``'s law route with ``phi`` formed at once: the tie order
     over the Walsh characters and ``Gamma chi / (sign sqrt(lambda))``."""
-    lambdas, psi, form_phi = spectral._walsh_engine(process,
-                                                    spectral.DEFAULT_RANK_TOL)
+    lambdas, psi, form_phi = spectral._walsh_engine(process)
     return _tie_ordered(lambdas, psi, form_phi())
 
 
@@ -683,8 +684,8 @@ def _corrupting_engine(scale):
     """``spectral._walsh_engine`` whose ``phi`` comes out scaled by ``scale``."""
     walsh_engine = spectral._walsh_engine
 
-    def engine(process, rank_tol):
-        lambdas, psi, form_phi = walsh_engine(process, rank_tol)
+    def engine(process):
+        lambdas, psi, form_phi = walsh_engine(process)
         return lambdas, psi, lambda: form_phi() * scale
 
     return engine
@@ -710,8 +711,8 @@ def test_orthonormal_phi_that_is_not_dual_fails_on_first_read(monkeypatch,
     process = process_cache("random_mask", 1, 0.5)
     walsh_engine = spectral._walsh_engine
 
-    def swapped(process, rank_tol):
-        lambdas, psi, form_phi = walsh_engine(process, rank_tol)
+    def swapped(process):
+        lambdas, psi, form_phi = walsh_engine(process)
         return lambdas, psi, lambda: form_phi()[:, ::-1].copy()
 
     monkeypatch.setattr(spectral, "_walsh_engine", swapped)
