@@ -18,10 +18,10 @@ np.set_printoptions(precision=4, suppress=True)
 print("=== Independent random masking, one coordinate, mask ratio 1/2 ===")
 process = build_hypercube(HypercubeConfig(d_x=1, alpha=0.5,
                                           scheme="random_mask"))
-print("data points:      ", process.x_space.labels)
-print("augmentations:    ", process.a_space.labels)
+print("data points:      ", process.x_labels)
+print("augmentations:    ", process.a_labels)
 print("p(a|x) rows:\n", process.conditional_dense())
-print("augmentation marginal:", process.p_a.mass)
+print("augmentation marginal:", process.p_a)
 print("posterior p(x|a):\n", conditional_reverse(process))
 print("(the unmasked coordinate reveals the original; the mask is uniform)")
 
@@ -37,7 +37,7 @@ flip = build_hypercube(HypercubeConfig(d_x=4, alpha=0.5,
                                        scheme="block_mask_flip"))
 print(f"|A| = {flip.n_a}; every augmentation is reachable from every "
       "original, with exact product probabilities")
-print("first augmentations:", flip.a_space.labels[:6])
+print("first augmentations:", flip.a_labels[:6])
 
 print("\n=== Mask-or-flip channels, d_x=1, mask ratio 0.6 ===")
 mix = build_hypercube(HypercubeConfig(d_x=1, alpha=0.6,

@@ -3,8 +3,8 @@
 A target drawn from the soft-invariance class is learned by constrained
 least squares on top of the optimal encoder.  The prediction error splits
 into the approximation error of the encoder span plus an estimation error
-that decays like 1/n in the number of labels; every bound right-hand side
-is evaluated alongside.
+that decays like 1/n in the number of labels; the bound right-hand sides
+are evaluated alongside.
 """
 
 import math
@@ -12,18 +12,19 @@ import math
 import numpy as np
 
 from augrkhs import (
-    BoundContext,
     HypercubeConfig,
     build_hypercube,
     decompose,
-    evaluate_bounds,
     fit_least_squares,
     generate_labels,
     kappa_exact,
+    lemma32_rhs,
     optimal_encoder,
     partial_trace,
     project_fpsi,
+    prop41_rhs,
     sample_target,
+    thm31_rhs,
     trace_gap,
     worst_case_target,
 )
@@ -51,26 +52,26 @@ for n in (32, 128, 512, 2048):
         encoder, generate_labels(target, n, sigma, seed=n),
         B, eps, target=target)
     est = fit.f_hat_values - f_psi
-    est_err = float(np.sum(est * est * process.p_x.mass))
+    est_err = float(np.sum(est * est * process.p_x))
     state = "active" if fit.lagrange_mu > 0 else "slack"
     print(f"{n:>6}{fit.prediction_error:>16.6f}{est_err:>16.6f}{state:>12}")
 
 print("\n=== Bound right-hand sides at n = 512 ===")
 tau_sq = trace_gap(encoder)
-report = kappa_exact(dec)
-ctx = BoundContext(
-    tau_sq=tau_sq, epsilon=eps, B=B,
-    kappa=math.sqrt(report.kappa_sq_max),
-    s_lambda_dplus1=partial_trace(dec, d + 1), n=512, sigma=sigma,
-    lambda_dplus1=dec.eigenvalue(d + 1))
-bounds = evaluate_bounds(ctx)
+approx_bound = lemma32_rhs(tau_sq=tau_sq, epsilon=eps, B=B)
+full_bound = thm31_rhs(tau_sq=tau_sq, epsilon=eps, B=B,
+                       kappa=math.sqrt(kappa_exact(dec).kappa_sq_max),
+                       s_lambda_dplus1=partial_trace(dec, d + 1), n=512,
+                       sigma=sigma)
+lower_bound = prop41_rhs(lambda_dplus1=dec.eigenvalue(d + 1), epsilon=eps,
+                         B=B)
 print(f"trace gap tau^2 = {tau_sq:.4f} (equals the next eigenvalue "
       f"{dec.eigenvalue(d + 1):.4f} at the optimal encoder)")
-print(f"approximation bound: {bounds.lemma32_rhs:.6f} >= {approx_err:.6f}")
-print(f"full generalization bound: {bounds.thm31_rhs:.4f}")
-print(f"approximation lower bound: {bounds.prop41_rhs:.6f}")
+print(f"approximation bound: {approx_bound:.6f} >= {approx_err:.6f}")
+print(f"full generalization bound: {full_bound:.4f}")
+print(f"approximation lower bound: {lower_bound:.6f}")
 
 print("\n=== The worst-case target attains the lower bound ===")
 wc = worst_case_target(dec, d, B, eps)
 _, wc_err = project_fpsi(wc, encoder)
-print(f"worst-case error {wc_err:.8f} vs bound {bounds.prop41_rhs:.8f}")
+print(f"worst-case error {wc_err:.8f} vs bound {lower_bound:.8f}")

@@ -29,7 +29,7 @@ KX = kernel_x(process)
 print("K_X diagonal (constant by symmetry):", np.diag(KX)[:4], "...")
 
 print("\n=== Conditional expectations ===")
-f = np.array([x.count("+") for x in process.x_space.labels], dtype=float)
+f = np.array([x.count("+") for x in process.x_labels], dtype=float)
 print("f = number of +1 coordinates; Gamma f on a few augmentations:")
 print(apply_gamma(process, f)[:6])
 print("Gamma* 1 is the constant:", apply_gamma_star(
@@ -46,7 +46,7 @@ print("leading eigenfunction is the constant:", dec.psi[:4, 0])
 print("\n=== Duality and operator identities ===")
 i = 1
 back = apply_gamma_star(process, dec.phi[:, i]) / math.sqrt(dec.lambdas[i])
-residual = np.sqrt(np.sum((back - dec.psi[:, i]) ** 2 * process.p_x.mass))
+residual = np.sqrt(np.sum((back - dec.psi[:, i]) ** 2 * process.p_x))
 # rounding-level residuals, printed against their bounds
 print(f"duality residual for eigenfunction {i + 1} <= 1e-08:",
       residual <= 1e-8)

@@ -54,8 +54,6 @@ from .objectives import (
 )
 from .processes import (
     AugmentationProcess,
-    Distribution,
-    FiniteSpace,
     HypercubeConfig,
     build_custom,
     build_hypercube,
@@ -65,17 +63,18 @@ from .processes import (
     sample_process,
 )
 from .regression import (
-    BoundContext,
-    BoundReport,
     FitResult,
     TargetFunction,
-    evaluate_bounds,
     fit_least_squares,
     fit_least_squares_population,
     generate_labels,
+    lemma32_rhs,
     project_fpsi,
+    prop41_rhs,
     sample_target,
     target_from_coefficients,
+    thm31_rhs,
+    thm41_rhs,
     worst_case_target,
 )
 from .spectral import (

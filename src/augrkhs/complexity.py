@@ -62,7 +62,7 @@ def diagonal_kernel_values(process: AugmentationProcess) -> np.ndarray:
     ``sum_i lambda_i psi_i(x)^2`` against it.
     """
     C = process.conditional
-    inv_pa = 1.0 / process.p_a.mass
+    inv_pa = 1.0 / process.p_a
     if sp.issparse(C):
         return np.asarray((C.multiply(C)).multiply(inv_pa).sum(axis=1)).ravel()
     return ((C * C) * inv_pa).sum(axis=1)
@@ -79,7 +79,7 @@ def mean_chi_squared(process: AugmentationProcess) -> float:
     and of the spectrum, because :func:`kappa_exact` measures the residual
     of the trace identity ``sum_i lambda_i = 1 + mean chi-squared`` with it.
     """
-    table, p_a = process.conditional, process.p_a.mass
+    table, p_a = process.conditional, process.p_a
     if sp.issparse(table):
         table = table.tocsr()
         rows = np.repeat(np.arange(process.n_x), np.diff(table.indptr))
@@ -88,7 +88,7 @@ def mean_chi_squared(process: AugmentationProcess) -> float:
                  + (1.0 - np.bincount(rows, w, process.n_x)))
     else:
         per_x = ((table - p_a) ** 2 / p_a).sum(axis=1)
-    return float(per_x @ process.p_x.mass)
+    return float(per_x @ process.p_x)
 
 
 def weighted_percentile(values: np.ndarray, weights: np.ndarray,
@@ -126,7 +126,7 @@ def kappa_exact(dec: SpectralDecomposition, beta: float = 99.0) -> KappaReport:
     per_point.setflags(write=False)
     return KappaReport(
         kappa_sq_max=float(direct.max()),
-        kappa_sq_percentile=weighted_percentile(direct, process.p_x.mass, beta),
+        kappa_sq_percentile=weighted_percentile(direct, process.p_x, beta),
         beta=beta,
         per_point=per_point,
         s_lambda_total=s_lambda,
@@ -137,7 +137,7 @@ def kappa_exact(dec: SpectralDecomposition, beta: float = 99.0) -> KappaReport:
 def kappa_percentile(process: AugmentationProcess, beta: float) -> float:
     """Mass-weighted percentile of ``K_X(x,x)`` at ``beta`` percent."""
     return weighted_percentile(
-        diagonal_kernel_values(process), process.p_x.mass, beta
+        diagonal_kernel_values(process), process.p_x, beta
     )
 
 
@@ -153,7 +153,7 @@ def kappa_monte_carlo(process: AugmentationProcess, m: int, r: int,
     if m < 1 or r < 1:
         raise ValidationError("m and r must be >= 1")
     rng = np.random.default_rng(seed)
-    xs = rng.choice(process.n_x, size=m, p=process.p_x.mass)
+    xs = rng.choice(process.n_x, size=m, p=process.p_x)
     # only the distinct sampled rows are made dense
     points, inverse = np.unique(xs, return_inverse=True)
     C = process.conditional
@@ -162,7 +162,7 @@ def kappa_monte_carlo(process: AugmentationProcess, m: int, r: int,
     for k, i in enumerate(inverse):
         row = rows[i]
         draws = rng.choice(process.n_a, size=r, p=row)
-        averages[k] = float(np.mean(row[draws] / process.p_a.mass[draws]))
+        averages[k] = float(np.mean(row[draws] / process.p_a[draws]))
     uniform = np.full(m, 1.0 / m)
     estimate = weighted_percentile(averages, uniform, beta)
     boot = np.empty(_BOOTSTRAP_RESAMPLES)

@@ -67,12 +67,12 @@ class CovariancePair:
 
 def gram_a(process: AugmentationProcess, phi_hat: np.ndarray) -> np.ndarray:
     """Augmentation-side Gram under the ``p_a`` weight."""
-    return (phi_hat * process.p_a.mass[None, :]) @ phi_hat.T
+    return (phi_hat * process.p_a[None, :]) @ phi_hat.T
 
 
 def gram_x(process: AugmentationProcess, psi_hat: np.ndarray) -> np.ndarray:
     """Data-side Gram under the ``p_x`` weight."""
-    return (psi_hat * process.p_x.mass[None, :]) @ psi_hat.T
+    return (psi_hat * process.p_x[None, :]) @ psi_hat.T
 
 
 def build_average_encoder(decomposition: SpectralDecomposition,

@@ -45,8 +45,8 @@ _REQUIRED_AXES = {
 }
 
 # the option names some cell reads; any other name is a config error
-OPTIONS = ("beta", "learning_rate", "max_iters", "grad_tol", "init_scale",
-           "alpha_w", "beta_w", "c0")
+OPTIONS = ("learning_rate", "max_iters", "grad_tol", "init_scale", "alpha_w",
+           "beta_w", "c0")
 # the options the optimizer reads, with their casts; an option that is not set
 # keeps OptimizerConfig's default
 _OPTIMIZER_OPTIONS = {"learning_rate": float, "max_iters": int,
@@ -339,15 +339,14 @@ class _Memo(dict):
         return self[key]()
 
 
-def _kappa(once: _Memo, dec, beta: float = 99.0):
-    """The process's complexity report at ``beta``, computed once per group."""
-    return once(("kappa", beta),
-                lambda: complexity.kappa_exact(dec, beta))
+def _kappa(once: _Memo, dec):
+    """The process's complexity report, computed once per group."""
+    return once(("kappa",), lambda: complexity.kappa_exact(dec))
 
 
 def _kappa_cell(cell, config: ExperimentConfig, dec, once) -> dict:
     row = _base_row(cell)
-    report = _kappa(once, dec, float(config.options.get("beta", 99.0)))
+    report = _kappa(once, dec)
     row["kappa_sq_exact"] = report.kappa_sq_max
     row["kappa_sq_p99"] = report.kappa_sq_percentile
     try:
@@ -415,22 +414,17 @@ def _regress_cell(cell, config: ExperimentConfig, dec, once) -> dict:
     f_psi, approx_err = regression.project_fpsi(target, encoder)
     est = fit.f_hat_values - f_psi
     tau_sq = encoders.trace_gap(encoder)
-    report = _kappa(once, dec)  # the default beta, so a beta option cannot fail it
-    ctx = regression.BoundContext(
-        tau_sq=tau_sq, epsilon=eps, B=B,
-        kappa=math.sqrt(report.kappa_sq_max),
-        s_lambda_dplus1=complexity.partial_trace(dec, d + 1),
-        n=int(cell["n"]), sigma=float(cell["sigma"]),
-        c0=float(config.options.get("c0", 1.0)),
-        lambda_dplus1=dec.eigenvalue(d + 1),
-    )
-    bounds = regression.evaluate_bounds(ctx)
     row["tau_sq"] = tau_sq
     row["pred_err"] = fit.prediction_error
     row["approx_err"] = approx_err
-    row["est_err"] = float(np.sum(est * est * dec.process.p_x.mass))
-    row["lemma32_rhs"] = bounds.lemma32_rhs
-    row["thm31_rhs"] = bounds.thm31_rhs
+    row["est_err"] = float(np.sum(est * est * dec.process.p_x))
+    row["lemma32_rhs"] = regression.lemma32_rhs(tau_sq=tau_sq, epsilon=eps, B=B)
+    row["thm31_rhs"] = regression.thm31_rhs(
+        tau_sq=tau_sq, epsilon=eps, B=B,
+        kappa=math.sqrt(_kappa(once, dec).kappa_sq_max),
+        s_lambda_dplus1=complexity.partial_trace(dec, d + 1),
+        n=int(cell["n"]), sigma=float(cell["sigma"]),
+        c0=float(config.options.get("c0", 1.0)))
     row["constraint_active"] = int(fit.lagrange_mu > 0)
     return row
 

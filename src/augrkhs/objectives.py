@@ -101,8 +101,8 @@ def _scl_value_grad(params, process: AugmentationProcess, spec):
     augmentations of one original), the second over independent ones.
     """
     phi, = params
-    p_x = process.p_x.mass
-    phi_pa = phi * process.p_a.mass
+    p_x = process.p_x
+    phi_pa = phi * process.p_a
     G = phi_pa @ phi.T
     Z = apply_gamma_star(process, phi.T)
     PhiPair = apply_joint(process, Z).T  # phi P+
@@ -118,8 +118,8 @@ def _sclip_value_grad(params, process: AugmentationProcess, spec):
     term under the product of the marginals.
     """
     phi, xi = params
-    p_x = process.p_x.mass
-    phi_pa = phi * process.p_a.mass
+    p_x = process.p_x
+    phi_pa = phi * process.p_a
     xi_px = xi * p_x
     G = phi_pa @ phi.T
     H = xi_px @ xi.T
@@ -138,9 +138,9 @@ def _rbt_value_grad(params, process: AugmentationProcess, spec):
     """
     phi, = params
     alpha_w, beta_w = spec.alpha_w, spec.beta_w
-    phi_pa = phi * process.p_a.mass
+    phi_pa = phi * process.p_a
     Z = apply_gamma_star(process, phi.T)
-    M = (Z * process.p_x.mass[:, None]).T @ Z
+    M = (Z * process.p_x[:, None]).T @ Z
     diag = np.diag(M)
     off = M - np.diag(diag)
     value = (float(np.sum((diag - 1.0) ** 2)) + alpha_w * float(np.sum(off * off))
@@ -158,8 +158,8 @@ def _vicreg_value_grad(params, process: AugmentationProcess, spec):
     """
     phi, = params
     beta_w = spec.beta_w
-    p_x = process.p_x.mass
-    phi_pa = phi * process.p_a.mass
+    p_x = process.p_x
+    phi_pa = phi * process.p_a
     G = phi_pa @ phi.T
     Z = apply_gamma_star(process, phi.T)
     PhiPair = apply_joint(process, Z).T  # phi P+
@@ -291,7 +291,7 @@ def subspace_angle(phi_hat, decomposition: SpectralDecomposition,
     table = np.atleast_2d(np.asarray(phi_hat, dtype=float))
     if not (1 <= d <= decomposition.rank):
         raise ValidationError(f"d must lie in [1, rank], got {d}")
-    sqrt_pa = np.sqrt(decomposition.process.p_a.mass)
+    sqrt_pa = np.sqrt(decomposition.process.p_a)
     W = (table * sqrt_pa[None, :]).T
     U, s, _ = np.linalg.svd(W, full_matrices=False)
     if s[-1] <= 1e-12 * s[0]:
@@ -330,5 +330,5 @@ def rbt_penalty_path(process: AugmentationProcess, d: int, alpha_w: float,
         results.append(res)
         init = (res.phi_hat,)
     final = results[-1].phi_hat
-    trace_g = float(np.sum(final * final @ process.p_a.mass))
+    trace_g = float(np.sum(final * final @ process.p_a))
     return results, trace_g

@@ -1,7 +1,8 @@
 """Finite augmentation processes over discrete data and augmentation spaces.
 
-An :class:`AugmentationProcess` bundles a finite data space with its marginal
-``p_x``, a finite augmentation space, and the conditional table ``p(a|x)``.
+An :class:`AugmentationProcess` is its arrays: the data marginal ``p_x``,
+the conditional table ``p(a|x)``, the augmentation marginal ``p_a`` derived
+from them, and optional display labels for the points of either space.
 Everything downstream (kernels, spectra, complexity measures, encoders) is
 computed exactly from these tables, so construction is strict about
 probability invariants and deterministic about enumeration order: hypercube
@@ -32,90 +33,80 @@ FLIP_SCHEMES = ("block_mask_flip", "random_mask_flip")
 _SYMBOLS = np.frombuffer(b"-0+", dtype=np.uint8)  # bytes of -1, 0, +1
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteSpace:
-    """A finite set of points, optionally labelled for display."""
-
-    size: int
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValidationError(f"space size must be >= 1, got {self.size}")
-        if self.labels is not None and len(self.labels) != self.size:
-            raise ValidationError(
-                f"got {len(self.labels)} labels for a space of size {self.size}"
-            )
-
-
-@dataclass(frozen=True, eq=False)
-class Distribution:
-    """A probability vector over a :class:`FiniteSpace`."""
-
-    space: FiniteSpace
-    mass: np.ndarray
-
-    def __post_init__(self):
-        mass = np.asarray(self.mass, dtype=float)
-        object.__setattr__(self, "mass", mass)
-        if mass.shape != (self.space.size,):
-            raise ValidationError(
-                f"mass has shape {mass.shape}, expected ({self.space.size},)"
-            )
-        if mass.min(initial=np.inf) < 0:
-            raise ValidationError("probabilities must be nonnegative")
-        total = float(mass.sum())
-        if abs(total - 1.0) > CONSTRUCTION_TOL:
-            raise ValidationError(f"probabilities sum to {total!r}, not 1")
-        mass.setflags(write=False)
+def _marginal(mass, labels) -> np.ndarray:
+    """``mass`` as a read-only float probability vector over ``len(mass)``
+    points, of which ``labels``, when given, names each."""
+    mass = np.asarray(mass, dtype=float)
+    if mass.ndim != 1:
+        raise ValidationError(f"mass has shape {mass.shape}, expected a vector")
+    if mass.size < 1:
+        raise ValidationError(f"space size must be >= 1, got {mass.size}")
+    if labels is not None and len(labels) != mass.size:
+        raise ValidationError(
+            f"got {len(labels)} labels for a space of size {mass.size}"
+        )
+    if mass.min() < 0:
+        raise ValidationError("probabilities must be nonnegative")
+    total = float(mass.sum())
+    if abs(total - 1.0) > CONSTRUCTION_TOL:
+        raise ValidationError(f"probabilities sum to {total!r}, not 1")
+    mass.setflags(write=False)
+    return mass
 
 
-def derive_marginal(conditional, p_x_mass: np.ndarray) -> np.ndarray:
+def derive_marginal(conditional, p_x: np.ndarray) -> np.ndarray:
     """Marginal over augmentations, ``p_a = conditional^T p_x``.
 
     This is the single derivation path used everywhere, so recomputing the
     marginal from a stored process reproduces it bit for bit.
     """
     if sp.issparse(conditional):
-        return np.asarray(conditional.T @ p_x_mass).ravel()
-    return np.asarray(conditional).T @ p_x_mass
+        return np.asarray(conditional.T @ p_x).ravel()
+    return np.asarray(conditional).T @ p_x
 
 
 @dataclass(frozen=True, eq=False)
 class AugmentationProcess:
-    """A finite data space, augmentation space, and exact conditional table.
+    """A data marginal, an augmentation marginal and the exact table between.
 
     Attributes
     ----------
-    x_space, a_space : FiniteSpace
-        Data and augmentation spaces.
-    p_x : Distribution
-        Data marginal; strictly positive on every point.
+    p_x : ndarray
+        Data marginal over ``|X|`` points; strictly positive on every point.
     conditional : ndarray or scipy.sparse.csr_array
         ``|X| x |A|`` table of ``p(a|x)``; stored sparse when its density is
         below 25%.
-    p_a : Distribution
-        Derived augmentation marginal, strictly positive after pruning.
+    p_a : ndarray
+        Augmentation marginal ``conditional^T p_x`` over ``|A|`` points,
+        strictly positive after pruning.
     hypercube : HypercubeConfig or None
         The masking scheme a hypercube process was built from, whose
         spectrum has a closed form; ``None`` for every other process.
+    x_labels, a_labels : tuple of str or None
+        Display names of the data and augmentation points, one each.
     conditional_transpose : ndarray or scipy.sparse.csr_array
         The ``|A| x |X|`` transpose of ``conditional``, built on first use
         and kept for the life of the process: the ``.T`` view of a dense
         table, or a row-major copy of a sparse one (its ``.T`` would be a
         new column-major object on every access).  Its arrays are
         read-only.
+
+    Both marginals are stored as read-only float arrays.
     """
 
-    x_space: FiniteSpace
-    a_space: FiniteSpace
-    p_x: Distribution
+    p_x: np.ndarray
     conditional: object
-    p_a: Distribution
+    p_a: np.ndarray
     hypercube: HypercubeConfig | None = None
+    x_labels: tuple[str, ...] | None = None
+    a_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        n_x, n_a = self.x_space.size, self.a_space.size
+        p_x = _marginal(self.p_x, self.x_labels)
+        p_a = _marginal(self.p_a, self.a_labels)
+        object.__setattr__(self, "p_x", p_x)
+        object.__setattr__(self, "p_a", p_a)
+        n_x, n_a = p_x.size, p_a.size
         cond = self.conditional
         if cond.shape != (n_x, n_a):
             raise ValidationError(
@@ -137,15 +128,15 @@ class AugmentationProcess:
                 f"conditional rows {bad.tolist()} do not sum to 1 "
                 f"(sums {row_sums[bad].tolist()})"
             )
-        if self.p_x.mass.min() <= 0:
+        if p_x.min() <= 0:
             raise ValidationError(
                 "p_x must be strictly positive; drop zero-mass data points"
             )
-        recomputed = derive_marginal(self.conditional, self.p_x.mass)
-        if not np.array_equal(recomputed, self.p_a.mass):
-            if np.max(np.abs(recomputed - self.p_a.mass)) > CONSTRUCTION_TOL:
+        recomputed = derive_marginal(self.conditional, p_x)
+        if not np.array_equal(recomputed, p_a):
+            if np.max(np.abs(recomputed - p_a)) > CONSTRUCTION_TOL:
                 raise ValidationError("p_a is inconsistent with conditional and p_x")
-        if self.p_a.mass.min() <= 0:
+        if p_a.min() <= 0:
             raise ValidationError(
                 "zero-mass augmentations present; they must be pruned"
             )
@@ -157,11 +148,11 @@ class AugmentationProcess:
 
     @property
     def n_x(self) -> int:
-        return self.x_space.size
+        return self.p_x.size
 
     @property
     def n_a(self) -> int:
-        return self.a_space.size
+        return self.p_a.size
 
     @property
     def is_sparse(self) -> bool:
@@ -266,17 +257,13 @@ def _assemble(p_x, table, hypercube: HypercubeConfig | None = None,
         if a_points is not None:
             a_points = [a_points[j] for j in kept]
     stored = _finalize_storage(table)
-    x_space = FiniteSpace(stored.shape[0],
-                          None if x_points is None else _labels(x_points))
-    a_space = FiniteSpace(stored.shape[1],
-                          None if a_points is None else _labels(a_points))
     process = AugmentationProcess(
-        x_space=x_space,
-        a_space=a_space,
-        p_x=Distribution(x_space, p_x),
+        p_x=p_x,
         conditional=stored,
-        p_a=Distribution(a_space, derive_marginal(stored, p_x)),
+        p_a=derive_marginal(stored, p_x),
         hypercube=hypercube,
+        x_labels=None if x_points is None else _labels(x_points),
+        a_labels=None if a_points is None else _labels(a_points),
     )
     return process, kept
 
@@ -453,7 +440,7 @@ def sample_process(process: AugmentationProcess, N: int, seed: int
     if N < 1:
         raise ValidationError(f"N must be >= 1, got {N}")
     rng = np.random.default_rng(seed)
-    draws = rng.choice(process.n_x, size=N, p=process.p_x.mass)
+    draws = rng.choice(process.n_x, size=N, p=process.p_x)
     points, counts = np.unique(draws, return_counts=True)
     p_x = counts / N
     C = process.conditional
@@ -464,17 +451,15 @@ def sample_process(process: AugmentationProcess, N: int, seed: int
     # random_mask d_x 6 sample (about 60 points x 725 columns, 9% dense)
     # sparse: that moved its trace gaps by up to 2e-13 relative and made the
     # tracegap cells about 7% slower
-    x_space, a_space = FiniteSpace(points.size), FiniteSpace(kept.size)
-    sample = AugmentationProcess(
-        x_space=x_space, a_space=a_space, p_x=Distribution(x_space, p_x),
-        conditional=rows[:, kept], p_a=Distribution(a_space, p_a[kept]))
+    sample = AugmentationProcess(p_x=p_x, conditional=rows[:, kept],
+                                 p_a=p_a[kept])
     return sample, draws, kept
 
 
 def conditional_reverse(process: AugmentationProcess) -> np.ndarray:
     """Posterior table ``p(x|a) = p(a|x) p_x(x) / p_a(a)``, shape ``|A| x |X|``."""
-    weighted = process.conditional_dense() * process.p_x.mass[:, None]
-    return weighted.T / process.p_a.mass[:, None]
+    weighted = process.conditional_dense() * process.p_x[:, None]
+    return weighted.T / process.p_a[:, None]
 
 
 def load_process(path) -> tuple[AugmentationProcess, np.ndarray]:
@@ -517,7 +502,7 @@ def dump_process(path, process: AugmentationProcess) -> None:
     keep = entries.data != 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{process.n_x} {process.n_a}\n")
-        fh.write(" ".join(f"{v:.17g}" for v in process.p_x.mass) + "\n")
+        fh.write(" ".join(f"{v:.17g}" for v in process.p_x) + "\n")
         fh.writelines(f"{i} {j} {v:.17g}\n" for i, j, v in zip(
             entries.row[keep].tolist(), entries.col[keep].tolist(),
             entries.data[keep].tolist()))

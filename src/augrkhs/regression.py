@@ -5,8 +5,12 @@ the data eigenbasis whose high-frequency mass is controlled relative to
 their energy, equivalently functions whose squared norm sits within a
 ``(1 - epsilon)`` isometry band of their induced-space norm.  The probe is a
 least-squares fit over the average encoder's span subject to that induced
-norm budget, solved by multiplier bisection.  Every bound right-hand side
-used in the experiments is evaluated here from a plain numeric context.
+norm budget, solved by multiplier bisection.  Each bound the experiments
+evaluate is one keyword-only function of the numbers it reads:
+:func:`lemma32_rhs` (approximation, from the trace gap), :func:`thm31_rhs`
+(generalization, adding the estimation term of ``n`` labels),
+:func:`prop41_rhs` (the approximation lower bound, from ``lambda_{d+1}``) and
+:func:`thm41_rhs` (the near-optimal encoder's trace gap).
 """
 
 from __future__ import annotations
@@ -193,7 +197,7 @@ def generate_labels(target: TargetFunction, n: int, sigma: float,
         raise ValidationError(f"sigma must be >= 0, got {sigma}")
     process = target.decomposition.process
     rng = np.random.default_rng(seed)
-    xs = rng.choice(process.n_x, size=n, p=process.p_x.mass)
+    xs = rng.choice(process.n_x, size=n, p=process.p_x)
     noise = rng.normal(size=n) * sigma if sigma > 0 else np.zeros(n)
     return xs, target.values[xs] + noise
 
@@ -205,7 +209,7 @@ def induced_gram(encoder: Encoder) -> np.ndarray:
     coefficients against inverse eigenvalues.
     """
     dec = encoder.decomposition
-    p_x = encoder.process.p_x.mass
+    p_x = encoder.process.p_x
     U = (encoder.psi_hat * p_x[None, :]) @ dec.psi  # d x rank
     return (U / dec.lambdas[None, :]) @ U.T
 
@@ -291,8 +295,7 @@ def _fit(encoder: Encoder, x_indices, weights, y, B, epsilon, target):
     prediction_error = None
     if target is not None:
         diff = f_hat - target.values
-        prediction_error = float(
-            np.sum(diff * diff * encoder.process.p_x.mass))
+        prediction_error = float(np.sum(diff * diff * encoder.process.p_x))
     return FitResult(w=w, f_hat_values=f_hat, h_norm=math.sqrt(max(h_sq, 0.0)),
                      lagrange_mu=mu, train_mse=train_mse,
                      prediction_error=prediction_error)
@@ -332,7 +335,7 @@ def fit_least_squares_population(encoder: Encoder, values, B: float,
             f"values has shape {values.shape}, expected ({encoder.process.n_x},)"
         )
     x_idx = np.arange(encoder.process.n_x)
-    return _fit(encoder, x_idx, encoder.process.p_x.mass, values, B, epsilon,
+    return _fit(encoder, x_idx, encoder.process.p_x, values, B, epsilon,
                 target)
 
 
@@ -349,74 +352,54 @@ def project_fpsi(target: TargetFunction, encoder: Encoder
     process = encoder.process
     g_star = dec.phi @ (target.u / np.sqrt(dec.lambdas))
     # one weighting serves the Gram (encoders.gram_a) and the right side
-    weighted = encoder.phi_hat * process.p_a.mass[None, :]
+    weighted = encoder.phi_hat * process.p_a[None, :]
     coeffs = np.linalg.solve(weighted @ encoder.phi_hat.T, weighted @ g_star)
     projected = encoder.phi_hat.T @ coeffs
     f_psi = apply_gamma_star(process, projected)
     diff = f_psi - target.values
-    return f_psi, float(np.sum(diff * diff * process.p_x.mass))
+    return f_psi, float(np.sum(diff * diff * process.p_x))
 
 
-@dataclass(frozen=True)
-class BoundContext:
-    """Numeric inputs for the bound right-hand sides."""
-
-    tau_sq: float
-    epsilon: float
-    B: float
-    kappa: float
-    s_lambda_dplus1: float
-    n: int
-    sigma: float
-    c0: float = 1.0
-    lambda_dplus1: float | None = None
-    lambda_d: float | None = None
-    lambda_bar_d: float | None = None
-    gamma_g: float | None = None
-    N: int | None = None
-    d: int | None = None
-    delta: float | None = None
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Evaluated right-hand sides; inapplicable entries are None."""
-
-    thm31_rhs: float | None
-    lemma32_rhs: float | None
-    prop41_rhs: float | None
-    thm41_rhs: float | None
-
-
-def evaluate_bounds(context: BoundContext) -> BoundReport:
-    """Evaluate every bound right-hand side available from the context.
-
-    The main generalization bound and its approximation component require
-    ``tau < 1`` and are marked inapplicable otherwise; the approximation
-    lower bound and the empirical trace-gap bound are reported whenever
-    their inputs are present.
-    """
-    c = context
-    tau = math.sqrt(max(c.tau_sq, 0.0))
-    lemma32 = thm31 = None
+def lemma32_rhs(*, tau_sq: float, epsilon: float, B: float) -> float | None:
+    """Lemma 3.2's approximation bound for an encoder of trace gap
+    ``tau_sq``; ``None`` unless ``tau < 1``."""
+    tau = math.sqrt(max(tau_sq, 0.0))
     if tau < 1.0:
-        lemma32 = (c.tau_sq * (tau + c.epsilon) * c.B * c.B
-                   / ((1.0 - c.tau_sq) * (1.0 - c.epsilon)))
-        thm31 = (9.0 * lemma32
-                 + c.c0 * c.kappa * (c.B * c.B + c.sigma * c.B)
-                 / (1.0 - c.epsilon) * math.sqrt(c.s_lambda_dplus1 / c.n))
-    prop41 = None
-    if c.lambda_dplus1 is not None and c.lambda_dplus1 < 1.0:
-        prop41 = (c.lambda_dplus1 / (1.0 - c.lambda_dplus1)
-                  * c.epsilon / (1.0 - c.epsilon) * c.B * c.B)
-    thm41 = None
-    needed = (c.lambda_dplus1, c.lambda_d, c.lambda_bar_d, c.gamma_g, c.N,
-              c.d, c.delta)
-    if all(v is not None for v in needed):
-        thm41 = (c.lambda_dplus1
-                 + (2.0 + math.sqrt(2.0 * math.log(2.0 / c.delta)))
-                 * (1.0 / c.lambda_d + math.sqrt(c.gamma_g) / c.lambda_bar_d
-                    + 2.0)
-                 * c.kappa * c.kappa * c.d / math.sqrt(c.N))
-    return BoundReport(thm31_rhs=thm31, lemma32_rhs=lemma32,
-                       prop41_rhs=prop41, thm41_rhs=thm41)
+        return (tau_sq * (tau + epsilon) * B * B
+                / ((1.0 - tau_sq) * (1.0 - epsilon)))
+    return None
+
+
+def thm31_rhs(*, tau_sq: float, epsilon: float, B: float, kappa: float,
+              s_lambda_dplus1: float, n: int, sigma: float,
+              c0: float = 1.0) -> float | None:
+    """Theorem 3.1's generalization bound: nine times :func:`lemma32_rhs`
+    plus the estimation term of ``n`` labels with noise ``sigma``; ``None``
+    where the lemma's bound is."""
+    lemma32 = lemma32_rhs(tau_sq=tau_sq, epsilon=epsilon, B=B)
+    if lemma32 is None:
+        return None
+    return (9.0 * lemma32
+            + c0 * kappa * (B * B + sigma * B)
+            / (1.0 - epsilon) * math.sqrt(s_lambda_dplus1 / n))
+
+
+def prop41_rhs(*, lambda_dplus1: float, epsilon: float,
+               B: float) -> float | None:
+    """Proposition 4.1's approximation lower bound for any top-d span;
+    ``None`` unless ``lambda_dplus1 < 1``."""
+    if lambda_dplus1 < 1.0:
+        return (lambda_dplus1 / (1.0 - lambda_dplus1)
+                * epsilon / (1.0 - epsilon) * B * B)
+    return None
+
+
+def thm41_rhs(*, lambda_dplus1: float, lambda_d: float, lambda_bar_d: float,
+              gamma_g: float, kappa: float, d: int, N: int,
+              delta: float) -> float:
+    """Theorem 4.1's trace-gap bound for the near-optimal encoder of ``N``
+    samples, holding with probability at least ``1 - delta``."""
+    return (lambda_dplus1
+            + (2.0 + math.sqrt(2.0 * math.log(2.0 / delta)))
+            * (1.0 / lambda_d + math.sqrt(gamma_g) / lambda_bar_d + 2.0)
+            * kappa * kappa * d / math.sqrt(N))

@@ -60,7 +60,7 @@ def kernel_x(process: AugmentationProcess) -> np.ndarray:
     :func:`verify_integral_identity` checks the operator route against it.
     """
     C = process.conditional
-    inv_pa = 1.0 / process.p_a.mass
+    inv_pa = 1.0 / process.p_a
     if sp.issparse(C):
         return (C.multiply(inv_pa) @ C.T).toarray()
     return (C * inv_pa) @ C.T
@@ -80,7 +80,7 @@ def apply_joint(process: AugmentationProcess, f: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"function has length {f.shape[0]}, data space has {process.n_x}"
         )
-    weighted = f * process.p_x.mass if f.ndim == 1 else f * process.p_x.mass[:, None]
+    weighted = f * process.p_x if f.ndim == 1 else f * process.p_x[:, None]
     return np.asarray(process.conditional_transpose @ weighted)
 
 
@@ -91,7 +91,7 @@ def apply_gamma(process: AugmentationProcess, f: np.ndarray) -> np.ndarray:
     :func:`apply_joint` divided by ``p_a``.
     """
     out = apply_joint(process, f)
-    out /= process.p_a.mass if out.ndim == 1 else process.p_a.mass[:, None]
+    out /= process.p_a if out.ndim == 1 else process.p_a[:, None]
     return out
 
 
@@ -252,14 +252,14 @@ def _validate_decomposition(dec: SpectralDecomposition) -> None:
     psi1 = dec.psi[:, 0]
     if np.max(np.abs(psi1 - psi1[0])) > 1e-8 or abs(psi1[0] - 1.0) > 1e-8:
         raise ValidationError("leading data eigenfunction is not the constant 1")
-    if _gram_defect(dec.psi, dec.process.p_x.mass) > _ORTHONORMALITY_TOL:
+    if _gram_defect(dec.psi, dec.process.p_x) > _ORTHONORMALITY_TOL:
         raise ValidationError("psi columns are not orthonormal under p_x")
 
 
 def _check_phi(process, lambdas, psi, phi) -> float:
     """The checks of ``phi`` against the ``psi`` it pairs with; returns the
     duality residual they measured."""
-    if _gram_defect(phi, process.p_a.mass) > _ORTHONORMALITY_TOL:
+    if _gram_defect(phi, process.p_a) > _ORTHONORMALITY_TOL:
         raise ValidationError("phi columns are not orthonormal under p_a")
     worst = _duality_residual(process, lambdas, psi, phi)
     if worst > _DUALITY_TOL:
@@ -274,7 +274,7 @@ def _duality_residual(process, lambdas, psi, phi) -> float:
     back = apply_gamma_star(process, phi[:, certified])
     back /= np.sqrt(lambdas[certified])[None, :]
     resid = back - psi[:, certified]
-    p_x = process.p_x.mass
+    p_x = process.p_x
     return float(np.sqrt(np.max(np.sum(resid * resid * p_x[:, None], axis=0))))
 
 
@@ -292,7 +292,7 @@ def _spectral_engine(process: AugmentationProcess):
     which the SVD has formed already.
     """
     conditional = process.conditional
-    sqrt_wx, sqrt_wa = np.sqrt(process.p_x.mass), np.sqrt(process.p_a.mass)
+    sqrt_wx, sqrt_wa = np.sqrt(process.p_x), np.sqrt(process.p_a)
     if sp.issparse(conditional):
         B = conditional.multiply(sqrt_wx[:, None]).multiply(1.0 / sqrt_wa).T.toarray()
     else:
@@ -435,7 +435,7 @@ def verify_integral_identity(decomposition: SpectralDecomposition) -> float:
     process = decomposition.process
     F = np.eye(process.n_x)
     op_route = apply_gamma_star(process, apply_gamma(process, F))
-    weighted = F * process.p_x.mass[:, None]
+    weighted = F * process.p_x[:, None]
     del F
     kernel_route = kernel_x(process) @ weighted
     op_route -= kernel_route

@@ -44,7 +44,7 @@ def report(num, name, ok, detail=""):
 def brute_diagonal(process):
     """Enumeration oracle for K_X(x,x): row loop, marginal recomputed."""
     dense = process.conditional_dense()
-    p_a = dense.T @ process.p_x.mass
+    p_a = dense.T @ process.p_x
     out = np.empty(process.n_x)
     for i in range(process.n_x):
         row = dense[i]
@@ -55,11 +55,11 @@ def brute_diagonal(process):
 def chi_squared_mean_oracle(process):
     """Independent route: sum_x p_x sum_a (p(a|x) - p_a)^2 / p_a."""
     dense = process.conditional_dense()
-    p_a = dense.T @ process.p_x.mass
+    p_a = dense.T @ process.p_x
     total = 0.0
     for i in range(process.n_x):
         diff = dense[i] - p_a
-        total += process.p_x.mass[i] * float(np.sum(diff * diff / p_a))
+        total += process.p_x[i] * float(np.sum(diff * diff / p_a))
     return total
 
 
@@ -144,11 +144,11 @@ def test_criterion_04_duality_reconstruction_trace(process_cache,
                 back /= np.sqrt(dec.lambdas[certified])[None, :]
                 diff = back - dec.psi[:, certified]
                 worst_dual = max(worst_dual, float(np.sqrt(np.max(
-                    np.sum(diff * diff * p.p_x.mass[:, None], axis=0)))))
-                B = (p.conditional_dense() * np.sqrt(p.p_x.mass)[:, None]
-                     / np.sqrt(p.p_a.mass)[None, :]).T
-                U = dec.phi * np.sqrt(p.p_a.mass)[:, None]
-                V = dec.psi * np.sqrt(p.p_x.mass)[:, None]
+                    np.sum(diff * diff * p.p_x[:, None], axis=0)))))
+                B = (p.conditional_dense() * np.sqrt(p.p_x)[:, None]
+                     / np.sqrt(p.p_a)[None, :]).T
+                U = dec.phi * np.sqrt(p.p_a)[:, None]
+                V = dec.psi * np.sqrt(p.p_x)[:, None]
                 rebuilt = (U * np.sqrt(dec.lambdas)) @ V.T
                 worst_recon = max(worst_recon,
                                   float(np.linalg.norm(B - rebuilt)))
@@ -280,8 +280,8 @@ def test_criterion_07_near_optimal_rate(process_cache, decomp_cache):
     # (B as in criterion 04), closed at the tie block holding lambda_d.  Here
     # d = 3 splits the fourfold lambda = 1/2 block, so the top-d space is not
     # unique and the reference has k = 5 dimensions.
-    sqrt_pa = np.sqrt(process.p_a.mass)
-    B = (process.conditional_dense() * np.sqrt(process.p_x.mass)[:, None]
+    sqrt_pa = np.sqrt(process.p_a)
+    B = (process.conditional_dense() * np.sqrt(process.p_x)[:, None]
          / sqrt_pa[None, :]).T
     mu, vecs = np.linalg.eigh(B @ B.T)
     mu, vecs = mu[::-1], vecs[:, ::-1]
@@ -412,7 +412,7 @@ def test_criterion_10_regression_behavior(process_cache, decomp_cache):
     idx = rng.integers(0, process.n_x, size=48)
     fit = rg.fit_least_squares(enc, (idx, values[idx]), B=10.0, epsilon=0.2)
     recovery = float(np.sum((fit.f_hat_values - values) ** 2
-                            * process.p_x.mass))
+                            * process.p_x))
 
     # population limit equals the projection, giving the Pythagorean split
     target = rg.sample_target(dec, 1.0, 0.2, seed=0)
@@ -424,7 +424,7 @@ def test_criterion_10_regression_behavior(process_cache, decomp_cache):
     noisy = rg.fit_least_squares(enc, labels, B=1.0, epsilon=0.2,
                                  target=target)
     est = noisy.f_hat_values - f_psi
-    est_err = float(np.sum(est * est * process.p_x.mass))
+    est_err = float(np.sum(est * est * process.p_x))
     pythagoras = abs(noisy.prediction_error - (est_err + approx_err))
 
     # estimation-error rate in the number of labels
@@ -440,7 +440,7 @@ def test_criterion_10_regression_behavior(process_cache, decomp_cache):
                                      seed=31 * n + s)
             f = rg.fit_least_squares(enc, lab, B, eps, target=target)
             diff = f.f_hat_values - f_psi
-            errs.append(float(np.sum(diff * diff * process.p_x.mass)))
+            errs.append(float(np.sum(diff * diff * process.p_x)))
         medians.append(float(np.median(errs)))
     slope = fit_loglog_slope(ns, medians)
 

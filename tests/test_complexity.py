@@ -28,7 +28,7 @@ from augrkhs.spectral import apply_gamma_star, decompose
 def brute_kappa_sq(process):
     """Enumeration oracle: max over x of sum_a p(a|x)^2 / p_a(a)."""
     dense = process.conditional_dense()
-    p_a = process.conditional_dense().T @ process.p_x.mass
+    p_a = process.conditional_dense().T @ process.p_x
     best = 0.0
     for i in range(process.n_x):
         total = 0.0
@@ -73,7 +73,7 @@ def test_kappa_exact_two_routes_agree(small_process):
 
 def test_trace_identity_direct(small_process, small_decomposition):
     diag = diagonal_kernel_values(small_process)
-    trace = float(diag @ small_process.p_x.mass)
+    trace = float(diag @ small_process.p_x)
     assert trace == pytest.approx(float(small_decomposition.lambdas.sum()),
                                   abs=1e-10)
 
@@ -128,12 +128,12 @@ def dense_kappa_monte_carlo(process, m, r, beta, seed, n_bootstrap=200):
     for the draws, the estimate and the standard error."""
     rng = np.random.default_rng(seed)
     dense = process.conditional_dense()
-    xs = rng.choice(process.n_x, size=m, p=process.p_x.mass)
+    xs = rng.choice(process.n_x, size=m, p=process.p_x)
     averages = np.empty(m)
     for k, x in enumerate(xs):
         row = dense[x]
         draws = rng.choice(process.n_a, size=r, p=row)
-        averages[k] = float(np.mean(row[draws] / process.p_a.mass[draws]))
+        averages[k] = float(np.mean(row[draws] / process.p_a[draws]))
     uniform = np.full(m, 1.0 / m)
     boot = np.empty(n_bootstrap)
     for b in range(n_bootstrap):
@@ -180,7 +180,7 @@ def test_partial_trace(small_decomposition):
     assert partial_trace(dec, 4) == pytest.approx(2.5, abs=1e-10)
     full = partial_trace(dec, dec.process.n_x + 10)
     diag = diagonal_kernel_values(dec.process)
-    assert full == pytest.approx(float(diag @ dec.process.p_x.mass),
+    assert full == pytest.approx(float(diag @ dec.process.p_x),
                                  abs=1e-10)
     with pytest.raises(ValidationError):
         partial_trace(dec, 0)
@@ -219,7 +219,7 @@ def test_uniform_bound_on_adjoint_outputs(small_process):
     rng = np.random.default_rng(5)
     for _ in range(100):
         g = rng.normal(size=p.n_a)
-        norm = math.sqrt(float(np.sum(g * g * p.p_a.mass)))
+        norm = math.sqrt(float(np.sum(g * g * p.p_a)))
         values = apply_gamma_star(p, g)
         assert np.max(np.abs(values)) <= kappa * norm + 1e-9
 
@@ -237,9 +237,9 @@ def test_custom_process_percentile_weighting():
 
 def dense_mean_chi_squared(process):
     """Oracle on the densified table: sum_x p_x sum_a p_a (p(a|x)/p_a - 1)^2."""
-    ratio = process.conditional_dense() / process.p_a.mass - 1.0
-    return float((ratio * ratio * process.p_a.mass).sum(axis=1)
-                 @ process.p_x.mass)
+    ratio = process.conditional_dense() / process.p_a - 1.0
+    return float((ratio * ratio * process.p_a).sum(axis=1)
+                 @ process.p_x)
 
 
 @pytest.mark.parametrize("scheme", ["random_mask", "block_mask",

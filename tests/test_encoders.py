@@ -261,8 +261,8 @@ def test_optimal_encoder_projector_and_errors(small_decomposition):
     dec = small_decomposition
     enc = optimal_encoder(dec, 4)
     # spans constant plus the three single-coordinate parities
-    got = projector(enc.phi_hat.T, dec.process.p_a.mass)
-    want = projector(dec.phi[:, :4], dec.process.p_a.mass)
+    got = projector(enc.phi_hat.T, dec.process.p_a)
+    want = projector(dec.phi[:, :4], dec.process.p_a)
     assert np.linalg.norm(got - want) <= 1e-8
     with pytest.raises(ValidationError):
         optimal_encoder(dec, dec.rank + 1)
@@ -340,7 +340,7 @@ def test_empirical_route_matches_all_rows_svd_oracle(case):
     assert emp.rank == lambdas.size
     np.testing.assert_allclose(emp.lambdas_bar, lambdas, rtol=0, atol=1e-12)
     p_a_hat = np.zeros(process.n_a)
-    p_a_hat[emp.kept] = dec.process.p_a.mass
+    p_a_hat[emp.kept] = dec.process.p_a
     phi_bar = np.zeros((process.n_a, emp.rank))
     phi_bar[emp.kept] = dec.phi
     points, inverse = np.unique(emp.sample_indices, return_inverse=True)
@@ -380,11 +380,11 @@ def test_empirical_determinism(small_decomposition):
 def test_empirical_invariants(small_decomposition):
     emp = empirical_decomposition(small_decomposition, N=64, seed=21)
     sample = emp.decomposition.process
-    assert abs(sample.p_a.mass.sum() - 1.0) <= 1e-12
+    assert abs(sample.p_a.sum() - 1.0) <= 1e-12
     assert emp.lambdas_bar[0] <= 1.0 + 1e-9
     assert np.all(np.diff(emp.lambdas_bar) <= 1e-12)
     phi = emp.decomposition.phi
-    gram = (phi * sample.p_a.mass[:, None]).T @ phi
+    gram = (phi * sample.p_a[:, None]).T @ phi
     np.testing.assert_allclose(gram, np.eye(emp.rank), atol=1e-8)
 
 
@@ -392,8 +392,8 @@ def test_near_optimal_full_population_equals_optimal(small_process,
                                                      small_decomposition):
     dec = small_decomposition
     ne = near_optimal_encoder(population_empirical(dec), 4)
-    got = projector(ne.phi_hat.T, small_process.p_a.mass)
-    want = projector(dec.phi[:, :4], small_process.p_a.mass)
+    got = projector(ne.phi_hat.T, small_process.p_a)
+    want = projector(dec.phi[:, :4], small_process.p_a)
     assert np.linalg.norm(got - want) <= 1e-8
     gap = (partial_trace(dec, 5)
            - ratio_trace(covariances(ne)) - dec.eigenvalue(5))

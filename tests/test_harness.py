@@ -280,6 +280,34 @@ def test_regress_run_schema(tmp_path):
         assert row["constraint_active"] in (0, 1)
 
 
+def test_c0_scales_only_the_estimation_term_of_thm31(tmp_path):
+    def regress(c0):
+        outcome = run(resolve_config({
+            "command": "regress",
+            "grid": {"scheme": ["random_mask"], "d_x": [3], "alpha": [0.5],
+                     "d": [1, 2], "n": [16], "sigma": [0.1], "B": [1.0],
+                     "epsilon": [0.2]},
+            "seeds": [0, 1],
+            "output_dir": str(tmp_path / f"c0_{c0}"),
+            "options": {"c0": c0},
+        }))
+        assert outcome.exit_code == 0
+        lines = open(outcome.files["regress"]).read().splitlines()
+        return [dict(zip(lines[0].split(","), line.split(",")))
+                for line in lines[1:]]
+
+    one, two = regress(1.0), regress(2.0)
+    assert len(one) == len(two) == 4
+    for a, b in zip(one, two):
+        assert {k: v for k, v in a.items() if k != "thm31_rhs"} == \
+            {k: v for k, v in b.items() if k != "thm31_rhs"}
+        lemma32, thm31_one, thm31_two = (
+            float(a["lemma32_rhs"]), float(a["thm31_rhs"]),
+            float(b["thm31_rhs"]))
+        assert abs((thm31_two - 9.0 * lemma32)
+                   - 2.0 * (thm31_one - 9.0 * lemma32)) <= 1e-12 * thm31_two
+
+
 def test_tracegap_experiment_grid_validation(tmp_path):
     with pytest.raises(ValidationError, match="factor of 16"):
         resolve_config({
@@ -379,7 +407,7 @@ def test_cli_print_config(tmp_path, capsys):
     {"budget": "big"}, {"jobs": [2]}, {"grid": ["scheme"]}, {"options": "x"},
     {"options": {"max_iter": 5}}, {"options": {"max_iters": "many"}},
     {"options": {"max_iters": 2.7}}, {"options": {"max_iters": -1}},
-    {"options": {"beta": True}}, {"options": {"learning_rate": "0.2"}},
+    {"options": {"grad_tol": True}}, {"options": {"learning_rate": "0.2"}},
     {"options": {"c0": None}}, {"jobs": 4},
 ])
 def test_cli_reports_config_type_errors(tmp_path, capsys, bad):
@@ -546,15 +574,19 @@ def test_kappa_computed_once_per_process(tmp_path, counted_kappa):
                  "B": [1.0], "epsilon": [0.2]},
         "seeds": [0, 1],
         "output_dir": str(tmp_path / "regress"),
-        "options": {"beta": 50.0},
     }))
     assert outcome.exit_code == 0 and len(outcome.records) == 16
     assert len(calls) == 2  # 2 processes, 8 cells each
 
 
-def test_bad_beta_fails_only_the_kappa_cells(tmp_path, counted_kappa):
+def test_bad_beta_fails_only_the_kappa_cells(tmp_path, counted_kappa,
+                                             monkeypatch):
+    # the library's kappa_exact, counted, reached with an out-of-range beta
+    counting = complexity.kappa_exact
+    monkeypatch.setattr(complexity, "kappa_exact",
+                        lambda dec: counting(dec, 500.0))
     outcome = run(resolve_config(tracegap_config(
-        tmp_path, command="sweep", seeds=[0, 1], options={"beta": 500.0})))
+        tmp_path, command="sweep", seeds=[0, 1])))
     kappa_rows = [r for r in outcome.records if "kappa_sq_exact" in r
                   or r.get("error")]
     assert len(kappa_rows) == outcome.failures == 4  # 2 processes x 2 seeds

@@ -30,12 +30,12 @@ from augrkhs.spectral import decompose
 def pair_distribution(process):
     """Joint law ``P+`` of two augmentations of one original, ``|A| x |A|``."""
     C = process.conditional_dense()
-    return (C * process.p_x.mass[:, None]).T @ C
+    return (C * process.p_x[:, None]).T @ C
 
 
 def joint_distribution(process):
     """Joint law ``p(a, x) = p(a|x) p_x(x)`` as an ``|A| x |X|`` array."""
-    return (process.conditional_dense() * process.p_x.mass[:, None]).T
+    return (process.conditional_dense() * process.p_x[:, None]).T
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +127,7 @@ def test_minimize_runs_on_a_sample():
 def test_scl_expansion_matches_direct(pair):
     # direct summation over positive pairs and independent pairs
     process, dec = pair
-    p_a = process.p_a.mass
+    p_a = process.p_a
     rng = np.random.default_rng(12)
     for _ in range(10):
         table = rng.normal(size=(3, process.n_a))
@@ -175,7 +175,7 @@ def test_sclip_dimension_mismatch(pair):
 def test_sclip_expansion_matches_direct(pair):
     # direct summation over the joint law and the product of the marginals
     process, dec = pair
-    weights = np.outer(process.p_a.mass, process.p_x.mass)
+    weights = np.outer(process.p_a, process.p_x)
     rng = np.random.default_rng(21)
     for _ in range(10):
         table_a = rng.normal(size=(2, process.n_a))
@@ -193,7 +193,7 @@ def test_sclip_inner_least_squares_projector_form(pair):
     process, dec = pair
     d = 2
     table_x = dec.psi[:, :d].T
-    S = (table_x * process.p_x.mass[None, :]) @ dec.psi  # = [I_d 0]
+    S = (table_x * process.p_x[None, :]) @ dec.psi  # = [I_d 0]
     joint_half = np.sqrt(dec.lambdas)
     # optimal C^T S = V (V^T V)^-1 V^T D^(1/2) with V = S^T; here V^T V = I
     V = S.T
@@ -443,7 +443,7 @@ def test_degenerate_spectrum_loss_only(small_process, small_decomposition):
 def _oracle_value_grad(kind, params, process, alpha_w=0.7, beta_w=0.2):
     """The value and the gradient tuple of :func:`value_grad`, summed over
     the dense laws."""
-    p_a, p_x = process.p_a.mass, process.p_x.mass
+    p_a, p_x = process.p_a, process.p_x
     pair = pair_distribution(process)
     if kind == "sclip":
         phi, xi = params

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from augrkhs.exceptions import BudgetExceededError, ValidationError
 from augrkhs.processes import (
     DEFAULT_BUDGET,
-    Distribution,
-    FiniteSpace,
     HypercubeConfig,
     build_custom,
     build_hypercube,
@@ -25,36 +23,68 @@ from augrkhs.processes import AugmentationProcess
 from augrkhs.spectral import _spectral_engine, _tie_order, decompose, kernel_x
 
 
-def test_finite_space_validation():
-    with pytest.raises(ValidationError):
-        FiniteSpace(0)
-    with pytest.raises(ValidationError):
-        FiniteSpace(2, ("a",))
+# one case per check of AugmentationProcess: the fields replaced on the
+# valid one-bit half-mask process, and the message the check raises
+_BAD_FIELDS = {
+    "empty_space": ({"p_x": np.array([])}, "space size must be >= 1, got 0"),
+    "label_count": ({"x_labels": ("-",)},
+                    "got 1 labels for a space of size 2"),
+    "marginal_shape": ({"p_x": np.array([[0.5, 0.5]])}, "mass has shape"),
+    "negative_marginal": ({"p_x": np.array([-0.1, 1.1])},
+                          "probabilities must be nonnegative"),
+    "p_x_sum": ({"p_x": np.array([0.5, 0.6])}, "probabilities sum to"),
+    "table_shape": ({"conditional": np.array([[0.5, 0.5], [0.5, 0.5]])},
+                    r"conditional has shape \(2, 2\), expected \(2, 3\)"),
+    "negative_entry": ({"conditional": np.array([[0.5, 0.5, 0.0],
+                                                 [-0.1, 0.6, 0.5]])},
+                       "conditional probabilities must be nonnegative"),
+    "row_sum": ({"conditional": np.array([[0.5, 0.5, 0.0],
+                                          [0.0, 0.5, 0.6]])},
+                r"conditional rows \[1\] do not sum to 1"),
+    "p_x_positive": ({"p_x": np.array([0.0, 1.0]),
+                      "p_a": np.array([0.0, 0.5, 0.5])},
+                     "p_x must be strictly positive"),
+    "p_a_consistent": ({"p_a": np.array([0.5, 0.25, 0.25])},
+                       "p_a is inconsistent with conditional and p_x"),
+    "zero_mass_augmentation": ({"conditional": np.array([[1.0, 0.0, 0.0],
+                                                         [0.0, 0.0, 1.0]]),
+                                "p_a": np.array([0.5, 0.0, 0.5])},
+                               "zero-mass augmentations present"),
+    "hypercube_size": ({"hypercube": HypercubeConfig(2, 0.5, "random_mask")},
+                       "2 data points do not form the hypercube of d_x=2"),
+}
 
 
-def test_distribution_validation():
-    space = FiniteSpace(2)
-    with pytest.raises(ValidationError):
-        Distribution(space, np.array([0.5, 0.6]))
-    with pytest.raises(ValidationError):
-        Distribution(space, np.array([-0.1, 1.1]))
+@pytest.mark.parametrize("case", sorted(_BAD_FIELDS))
+def test_process_checks(case):
+    valid = build_hypercube(HypercubeConfig(1, 0.5, "random_mask"))
+    assert dataclasses.replace(valid).n_a == 3  # the unchanged copy passes
+    fields, message = _BAD_FIELDS[case]
+    with pytest.raises(ValidationError, match=message):
+        dataclasses.replace(valid, **fields)
+
+
+def test_process_marginals_are_read_only_arrays(small_process):
+    for marginal in (small_process.p_x, small_process.p_a):
+        assert marginal.dtype == float and not marginal.flags.writeable
+    assert (small_process.n_x, small_process.n_a) == (8, 27)
 
 
 def test_fully_masked_single_augmentation():
     p = build_hypercube(HypercubeConfig(1, 1.0, "random_mask"))
     assert p.n_a == 1
-    assert p.a_space.labels == ("0",)
+    assert p.a_labels == ("0",)
     np.testing.assert_array_equal(p.conditional_dense(), [[1.0], [1.0]])
-    np.testing.assert_array_equal(p.p_a.mass, [1.0])
+    np.testing.assert_array_equal(p.p_a, [1.0])
 
 
 def test_one_bit_half_mask_tables():
     p = build_hypercube(HypercubeConfig(1, 0.5, "random_mask"))
-    assert p.x_space.labels == ("-", "+")
-    assert p.a_space.labels == ("-", "0", "+")
+    assert p.x_labels == ("-", "+")
+    assert p.a_labels == ("-", "0", "+")
     np.testing.assert_allclose(
         p.conditional_dense(), [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
-    np.testing.assert_allclose(p.p_a.mass, [0.25, 0.5, 0.25])
+    np.testing.assert_allclose(p.p_a, [0.25, 0.5, 0.25])
 
 
 def test_block_mask_counts_and_rows():
@@ -75,7 +105,7 @@ def test_block_mask_probabilities_by_enumeration():
     r = int(np.ceil(alpha * d))
     positions = d - r + 1
     xs = list(itertools.product((-1, 1), repeat=d))
-    a_labels = {lbl: j for j, lbl in enumerate(p.a_space.labels)}
+    a_labels = {lbl: j for j, lbl in enumerate(p.a_labels)}
     dense = p.conditional_dense()
     expected = np.zeros_like(dense)
     symbol = {-1: "-", 0: "0", 1: "+"}
@@ -111,7 +141,7 @@ def test_block_mask_table_matches_its_definition(d, alpha):
     p = build_hypercube(HypercubeConfig(d, alpha, "block_mask"))
     table, support = block_mask_oracle(d, alpha)
     symbol = {-1: "-", 0: "0", 1: "+"}
-    assert p.a_space.labels == tuple(
+    assert p.a_labels == tuple(
         "".join(symbol[v] for v in a) for a in support)
     if not p.is_sparse:
         assert np.array_equal(p.conditional, table)
@@ -151,7 +181,7 @@ def test_block_mask_flip_table_matches_its_definition(d, alpha):
     p = build_hypercube(HypercubeConfig(d, alpha, "block_mask_flip"))
     table, support = block_mask_flip_oracle(d, alpha)
     symbol = {-1: "-", 0: "0", 1: "+"}
-    assert p.a_space.labels == tuple(
+    assert p.a_labels == tuple(
         "".join(symbol[v] for v in a) for a in support)
     assert not p.is_sparse
     assert p.conditional.tobytes() == table.tobytes()
@@ -167,7 +197,7 @@ def test_block_mask_flip_probabilities_by_enumeration():
     dense = p.conditional_dense()
     symbol = {-1: "-", 0: "0", 1: "+"}
     for i, x in enumerate(xs):
-        for j, lbl in enumerate(p.a_space.labels):
+        for j, lbl in enumerate(p.a_labels):
             a = [{"-": -1, "0": 0, "+": 1}[c] for c in lbl]
             zeros = [k for k, v in enumerate(a) if v == 0]
             start = zeros[0]
@@ -207,15 +237,15 @@ def test_marginals_sum_to_one_across_schemes(process_cache):
                    "random_mask_flip"):
         p = (process_cache(scheme, 4, 0.3) if scheme != "random_mask_flip"
              else build_hypercube(HypercubeConfig(4, 0.3, scheme)))
-        assert abs(p.p_a.mass.sum() - 1.0) <= 1e-12
+        assert abs(p.p_a.sum() - 1.0) <= 1e-12
         rows = (p.conditional_dense()).sum(axis=1)
         np.testing.assert_allclose(rows, 1.0, atol=1e-12)
 
 
 def test_marginal_recomputation_is_bit_identical(small_process):
     p = small_process
-    again = derive_marginal(p.conditional, p.p_x.mass)
-    assert np.array_equal(again, p.p_a.mass)
+    again = derive_marginal(p.conditional, p.p_x)
+    assert np.array_equal(again, p.p_a)
 
 
 def test_budget_error_names_counts():
@@ -245,7 +275,7 @@ def test_custom_identity_process():
     process, kept = build_custom(
         3, 3, [0.2, 0.3, 0.5], [(i, i, 1.0) for i in range(3)])
     np.testing.assert_array_equal(kept, [0, 1, 2])
-    np.testing.assert_allclose(process.p_a.mass, process.p_x.mass)
+    np.testing.assert_allclose(process.p_a, process.p_x)
 
 
 def test_custom_row_sum_error_lists_rows():
@@ -341,7 +371,7 @@ def test_process_file_roundtrip(tmp_path, small_process):
     assert loaded.n_a == small_process.n_a
     np.testing.assert_allclose(loaded.conditional_dense(),
                                small_process.conditional_dense(), atol=1e-15)
-    np.testing.assert_allclose(loaded.p_a.mass, small_process.p_a.mass,
+    np.testing.assert_allclose(loaded.p_a, small_process.p_a,
                                atol=1e-15)
 
 
@@ -351,7 +381,7 @@ def dump_process_oracle(path, process):
     dense = process.conditional_dense()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{process.n_x} {process.n_a}\n")
-        fh.write(" ".join(f"{v:.17g}" for v in process.p_x.mass) + "\n")
+        fh.write(" ".join(f"{v:.17g}" for v in process.p_x) + "\n")
         for i in range(process.n_x):
             for j in np.nonzero(dense[i])[0]:
                 fh.write(f"{i} {j} {dense[i, j]:.17g}\n")
@@ -384,7 +414,7 @@ def test_process_file_comments_and_errors(tmp_path):
         "1 1 1.0\n"
     )
     process, _ = load_process(path)
-    np.testing.assert_allclose(process.p_a.mass, [0.5, 0.5])
+    np.testing.assert_allclose(process.p_a, [0.5, 0.5])
     bad = tmp_path / "bad.txt"
     bad.write_text("2 2\n0.5 0.5\n0 0 1.0\n")
     with pytest.raises(ValidationError):
@@ -410,8 +440,8 @@ def test_random_custom_processes_validate(n_x, n_a, seed):
     triples = [(i, j, table[i, j]) for i in range(n_x) for j in range(n_a)
                if table[i, j] > 0]
     process, kept = build_custom(n_x, n_a, p_x, triples)
-    assert abs(process.p_a.mass.sum() - 1.0) <= 1e-12
-    assert process.p_a.mass.min() > 0
+    assert abs(process.p_a.sum() - 1.0) <= 1e-12
+    assert process.p_a.min() > 0
     rows = process.conditional_dense().sum(axis=1)
     np.testing.assert_allclose(rows, 1.0, atol=1e-12)
     rev = conditional_reverse(process)
@@ -430,9 +460,9 @@ def test_sample_process_weights_rng_choice_draws_by_count(process_cache,
         sample, draws, _ = sample_process(process, N, seed)
         rng = np.random.default_rng(seed)
         np.testing.assert_array_equal(
-            draws, rng.choice(process.n_x, size=N, p=process.p_x.mass))
+            draws, rng.choice(process.n_x, size=N, p=process.p_x))
         _, counts = np.unique(draws, return_counts=True)
-        np.testing.assert_array_equal(sample.p_x.mass, counts / N)
+        np.testing.assert_array_equal(sample.p_x, counts / N)
 
 
 @pytest.mark.parametrize("scheme,d_x,alpha", _SAMPLED)
@@ -451,7 +481,7 @@ def test_sample_process_rows_are_population_rows(process_cache, scheme, d_x,
         np.testing.assert_allclose(sample.conditional.sum(axis=1), 1.0,
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(
-            sample.p_a.mass, sample.p_x.mass @ rows[:, kept], rtol=0,
+            sample.p_a, sample.p_x @ rows[:, kept], rtol=0,
             atol=1e-15)
 
 

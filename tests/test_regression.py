@@ -12,14 +12,16 @@ from augrkhs.encoders import (
 from augrkhs.exceptions import ValidationError
 from augrkhs.processes import HypercubeConfig, build_hypercube
 from augrkhs.regression import (
-    BoundContext,
-    evaluate_bounds,
     fit_least_squares,
     fit_least_squares_population,
     generate_labels,
+    lemma32_rhs,
     project_fpsi,
+    prop41_rhs,
     sample_target,
     target_from_coefficients,
+    thm31_rhs,
+    thm41_rhs,
     worst_case_target,
 )
 from augrkhs.spectral import decompose
@@ -103,9 +105,9 @@ def test_generate_labels_clt_sanity(small_process, small_decomposition):
     n = 10**4
     _, y = generate_labels(target, n, sigma, seed=3)
     mean_y = float(np.mean(y))
-    expected = float(target.values @ small_process.p_x.mass)
+    expected = float(target.values @ small_process.p_x)
     total_var = float(
-        (target.values - expected) ** 2 @ small_process.p_x.mass) + sigma**2
+        (target.values - expected) ** 2 @ small_process.p_x) + sigma**2
     assert abs(mean_y - expected) <= 4.0 * math.sqrt(total_var / n)
 
 
@@ -115,7 +117,7 @@ def test_fit_interpolates_in_span(small_process, small_decomposition):
     w_true = np.array([0.3, -0.2, 0.5, 0.1])
     values = enc.psi_hat.T @ w_true
     target = target_from_coefficients(
-        dec, (dec.psi * small_process.p_x.mass[:, None]).T @ values,
+        dec, (dec.psi * small_process.p_x[:, None]).T @ values,
         B=2.0, epsilon=0.5)
     rng = np.random.default_rng(0)
     idx = rng.integers(0, small_process.n_x, size=32)
@@ -200,7 +202,7 @@ def test_population_pythagoras_eigen_span(small_process,
     fit = fit_least_squares(enc, labels, B=2.0, epsilon=0.2, target=target)
     f_psi, approx_err = project_fpsi(target, enc)
     est = fit.f_hat_values - f_psi
-    est_err = float(np.sum(est * est * small_process.p_x.mass))
+    est_err = float(np.sum(est * est * small_process.p_x))
     assert fit.prediction_error == pytest.approx(est_err + approx_err,
                                                  abs=1e-8)
 
@@ -300,34 +302,32 @@ def test_approximation_bound_soundness_sweep(small_process, small_decomposition)
     assert checked >= 50
 
 
-def test_evaluate_bounds_formulas():
-    ctx = BoundContext(tau_sq=0.09, epsilon=0.2, B=1.5, kappa=2.0,
-                       s_lambda_dplus1=2.5, n=400, sigma=0.3, c0=1.7,
-                       lambda_dplus1=0.25, lambda_d=0.5, lambda_bar_d=0.45,
-                       gamma_g=1.2, N=256, d=3, delta=0.05)
-    report = evaluate_bounds(ctx)
+def test_bound_formulas():
     tau = math.sqrt(0.09)
     lemma32 = 0.09 * (tau + 0.2) * 1.5**2 / ((1 - 0.09) * 0.8)
-    assert report.lemma32_rhs == pytest.approx(lemma32, rel=1e-12)
+    assert lemma32_rhs(tau_sq=0.09, epsilon=0.2, B=1.5) == pytest.approx(
+        lemma32, rel=1e-12)
     thm31 = 9 * lemma32 + 1.7 * 2.0 * (1.5**2 + 0.3 * 1.5) / 0.8 \
         * math.sqrt(2.5 / 400)
-    assert report.thm31_rhs == pytest.approx(thm31, rel=1e-12)
+    assert thm31_rhs(tau_sq=0.09, epsilon=0.2, B=1.5, kappa=2.0,
+                     s_lambda_dplus1=2.5, n=400, sigma=0.3,
+                     c0=1.7) == pytest.approx(thm31, rel=1e-12)
     prop41 = 0.25 / 0.75 * 0.2 / 0.8 * 1.5**2
-    assert report.prop41_rhs == pytest.approx(prop41, rel=1e-12)
+    assert prop41_rhs(lambda_dplus1=0.25, epsilon=0.2, B=1.5) == \
+        pytest.approx(prop41, rel=1e-12)
     thm41 = 0.25 + (2 + math.sqrt(2 * math.log(2 / 0.05))) \
         * (1 / 0.5 + math.sqrt(1.2) / 0.45 + 2) * 4.0 * 3 / 16.0
-    assert report.thm41_rhs == pytest.approx(thm41, rel=1e-12)
+    assert thm41_rhs(lambda_dplus1=0.25, lambda_d=0.5, lambda_bar_d=0.45,
+                     gamma_g=1.2, kappa=2.0, d=3, N=256,
+                     delta=0.05) == pytest.approx(thm41, rel=1e-12)
 
 
-def test_evaluate_bounds_collapse_and_inapplicable():
-    zero = BoundContext(tau_sq=0.0, epsilon=0.0, B=2.0, kappa=1.5,
-                        s_lambda_dplus1=2.0, n=100, sigma=0.0)
-    report = evaluate_bounds(zero)
-    assert report.lemma32_rhs == 0.0
-    assert report.thm31_rhs == pytest.approx(
+def test_bounds_collapse_and_inapplicable():
+    assert lemma32_rhs(tau_sq=0.0, epsilon=0.0, B=2.0) == 0.0
+    assert thm31_rhs(tau_sq=0.0, epsilon=0.0, B=2.0, kappa=1.5,
+                     s_lambda_dplus1=2.0, n=100, sigma=0.0) == pytest.approx(
         1.5 * 4.0 * math.sqrt(2.0 / 100), rel=1e-12)
-    hot = BoundContext(tau_sq=1.21, epsilon=0.1, B=1.0, kappa=1.5,
-                       s_lambda_dplus1=2.0, n=100, sigma=0.0)
-    blocked = evaluate_bounds(hot)
-    assert blocked.thm31_rhs is None
-    assert blocked.lemma32_rhs is None
+    assert thm31_rhs(tau_sq=1.21, epsilon=0.1, B=1.0, kappa=1.5,
+                     s_lambda_dplus1=2.0, n=100, sigma=0.0) is None
+    assert lemma32_rhs(tau_sq=1.21, epsilon=0.1, B=1.0) is None
+    assert prop41_rhs(lambda_dplus1=1.0, epsilon=0.1, B=1.0) is None

@@ -45,7 +45,7 @@ def eig_oracle(process):
     SVD used by decompose.
     """
     KX = kernel_x(process)
-    s = np.sqrt(process.p_x.mass)
+    s = np.sqrt(process.p_x)
     sym = KX * s[:, None] * s[None, :]
     return np.sort(sla.eigh(sym, eigvals_only=True))[::-1]
 
@@ -89,8 +89,8 @@ def test_gamma_adjointness(small_process):
     for _ in range(10):
         f = rng.normal(size=p.n_x)
         g = rng.normal(size=p.n_a)
-        lhs = float(np.sum(apply_gamma(p, f) * g * p.p_a.mass))
-        rhs = float(np.sum(f * apply_gamma_star(p, g) * p.p_x.mass))
+        lhs = float(np.sum(apply_gamma(p, f) * g * p.p_a))
+        rhs = float(np.sum(f * apply_gamma_star(p, g) * p.p_x))
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -105,7 +105,7 @@ def test_gamma_length_mismatch():
 def _assert_joint_matches_column_major_route(process, rng):
     """``apply_joint`` on the built-once transpose against the table's own
     ``.T`` (a new column-major view per call), bit for bit."""
-    p_x = process.p_x.mass
+    p_x = process.p_x
     for f in (rng.normal(size=process.n_x),
               rng.normal(size=(process.n_x, int(rng.integers(1, 6))))):
         weighted = f * p_x if f.ndim == 1 else f * p_x[:, None]
@@ -244,7 +244,7 @@ def assert_law_matches_oracle(process):
     assert np.all(np.abs(lam_law[n_sure:] - tol) <= band)
     # a disputed eigenvalue's computed value carries its own error as well
     assert np.all(np.abs(lam_oracle[n_sure:] - tol) <= 2.0 * band)
-    sqrt_px = np.sqrt(process.p_x.mass)[:, None]
+    sqrt_px = np.sqrt(process.p_x)[:, None]
     for start, stop in _clusters(law.lambdas[:n_sure]):
         a = law.psi[:, start:stop] * sqrt_px
         b = oracle.psi[:, start:stop] * sqrt_px
@@ -252,7 +252,7 @@ def assert_law_matches_oracle(process):
     # every column is an eigenpair, certified or not: Gamma* Gamma psi = lambda psi
     resid = apply_gamma_star(process, apply_gamma(process, law.psi)) \
         - law.psi * law.lambdas
-    assert np.sqrt(np.max((resid * resid).T @ process.p_x.mass)) <= 1e-12
+    assert np.sqrt(np.max((resid * resid).T @ process.p_x)) <= 1e-12
     spectral._validate_decomposition(law)
     # the first read of phi runs its checks
     assert law.checked_duality_residual <= spectral._DUALITY_TOL
@@ -283,7 +283,7 @@ def test_svd_route_keeps_the_constant_without_a_spectral_gap():
     hyper = build_hypercube(HypercubeConfig(2, 1e-9, "random_mask"))
     dense = hyper.conditional_dense()
     custom, _ = build_custom(
-        hyper.n_x, hyper.n_a, hyper.p_x.mass,
+        hyper.n_x, hyper.n_a, hyper.p_x,
         [(i, j, dense[i, j]) for i, j in zip(*np.nonzero(dense))])
     assert custom.hypercube is None
     dec = decompose(custom)
@@ -312,7 +312,7 @@ def test_subset_law_rank_at_tolerance():
 def test_custom_process_takes_the_svd_route(small_process):
     dense = small_process.conditional_dense()
     custom, _ = build_custom(
-        small_process.n_x, small_process.n_a, small_process.p_x.mass,
+        small_process.n_x, small_process.n_a, small_process.p_x,
         [(i, j, dense[i, j]) for i, j in zip(*np.nonzero(dense))])
     assert custom.hypercube is None
     dec = decompose(custom)
@@ -332,8 +332,8 @@ def test_decomposition_invariants(decomp_cache):
         assert dec.lambdas.min() > spectral._RANK_TOL
         assert dec.lambdas.max() <= 1.0 + 1e-10
         np.testing.assert_allclose(dec.psi[:, 0], 1.0, atol=1e-8)
-        gram_psi = (dec.psi * p.p_x.mass[:, None]).T @ dec.psi
-        gram_phi = (dec.phi * p.p_a.mass[:, None]).T @ dec.phi
+        gram_psi = (dec.psi * p.p_x[:, None]).T @ dec.psi
+        gram_phi = (dec.phi * p.p_a[:, None]).T @ dec.phi
         np.testing.assert_allclose(gram_psi, np.eye(dec.rank), atol=1e-8)
         np.testing.assert_allclose(gram_phi, np.eye(dec.rank), atol=1e-8)
 
@@ -347,8 +347,8 @@ def test_duality_both_directions(small_decomposition):
         root = np.sqrt(dec.lambdas[i])
         psi_back = apply_gamma_star(p, dec.phi[:, i]) / root
         phi_back = apply_gamma(p, dec.psi[:, i]) / root
-        assert weighted_norm(psi_back - dec.psi[:, i], p.p_x.mass) <= 1e-8
-        assert weighted_norm(phi_back - dec.phi[:, i], p.p_a.mass) <= 1e-8
+        assert weighted_norm(psi_back - dec.psi[:, i], p.p_x) <= 1e-8
+        assert weighted_norm(phi_back - dec.phi[:, i], p.p_a) <= 1e-8
 
 
 def test_duality_residual_measures_a_perturbed_pair(small_decomposition):
@@ -361,7 +361,7 @@ def test_duality_residual_measures_a_perturbed_pair(small_decomposition):
     psi = dec.psi.copy()
     psi[:, 1] += delta
     bent = dataclasses.replace(dec, psi=psi)
-    expected = weighted_norm(delta, p.p_x.mass)
+    expected = weighted_norm(delta, p.p_x)
     assert duality_residual(bent) == pytest.approx(expected, rel=1e-4)
     # the copy shares its source's phi holder, so the residual phi's checks
     # measured belongs to the psi decompose gave
@@ -373,10 +373,10 @@ def test_duality_residual_measures_a_perturbed_pair(small_decomposition):
 def test_reconstruction_of_symmetrized_joint(small_decomposition):
     dec = small_decomposition
     p = dec.process
-    B = (p.conditional_dense() * np.sqrt(p.p_x.mass)[:, None]
-         / np.sqrt(p.p_a.mass)[None, :]).T
-    U = dec.phi * np.sqrt(p.p_a.mass)[:, None]
-    V = dec.psi * np.sqrt(p.p_x.mass)[:, None]
+    B = (p.conditional_dense() * np.sqrt(p.p_x)[:, None]
+         / np.sqrt(p.p_a)[None, :]).T
+    U = dec.phi * np.sqrt(p.p_a)[:, None]
+    V = dec.psi * np.sqrt(p.p_x)[:, None]
     rebuilt = (U * np.sqrt(dec.lambdas)) @ V.T
     assert np.linalg.norm(B - rebuilt) <= 1e-8
 
