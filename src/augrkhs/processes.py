@@ -34,9 +34,9 @@ _SYMBOLS = np.frombuffer(b"-0+", dtype=np.uint8)  # bytes of -1, 0, +1
 
 
 def _marginal(mass, labels) -> np.ndarray:
-    """``mass`` as a read-only float probability vector over ``len(mass)``
-    points, of which ``labels``, when given, names each."""
-    mass = np.asarray(mass, dtype=float)
+    """A read-only float copy of ``mass``, a probability vector over
+    ``len(mass)`` points, of which ``labels``, when given, names each."""
+    mass = np.array(mass, dtype=float)
     if mass.ndim != 1:
         raise ValidationError(f"mass has shape {mass.shape}, expected a vector")
     if mass.size < 1:
@@ -91,7 +91,10 @@ class AugmentationProcess:
         new column-major object on every access).  Its arrays are
         read-only.
 
-    Both marginals are stored as read-only float arrays.
+    Both marginals are stored as read-only float copies, and a dense table
+    as a read-only float view, so the caller's own arrays stay writeable.
+    The view shares the caller's memory when the table is already float:
+    writing to that array afterwards changes the process.
     """
 
     p_x: np.ndarray
@@ -116,10 +119,13 @@ class AugmentationProcess:
             smallest = cond.data.min() if cond.nnz else 0.0
             row_sums = np.asarray(cond.sum(axis=1)).ravel()
         else:
-            cond = np.asarray(cond, dtype=float)
+            # a read-only view: the caller's array stays writeable, and a
+            # table of |X| x |A| entries is not copied
+            cond = np.asarray(cond, dtype=float).view()
+            cond.setflags(write=False)
+            object.__setattr__(self, "conditional", cond)
             smallest = cond.min()
             row_sums = cond.sum(axis=1)
-            cond.setflags(write=False)
         if smallest < 0:
             raise ValidationError("conditional probabilities must be nonnegative")
         bad = np.nonzero(np.abs(row_sums - 1.0) > CONSTRUCTION_TOL)[0]
@@ -132,7 +138,7 @@ class AugmentationProcess:
             raise ValidationError(
                 "p_x must be strictly positive; drop zero-mass data points"
             )
-        recomputed = derive_marginal(self.conditional, p_x)
+        recomputed = derive_marginal(cond, p_x)
         if not np.array_equal(recomputed, p_a):
             if np.max(np.abs(recomputed - p_a)) > CONSTRUCTION_TOL:
                 raise ValidationError("p_a is inconsistent with conditional and p_x")

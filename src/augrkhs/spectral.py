@@ -433,16 +433,17 @@ def verify_integral_identity(decomposition: SpectralDecomposition) -> float:
     the next product is formed.
     """
     process = decomposition.process
-    F = np.eye(process.n_x)
-    op_route = apply_gamma_star(process, apply_gamma(process, F))
-    weighted = F * process.p_x[:, None]
-    del F
-    kernel_route = kernel_x(process) @ weighted
+    op_route = apply_gamma_star(process, apply_gamma(process,
+                                                     np.eye(process.n_x)))
+    # integrating against K_X under p_x scales column j by p_x(j)
+    kernel_route = kernel_x(process)
+    kernel_route *= process.p_x
     op_route -= kernel_route
     residual = float(np.max(np.abs(op_route, out=op_route)))
     del op_route
     spectral_route = ((decomposition.psi * decomposition.lambdas)
-                      @ decomposition.psi.T) @ weighted
+                      @ decomposition.psi.T)
+    spectral_route *= process.p_x
     spectral_route -= kernel_route
     return max(residual, float(np.max(np.abs(spectral_route,
                                              out=spectral_route))))

@@ -725,6 +725,39 @@ def test_cli_import_leaves_scipy_linalg_out():
     assert out.stdout.strip() == "[]"
 
 
+# prints OPENBLAS_THREAD_TIMEOUT as it stands when numpy is first looked up,
+# which is before OpenBLAS loads and reads it
+_BLAS_PROBE = """
+import importlib.abc, os, sys
+
+class Probe(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            sys.meta_path.remove(self)
+            print(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+
+sys.meta_path.insert(0, Probe())
+import augrkhs
+"""
+
+
+@pytest.mark.parametrize("setting,seen", [(None, "16"), ("28", "28")])
+def test_import_sets_the_blas_timeout_before_numpy_loads(setting, seen):
+    # idle OpenBLAS workers park after 2^16 cycles, unless the environment
+    # already sets the timeout
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+        __file__))), "src")
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = src
+    if setting is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = setting
+    out = subprocess.run([sys.executable, "-c", _BLAS_PROBE],
+                         capture_output=True, text=True, env=env, check=True,
+                         timeout=120)
+    assert out.stdout.strip() == seen
+
+
 def _count_phi(monkeypatch, scale=None):
     """Count the formations and checks of phi on the law route, the duality
     residuals measured, and the ``apply_gamma`` calls ``spectral`` makes

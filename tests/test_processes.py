@@ -70,6 +70,22 @@ def test_process_marginals_are_read_only_arrays(small_process):
     assert (small_process.n_x, small_process.n_a) == (8, 27)
 
 
+def test_construction_leaves_the_callers_arrays_writeable():
+    p_x = np.array([0.5, 0.5])
+    table = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+    p_a = np.array([0.25, 0.5, 0.25])
+    process = AugmentationProcess(p_x=p_x, conditional=table, p_a=p_a)
+    for array in (p_x, table, p_a):
+        assert array.flags.writeable
+    for array in (process.p_x, process.conditional, process.p_a):
+        assert array.dtype == float and not array.flags.writeable
+    # an integer table is stored converted to float, and read-only
+    ints = AugmentationProcess(p_x=p_x, conditional=np.eye(2, dtype=np.int64),
+                               p_a=p_x)
+    assert ints.conditional.dtype == float
+    assert not ints.conditional.flags.writeable
+
+
 def test_fully_masked_single_augmentation():
     p = build_hypercube(HypercubeConfig(1, 1.0, "random_mask"))
     assert p.n_a == 1

@@ -399,6 +399,54 @@ def test_integral_identity_block_seeded_vectors():
     assert verify_integral_identity(decompose(p)) <= 1e-10
 
 
+def integral_identity_by_diagonal_products(dec):
+    """Oracle for ``verify_integral_identity``: its residual with the p_x
+    weight applied as a dense product by ``diag(p_x)``, not by scaling the
+    columns.  The zeros off the diagonal add nothing, so the two agree to
+    the bit."""
+    process = dec.process
+    F = np.eye(process.n_x)
+    op_route = apply_gamma_star(process, apply_gamma(process, F))
+    weighted = F * process.p_x[:, None]
+    kernel_route = kernel_x(process) @ weighted
+    spectral_route = ((dec.psi * dec.lambdas) @ dec.psi.T) @ weighted
+    return max(float(np.max(np.abs(op_route - kernel_route))),
+               float(np.max(np.abs(spectral_route - kernel_route))))
+
+
+def _random_custom_process(seed):
+    """A custom process of up to 24 x 48 points: dense-stored for an even
+    ``seed``, sparse-stored (one to three entries per row) for an odd one."""
+    rng = np.random.default_rng(seed)
+    n_x, n_a = int(rng.integers(2, 25)), int(rng.integers(13, 49))
+    most = 3 if seed % 2 else n_a
+    triples = []
+    for i in range(n_x):
+        support = rng.choice(n_a, size=int(rng.integers(1, most + 1)),
+                             replace=False)
+        for j, prob in zip(support, rng.dirichlet(np.ones(support.size))):
+            triples.append((i, int(j), float(prob)))
+    return build_custom(n_x, n_a, rng.dirichlet(np.ones(n_x)), triples)[0]
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("d_x", [3, 5, 7, 9])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_integral_identity_equals_the_diagonal_product_oracle(scheme, d_x,
+                                                              alpha):
+    # built here, not cached: a d_x 9 process and its phi hold 80 MB each
+    dec = decompose(build_hypercube(HypercubeConfig(d_x, alpha, scheme)))
+    assert (verify_integral_identity(dec)
+            == integral_identity_by_diagonal_products(dec))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_integral_identity_equals_the_oracle_on_custom(seed):
+    dec = decompose(_random_custom_process(seed))
+    assert (verify_integral_identity(dec)
+            == integral_identity_by_diagonal_products(dec))
+
+
 @pytest.mark.parametrize("scheme,d_x", [("block_mask", 8),
                                          ("block_mask_flip", 7),
                                          ("random_mask", 6)])
