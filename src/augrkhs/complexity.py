@@ -22,6 +22,8 @@ from .spectral import SpectralDecomposition, decompose
 
 _ROUTE_AGREEMENT_TOL = 1e-8
 _BOOTSTRAP_RESAMPLES = 200  # kappa_monte_carlo's standard error
+# entries of a dense table that one step of a pass over its rows reads
+BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,18 +56,44 @@ class ClosedFormKappa:
     kind: str  # "exact" or "upper_bound"
 
 
+def _per_row(table: np.ndarray, reduce_rows) -> np.ndarray:
+    """``reduce_rows`` of a dense table, a block of rows at a time.
+
+    Each block holds ``max(1, BLOCK_ENTRIES // |A|)`` rows, the last one
+    fewer when they do not divide ``|X|``; ``reduce_rows(block)`` returns
+    one value per row of the block.  A row's value is the reduction of that
+    row alone, so it has the bits the whole table's would give it.
+    """
+    out = np.empty(table.shape[0])
+    rows = max(1, BLOCK_ENTRIES // table.shape[1])
+    for start in range(0, table.shape[0], rows):
+        out[start:start + rows] = reduce_rows(table[start:start + rows])
+    return out
+
+
+def _entry_rows(table) -> np.ndarray:
+    """Row index of each stored entry of a CSR table, in storage order."""
+    return np.repeat(np.arange(table.shape[0]), np.diff(table.indptr))
+
+
 def diagonal_kernel_values(process: AugmentationProcess) -> np.ndarray:
     """Per-point ``K_X(x,x) = sum_a p(a|x)^2 / p_a(a)`` by direct summation.
 
     Read from the table, not through the spectral operators, because
     :func:`kappa_exact` checks the spectral diagonal
-    ``sum_i lambda_i psi_i(x)^2`` against it.
+    ``sum_i lambda_i psi_i(x)^2`` against it.  A dense table is reduced a
+    block of about ``BLOCK_ENTRIES`` entries of rows at a time, never
+    copied whole; a sparse one is summed over its stored entries by
+    ``np.bincount``, which adds each row's entries in storage order, as
+    scipy's row sum does.
     """
     C = process.conditional
     inv_pa = 1.0 / process.p_a
     if sp.issparse(C):
-        return np.asarray((C.multiply(C)).multiply(inv_pa).sum(axis=1)).ravel()
-    return ((C * C) * inv_pa).sum(axis=1)
+        C = C.tocsr()
+        return np.bincount(_entry_rows(C), C.data * C.data * inv_pa[C.indices],
+                           process.n_x)
+    return _per_row(C, lambda block: ((block * block) * inv_pa).sum(axis=1))
 
 
 def mean_chi_squared(process: AugmentationProcess) -> float:
@@ -74,7 +102,9 @@ def mean_chi_squared(process: AugmentationProcess) -> float:
     Summed over the stored entries of each row, as
     ``sum_supp (p(a|x) - p_a)^2 / p_a + (1 - sum_supp p_a)``: an augmentation
     outside the row's support contributes its ``p_a``.  A sparse table is
-    never densified; a dense one stores every ``a``, so its second term is 0.
+    never densified; a dense one stores every ``a``, so its second term is
+    0, and is reduced a block of rows at a time, as in
+    :func:`diagonal_kernel_values`.
     Read from the table, independently of :func:`diagonal_kernel_values`
     and of the spectrum, because :func:`kappa_exact` measures the residual
     of the trace identity ``sum_i lambda_i = 1 + mean chi-squared`` with it.
@@ -82,12 +112,13 @@ def mean_chi_squared(process: AugmentationProcess) -> float:
     table, p_a = process.conditional, process.p_a
     if sp.issparse(table):
         table = table.tocsr()
-        rows = np.repeat(np.arange(process.n_x), np.diff(table.indptr))
+        rows = _entry_rows(table)
         w = p_a[table.indices]
         per_x = (np.bincount(rows, (table.data - w) ** 2 / w, process.n_x)
                  + (1.0 - np.bincount(rows, w, process.n_x)))
     else:
-        per_x = ((table - p_a) ** 2 / p_a).sum(axis=1)
+        per_x = _per_row(table,
+                         lambda block: ((block - p_a) ** 2 / p_a).sum(axis=1))
     return float(per_x @ process.p_x)
 
 
@@ -110,7 +141,10 @@ def kappa_exact(dec: SpectralDecomposition, beta: float = 99.0) -> KappaReport:
     The diagonal is computed both by direct summation and through the
     spectral expansion ``sum_i lambda_i psi_i(x)^2``; the two must agree
     within 1e-8.  Only the decomposition's ``lambdas`` and ``psi`` are
-    read, so its ``phi`` is never formed here.
+    read, so its ``phi`` is never formed here.  The passes over a dense
+    table, the direct diagonal and :func:`mean_chi_squared`, hold one block
+    of rows (two arrays of at most ``max(BLOCK_ENTRIES, |A|)`` entries)
+    besides vectors over ``X`` and ``A``, never a copy of the table.
     """
     process = dec.process
     direct = diagonal_kernel_values(process)

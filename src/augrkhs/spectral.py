@@ -268,10 +268,20 @@ def _check_phi(process, lambdas, psi, phi) -> float:
 
 
 def _duality_residual(process, lambdas, psi, phi) -> float:
+    """Worst ``p_x``-norm of ``Gamma* phi_i / sqrt(lambda_i) - psi_i`` over
+    the pairs with ``lambda_i > _DUALITY_FLOOR``.
+
+    A sparse table takes ``phi`` itself when every pair is certified: the
+    gather of the columns would be a column-major copy, which scipy copies
+    again to row-major, two arrays the size of ``phi`` for the same
+    product.  A dense table keeps the column-major gather even then: a
+    dense product's bits may depend on its operand's order.
+    """
     certified = lambdas > _DUALITY_FLOOR
     if not certified.any():
         return 0.0
-    back = apply_gamma_star(process, phi[:, certified])
+    whole = certified.all() and sp.issparse(process.conditional)
+    back = apply_gamma_star(process, phi if whole else phi[:, certified])
     back /= np.sqrt(lambdas[certified])[None, :]
     resid = back - psi[:, certified]
     p_x = process.p_x

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from augrkhs.complexity import (
+    BLOCK_ENTRIES,
     closed_form_kappa,
     diagonal_kernel_values,
     kappa_exact,
@@ -17,6 +20,7 @@ from augrkhs.complexity import (
 )
 from augrkhs.exceptions import ValidationError
 from augrkhs.processes import (
+    SCHEMES,
     AugmentationProcess,
     HypercubeConfig,
     build_custom,
@@ -269,3 +273,82 @@ def test_mean_chi_squared_matches_dense_on_custom(n_x, n_a, drop, seed):
     # both routes round at about 1e-16 on the scale of s_lambda = 1 + chi^2,
     # the value the identity compares, so a chi^2 near 0 is held to that
     assert abs(mean_chi_squared(process) - expected) <= 1e-12 * (1 + expected)
+
+
+def diagonal_by_whole_table(process):
+    """The whole-table diagonal that the row blocks and the stored-entry
+    sum replaced, kept as their oracle."""
+    C, inv_pa = process.conditional, 1.0 / process.p_a
+    if sp.issparse(C):
+        return np.asarray((C.multiply(C)).multiply(inv_pa).sum(axis=1)).ravel()
+    return ((C * C) * inv_pa).sum(axis=1)
+
+
+def mean_chi_squared_by_whole_table(process):
+    """The whole-table mean chi-squared of a dense table that the row blocks
+    replaced, kept as their oracle."""
+    table, p_a = process.conditional, process.p_a
+    return float(((table - p_a) ** 2 / p_a).sum(axis=1) @ process.p_x)
+
+
+def _multi_block_custom_process(seed):
+    """A custom process of 60-130 x 1200-2400 points, several blocks of rows
+    of ``BLOCK_ENTRIES``: dense-stored for an even ``seed``, with unused
+    augmentations that pruning drops (which leaves the table column-major),
+    sparse-stored (one to five entries per row) for an odd one."""
+    rng = np.random.default_rng(seed)
+    n_x, n_a = int(rng.integers(60, 131)), int(rng.integers(1200, 2401))
+    used = rng.choice(n_a, size=n_a - 40, replace=False)
+    triples = []
+    for i in range(n_x):
+        support = (used if seed % 2 == 0 else
+                   rng.choice(n_a, size=int(rng.integers(1, 6)), replace=False))
+        triples += zip([i] * support.size, support.tolist(),
+                       rng.dirichlet(np.ones(support.size)).tolist())
+    return build_custom(n_x, n_a, rng.dirichlet(np.ones(n_x)), triples)[0]
+
+
+def _assert_blocks_equal_the_oracle(process, report):
+    assert np.array_equal(report.per_point, diagonal_by_whole_table(process))
+    if not process.is_sparse:  # the sparse mean chi^2 has no row blocks
+        assert (mean_chi_squared(process)
+                == mean_chi_squared_by_whole_table(process))
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("d_x", [3, 5, 7, 8])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_kappa_equals_the_whole_table_oracle_on_schemes(scheme, d_x, alpha):
+    # dense random_mask_flip at d_x 8 has 256 rows at 9 a block, so its
+    # last block holds 4; random_mask at alpha 0.2 is stored sparse
+    process = build_hypercube(HypercubeConfig(d_x, alpha, scheme))
+    _assert_blocks_equal_the_oracle(process, kappa_exact(decompose(process)))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_kappa_equals_the_whole_table_oracle_on_custom(seed):
+    process = _multi_block_custom_process(seed)
+    assert process.is_sparse == bool(seed % 2)
+    _assert_blocks_equal_the_oracle(process, kappa_exact(decompose(process)))
+
+
+def test_kappa_exact_holds_one_block_of_rows():
+    # besides the table the build admitted: two arrays of one block of rows
+    # (a product and its scaled copy), the vectors over A and X, and the
+    # buffer numpy's broadcasting ufuncs fill; one call first, so that
+    # caches numpy and scipy fill once per process are not counted
+    process = build_hypercube(HypercubeConfig(7, 0.5, "random_mask_flip"))
+    assert not process.is_sparse
+    dec = decompose(process)
+    kappa_exact(dec)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kappa_exact(dec)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    n_x, n_a = process.n_x, process.n_a
+    block = max(1, BLOCK_ENTRIES // n_a) * n_a
+    admitted = 2 * block + n_a + np.getbufsize() + 8 * n_x
+    assert peak <= 8 * admitted, (peak, 8 * admitted)

@@ -447,6 +447,57 @@ def test_integral_identity_equals_the_oracle_on_custom(seed):
             == integral_identity_by_diagonal_products(dec))
 
 
+def duality_residual_by_gather(dec):
+    """The duality residual with the certified columns of ``phi`` gathered
+    on every table, as phi's checks measured it before a sparse table with
+    every pair certified took ``phi`` itself; kept as their oracle."""
+    certified = dec.lambdas > 1e-6
+    if not certified.any():
+        return 0.0
+    back = apply_gamma_star(dec.process, dec.phi[:, certified])
+    back /= np.sqrt(dec.lambdas[certified])[None, :]
+    resid = back - dec.psi[:, certified]
+    return float(np.sqrt(np.max(np.sum(resid * resid
+                                       * dec.process.p_x[:, None], axis=0))))
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("d_x", [3, 5, 7, 8])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_duality_residual_equals_the_gather_oracle(scheme, d_x, alpha):
+    # random_mask and block_mask at alpha 0.2 are stored sparse, with every
+    # pair certified
+    dec = decompose(build_hypercube(HypercubeConfig(d_x, alpha, scheme)))
+    assert dec.checked_duality_residual == duality_residual_by_gather(dec)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_duality_residual_equals_the_gather_oracle_on_custom(seed):
+    dec = decompose(_random_custom_process(seed))
+    assert dec.checked_duality_residual == duality_residual_by_gather(dec)
+
+
+def test_first_phi_read_holds_two_phis():
+    # phi formed, plus one array of its size (the tie-order permutation,
+    # then the weighted copy of the orthonormality check), plus a few
+    # |X| x rank products of the checks; a read on another decomposition
+    # first, so that caches numpy and scipy fill once per process are not
+    # counted
+    process = build_hypercube(HypercubeConfig(7, 0.5, "random_mask"))
+    assert process.is_sparse
+    decompose(process).phi
+    dec = decompose(process)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dec.phi
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    admitted = 2 * process.n_a * dec.rank + 4 * process.n_x * dec.rank
+    assert peak <= 8 * admitted, (peak, 8 * admitted)
+
+
 @pytest.mark.parametrize("scheme,d_x", [("block_mask", 8),
                                          ("block_mask_flip", 7),
                                          ("random_mask", 6)])
