@@ -7,11 +7,12 @@ cells failed (their rows carry an ``error`` column).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from .exceptions import ValidationError
-from .harness import COMMANDS, config_to_dict, load_config, resolve_config, run
+from .harness import COMMANDS, load_config, resolve_config, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,7 +49,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     if args.print_config:
-        print(json.dumps(config_to_dict(config), indent=2, sort_keys=True))
+        print(json.dumps(dataclasses.asdict(config), indent=2, sort_keys=True))
         return 0
     try:
         outcome = run(config)

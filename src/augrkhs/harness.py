@@ -1,10 +1,12 @@
 """Declarative experiment runner: grids, deterministic seeding, CSV/JSON.
 
 A run is described by a config (JSON file or dict): a command, per-axis
-value lists, a seed list, an output directory, and an enumeration budget.
-Every cell of the grid-times-seeds cross product executes independently
-with a seed derived from the master seed and the cell's axis values, so any
-cell can be reproduced in isolation; failures are recorded per cell without
+value lists, a seed list, an output directory, an enumeration budget and one
+option, the optimizer's ``max_iters``.  :func:`resolve_config` checks and
+types each setting once, so a row states the values its cell computed at.
+Every cell of the grid-times-seeds cross product executes independently with
+a seed derived from the master seed and the cell's axis values, so any cell
+can be reproduced in isolation; failures are recorded per cell without
 aborting the sweep.  Processes are built one after another: each is built
 and decomposed once, its cells run in grid order in the calling thread, and
 it is dropped before the next is built.  Floats are written with 17
@@ -32,9 +34,6 @@ SCHEMA_VERSION = "1"
 
 COMMANDS = ("kappa", "spectrum", "pretrain", "regress", "tracegap", "sweep")
 
-_AXIS_ORDER = ("scheme", "d_x", "alpha", "objective", "d", "N", "n", "sigma",
-               "B", "epsilon")
-
 _REQUIRED_AXES = {
     "kappa": ("scheme", "d_x", "alpha"),
     "spectrum": ("scheme", "d_x", "alpha"),
@@ -43,14 +42,11 @@ _REQUIRED_AXES = {
     "tracegap": ("scheme", "d_x", "alpha", "d", "N"),
     "sweep": ("scheme", "d_x", "alpha"),
 }
+# the axes a sweep's rate experiment reads; it runs when both are set
+_OPTIONAL_AXES = {"sweep": ("d", "N")}
 
 # the option names some cell reads; any other name is a config error
-OPTIONS = ("learning_rate", "max_iters", "grad_tol", "init_scale", "alpha_w",
-           "beta_w", "c0")
-# the options the optimizer reads, with their casts; an option that is not set
-# keeps OptimizerConfig's default
-_OPTIMIZER_OPTIONS = {"learning_rate": float, "max_iters": int,
-                      "grad_tol": float, "init_scale": float}
+OPTIONS = ("max_iters",)
 
 HEADERS = {
     "kappa": ["schema", "scheme", "d_x", "alpha", "seed", "kappa_sq_exact",
@@ -134,6 +130,29 @@ def _integer(value, what: str) -> int:
     raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
+def _real(value, what: str) -> float:
+    """A finite JSON number, as a float."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value)):
+        return float(value)
+    raise ValidationError(f"{what} must be a finite number, got {value!r}")
+
+
+def _one_of(names: tuple[str, ...]):
+    def name(value, what: str) -> str:
+        if value in names:
+            return value
+        raise ValidationError(f"{what} must be one of {names}, got {value!r}")
+    return name
+
+
+# grid axis -> the function that checks and types each value, in grid order
+_AXES = {"scheme": _one_of(SCHEMES), "d_x": _integer, "alpha": _real,
+         "objective": _one_of(objectives.KINDS), "d": _integer, "N": _integer,
+         "n": _integer, "sigma": _real, "B": _real, "epsilon": _real}
+_AXIS_ORDER = tuple(_AXES)
+
+
 def _object(value, what: str) -> dict:
     if value is None:
         return {}
@@ -151,15 +170,18 @@ def resolve_config(raw: dict, command: str | None = None,
     if cmd not in COMMANDS:
         raise ValidationError(f"command must be one of {COMMANDS}, got {cmd!r}")
     grid = _object(raw.get("grid"), "grid")
+    reads = _REQUIRED_AXES[cmd] + _OPTIONAL_AXES.get(cmd, ())
+    unread = [a for a in grid if a not in reads]
+    if unread:
+        raise ValidationError(f"command {cmd!r} reads grid axes {list(reads)}, "
+                              f"not {unread}")
+    missing = [a for a in _REQUIRED_AXES[cmd] if a not in grid]
+    if missing:
+        raise ValidationError(f"command {cmd!r} needs grid axes {missing}")
     for axis, values in grid.items():
         if not isinstance(values, (list, tuple)) or not values:
             raise ValidationError(f"grid axis {axis!r} must be a nonempty list")
-    missing = [a for a in _REQUIRED_AXES[cmd] if not grid.get(a)]
-    if missing:
-        raise ValidationError(f"command {cmd!r} needs grid axes {missing}")
-    for scheme in grid.get("scheme", ()):
-        if scheme not in SCHEMES:
-            raise ValidationError(f"unknown scheme {scheme!r}")
+        grid[axis] = [_AXES[axis](v, f"each {axis!r} value") for v in values]
     seeds = raw.get("seeds") or []
     if seed is not None:
         seeds = [seed]
@@ -173,13 +195,10 @@ def resolve_config(raw: dict, command: str | None = None,
     if unknown:
         raise ValidationError(
             f"unknown options {unknown}; the cells read {list(OPTIONS)}")
-    for name, value in options.items():
-        what = f"option {name!r}"
-        if name == "max_iters":
-            if _integer(value, what) < 0:
-                raise ValidationError(f"{what} must be >= 0, got {value!r}")
-        elif not isinstance(value, numbers.Real) or isinstance(value, bool):
-            raise ValidationError(f"{what} must be a number, got {value!r}")
+    for name, value in options.items():  # max_iters, a count
+        options[name] = _integer(value, f"option {name!r}")
+        if options[name] < 0:
+            raise ValidationError(f"option {name!r} must be >= 0, got {value}")
     jobs = _integer(jobs if jobs is not None else raw.get("jobs", 1), "jobs")
     if jobs != 1:
         raise ValidationError(
@@ -197,18 +216,6 @@ def resolve_config(raw: dict, command: str | None = None,
     if any(name == "tracegap" for name, _ in _outputs(config)):
         _check_rate_grid(config.grid)
     return config
-
-
-def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "command": config.command,
-        "grid": config.grid,
-        "seeds": list(config.seeds),
-        "output_dir": config.output_dir,
-        "budget": config.budget,
-        "master_seed": config.master_seed,
-        "options": config.options,
-    }
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -383,20 +390,13 @@ def _spectrum_cell(cell, config: ExperimentConfig, dec, once) -> dict:
 
 def _pretrain_cell(cell, config: ExperimentConfig, dec, once) -> dict:
     row = _base_row(cell)
-    d = int(cell["d"])
-    opts = config.options
-    opt = objectives.OptimizerConfig(
-        seed=cell["seed"], **{name: cast(opts[name])
-                              for name, cast in _OPTIMIZER_OPTIONS.items()
-                              if name in opts})
-    spec = objectives.ObjectiveSpec(
-        kind=cell["objective"], d=d,
-        **{name: float(opts[name]) for name in ("alpha_w", "beta_w")
-           if name in opts})
+    opt = objectives.OptimizerConfig(seed=cell["seed"], **config.options)
+    spec = objectives.ObjectiveSpec(kind=cell["objective"], d=cell["d"])
     result = objectives.minimize(spec, dec.process, opt)
     row["final_loss"] = result.final_loss
     row["target_loss"] = objectives.optimal_loss(spec, dec)
-    row["principal_angle"] = objectives.subspace_angle(result.phi_hat, dec, d)
+    row["principal_angle"] = objectives.subspace_angle(result.phi_hat, dec,
+                                                       spec.d)
     row["iterations"] = result.iterations
     row["trace"] = [float(v) for v in result.losses]
     return row
@@ -404,12 +404,11 @@ def _pretrain_cell(cell, config: ExperimentConfig, dec, once) -> dict:
 
 def _regress_cell(cell, config: ExperimentConfig, dec, once) -> dict:
     row = _base_row(cell)
-    d = int(cell["d"])
+    d, B, eps = cell["d"], cell["B"], cell["epsilon"]
     encoder = encoders.optimal_encoder(dec, d)
-    B, eps = float(cell["B"]), float(cell["epsilon"])
     target = regression.sample_target(dec, B, eps, seed=cell["seed"])
     samples = regression.generate_labels(
-        target, int(cell["n"]), float(cell["sigma"]), seed=cell["seed"] + 1)
+        target, cell["n"], cell["sigma"], seed=cell["seed"] + 1)
     fit = regression.fit_least_squares(encoder, samples, B, eps, target=target)
     f_psi, approx_err = regression.project_fpsi(target, encoder)
     est = fit.f_hat_values - f_psi
@@ -423,15 +422,14 @@ def _regress_cell(cell, config: ExperimentConfig, dec, once) -> dict:
         tau_sq=tau_sq, epsilon=eps, B=B,
         kappa=math.sqrt(_kappa(once, dec).kappa_sq_max),
         s_lambda_dplus1=complexity.partial_trace(dec, d + 1),
-        n=int(cell["n"]), sigma=float(cell["sigma"]),
-        c0=float(config.options.get("c0", 1.0)))
+        n=cell["n"], sigma=cell["sigma"])
     row["constraint_active"] = int(fit.lagrange_mu > 0)
     return row
 
 
 def _tracegap_cell(cell, config: ExperimentConfig, dec, once) -> dict:
     row = _base_row(cell)
-    d, N = int(cell["d"]), int(cell["N"])
+    d, N = cell["d"], cell["N"]
     empirical = encoders.empirical_decomposition(dec, N, seed=cell["seed"])
     encoder = encoders.near_optimal_encoder(empirical, d)
     cov = encoders.covariances(encoder)

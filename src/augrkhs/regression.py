@@ -371,16 +371,16 @@ def lemma32_rhs(*, tau_sq: float, epsilon: float, B: float) -> float | None:
 
 
 def thm31_rhs(*, tau_sq: float, epsilon: float, B: float, kappa: float,
-              s_lambda_dplus1: float, n: int, sigma: float,
-              c0: float = 1.0) -> float | None:
+              s_lambda_dplus1: float, n: int, sigma: float) -> float | None:
     """Theorem 3.1's generalization bound: nine times :func:`lemma32_rhs`
     plus the estimation term of ``n`` labels with noise ``sigma``; ``None``
-    where the lemma's bound is."""
+    where the lemma's bound is.  The paper leaves the estimation term's
+    absolute constant unspecified; it is taken as 1."""
     lemma32 = lemma32_rhs(tau_sq=tau_sq, epsilon=epsilon, B=B)
     if lemma32 is None:
         return None
     return (9.0 * lemma32
-            + c0 * kappa * (B * B + sigma * B)
+            + kappa * (B * B + sigma * B)
             / (1.0 - epsilon) * math.sqrt(s_lambda_dplus1 / n))
 
 

@@ -1,17 +1,20 @@
+import dataclasses
 import gc
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from augrkhs import complexity, harness, spectral
+from augrkhs import complexity, harness, objectives, spectral
 from augrkhs.cli import main
 from augrkhs.exceptions import ValidationError
 from augrkhs.harness import (
@@ -63,6 +66,121 @@ def test_resolve_config_validation(tmp_path):
     options = {name: 1.0 for name in harness.OPTIONS}
     assert resolve_config(kappa_config(tmp_path, options=options)).options \
         == options
+
+
+@pytest.mark.parametrize("axis", ["d", "foo"])
+def test_a_grid_axis_the_command_does_not_read_is_a_config_error(
+        tmp_path, capsys, axis):
+    # kappa.csv has no d column, so a d axis would repeat every kappa row
+    cfg = kappa_config(tmp_path)
+    cfg["grid"][axis] = [2, 3]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["kappa", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: command 'kappa' reads grid axes "
+        f"['scheme', 'd_x', 'alpha'], not ['{axis}']\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_sweep_reads_d_and_N(tmp_path):
+    config = resolve_config(tracegap_config(tmp_path, command="sweep"))
+    assert (config.grid["d"], config.grid["N"]) == ([1], [16, 32, 64, 256])
+    with pytest.raises(ValidationError, match=r"not \['n'\]"):
+        resolve_config(tracegap_config(
+            tmp_path, command="sweep",
+            grid=dict(tracegap_config(tmp_path)["grid"], n=[16])))
+
+
+@pytest.mark.parametrize("axis, value", [("d", 2.5), ("n", 16.5),
+                                         ("N", 256.5), ("d_x", "3"),
+                                         ("d", True)])
+def test_integer_axes_refuse_non_integers(tmp_path, capsys, axis, value):
+    command = "tracegap" if axis == "N" else "regress"
+    grid = (tracegap_config(tmp_path)["grid"] if axis == "N"
+            else _PHI_READERS["regress"])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "command": command, "grid": dict(grid, **{axis: [value]}),
+        "seeds": [0], "output_dir": str(tmp_path / "out")}))
+    assert main([command, "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: each '{axis}' value must be an integer, "
+        f"got {value!r}\n")
+
+
+def test_integral_floats_on_integer_axes_run_as_integers(tmp_path):
+    def regress(label, **axes):
+        outcome = run(resolve_config({
+            "command": "regress",
+            "grid": dict(_PHI_READERS["regress"], **axes),
+            "seeds": [0, 1], "output_dir": str(tmp_path / label)}))
+        assert outcome.exit_code == 0
+        return open(outcome.files["regress"], "rb").read()
+
+    assert regress("floats", d_x=[3.0], d=[1.0, 2.0], n=[16.0]) == \
+        regress("integers")
+
+
+def test_real_axes_become_floats(tmp_path):
+    config = resolve_config({
+        "command": "regress",
+        "grid": dict(_PHI_READERS["regress"], alpha=[1], sigma=[0], B=[2],
+                     epsilon=[0.2]),
+        "seeds": [0], "output_dir": str(tmp_path / "out")})
+    for axis, values in [("alpha", [1.0]), ("sigma", [0.0]), ("B", [2.0]),
+                         ("epsilon", [0.2])]:
+        assert config.grid[axis] == values
+        assert all(type(v) is float for v in config.grid[axis])
+    # a NaN or infinite value would make a non-finite row, which no CSV takes
+    for bad in ("0.5", True, None, float("nan"), float("inf")):
+        with pytest.raises(ValidationError,
+                           match="each 'alpha' value must be a finite number"):
+            resolve_config(kappa_config(tmp_path, grid={
+                "scheme": ["random_mask"], "d_x": [3], "alpha": [bad]}))
+    # the files of an integer alpha are named as those of the float
+    outcome = run(resolve_config({
+        "command": "spectrum",
+        "grid": {"scheme": ["random_mask"], "d_x": [2], "alpha": [1]},
+        "seeds": [0], "output_dir": str(tmp_path / "spectrum")}))
+    assert outcome.exit_code == 0
+    assert sorted(p.name for p in (tmp_path / "spectrum").iterdir()) == [
+        "random_mask_dx2_a1p0_lambdas.csv", "random_mask_dx2_a1p0_phi.csv",
+        "random_mask_dx2_a1p0_psi.csv", "spectrum.csv"]
+
+
+def test_an_unknown_objective_is_a_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "command": "pretrain",
+        "grid": dict(_PHI_READERS["pretrain"], objective=["scl", "nce"]),
+        "seeds": [0], "output_dir": str(tmp_path / "out")}))
+    assert main(["pretrain", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: each 'objective' value must be one of "
+        f"{objectives.KINDS}, got 'nce'\n")
+
+
+@pytest.mark.parametrize("name", ["learning_rate", "grad_tol", "init_scale",
+                                  "alpha_w", "beta_w", "c0"])
+def test_removed_options_are_unknown(tmp_path, capsys, name):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(kappa_config(tmp_path,
+                                                options={name: 1.0})))
+    assert main(["kappa", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: unknown options ['{name}']; the cells read "
+        "['max_iters']\n")
+
+
+def test_the_readme_example_config_resolves():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme[readme.index("## Command line"):]
+    example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    config = resolve_config(json.loads(example))
+    assert config.command == "kappa"
+    assert config.grid["d_x"] == [4, 6]
 
 
 def test_cell_seed_stable_and_distinct():
@@ -243,8 +361,7 @@ def test_pretrain_run_emits_records_and_traces(tmp_path):
                  "objective": ["scl"], "d": [1]},
         "seeds": [1],
         "output_dir": str(tmp_path / "out"),
-        "options": {"max_iters": 4000, "learning_rate": 0.3,
-                    "grad_tol": 1e-9},
+        "options": {"max_iters": 4000},
     })
     outcome = run(cfg)
     assert outcome.exit_code == 0
@@ -278,34 +395,6 @@ def test_regress_run_schema(tmp_path):
         assert row["pred_err"] >= 0
         assert row["approx_err"] <= row["lemma32_rhs"] + 1e-9
         assert row["constraint_active"] in (0, 1)
-
-
-def test_c0_scales_only_the_estimation_term_of_thm31(tmp_path):
-    def regress(c0):
-        outcome = run(resolve_config({
-            "command": "regress",
-            "grid": {"scheme": ["random_mask"], "d_x": [3], "alpha": [0.5],
-                     "d": [1, 2], "n": [16], "sigma": [0.1], "B": [1.0],
-                     "epsilon": [0.2]},
-            "seeds": [0, 1],
-            "output_dir": str(tmp_path / f"c0_{c0}"),
-            "options": {"c0": c0},
-        }))
-        assert outcome.exit_code == 0
-        lines = open(outcome.files["regress"]).read().splitlines()
-        return [dict(zip(lines[0].split(","), line.split(",")))
-                for line in lines[1:]]
-
-    one, two = regress(1.0), regress(2.0)
-    assert len(one) == len(two) == 4
-    for a, b in zip(one, two):
-        assert {k: v for k, v in a.items() if k != "thm31_rhs"} == \
-            {k: v for k, v in b.items() if k != "thm31_rhs"}
-        lemma32, thm31_one, thm31_two = (
-            float(a["lemma32_rhs"]), float(a["thm31_rhs"]),
-            float(b["thm31_rhs"]))
-        assert abs((thm31_two - 9.0 * lemma32)
-                   - 2.0 * (thm31_one - 9.0 * lemma32)) <= 1e-12 * thm31_two
 
 
 def test_tracegap_experiment_grid_validation(tmp_path):
@@ -672,46 +761,6 @@ def test_pretrain_needs_no_pair_matrix_budget(tmp_path):
         assert math.isfinite(record["final_loss"])
 
 
-def test_nonpositive_init_scale_fails_every_pretrain_cell(tmp_path):
-    cfg = {
-        "command": "pretrain",
-        "grid": {"scheme": ["random_mask", "block_mask"], "d_x": [2],
-                 "alpha": [0.5], "objective": ["scl", "sclip"], "d": [1]},
-        "seeds": [0, 1],
-        "output_dir": str(tmp_path / "out"),
-        "options": {"init_scale": 0},
-    }
-    outcome = run(resolve_config(cfg))
-    assert outcome.exit_code == 2
-    assert outcome.failures == len(outcome.records) == 8
-    assert {r["error"] for r in outcome.records} == {
-        "ValidationError: init_scale must be positive; got 0.0"}
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    assert main(["pretrain", "--config", str(cfg_path)]) == 2
-
-
-@pytest.mark.parametrize("weight, failing", [("alpha_w", {"rbt"}),
-                                             ("beta_w", {"rbt", "vicreg"})])
-def test_negative_loss_weight_fails_only_the_kinds_that_read_it(
-        tmp_path, weight, failing):
-    cfg = {
-        "command": "pretrain",
-        "grid": {"scheme": ["random_mask"], "d_x": [2], "alpha": [0.5],
-                 "objective": ["scl", "sclip", "rbt", "vicreg"], "d": [1]},
-        "seeds": [0],
-        "output_dir": str(tmp_path / "out"),
-        "options": {weight: -1.0, "max_iters": 5},
-    }
-    outcome = run(resolve_config(cfg))
-    assert outcome.exit_code == 2
-    failed = {r["objective"] for r in outcome.records if r.get("error")}
-    assert failed == failing
-    for record in outcome.records:
-        if record["objective"] in failing:
-            assert "must be nonnegative" in record["error"]
-
-
 def test_cli_import_leaves_scipy_linalg_out():
     # the runtime needs numpy and scipy.sparse only; scipy.linalg is a
     # test oracle, and importing it costs every sweep start-up time
@@ -851,10 +900,12 @@ def test_phi_formed_and_checked_once_per_process(tmp_path, monkeypatch,
 def test_failed_phi_check_fails_only_the_cells_that_read_phi(tmp_path,
                                                              monkeypatch):
     counts = _count_phi(monkeypatch, scale=1 + 1e-6)
-    grid = dict(_PHI_READERS["regress"], objective=["scl"])
     config = resolve_config({
-        "command": "regress", "grid": grid, "seeds": [0, 1],
+        "command": "regress", "grid": _PHI_READERS["regress"], "seeds": [0, 1],
         "output_dir": str(tmp_path / "out"), "options": {"max_iters": 20}})
+    # a regress grid has no objective axis; the pretrain cells need one
+    config = dataclasses.replace(
+        config, grid=dict(config.grid, objective=["scl"]))
     axes = harness._grid_axes(config)
     outputs = [("kappa", harness._PROCESS_AXES),
                ("spectrum", harness._PROCESS_AXES),

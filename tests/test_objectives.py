@@ -69,6 +69,22 @@ def test_objective_spec_validation():
     ObjectiveSpec("rbt", 2, alpha_w=1.0, beta_w=0.1)
 
 
+# kind -> the loss weights it reads, each of which must be nonnegative
+_WEIGHTS_READ = {"scl": (), "sclip": (), "rbt": ("alpha_w", "beta_w"),
+                 "vicreg": ("beta_w",)}
+
+
+@pytest.mark.parametrize("kind", sorted(_WEIGHTS_READ))
+def test_objective_spec_refuses_a_negative_weight_only_where_read(kind):
+    for weight in ("alpha_w", "beta_w"):
+        if weight in _WEIGHTS_READ[kind]:
+            with pytest.raises(ValidationError, match="must be nonnegative"):
+                ObjectiveSpec(kind, 2, **{weight: -1.0})
+        else:
+            assert getattr(ObjectiveSpec(kind, 2, **{weight: -1.0}),
+                           weight) == -1.0
+
+
 @pytest.mark.parametrize("scale", [0.0, -0.5])
 def test_optimizer_config_refuses_a_nonpositive_init_scale(scale):
     # a zero start is a stationary point, a negative one an empty interval

@@ -307,11 +307,11 @@ def test_bound_formulas():
     lemma32 = 0.09 * (tau + 0.2) * 1.5**2 / ((1 - 0.09) * 0.8)
     assert lemma32_rhs(tau_sq=0.09, epsilon=0.2, B=1.5) == pytest.approx(
         lemma32, rel=1e-12)
-    thm31 = 9 * lemma32 + 1.7 * 2.0 * (1.5**2 + 0.3 * 1.5) / 0.8 \
+    thm31 = 9 * lemma32 + 2.0 * (1.5**2 + 0.3 * 1.5) / 0.8 \
         * math.sqrt(2.5 / 400)
     assert thm31_rhs(tau_sq=0.09, epsilon=0.2, B=1.5, kappa=2.0,
-                     s_lambda_dplus1=2.5, n=400, sigma=0.3,
-                     c0=1.7) == pytest.approx(thm31, rel=1e-12)
+                     s_lambda_dplus1=2.5, n=400, sigma=0.3) == \
+        pytest.approx(thm31, rel=1e-12)
     prop41 = 0.25 / 0.75 * 0.2 / 0.8 * 1.5**2
     assert prop41_rhs(lambda_dplus1=0.25, epsilon=0.2, B=1.5) == \
         pytest.approx(prop41, rel=1e-12)

@@ -4,14 +4,16 @@ Each public function takes the one object it reads: a decomposition
 carries its process, and an encoder, an empirical decomposition and a
 target function each carry their decomposition.  Each function the package
 exports has a caller in the package or in a demo, or a stated reason to
-exist without one."""
+exist without one, and each option a sweep config takes is set by a
+committed config."""
 
 import inspect
 import re
 from pathlib import Path
 
 import augrkhs
-from augrkhs import complexity, encoders, objectives, regression, spectral
+from augrkhs import (complexity, encoders, harness, objectives, regression,
+                     spectral)
 
 
 def _public_functions():
@@ -97,3 +99,14 @@ def test_every_exported_function_has_a_caller():
             uncalled.append(name)
     assert sorted(uncalled) == sorted(_NO_CALLER), \
         f"without a caller: {sorted(uncalled)}; allowed: {sorted(_NO_CALLER)}"
+
+
+def test_every_option_has_a_setter():
+    # the committed configs: the benchmark's workloads and CI's sweeps
+    root = Path(__file__).resolve().parents[1]
+    configs = "".join(
+        (root / path).read_text(encoding="utf-8")
+        for path in ("perfbench/workloads.py", ".github/workflows/tier1.yml"))
+    unset = [name for name in harness.OPTIONS
+             if not re.search(rf'"{name}"\s*:', configs)]
+    assert unset == [], f"options no committed config sets: {unset}"
