@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from .exceptions import ValidationError
 from .processes import AugmentationProcess, HypercubeConfig
 # decompose stays bound here: perfbench's tracer test checks this binding
-from .spectral import SpectralDecomposition, decompose
+from .spectral import SpectralDecomposition, _row_blocks, decompose
 
 _ROUTE_AGREEMENT_TOL = 1e-8
 _BOOTSTRAP_RESAMPLES = 200  # kappa_monte_carlo's standard error
@@ -65,9 +65,8 @@ def _per_row(table: np.ndarray, reduce_rows) -> np.ndarray:
     row alone, so it has the bits the whole table's would give it.
     """
     out = np.empty(table.shape[0])
-    rows = max(1, BLOCK_ENTRIES // table.shape[1])
-    for start in range(0, table.shape[0], rows):
-        out[start:start + rows] = reduce_rows(table[start:start + rows])
+    for rows in _row_blocks(table.shape, BLOCK_ENTRIES):
+        out[rows] = reduce_rows(table[rows])
     return out
 
 

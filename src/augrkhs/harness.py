@@ -153,6 +153,16 @@ _AXES = {"scheme": _one_of(SCHEMES), "d_x": _integer, "alpha": _real,
 _AXIS_ORDER = tuple(_AXES)
 
 
+def _distinct(values: list, what: str) -> list:
+    """``values``, typed already, if no two are equal; a repeated value
+    would repeat its cells, and their process's build."""
+    repeated = sorted({v for i, v in enumerate(values) if v in values[:i]},
+                      key=values.index)
+    if repeated:
+        raise ValidationError(f"{what} repeats {repeated}")
+    return values
+
+
 def _object(value, what: str) -> dict:
     if value is None:
         return {}
@@ -181,7 +191,9 @@ def resolve_config(raw: dict, command: str | None = None,
     for axis, values in grid.items():
         if not isinstance(values, (list, tuple)) or not values:
             raise ValidationError(f"grid axis {axis!r} must be a nonempty list")
-        grid[axis] = [_AXES[axis](v, f"each {axis!r} value") for v in values]
+        grid[axis] = _distinct(
+            [_AXES[axis](v, f"each {axis!r} value") for v in values],
+            f"grid axis {axis!r}")
     seeds = raw.get("seeds") or []
     if seed is not None:
         seeds = [seed]
@@ -206,7 +218,8 @@ def resolve_config(raw: dict, command: str | None = None,
     config = ExperimentConfig(
         command=cmd,
         grid=grid,
-        seeds=tuple(_integer(s, "each seed") for s in seeds),
+        seeds=tuple(_distinct([_integer(s, "each seed") for s in seeds],
+                              "the seed list")),
         output_dir=str(output_dir),
         budget=_integer(budget if budget is not None
                         else raw.get("budget", DEFAULT_BUDGET), "budget"),
@@ -225,14 +238,7 @@ def _write_atomic(path: str, text: str) -> None:
 
 def write_csv(path: str, header: list[str], rows: list[dict]) -> None:
     lines = [",".join(header)]
-    for row in rows:
-        if not row.get("error"):
-            bad = [col for col in header
-                   if isinstance(row.get(col), float)
-                   and not math.isfinite(row[col])]
-            if bad:
-                raise ValidationError(f"non-finite fields {bad} in {row}")
-        lines.append(",".join(fmt(row.get(col)) for col in header))
+    lines += [",".join(fmt(row.get(col)) for col in header) for row in rows]
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -376,11 +382,13 @@ def _spectrum_cell(cell, config: ExperimentConfig, dec, once) -> dict:
     _check_dense((spectral.RESIDUAL_ARRAYS, process.n_x, process.n_x),
                  config.budget,
                  "the reconstruction residual (four |X| x |X| arrays)")
-    # the residuals do not depend on the seed; phi's checks measured duality
-    row["duality_residual"] = dec.checked_duality_residual
+    # the residuals do not depend on the seed.  The reconstruction comes
+    # first, so its |A| x |X| array is dropped before phi is formed; phi's
+    # checks measured duality
     row["reconstruction_residual"] = once(
         ("reconstruction",),
         lambda: spectral.verify_integral_identity(dec))
+    row["duality_residual"] = dec.checked_duality_residual
     if cell["master"] == config.seeds[0]:  # the files do not depend on the seed
         stem = (f"{cell['scheme']}_dx{cell['d_x']}_a{cell['alpha']!r}"
                 .replace(".", "p"))
@@ -452,13 +460,28 @@ _CELL_FN = {
 }
 
 
+def _check_finite(row: dict) -> dict:
+    """``row``, if each float in it, a field or an entry of a list field,
+    is finite; otherwise a :class:`ValidationError` naming the fields that
+    are not.  The CSV and JSON files take finite numbers only."""
+    def finite(value) -> bool:
+        values = value if isinstance(value, list) else [value]
+        return all(math.isfinite(v) for v in values if isinstance(v, float))
+
+    bad = [key for key, value in row.items() if not finite(value)]
+    if bad:
+        raise ValidationError(f"non-finite fields {bad}")
+    return row
+
+
 def _run_group(config: ExperimentConfig, group) -> list[dict]:
     """Build the group's process once and run its cells in turn; return
     their rows.
 
     The process, its decomposition and the group's memo are locals of this
     call, so they are dropped when it returns.  A failed build gives every
-    cell of the group the build's error row.
+    cell of the group the build's error row, and so does a cell that fails
+    or returns a non-finite field.
     """
     try:
         dec = spectral.decompose(
@@ -469,7 +492,7 @@ def _run_group(config: ExperimentConfig, group) -> list[dict]:
     rows = []
     for name, cell in group:
         try:
-            rows.append(_CELL_FN[name](cell, config, dec, once))
+            rows.append(_check_finite(_CELL_FN[name](cell, config, dec, once)))
         except Exception as exc:  # cell isolation: record, never abort
             rows.append(_error_row(cell, exc))
     return rows

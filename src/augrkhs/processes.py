@@ -286,17 +286,45 @@ def _coordinate_channel(config: HypercubeConfig) -> np.ndarray:
     return np.array([[keep, m, flip], [flip, m, keep]])
 
 
-def _kron_dense(acc: np.ndarray, channel: np.ndarray) -> np.ndarray:
-    """``np.kron(acc, channel)``, entry for entry, one multiply per entry of
-    ``channel`` over all of ``acc``, so no loop runs over a short axis."""
-    n, m = acc.shape
-    out = np.empty((n, channel.shape[0], m, channel.shape[1]))
-    for (i, j), c in np.ndenumerate(channel):
-        np.multiply(acc, c, out=out[:, i, :, j])
-    return out.reshape(n * channel.shape[0], m * channel.shape[1])
+def _fill_power(table: np.ndarray, channel: np.ndarray) -> None:
+    """Write into ``table`` the Kronecker power of ``channel`` of its shape,
+    one multiply per entry, as ``np.kron`` takes it.
+
+    Each power is formed in the first entries of ``table``'s row-major
+    buffer, from the one below it there: row ``n`` of the lower power makes
+    the rows ``(n, i)`` of the next, ``lower[n, m] * channel[i, j]`` at
+    column ``(m, j)``.  Those rows start at ``channel.size`` times row
+    ``n``'s offset, so the rows are multiplied out in blocks from the last
+    back, each ending at ``stop`` and starting at row
+    ``ceil(stop / channel.size)``: no block is written over a row not yet
+    read.  Row 0 makes its rows over itself, so it is copied first.  No
+    array of a lower power's size is made.
+    """
+    flat = table.reshape(-1, copy=False)
+    flat[:channel.size] = channel.ravel()
+    rows, cols = channel.shape
+    while rows < table.shape[0]:
+        lower = flat[:rows * cols].reshape(rows, cols)
+        slots = flat[:rows * cols * channel.size].reshape(
+            rows, channel.shape[0], cols, channel.shape[1])
+        stop = rows
+        while stop:
+            start = -(-stop // channel.size) if stop > 1 else 0
+            block = lower[start:stop] if start else lower[:1].copy()
+            for (i, j), c in np.ndenumerate(channel):
+                np.multiply(block, c, out=slots[start:stop, i, :, j])
+            stop = start
+        rows, cols = rows * channel.shape[0], cols * channel.shape[1]
 
 
 def _build_product_scheme(config: HypercubeConfig, budget: int) -> AugmentationProcess:
+    """The process of a random-mask scheme, whose table is the ``d_x``-fold
+    Kronecker power of its one-coordinate channel.
+
+    A dense power is multiplied out inside the final ``2^d_x x 3^d_x``
+    array (:func:`_fill_power`), so the build holds the table and its
+    labels and no lower power beside them.
+    """
     d = config.d_x
     entries = (3**d) * (2**d)
     if entries > budget:
@@ -309,8 +337,8 @@ def _build_product_scheme(config: HypercubeConfig, budget: int) -> AugmentationP
     # channel without zeros gives a table without zeros, stored dense, and
     # any other one gives a table below 25% density from d_x = 4 on
     if channel.all():
-        conditional = reduce(lambda acc, _: _kron_dense(acc, channel),
-                             range(d - 1), channel)
+        conditional = np.empty((2**d, 3**d))
+        _fill_power(conditional, channel)
     else:
         channel = sp.csr_array(channel)
         conditional = reduce(

@@ -47,6 +47,10 @@ _ORTHONORMALITY_TOL = 1e-8
 _DUALITY_TOL = 1e-8
 _DUALITY_FLOOR = 1e-6  # duality is only certified above this eigenvalue
 _BLOCK_ENTRIES = 4096  # entries per block of rows an export formats at once
+_PERMUTE_BLOCK_ENTRIES = 2**16  # entries per block the tie permutation moves
+# rows per block the orthonormality check sums; its products slow down as
+# their blocks get thinner, so the block is set in rows, not entries
+_GRAM_BLOCK_ROWS = 512
 # |X| x |X| arrays verify_integral_identity holds at once, besides one
 # |A| x |X| array of the table's size
 RESIDUAL_ARRAYS = 4
@@ -210,6 +214,23 @@ def _fix_signs(psi, phi):
     phi[:, flip] = -phi[:, flip]
 
 
+def _row_blocks(shape, entries: int):
+    """Slices of consecutive rows of an array of ``shape``, each of
+    ``max(1, entries // shape[1])`` rows, the last one fewer when they do
+    not divide ``shape[0]``."""
+    rows = max(1, entries // shape[1])
+    return (slice(start, start + rows) for start in range(0, shape[0], rows))
+
+
+def _permute_columns(M: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """``M[:, order]``, written over ``M`` a block of rows at a time, so
+    one block is copied, not the array; returns ``M``.  A permutation
+    copies values, so the bits are those ``np.take`` gives."""
+    for rows in _row_blocks(M.shape, _PERMUTE_BLOCK_ENTRIES):
+        M[rows] = M[rows].take(order, axis=1)
+    return M
+
+
 def _tie_order(lambdas, psi):
     """The column permutation that puts each degenerate block in
     lexicographic order of the ``psi`` columns; ``None`` when every block
@@ -236,10 +257,20 @@ def _tie_order(lambdas, psi):
 
 
 def _gram_defect(f: np.ndarray, weights: np.ndarray) -> float:
-    """Largest entry of ``|f^T diag(weights) f - I|``."""
-    # W^T W with W = f sqrt(p) runs as one symmetric rank-k update
-    w = f * np.sqrt(weights)[:, None]
-    return float(np.max(np.abs(w.T @ w - np.eye(f.shape[1]))))
+    """Largest entry of ``|f^T diag(weights) f - I|``.
+
+    The Gram matrix starts from ``-I`` and adds ``W^T W`` (one symmetric
+    rank-k update) for each block of rows of ``W = f sqrt(weights)``, so
+    ``f`` is never copied whole.  The sum runs in another order than one
+    product over all rows would, so the defect may differ from that
+    product's at rounding level.
+    """
+    sqrt_w = np.sqrt(weights)
+    gram = -np.eye(f.shape[1])
+    for rows in _row_blocks(f.shape, _GRAM_BLOCK_ROWS * f.shape[1]):
+        w = f[rows] * sqrt_w[rows, None]
+        gram += w.T @ w
+    return float(np.max(np.abs(gram, out=gram)))
 
 
 def _validate_decomposition(dec: SpectralDecomposition) -> None:
@@ -348,6 +379,19 @@ def _subset_law(config: HypercubeConfig, bits: np.ndarray) -> np.ndarray:
     return miss * (1.0 - 2.0 * config.flip_prob) ** (2 * size)
 
 
+def _characters(d: int, subsets: np.ndarray) -> np.ndarray:
+    """``2^d x len(subsets)`` table of the Walsh characters ``chi_S(x)``.
+
+    Row ``x`` and each entry of ``subsets`` are codes in the bit order of
+    :func:`_subset_bits`: ``x`` marks its ``+1`` coordinates, ``S`` its
+    members.  ``chi_S(x)`` is -1 to the number of coordinates of ``S``
+    where ``x`` is -1, the parity of ``~x & S``; it is exactly +-1.
+    """
+    minus = ~np.arange(2**d)  # x's -1 coordinates, with higher bits set
+    odd = np.bitwise_count(minus[:, None] & subsets) & 1
+    return 1.0 - 2.0 * odd
+
+
 def _walsh_engine(process: AugmentationProcess):
     """Spectrum of a hypercube process from its subset law, without an SVD.
 
@@ -358,25 +402,27 @@ def _walsh_engine(process: AugmentationProcess):
     holds by construction.  The constant (``S`` empty, ``lambda = 1``)
     comes first; every column pair is sign-fixed.
     """
-    bits = _subset_bits(process.hypercube.d_x)
-    law = _subset_law(process.hypercube, bits)
+    d_x = process.hypercube.d_x
+    law = _subset_law(process.hypercube, _subset_bits(d_x))
     order = np.argsort(-law, kind="stable")
     order = order[law[order] > _RANK_TOL]
     lambdas = law[order]
-    # chi_S(x) is -1 to the number of coordinates of S where x is -1
-    chi = 1.0 - 2.0 * (((1 - bits) @ bits[order].T) % 2)
+    psi = _characters(d_x, order)
     # the signs are settled on the characters; a flipped column of phi is
     # divided by -sqrt(lambda), which gives exactly the negation _fix_signs
     # applies.  The tie order is not: a dense product's column results
     # depend on the column's position, so phi is formed in this order.
-    sign = np.where(_flipped(chi), -1.0, 1.0)
+    sign = np.where(_flipped(psi), -1.0, 1.0)
+    psi *= sign
 
     def form_phi():
-        phi = apply_gamma(process, chi)
+        # the characters are formed again rather than kept beside psi, which
+        # holds them signed and, once decompose orders the ties, permuted
+        phi = apply_gamma(process, _characters(d_x, order))
         phi /= sign * np.sqrt(lambdas)
         return phi
 
-    return lambdas, chi * sign, form_phi
+    return lambdas, psi, form_phi
 
 
 def decompose(process: AugmentationProcess) -> SpectralDecomposition:
@@ -393,6 +439,9 @@ def decompose(process: AugmentationProcess) -> SpectralDecomposition:
     ``(lambdas, psi, form_phi)``; then one step, :func:`_tie_order`, puts
     each degenerate block in lexicographic order of ``psi``, permuting
     ``lambdas`` and ``psi`` at once and ``phi`` when it is first read.
+    ``psi`` and ``phi`` are permuted in place, a block of rows at a time
+    (:func:`_permute_columns`), so the first read of ``phi`` holds ``phi``
+    and one block of its rows, not a second ``phi``.
 
     Returns
     -------
@@ -408,11 +457,12 @@ def decompose(process: AugmentationProcess) -> SpectralDecomposition:
     lambdas, psi, form_phi = engine(process)
     order = _tie_order(lambdas, psi)
     if order is not None:
-        lambdas, psi = lambdas[order], np.take(psi, order, axis=1)
+        lambdas = lambdas[order]
+        _permute_columns(psi, order)
         engine_phi = form_phi
 
         def form_phi():
-            return np.take(engine_phi(), order, axis=1)
+            return _permute_columns(engine_phi(), order)
     psi.setflags(write=False)
     lambdas.setflags(write=False)
 
@@ -490,9 +540,8 @@ def _write_table(fh, header: str, M: np.ndarray) -> None:
     ``0.0`` stay apart (the former is written ``-0``).
     """
     fh.write(header + "\n")
-    rows = max(1, _BLOCK_ENTRIES // M.shape[1])
-    for start in range(0, M.shape[0], rows):
-        block = np.ascontiguousarray(M[start:start + rows], dtype=np.float64)
+    for rows in _row_blocks(M.shape, _BLOCK_ENTRIES):
+        block = np.ascontiguousarray(M[rows], dtype=np.float64)
         bits, inverse = np.unique(block.view(np.int64).ravel(),
                                   return_inverse=True)
         text = np.array([f"{v:.17g}" for v in bits.view(np.float64).tolist()],

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import gc
 import json
@@ -7,6 +8,7 @@ import re
 import stat
 import subprocess
 import sys
+import warnings
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -66,6 +68,64 @@ def test_resolve_config_validation(tmp_path):
     options = {name: 1.0 for name in harness.OPTIONS}
     assert resolve_config(kappa_config(tmp_path, options=options)).options \
         == options
+
+
+@pytest.mark.parametrize("axis, values, repeated", [
+    ("d_x", [3, 3.0], [3]), ("alpha", [0.5, 0.25, 0.5, 0.25], [0.5, 0.25]),
+    ("scheme", ["block_mask", "random_mask", "block_mask"], ["block_mask"])])
+def test_a_repeated_grid_value_is_a_config_error(tmp_path, capsys, axis,
+                                                 values, repeated):
+    # a repeated value would repeat its rows and build its process again
+    cfg = kappa_config(tmp_path)
+    cfg["grid"][axis] = values
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["kappa", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: grid axis '{axis}' repeats {repeated}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_repeated_seed_is_a_config_error(tmp_path):
+    with pytest.raises(ValidationError,
+                       match=re.escape("the seed list repeats [0]")):
+        resolve_config(kappa_config(tmp_path, seeds=[0, 1, 0.0]))
+    assert resolve_config(kappa_config(tmp_path, seeds=[1, 0])).seeds == (1, 0)
+
+
+def test_an_overflowing_cell_gets_an_error_row(tmp_path):
+    # finite inputs whose errors and bounds overflow: the cell's row names
+    # the non-finite fields, and the other cell's row is written as usual.
+    # numpy's overflow warnings, errors in these tests, are only printed by
+    # the command line
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "command": "regress",
+        "grid": {"scheme": ["random_mask"], "d_x": [3], "alpha": [0.5],
+                 "d": [2], "n": [16], "sigma": [0.1], "B": [1e200, 1.0],
+                 "epsilon": [0.2]},
+        "seeds": [0], "output_dir": str(tmp_path / "out")}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["regress", "--config", str(cfg_path)]) == 2
+    with open(tmp_path / "out" / "regress.csv", encoding="utf-8") as fh:
+        overflowed, finite = csv.DictReader(fh)
+    assert (overflowed["B"], finite["B"]) == ("9.9999999999999997e+199", "1")
+    assert overflowed["error"] == (
+        "ValidationError: non-finite fields ['pred_err'; 'approx_err'; "
+        "'est_err'; 'lemma32_rhs'; 'thm31_rhs']")
+    assert overflowed["tau_sq"] == overflowed["pred_err"] == ""
+    assert finite["error"] == "" and math.isfinite(float(finite["pred_err"]))
+
+
+def test_a_non_finite_entry_of_a_list_field_is_named():
+    row = {"seed": 0, "final_loss": 1.0, "trace": [2.0, float("inf")],
+           "lambdas_bar": [0.5], "scheme": "random_mask", "rank": 3}
+    with pytest.raises(ValidationError,
+                       match=re.escape("non-finite fields ['trace']")):
+        harness._check_finite(row)
+    row["trace"] = [2.0, 1.0]
+    assert harness._check_finite(row) is row
 
 
 @pytest.mark.parametrize("axis", ["d", "foo"])
@@ -895,6 +955,25 @@ def test_phi_formed_and_checked_once_per_process(tmp_path, monkeypatch,
     # two processes; phi's checks measure duality, and the spectrum rows
     # read their value
     assert counts["form"] == counts["check"] == counts["duality"] == 2
+
+
+def test_spectrum_cells_measure_the_reconstruction_before_phi(tmp_path,
+                                                            monkeypatch):
+    # the reconstruction's |A| x |X| array is dropped before phi is formed,
+    # so the two are never held at once
+    verify = spectral.verify_integral_identity
+    phi_formed = []
+
+    def recording(dec):
+        phi_formed.append(dec._phi._result is not None)
+        return verify(dec)
+
+    monkeypatch.setattr(spectral, "verify_integral_identity", recording)
+    outcome = run(resolve_config({
+        "command": "spectrum", "grid": _PHI_READERS["spectrum"],
+        "seeds": [0, 1], "output_dir": str(tmp_path / "out")}))
+    assert outcome.exit_code == 0
+    assert phi_formed == [False, False]  # once per process
 
 
 def test_failed_phi_check_fails_only_the_cells_that_read_phi(tmp_path,

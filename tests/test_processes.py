@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from augrkhs import processes
 from augrkhs.exceptions import BudgetExceededError, ValidationError
 from augrkhs.processes import (
     DEFAULT_BUDGET,
@@ -246,6 +249,59 @@ def test_random_mask_tensor_factorization():
         for _ in range(d - 1):
             expected = np.kron(expected, C1)
         np.testing.assert_allclose(p.conditional_dense(), expected, atol=1e-15)
+
+
+def kron_dense(acc, channel):
+    """``np.kron(acc, channel)``, one multiply per entry of ``channel`` over
+    all of ``acc``: the step the in-place build replaced, kept as its
+    oracle."""
+    n, m = acc.shape
+    out = np.empty((n, channel.shape[0], m, channel.shape[1]))
+    for (i, j), c in np.ndenumerate(channel):
+        np.multiply(acc, c, out=out[:, i, :, j])
+    return out.reshape(n * channel.shape[0], m * channel.shape[1])
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("d_x", range(1, 9))
+def test_dense_product_table_equals_the_kron_oracle(d_x, alpha):
+    # d_x 8 multiplies out 128 rows of the lower power in four blocks, the
+    # last one row 0 alone
+    config = HypercubeConfig(d_x, alpha, "random_mask_flip")
+    channel = processes._coordinate_channel(config)
+    want = functools.reduce(lambda acc, _: kron_dense(acc, channel),
+                            range(d_x - 1), channel)
+    process = build_hypercube(config)
+    assert not process.is_sparse
+    assert process.conditional.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d_x", [7, 8])
+def test_dense_product_build_holds_the_table_and_its_labels(d_x):
+    # the table, plus what its labels take to make (the labels and the
+    # point tables they are made from), plus a few vectors over A (the
+    # marginal, its recomputation and the kept columns); no lower power of
+    # the table.  One build first, so that caches numpy fills once per
+    # process are not counted
+    def peak(fn):
+        fn()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    labels = peak(lambda: (
+        processes._sign_points(d_x),
+        processes._labels(processes._sign_points(d_x)),
+        processes._labels(processes._ternary_points(d_x))))
+    config = HypercubeConfig(d_x, 0.5, "random_mask_flip")
+    build = peak(lambda: build_hypercube(config))
+    n_x, n_a = 2**d_x, 3**d_x
+    admitted = 8 * n_x * n_a + labels + 8 * 4 * n_a
+    assert build <= admitted, (build, admitted)
 
 
 def test_marginals_sum_to_one_across_schemes(process_cache):

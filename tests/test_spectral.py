@@ -498,6 +498,118 @@ def test_first_phi_read_holds_two_phis():
     assert peak <= 8 * admitted, (peak, 8 * admitted)
 
 
+def test_first_phi_read_holds_one_phi_on_a_sparse_table():
+    # phi formed, plus two blocks of its rows (the tie permutation's, then
+    # the orthonormality check's weighted rows, the block before them not
+    # yet dropped), plus a few |X| x rank arrays (the characters phi is
+    # formed from, the products of the checks); a sparse table with every
+    # pair certified gathers no columns for the duality check.  A read on
+    # another decomposition first, so that caches numpy and scipy fill once
+    # per process are not counted
+    process = build_hypercube(HypercubeConfig(7, 0.5, "random_mask"))
+    assert process.is_sparse
+    decompose(process).phi
+    dec = decompose(process)
+    assert spectral._tie_order(*spectral._walsh_engine(process)[:2]) is not None
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dec.phi
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    rank = dec.rank
+    block = max(spectral._PERMUTE_BLOCK_ENTRIES,
+                spectral._GRAM_BLOCK_ROWS * rank)
+    admitted = process.n_a * rank + 2 * block + 4 * process.n_x * rank
+    assert peak <= 8 * admitted, (peak, 8 * admitted)
+
+
+def _permuted_hypercube_process(seed):
+    """A hypercube table with its points shuffled, built as a custom
+    process, so it takes the SVD route: its eigenvalues tie as the
+    scheme's do, and the shuffle leaves its tie blocks out of order."""
+    rng = np.random.default_rng(seed)
+    scheme = SCHEMES[seed % len(SCHEMES)]
+    table = build_hypercube(HypercubeConfig(
+        4, float(rng.choice([0.2, 0.5])), scheme)).conditional_dense()
+    table = table[rng.permutation(table.shape[0])][
+        :, rng.permutation(table.shape[1])]
+    rows, cols = np.nonzero(table)
+    return build_custom(*table.shape, np.full(table.shape[0],
+                                              1.0 / table.shape[0]),
+                        zip(rows.tolist(), cols.tolist(),
+                            table[rows, cols].tolist()))[0]
+
+
+def _assert_tie_permutation_equals_take(dec, engine):
+    """``decompose``'s in-place tie permutation against its oracle,
+    ``np.take`` of the engine's arrays by ``_tie_order``, to the bit."""
+    lambdas, psi, form_phi = engine(dec.process)
+    order = spectral._tie_order(lambdas, psi)
+    assert order is not None  # the permutation moves columns
+    assert dec.lambdas.tobytes() == lambdas[order].tobytes()
+    assert dec.psi.tobytes() == np.take(psi, order, axis=1).tobytes()
+    assert dec.phi.tobytes() == np.take(form_phi(), order, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("d_x,alpha", [(5, 0.2), (7, 0.2), (7, 0.5)])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_tie_permutation_equals_the_take_oracle(scheme, d_x, alpha):
+    # at d_x 7 the product schemes' phi has 2187 rows, four blocks of the
+    # permutation and a last one that is shorter
+    process = build_hypercube(HypercubeConfig(d_x, alpha, scheme))
+    _assert_tie_permutation_equals_take(decompose(process),
+                                        spectral._walsh_engine)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_tie_permutation_equals_the_take_oracle_on_custom(seed):
+    process = _permuted_hypercube_process(seed)
+    assert process.hypercube is None
+    _assert_tie_permutation_equals_take(decompose(process),
+                                        spectral._spectral_engine)
+
+
+def gram_defect_whole(f, weights):
+    """The orthonormality defect from one product over all rows of the
+    weighted copy, which the blocked sum replaced; kept as its oracle."""
+    w = f * np.sqrt(weights)[:, None]
+    return float(np.max(np.abs(w.T @ w - np.eye(f.shape[1]))))
+
+
+@pytest.mark.parametrize("scheme,d_x,alpha", [
+    ("random_mask", 7, 0.5), ("random_mask_flip", 7, 0.8),
+    ("block_mask_flip", 8, 0.2), ("random_mask", 8, 0.2)])
+def test_gram_defect_equals_the_whole_product_oracle(scheme, d_x, alpha):
+    # 2187 and 6561 rows: several blocks of rows and a shorter last one
+    dec = decompose(build_hypercube(HypercubeConfig(d_x, alpha, scheme)))
+    process = dec.process
+    for f, weights in ((dec.phi, process.p_a), (dec.psi, process.p_x)):
+        assert abs(spectral._gram_defect(f, weights)
+                   - gram_defect_whole(f, weights)) <= 1e-14
+
+
+@pytest.mark.parametrize("rows", [1, 511, 512, 513, 1537])
+def test_gram_defect_equals_the_whole_product_oracle_off_identity(rows):
+    # columns far from orthonormal, so a block left out would show
+    rng = np.random.default_rng(rows)
+    f = rng.standard_normal((rows, 3))
+    weights = rng.dirichlet(np.ones(rows))
+    assert abs(spectral._gram_defect(f, weights)
+               - gram_defect_whole(f, weights)) <= 1e-14
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_characters_equal_the_integer_product_oracle(d):
+    # the characters from a 0/1 matrix product of the subset bits, which
+    # the parity of the subset codes replaced; kept as their oracle
+    bits = spectral._subset_bits(d)
+    subsets = np.random.default_rng(d).permutation(2**d)
+    want = 1.0 - 2.0 * (((1 - bits) @ bits[subsets].T) % 2)
+    assert spectral._characters(d, subsets).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("scheme,d_x", [("block_mask", 8),
                                          ("block_mask_flip", 7),
                                          ("random_mask", 6)])
