@@ -8,9 +8,9 @@ import numpy as np
 
 from augrkhs import (
     HypercubeConfig,
+    apply_gamma,
     build_custom,
     build_hypercube,
-    conditional_reverse,
 )
 
 np.set_printoptions(precision=4, suppress=True)
@@ -22,7 +22,8 @@ print("data points:      ", process.x_labels)
 print("augmentations:    ", process.a_labels)
 print("p(a|x) rows:\n", process.conditional_dense())
 print("augmentation marginal:", process.p_a)
-print("posterior p(x|a):\n", conditional_reverse(process))
+# Gamma of the point indicators of X: row a is the posterior p(.|a)
+print("posterior p(x|a):\n", apply_gamma(process, np.eye(process.n_x)))
 print("(the unmasked coordinate reveals the original; the mask is uniform)")
 
 print("\n=== Block masking, d_x=4, mask ratio 1/2 ===")

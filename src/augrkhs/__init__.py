@@ -70,7 +70,6 @@ from .processes import (
     HypercubeConfig,
     build_custom,
     build_hypercube,
-    conditional_reverse,
     dump_process,
     load_process,
     sample_process,

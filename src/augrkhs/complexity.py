@@ -206,26 +206,29 @@ def kappa_monte_carlo(process: AugmentationProcess, m: int, r: int,
                            standard_error=float(boot.std(ddof=1)))
 
 
-def closed_form_kappa(config: HypercubeConfig) -> ClosedFormKappa:
+# scheme -> (kind, kappa^2 as a function of d_x and alpha), the closed
+# forms of the paper's Figure 4a; the figure evaluates them at d_x = 1
+_CLOSED_FORMS = {
+    "random_mask": ("exact", lambda d, a: (2.0 - a) ** d),
+    "block_mask": ("upper_bound", lambda d, a: 2.0 ** ((1.0 - a) * d)),
+    "block_mask_flip": ("upper_bound",
+                        lambda d, a: (a * a - 2.0 * a + 2.0)
+                        ** ((1.0 - a / 2.0) * d)),
+}
+
+
+def closed_form_kappa(config: HypercubeConfig) -> ClosedFormKappa | None:
     """Closed-form squared complexity for the hypercube masking schemes.
 
     Independent random masking admits the exact value ``(2 - alpha)^d``;
     the block schemes admit upper bounds ``2^((1-alpha) d)`` and
     ``(alpha^2 - 2 alpha + 2)^((1 - alpha/2) d)``.  The combined
-    random-mask-plus-flip scheme has no closed form.
+    random-mask-plus-flip scheme has no closed form: ``None``.
     """
-    d, a = config.d_x, config.alpha
-    if config.scheme == "random_mask":
-        return ClosedFormKappa((2.0 - a) ** d, "exact")
-    if config.scheme == "block_mask":
-        return ClosedFormKappa(2.0 ** ((1.0 - a) * d), "upper_bound")
-    if config.scheme == "block_mask_flip":
-        return ClosedFormKappa(
-            (a * a - 2.0 * a + 2.0) ** ((1.0 - a / 2.0) * d), "upper_bound"
-        )
-    raise ValidationError(
-        f"no closed form is available for scheme {config.scheme!r}"
-    )
+    if config.scheme not in _CLOSED_FORMS:
+        return None
+    kind, form = _CLOSED_FORMS[config.scheme]
+    return ClosedFormKappa(form(config.d_x, config.alpha), kind)
 
 
 def partial_trace(decomposition: SpectralDecomposition, d: int) -> float:

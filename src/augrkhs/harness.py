@@ -27,8 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import complexity, encoders, objectives, regression, spectral
-from .exceptions import BudgetExceededError, ValidationError
-from .processes import DEFAULT_BUDGET, SCHEMES, HypercubeConfig, build_hypercube
+from .exceptions import ValidationError
+from .processes import (DEFAULT_BUDGET, SCHEMES, HypercubeConfig, _check_budget,
+                        build_hypercube)
 
 SCHEMA_VERSION = "1"
 
@@ -215,14 +216,17 @@ def resolve_config(raw: dict, command: str | None = None,
     if jobs != 1:
         raise ValidationError(
             f"jobs must be 1 (cells run in grid order), got {jobs}")
+    budget = _integer(budget if budget is not None
+                      else raw.get("budget", DEFAULT_BUDGET), "budget")
+    if budget < 1:
+        raise ValidationError(f"budget must be >= 1, got {budget}")
     config = ExperimentConfig(
         command=cmd,
         grid=grid,
         seeds=tuple(_distinct([_integer(s, "each seed") for s in seeds],
                               "the seed list")),
         output_dir=str(output_dir),
-        budget=_integer(budget if budget is not None
-                        else raw.get("budget", DEFAULT_BUDGET), "budget"),
+        budget=budget,
         master_seed=_integer(raw.get("master_seed", 0), "master_seed"),
         options=options,
     )
@@ -250,18 +254,13 @@ def write_jsonl(path: str, records: list[dict]) -> None:
 def figure_4a_data() -> tuple[list[str], list[dict]]:
     """Exact base curves of the three closed-form complexities on [0, 1].
 
-    101 rows at step 0.01: ``2 - a``, ``2^(1-a)``, and
+    101 rows at step 0.01 of the forms of :func:`complexity.closed_form_kappa`
+    at ``d_x = 1``, ``a = 0`` included: ``2 - a``, ``2^(1-a)``, and
     ``(a^2 - 2a + 2)^(1 - a/2)``.
     """
-    rows = []
-    for i in range(101):
-        a = i / 100.0
-        rows.append({
-            "alpha": a,
-            "random_mask": 2.0 - a,
-            "block_mask": 2.0 ** (1.0 - a),
-            "block_mask_flip": (a * a - 2.0 * a + 2.0) ** (1.0 - a / 2.0),
-        })
+    rows = [{"alpha": a} | {scheme: form(1, a) for scheme, (_, form)
+                            in complexity._CLOSED_FORMS.items()}
+            for a in (i / 100.0 for i in range(101))]
     return HEADERS["figure_4a"], rows
 
 
@@ -316,21 +315,6 @@ def _base_row(cell: dict) -> dict:
     return row
 
 
-def _hypercube(cell) -> HypercubeConfig:
-    return HypercubeConfig(cell["d_x"], cell["alpha"], cell["scheme"])
-
-
-def _check_dense(shape: tuple[int, ...], budget: int, what: str) -> None:
-    """Raise :class:`BudgetExceededError` naming ``what`` if a dense array
-    of ``shape`` would hold more than ``budget`` entries."""
-    entries = math.prod(shape)
-    if entries > budget:
-        raise BudgetExceededError(
-            f"{what} needs a {' x '.join(map(str, shape))} = {entries} entry "
-            f"dense array, exceeding the budget of {budget}"
-        )
-
-
 def _error_row(cell: dict, exc: Exception) -> dict:
     row = _base_row(cell)
     row["error"] = f"{type(exc).__name__}: {exc}".replace(",", ";")
@@ -362,13 +346,9 @@ def _kappa_cell(cell, config: ExperimentConfig, dec, once) -> dict:
     report = _kappa(once, dec)
     row["kappa_sq_exact"] = report.kappa_sq_max
     row["kappa_sq_p99"] = report.kappa_sq_percentile
-    try:
-        closed = complexity.closed_form_kappa(_hypercube(cell))
-        row["closed_form"] = closed.value
-        row["bound_kind"] = closed.kind
-    except ValidationError:
-        row["closed_form"] = None
-        row["bound_kind"] = None
+    closed = complexity.closed_form_kappa(dec.process.hypercube)
+    row["closed_form"] = None if closed is None else closed.value
+    row["bound_kind"] = None if closed is None else closed.kind
     row["s_lambda"] = report.s_lambda_total
     return row
 
@@ -379,9 +359,9 @@ def _spectrum_cell(cell, config: ExperimentConfig, dec, once) -> dict:
     row["rank"] = dec.rank
     row["lambda_top"] = float(dec.lambdas[0])
     row["s_lambda"] = float(dec.lambdas.sum())
-    _check_dense((spectral.RESIDUAL_ARRAYS, process.n_x, process.n_x),
-                 config.budget,
-                 "the reconstruction residual (four |X| x |X| arrays)")
+    _check_budget((spectral.RESIDUAL_ARRAYS, process.n_x, process.n_x),
+                  config.budget,
+                  "the reconstruction residual (four |X| x |X| arrays)")
     # the residuals do not depend on the seed.  The reconstruction comes
     # first, so its |A| x |X| array is dropped before phi is formed; phi's
     # checks measured duality
@@ -484,8 +464,9 @@ def _run_group(config: ExperimentConfig, group) -> list[dict]:
     or returns a non-finite field.
     """
     try:
-        dec = spectral.decompose(
-            build_hypercube(_hypercube(group[0][1]), budget=config.budget))
+        scheme, d_x, alpha = (group[0][1][a] for a in _PROCESS_AXES)
+        dec = spectral.decompose(build_hypercube(
+            HypercubeConfig(d_x, alpha, scheme), budget=config.budget))
     except Exception as exc:  # each cell's error row, never abort
         return [_error_row(cell, exc) for _, cell in group]
     once = _Memo()

@@ -13,6 +13,8 @@ points are enumerated lexicographically with coordinate values ordered
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Sequence
@@ -29,8 +31,19 @@ DEFAULT_BUDGET = 10**8
 
 SCHEMES = ("random_mask", "block_mask", "block_mask_flip", "random_mask_flip")
 FLIP_SCHEMES = ("block_mask_flip", "random_mask_flip")
+RANDOM_SCHEMES = ("random_mask", "random_mask_flip")  # one mask per coordinate
 
 _SYMBOLS = np.frombuffer(b"-0+", dtype=np.uint8)  # bytes of -1, 0, +1
+
+
+def _check_budget(shape: tuple[int, ...], budget: int, what: str) -> None:
+    """The one budget check: a :class:`BudgetExceededError` naming ``what``
+    if an array of ``shape`` would hold more than ``budget`` entries."""
+    entries = math.prod(shape)
+    if entries > budget:
+        raise BudgetExceededError(
+            f"{what} needs {' x '.join(map(str, shape))} = {entries} entries, "
+            f"exceeding the budget of {budget}")
 
 
 def _marginal(mass, labels) -> np.ndarray:
@@ -45,10 +58,13 @@ def _marginal(mass, labels) -> np.ndarray:
         raise ValidationError(
             f"got {len(labels)} labels for a space of size {mass.size}"
         )
-    if mass.min() < 0:
-        raise ValidationError("probabilities must be nonnegative")
+    # each check is written so that a NaN fails it
+    smallest = float(mass.min())
+    if not smallest >= 0:
+        raise ValidationError(
+            f"probabilities must be nonnegative, got {smallest!r}")
     total = float(mass.sum())
-    if abs(total - 1.0) > CONSTRUCTION_TOL:
+    if not abs(total - 1.0) <= CONSTRUCTION_TOL:
         raise ValidationError(f"probabilities sum to {total!r}, not 1")
     mass.setflags(write=False)
     return mass
@@ -126,9 +142,10 @@ class AugmentationProcess:
             object.__setattr__(self, "conditional", cond)
             smallest = cond.min()
             row_sums = cond.sum(axis=1)
-        if smallest < 0:
-            raise ValidationError("conditional probabilities must be nonnegative")
-        bad = np.nonzero(np.abs(row_sums - 1.0) > CONSTRUCTION_TOL)[0]
+        if not smallest >= 0:
+            raise ValidationError("conditional probabilities must be "
+                                  f"nonnegative, got {float(smallest)!r}")
+        bad = np.nonzero(~(np.abs(row_sums - 1.0) <= CONSTRUCTION_TOL))[0]
         if bad.size:
             raise ValidationError(
                 f"conditional rows {bad.tolist()} do not sum to 1 "
@@ -185,7 +202,9 @@ class HypercubeConfig:
     """Masking scheme on the sign hypercube ``{-1,+1}^d_x``.
 
     ``alpha`` is the mask ratio in ``(0, 1]``.  Flip schemes flip each
-    surviving coordinate independently with probability ``alpha / 2``.
+    surviving coordinate independently with probability ``alpha / 2``;
+    random schemes mask each coordinate independently with probability
+    ``mask_prob``.
     """
 
     d_x: int
@@ -205,6 +224,11 @@ class HypercubeConfig:
     @property
     def flip_prob(self) -> float:
         return self.alpha / 2.0 if self.scheme in FLIP_SCHEMES else 0.0
+
+    @property
+    def mask_prob(self) -> float:
+        """Per-coordinate mask probability of a random scheme."""
+        return self.alpha / 2.0 if self.scheme == "random_mask_flip" else self.alpha
 
     @property
     def block_length(self) -> int:
@@ -275,14 +299,10 @@ def _assemble(p_x, table, hypercube: HypercubeConfig | None = None,
 
 
 def _coordinate_channel(config: HypercubeConfig) -> np.ndarray:
-    """Single-coordinate conditional, rows x in (-1,+1), cols a in (-1,0,+1)."""
-    if config.scheme == "random_mask":
-        a = config.alpha
-        return np.array([[1.0 - a, a, 0.0], [0.0, a, 1.0 - a]])
-    # random_mask_flip: mask w.p. alpha/2, else flip w.p. alpha/2, else keep
-    m = config.alpha / 2.0
-    keep = (1.0 - m) * (1.0 - m)
-    flip = (1.0 - m) * m
+    """One coordinate's channel, rows x in (-1,+1), cols a in (-1,0,+1):
+    masked with probability ``m``, else flipped with ``q``, else kept."""
+    m, q = config.mask_prob, config.flip_prob
+    keep, flip = (1.0 - m) * (1.0 - q), (1.0 - m) * q
     return np.array([[keep, m, flip], [flip, m, keep]])
 
 
@@ -326,12 +346,7 @@ def _build_product_scheme(config: HypercubeConfig, budget: int) -> AugmentationP
     labels and no lower power beside them.
     """
     d = config.d_x
-    entries = (3**d) * (2**d)
-    if entries > budget:
-        raise BudgetExceededError(
-            f"{config.scheme} at d_x={d} needs a {2**d} x {3**d} = {entries} "
-            f"entry table, exceeding the budget of {budget}"
-        )
+    _check_budget((2**d, 3**d), budget, f"the {config.scheme} table at d_x={d}")
     channel = _coordinate_channel(config)
     # the product is multiplied out in the storage the table ends up in: a
     # channel without zeros gives a table without zeros, stored dense, and
@@ -362,11 +377,7 @@ def _build_block_scheme(config: HypercubeConfig, budget: int) -> AugmentationPro
     n_pos = d - r + 1
     # sizes are checked before anything is enumerated
     n_x, n_a = 2**d, n_pos * 2 ** (d - r)
-    if n_x * n_a > budget:
-        raise BudgetExceededError(
-            f"{config.scheme} at d_x={d} needs a {n_x} x {n_a} "
-            f"= {n_x * n_a} entry table, exceeding the budget of {budget}"
-        )
+    _check_budget((n_x, n_a), budget, f"the {config.scheme} table at d_x={d}")
     x_points = _sign_points(d)
     a_points = _block_support(d, r)
     X = np.array(x_points)
@@ -416,7 +427,7 @@ def build_hypercube(config: HypercubeConfig,
         matches the scheme exactly, with unreachable augmentations pruned.
         Its ``hypercube`` field is ``config``.
     """
-    if config.scheme in ("random_mask", "random_mask_flip"):
+    if config.scheme in RANDOM_SCHEMES:
         return _build_product_scheme(config, budget)
     return _build_block_scheme(config, budget)
 
@@ -431,25 +442,34 @@ def build_custom(x_size: int, a_size: int, p_x, triples
     25% density; the second return value maps the surviving column positions
     back to the original ``a`` indices.
     """
+    if not (x_size >= 1 and a_size >= 1):
+        raise ValidationError(f"space sizes must be >= 1, got {x_size}, {a_size}")
     p_x = np.asarray(p_x, dtype=float)
     if p_x.shape != (x_size,):
         raise ValidationError(f"p_x has shape {p_x.shape}, expected ({x_size},)")
-    if p_x.min(initial=np.inf) <= 0:
+    # each check is written so that a NaN fails it
+    if not p_x.min(initial=np.inf) > 0:
         raise ValidationError("p_x must be strictly positive")
     total = float(p_x.sum())
-    if abs(total - 1.0) > USER_INPUT_TOL:
+    if not abs(total - 1.0) <= USER_INPUT_TOL:
         raise ValidationError(f"p_x sums to {total!r}, not 1 within {USER_INPUT_TOL}")
     p_x = p_x / total
 
     conditional = np.zeros((x_size, a_size))
     for x_i, a_i, prob in triples:
+        # numpy would read a float index as an error and a bool as a mask
+        if not all(isinstance(i, numbers.Integral) and not isinstance(i, bool)
+                   for i in (x_i, a_i)):
+            raise ValidationError(
+                f"triple index ({x_i!r}, {a_i!r}) is not a pair of integers")
         if not (0 <= x_i < x_size and 0 <= a_i < a_size):
             raise ValidationError(f"triple index ({x_i}, {a_i}) out of range")
-        if prob < 0:
-            raise ValidationError(f"negative probability {prob!r} at ({x_i}, {a_i})")
+        if not (isinstance(prob, numbers.Real) and prob >= 0):
+            raise ValidationError(f"probability {prob!r} at ({x_i}, {a_i}) "
+                                  "is not a nonnegative number")
         conditional[x_i, a_i] += prob
     row_sums = conditional.sum(axis=1)
-    bad = np.nonzero(np.abs(row_sums - 1.0) > USER_INPUT_TOL)[0]
+    bad = np.nonzero(~(np.abs(row_sums - 1.0) <= USER_INPUT_TOL))[0]
     if bad.size:
         raise ValidationError(
             f"conditional rows {bad.tolist()} sum to {row_sums[bad].tolist()}, "
@@ -490,38 +510,36 @@ def sample_process(process: AugmentationProcess, N: int, seed: int
     return sample, draws, kept
 
 
-def conditional_reverse(process: AugmentationProcess) -> np.ndarray:
-    """Posterior table ``p(x|a) = p(a|x) p_x(x) / p_a(a)``, shape ``|A| x |X|``."""
-    weighted = process.conditional_dense() * process.p_x[:, None]
-    return weighted.T / process.p_a[:, None]
-
-
 def load_process(path) -> tuple[AugmentationProcess, np.ndarray]:
     """Read a custom process from the text format.
 
     Line 1 is ``x_size a_size``, line 2 the ``p_x`` vector, and every further
     line an ``x_index a_index prob`` triple (0-based).  ``#`` starts a
     comment.  Returns the process and the pruning remap, as
-    :func:`build_custom` does.
+    :func:`build_custom` does.  A line of the wrong length or with a token
+    its field cannot read raises :class:`ValidationError` naming the line.
     """
-    tokens_per_line = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                tokens_per_line.append(line.split())
-    if len(tokens_per_line) < 2:
+    with open(path, "r", encoding="utf-8") as fh:  # (number, tokens) per line
+        lines = [(n, tokens) for n, raw in enumerate(fh, 1)
+                 if (tokens := raw.split("#", 1)[0].split())]
+    if len(lines) < 2:
         raise ValidationError("process file needs a size line and a p_x line")
-    try:
-        x_size, a_size = (int(t) for t in tokens_per_line[0])
-    except ValueError as exc:
-        raise ValidationError(f"bad size line {tokens_per_line[0]!r}") from exc
-    p_x = [float(t) for t in tokens_per_line[1]]
-    triples = []
-    for tok in tokens_per_line[2:]:
-        if len(tok) != 3:
-            raise ValidationError(f"bad triple line {tok!r}")
-        triples.append((int(tok[0]), int(tok[1]), float(tok[2])))
+
+    def read(line, kinds, what):
+        number, tokens = line
+        try:
+            if len(tokens) != len(kinds):
+                raise ValueError(f"expected {len(kinds)} fields")
+            return [kind(t) for kind, t in zip(kinds, tokens)]
+        except ValueError as exc:
+            raise ValidationError(
+                f"line {number}: bad {what} {' '.join(tokens)!r} ({exc})"
+            ) from exc
+
+    x_size, a_size = read(lines[0], (int, int), "size line")
+    p_x = read(lines[1], (float,) * len(lines[1][1]), "p_x line")
+    triples = [read(line, (int, int, float), "triple line")
+               for line in lines[2:]]
     return build_custom(x_size, a_size, p_x, triples)
 
 

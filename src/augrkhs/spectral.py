@@ -39,7 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import ValidationError
-from .processes import AugmentationProcess, HypercubeConfig
+from .processes import RANDOM_SCHEMES, AugmentationProcess, HypercubeConfig
 
 _RANK_TOL = 1e-10  # eigenvalues at or below it are dropped
 _TIE_TOL = 1e-10
@@ -362,15 +362,13 @@ def _subset_law(config: HypercubeConfig, bits: np.ndarray) -> np.ndarray:
     """``lambda_S = P(M cap S = empty) (1 - 2q)^(2|S|)`` for every subset.
 
     Random masks miss ``S`` with probability ``(1 - m)^|S|`` for the
-    per-coordinate mask probability ``m`` (``alpha``, or ``alpha / 2`` with
-    flips); a block of length ``r`` misses it at the share of the
-    ``d_x - r + 1`` block positions that hold no coordinate of ``S``.
+    per-coordinate mask probability ``m = config.mask_prob``; a block of
+    length ``r`` misses it at the share of the ``d_x - r + 1`` block
+    positions that hold no coordinate of ``S``.
     """
     size = bits.sum(axis=1)
-    if config.scheme == "random_mask":
-        miss = (1.0 - config.alpha) ** size
-    elif config.scheme == "random_mask_flip":
-        miss = (1.0 - config.alpha / 2.0) ** size
+    if config.scheme in RANDOM_SCHEMES:
+        miss = (1.0 - config.mask_prob) ** size
     else:
         r, n_pos = config.block_length, config.d_x - config.block_length + 1
         covered = np.cumsum(np.pad(bits, ((0, 0), (1, 0))), axis=1)

@@ -19,6 +19,7 @@ import pytest
 from augrkhs import complexity, harness, objectives, spectral
 from augrkhs.cli import main
 from augrkhs.exceptions import ValidationError
+from augrkhs.processes import HypercubeConfig
 from augrkhs.harness import (
     HEADERS,
     cell_seed,
@@ -278,6 +279,23 @@ def test_figure_4a_exact_curves():
             (a * a - 2 * a + 2.0) ** (1.0 - a / 2.0), abs=1e-12)
 
 
+def figure_4a_oracle(a):
+    """The base curves written out at d_x = 1, apart from the forms
+    ``closed_form_kappa`` and ``figure_4a_data`` share: their oracle."""
+    return {"random_mask": 2.0 - a, "block_mask": 2.0 ** (1.0 - a),
+            "block_mask_flip": (a * a - 2.0 * a + 2.0) ** (1.0 - a / 2.0)}
+
+
+def test_figure_4a_rows_equal_the_closed_forms_at_one_coordinate():
+    header, rows = figure_4a_data()
+    for i, row in enumerate(rows):
+        a = i / 100.0
+        assert row == {"alpha": a, **figure_4a_oracle(a)}
+        if a > 0:  # a mask ratio
+            assert all(row[scheme] == complexity.closed_form_kappa(
+                HypercubeConfig(1, a, scheme)).value for scheme in header[1:])
+
+
 def test_kappa_run_and_determinism(tmp_path):
     cfg = resolve_config(kappa_config(tmp_path))
     outcome = run(cfg)
@@ -345,8 +363,8 @@ def test_spectrum_residual_kernel_over_budget(tmp_path):
     assert not ok.get("error") and ok["reconstruction_residual"] <= 1e-10
     assert failed["error"] == (
         "BudgetExceededError: the reconstruction residual (four |X| x |X| "
-        "arrays) needs a 4 x 64 x 64 = 16384 entry dense array; exceeding "
-        "the budget of 10000")
+        "arrays) needs 4 x 64 x 64 = 16384 entries; exceeding the budget of "
+        "10000")
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["spectrum", "--config", str(cfg_path)]) == 2
@@ -583,6 +601,22 @@ def test_cli_accepts_jobs_1_only(tmp_path, capsys):
     cfg_path.write_text(json.dumps(kappa_config(tmp_path, jobs=4)))
     assert main(["kappa", "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err.startswith("config error: jobs must be 1")
+
+
+def test_a_budget_below_one_is_a_config_error(tmp_path, capsys):
+    # refused before any cell runs, rather than one error row per cell
+    cfg_path = tmp_path / "cfg.json"
+    for budget in (0, -5):
+        cfg_path.write_text(json.dumps(kappa_config(tmp_path, budget=budget)))
+        assert main(["kappa", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: budget must be >= 1, got {budget}\n")
+    cfg_path.write_text(json.dumps(kappa_config(tmp_path)))
+    assert main(["kappa", "--config", str(cfg_path), "--budget", "0"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: budget must be >= 1, got 0\n")
+    assert not (tmp_path / "out").exists()
+    assert resolve_config(kappa_config(tmp_path, budget=1)).budget == 1
 
 
 @pytest.mark.parametrize("command", ["tracegap", "sweep"])

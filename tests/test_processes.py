@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,14 +17,19 @@ from augrkhs.processes import (
     HypercubeConfig,
     build_custom,
     build_hypercube,
-    conditional_reverse,
     derive_marginal,
     dump_process,
     load_process,
     sample_process,
 )
 from augrkhs.processes import AugmentationProcess
-from augrkhs.spectral import _spectral_engine, _tie_order, decompose, kernel_x
+from augrkhs.spectral import (
+    _spectral_engine,
+    _tie_order,
+    apply_gamma,
+    decompose,
+    kernel_x,
+)
 
 
 # one case per check of AugmentationProcess: the fields replaced on the
@@ -35,12 +41,23 @@ _BAD_FIELDS = {
     "marginal_shape": ({"p_x": np.array([[0.5, 0.5]])}, "mass has shape"),
     "negative_marginal": ({"p_x": np.array([-0.1, 1.1])},
                           "probabilities must be nonnegative"),
+    "nan_marginal": ({"p_x": np.array([np.nan, np.nan])},
+                     "probabilities must be nonnegative, got nan"),
+    "nan_augmentation_marginal": ({"p_a": np.array([np.nan, 0.5, 0.5])},
+                                  "probabilities must be nonnegative, got nan"),
     "p_x_sum": ({"p_x": np.array([0.5, 0.6])}, "probabilities sum to"),
     "table_shape": ({"conditional": np.array([[0.5, 0.5], [0.5, 0.5]])},
                     r"conditional has shape \(2, 2\), expected \(2, 3\)"),
     "negative_entry": ({"conditional": np.array([[0.5, 0.5, 0.0],
                                                  [-0.1, 0.6, 0.5]])},
                        "conditional probabilities must be nonnegative"),
+    "nan_entry": ({"conditional": np.array([[0.5, 0.5, 0.0],
+                                            [np.nan, 0.5, 0.5]])},
+                  "conditional probabilities must be nonnegative, got nan"),
+    "nan_sparse_entry": ({"conditional": sp.csr_array(
+                              np.array([[0.5, 0.5, 0.0], [0.0, 0.5, np.nan]]))},
+                         "conditional probabilities must be nonnegative, "
+                         "got nan"),
     "row_sum": ({"conditional": np.array([[0.5, 0.5, 0.0],
                                           [0.0, 0.5, 0.6]])},
                 r"conditional rows \[1\] do not sum to 1"),
@@ -65,6 +82,13 @@ def test_process_checks(case):
     fields, message = _BAD_FIELDS[case]
     with pytest.raises(ValidationError, match=message):
         dataclasses.replace(valid, **fields)
+
+
+def test_a_nan_process_does_not_construct():
+    # a check written ``x < 0`` or ``abs(s - 1) > tol`` lets a NaN pass
+    with pytest.raises(ValidationError, match="got nan"):
+        AugmentationProcess(p_x=[np.nan, np.nan], conditional=np.eye(2),
+                            p_a=[np.nan, np.nan])
 
 
 def test_process_marginals_are_read_only_arrays(small_process):
@@ -321,7 +345,9 @@ def test_marginal_recomputation_is_bit_identical(small_process):
 
 
 def test_budget_error_names_counts():
-    with pytest.raises(BudgetExceededError, match="entry table"):
+    with pytest.raises(BudgetExceededError, match=(
+            r"^the random_mask table at d_x=12 needs 4096 x 531441 = "
+            r"2176782336 entries, exceeding the budget of 1000000$")):
         build_hypercube(HypercubeConfig(12, 0.5, "random_mask"),
                         budget=10**6)
     assert DEFAULT_BUDGET == 10**8
@@ -353,6 +379,54 @@ def test_custom_identity_process():
 def test_custom_row_sum_error_lists_rows():
     with pytest.raises(ValidationError, match=r"rows \[1\]"):
         build_custom(2, 2, [0.5, 0.5], [(0, 0, 1.0), (1, 0, 0.5)])
+
+
+@pytest.mark.parametrize("p_x,triples,message", [
+    ([np.nan, 0.5], [(0, 0, 1.0), (1, 1, 1.0)], "p_x must be strictly positive"),
+    ([0.5, 0.5], [(0, 0, np.nan), (1, 1, 1.0)],
+     r"probability nan at \(0, 0\) is not a nonnegative number"),
+    ([0.5, 0.5], [(0, 0, "1"), (1, 1, 1.0)],
+     r"probability '1' at \(0, 0\) is not a nonnegative number"),
+], ids=["nan_p_x", "nan_probability", "str_probability"])
+def test_custom_nan_or_non_number_rejected_before_assembly(p_x, triples, message):
+    # refused by its own check, before assembly could warn about it or
+    # prune every column
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=message):
+            build_custom(2, 2, p_x, triples)
+
+
+@pytest.mark.parametrize("sizes", [(-1, 2), (2, -1), (0, 2)])
+def test_custom_space_size_below_one_rejected(sizes):
+    with pytest.raises(ValidationError, match=(
+            rf"space sizes must be >= 1, got {sizes[0]}, {sizes[1]}")):
+        build_custom(*sizes, [0.5, 0.5], [])
+
+
+@pytest.mark.parametrize("index", [(1.5, 1), (1, 1.0), (True, 1)])
+def test_custom_float_index_rejected(index):
+    with pytest.raises(ValidationError, match=(
+            rf"triple index \({index[0]!r}, {index[1]!r}\) is not a pair "
+            "of integers")):
+        build_custom(2, 2, [0.5, 0.5], [(0, 0, 1.0), (*index, 1.0)])
+
+
+@pytest.mark.parametrize("body,message", [
+    ("2 2\n0.5 abc\n0 0 1\n1 1 1\n",
+     r"line 3: bad p_x line '0.5 abc' \(could not convert"),
+    ("2 2\n0.5 0.5\n0 0 1\n1.5 1 1\n",
+     r"line 5: bad triple line '1.5 1 1' \(invalid literal for int"),
+    ("2 2\n0.5 0.5\n0 0 1\n1 1\n",
+     r"line 5: bad triple line '1 1' \(expected 3 fields\)"),
+    ("2 x\n0.5 0.5\n0 0 1\n1 1 1\n", r"line 2: bad size line '2 x'"),
+    ("2 2\n0.5 nan\n0 0 1\n1 1 1\n", "p_x must be strictly positive"),
+], ids=["p_x_token", "float_index", "short_triple", "size_token", "nan_p_x"])
+def test_malformed_process_file_names_the_line(tmp_path, body, message):
+    path = tmp_path / "bad.txt"
+    path.write_text("# a comment line, counted\n" + body)
+    with pytest.raises(ValidationError, match=message):
+        load_process(path)
 
 
 def test_custom_negative_probability_rejected():
@@ -399,21 +473,82 @@ def test_pruning_soundness_kernel_unchanged():
     np.testing.assert_allclose(kernel_x(process), expected, atol=1e-12)
 
 
-def test_conditional_reverse_identity_and_masked():
+def posterior(process):
+    """The posterior table ``p(x|a)``, ``|A| x |X|``: Gamma of the point
+    indicators of X, row ``a`` the law of ``x`` given ``a``."""
+    return apply_gamma(process, np.eye(process.n_x))
+
+
+def bayes_oracle(process):
+    """``p(x|a) = p(a|x) p_x(x) / p_a(a)`` formed by hand on the dense
+    table; the oracle of :func:`posterior`."""
+    weighted = process.conditional_dense() * process.p_x[:, None]
+    return weighted.T / process.p_a[:, None]
+
+
+def test_posterior_identity_and_masked():
     identity, _ = build_custom(2, 2, [0.4, 0.6], [(0, 0, 1.0), (1, 1, 1.0)])
-    np.testing.assert_allclose(conditional_reverse(identity),
-                               np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(posterior(identity), np.eye(2), atol=1e-15)
     masked = build_hypercube(HypercubeConfig(1, 1.0, "random_mask"))
-    np.testing.assert_allclose(conditional_reverse(masked),
-                               [[0.5, 0.5]], atol=1e-15)
+    np.testing.assert_allclose(posterior(masked), [[0.5, 0.5]], atol=1e-15)
 
 
-def test_conditional_reverse_half_mask_by_bayes():
+def test_posterior_half_mask_by_bayes():
     p = build_hypercube(HypercubeConfig(1, 0.5, "random_mask"))
-    rev = conditional_reverse(p)
+    rev = posterior(p)
     # unmasked coordinate reveals the original; the mask is uninformative
     np.testing.assert_allclose(rev, [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
     np.testing.assert_allclose(rev.sum(axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("scheme", processes.SCHEMES)
+def test_posterior_equals_the_bayes_oracle_on_hypercube(scheme):
+    for d_x, alpha in itertools.product(range(1, 7), [0.2, 0.5, 0.9, 1.0]):
+        process = build_hypercube(HypercubeConfig(d_x, alpha, scheme))
+        got, want = posterior(process), bayes_oracle(process)
+        assert got.shape == (process.n_a, process.n_x)
+        assert got.tobytes() == want.tobytes(), (d_x, alpha)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_posterior_equals_the_bayes_oracle_on_custom(seed):
+    rng = np.random.default_rng(seed)
+    n_x, n_a = rng.integers(2, 9), rng.integers(2, 12)
+    table = rng.uniform(size=(n_x, n_a)) * (rng.uniform(size=(n_x, n_a)) > 0.4)
+    table[np.arange(n_x), rng.integers(0, n_a, size=n_x)] += 0.5
+    table /= table.sum(axis=1, keepdims=True)
+    p_x = rng.uniform(0.1, 1.0, size=n_x)
+    triples = [(i, j, table[i, j]) for i, j in zip(*np.nonzero(table))]
+    process, _ = build_custom(n_x, n_a, p_x / p_x.sum(), triples)
+    assert posterior(process).tobytes() == bayes_oracle(process).tobytes()
+
+
+def hand_written_channel(config):
+    """The one-coordinate channel written out per scheme, without
+    ``HypercubeConfig.mask_prob``: the oracle of the one formula."""
+    if config.scheme == "random_mask":
+        a = config.alpha
+        return np.array([[1.0 - a, a, 0.0], [0.0, a, 1.0 - a]])
+    m = config.alpha / 2.0  # random_mask_flip
+    keep = (1.0 - m) * (1.0 - m)
+    flip = (1.0 - m) * m
+    return np.array([[keep, m, flip], [flip, m, keep]])
+
+
+@pytest.mark.parametrize("scheme", processes.RANDOM_SCHEMES)
+def test_channel_equals_the_hand_written_oracle(scheme):
+    # bytes, so the sign of each zero is compared too
+    for alpha in [1e-9] + [i / 200 for i in range(1, 201)]:
+        config = HypercubeConfig(1, alpha, scheme)
+        assert (processes._coordinate_channel(config).tobytes()
+                == hand_written_channel(config).tobytes()), alpha
+
+
+def test_mask_prob_of_each_scheme():
+    assert HypercubeConfig(3, 0.6, "random_mask").mask_prob == 0.6
+    assert HypercubeConfig(3, 0.6, "random_mask_flip").mask_prob == 0.3
+    assert HypercubeConfig(3, 0.6, "random_mask_flip").flip_prob == 0.3
+    assert HypercubeConfig(3, 0.6, "random_mask").flip_prob == 0.0
 
 
 @pytest.mark.parametrize("scheme", ["block_mask", "block_mask_flip"])
@@ -516,7 +651,7 @@ def test_random_custom_processes_validate(n_x, n_a, seed):
     assert process.p_a.min() > 0
     rows = process.conditional_dense().sum(axis=1)
     np.testing.assert_allclose(rows, 1.0, atol=1e-12)
-    rev = conditional_reverse(process)
+    rev = posterior(process)
     np.testing.assert_allclose(rev.sum(axis=1), 1.0, atol=1e-12)
 
 

@@ -268,6 +268,28 @@ def test_subset_law_matches_svd_oracle(scheme, d_x, alpha):
     assert_law_matches_oracle(build_hypercube(HypercubeConfig(d_x, alpha, scheme)))
 
 
+def hand_written_law(config, bits):
+    """The random schemes' subset law with the mask probability written out
+    per scheme, without ``HypercubeConfig.mask_prob``: the oracle of
+    ``_subset_law``'s one random branch."""
+    size = bits.sum(axis=1)
+    if config.scheme == "random_mask":
+        miss = (1.0 - config.alpha) ** size
+    else:  # random_mask_flip
+        miss = (1.0 - config.alpha / 2.0) ** size
+    return miss * (1.0 - 2.0 * config.flip_prob) ** (2 * size)
+
+
+@pytest.mark.parametrize("scheme", ["random_mask", "random_mask_flip"])
+def test_subset_law_equals_the_hand_written_oracle(scheme):
+    # bytes, so the sign of each zero is compared too
+    bits = spectral._subset_bits(4)
+    for alpha in [1e-9] + [i / 200 for i in range(1, 201)]:
+        config = HypercubeConfig(4, alpha, scheme)
+        assert (spectral._subset_law(config, bits).tobytes()
+                == hand_written_law(config, bits).tobytes()), alpha
+
+
 def test_subset_law_without_a_spectral_gap():
     process = build_hypercube(HypercubeConfig(3, 1e-9, "random_mask"))
     dec = decompose(process)
