@@ -26,7 +26,6 @@ from .complexity import (
     closed_form_kappa,
     kappa_exact,
     kappa_monte_carlo,
-    kappa_percentile,
     partial_trace,
 )
 from .encoders import (

@@ -1,7 +1,9 @@
 """Command-line surface: ``augrkhs <subcommand> --config <file>``.
 
-Exit codes: 0 on full success, 1 on configuration errors, 2 when some grid
-cells failed (their rows carry an ``error`` column).
+The config is a sweep's one input: the subcommand, ``--out`` and ``--jobs``
+become its ``command``, ``output_dir`` and ``jobs`` before it is checked
+once, and a ``command`` naming another subcommand is refused.  Exit codes:
+0 on success, 1 on config and usage errors, 2 when some grid cells failed.
 """
 
 from __future__ import annotations
@@ -15,8 +17,13 @@ from .exceptions import ValidationError
 from .harness import COMMANDS, load_config, resolve_config, run
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1, not 2, which means failed cells
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="augrkhs",
         description=("Exact experiments on finite augmentation processes: "
                      "complexity sweeps, spectra, pretraining objectives, "
@@ -26,25 +33,26 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--jobs", type=int, default=None,
+        # --jobs and --out, when given, set their keys; otherwise no attribute
+        p.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
                        help="1 only; cells run in grid order")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the seed list with a single seed")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--budget", type=int, default=None,
-                       help="max enumeration entries")
+        p.add_argument("--out", dest="output_dir", default=argparse.SUPPRESS,
+                       help="output directory")
         p.add_argument("--print-config", action="store_true",
                        help="echo the resolved config and exit")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         raw = load_config(args.config)
-        config = resolve_config(raw, command=args.command, seed=args.seed,
-                                out=args.out, budget=args.budget,
-                                jobs=args.jobs)
+        if raw.setdefault("command", args.command) != args.command:
+            raise ValidationError(f"the config's command {raw['command']!r} "
+                                  f"is not the subcommand {args.command!r}")
+        raw |= {key: value for key, value in vars(args).items()
+                if key in ("jobs", "output_dir")}
+        config = resolve_config(raw)
     except (ValidationError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -3,8 +3,9 @@
 The central measure is the squared complexity ``kappa^2``, the essential sup
 of the diagonal ``K_X(x, x)``; it equals one plus the worst-case chi-squared
 divergence of the conditional augmentation law from its marginal.  It is
-computed here exactly, by mass-weighted percentile, by Monte-Carlo sampling,
-and by the closed forms available for the hypercube masking schemes.
+computed here exactly, with its mass-weighted ``PERCENTILE``-th percentile,
+by Monte-Carlo sampling of that percentile, and by the closed forms
+available for the hypercube masking schemes.
 All values are reported squared to avoid precision loss at large magnitudes.
 """
 
@@ -24,6 +25,8 @@ _ROUTE_AGREEMENT_TOL = 1e-8
 _BOOTSTRAP_RESAMPLES = 200  # kappa_monte_carlo's standard error
 # entries of a dense table that one step of a pass over its rows reads
 BLOCK_ENTRIES = 2**16
+# the percentile, in percent, that kappa_exact and kappa_monte_carlo report
+PERCENTILE = 99.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,14 +34,13 @@ class KappaReport:
     """Exact complexity summary for one process.
 
     ``kappa_sq_max`` is the maximum of ``K_X(x,x)``; ``kappa_sq_percentile``
-    the mass-weighted percentile at ``beta``; ``s_lambda_total`` the full
+    its mass-weighted ``PERCENTILE``-th percentile; ``s_lambda_total`` the full
     eigenvalue sum; ``chi_sq_identity_residual`` the absolute defect in the
     identity between that sum and one plus the mean chi-squared divergence.
     """
 
     kappa_sq_max: float
     kappa_sq_percentile: float
-    beta: float
     per_point: np.ndarray
     s_lambda_total: float
     chi_sq_identity_residual: float
@@ -134,7 +136,7 @@ def weighted_percentile(values: np.ndarray, weights: np.ndarray,
     return float(values[order][idx])
 
 
-def kappa_exact(dec: SpectralDecomposition, beta: float = 99.0) -> KappaReport:
+def kappa_exact(dec: SpectralDecomposition) -> KappaReport:
     """Exact complexity report of ``dec.process`` with a two-route check.
 
     The diagonal is computed both by direct summation and through the
@@ -155,33 +157,25 @@ def kappa_exact(dec: SpectralDecomposition, beta: float = 99.0) -> KappaReport:
         )
     s_lambda = float(dec.lambdas.sum())
     residual = abs(s_lambda - (1.0 + mean_chi_squared(process)))
-    per_point = direct.copy()
-    per_point.setflags(write=False)
+    direct.setflags(write=False)
     return KappaReport(
         kappa_sq_max=float(direct.max()),
-        kappa_sq_percentile=weighted_percentile(direct, process.p_x, beta),
-        beta=beta,
-        per_point=per_point,
+        kappa_sq_percentile=weighted_percentile(direct, process.p_x,
+                                                PERCENTILE),
+        per_point=direct,
         s_lambda_total=s_lambda,
         chi_sq_identity_residual=residual,
     )
 
 
-def kappa_percentile(process: AugmentationProcess, beta: float) -> float:
-    """Mass-weighted percentile of ``K_X(x,x)`` at ``beta`` percent."""
-    return weighted_percentile(
-        diagonal_kernel_values(process), process.p_x, beta
-    )
-
-
 def kappa_monte_carlo(process: AugmentationProcess, m: int, r: int,
-                      beta: float = 99.0, seed: int = 0) -> MonteCarloKappa:
+                      seed: int = 0) -> MonteCarloKappa:
     """Sampled percentile estimate of the complexity.
 
     Draws ``m`` points from ``p_x``; for each, averages the exact density
     ratio ``p(x|a)/p(x) = p(a|x)/p_a(a)`` over ``r`` augmentations drawn from
-    the conditional.  Returns the ``beta`` percentile of the ``m`` averages
-    with a bootstrap standard error.  Deterministic given the seed.
+    the conditional.  Returns the ``PERCENTILE``-th percentile of the ``m``
+    averages with a bootstrap standard error.  Deterministic given the seed.
     """
     if m < 1 or r < 1:
         raise ValidationError("m and r must be >= 1")
@@ -197,11 +191,11 @@ def kappa_monte_carlo(process: AugmentationProcess, m: int, r: int,
         draws = rng.choice(process.n_a, size=r, p=row)
         averages[k] = float(np.mean(row[draws] / process.p_a[draws]))
     uniform = np.full(m, 1.0 / m)
-    estimate = weighted_percentile(averages, uniform, beta)
+    estimate = weighted_percentile(averages, uniform, PERCENTILE)
     boot = np.empty(_BOOTSTRAP_RESAMPLES)
     for b in range(_BOOTSTRAP_RESAMPLES):
         resample = averages[rng.integers(0, m, size=m)]
-        boot[b] = weighted_percentile(resample, uniform, beta)
+        boot[b] = weighted_percentile(resample, uniform, PERCENTILE)
     return MonteCarloKappa(estimate=estimate,
                            standard_error=float(boot.std(ddof=1)))
 

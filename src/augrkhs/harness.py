@@ -1,6 +1,6 @@
 """Declarative experiment runner: grids, deterministic seeding, CSV/JSON.
 
-A run is described by a config (JSON file or dict): a command, per-axis
+A sweep's one input is a config dict of the :data:`KEYS`: a command, per-axis
 value lists, a seed list, an output directory, an enumeration budget and one
 option, the optimizer's ``max_iters``.  :func:`resolve_config` checks and
 types each setting once, so a row states the values its cell computed at.
@@ -22,7 +22,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +49,10 @@ _OPTIONAL_AXES = {"sweep": ("d", "N")}
 # the option names some cell reads; any other name is a config error
 OPTIONS = ("max_iters",)
 
+# the top-level keys of a config; any other key is a config error
+KEYS = ("command", "grid", "seeds", "output_dir", "budget", "master_seed",
+        "jobs", "options")
+
 HEADERS = {
     "kappa": ["schema", "scheme", "d_x", "alpha", "seed", "kappa_sq_exact",
               "kappa_sq_p99", "closed_form", "bound_kind", "s_lambda",
@@ -73,9 +77,9 @@ class ExperimentConfig:
     grid: dict
     seeds: tuple[int, ...]
     output_dir: str
-    budget: int = DEFAULT_BUDGET
-    master_seed: int = 0
-    options: dict = field(default_factory=dict)
+    budget: int
+    master_seed: int
+    options: dict
 
 
 @dataclass(frozen=True)
@@ -172,12 +176,13 @@ def _object(value, what: str) -> dict:
     return dict(value)
 
 
-def resolve_config(raw: dict, command: str | None = None,
-                   seed: int | None = None, out: str | None = None,
-                   budget: int | None = None,
-                   jobs: int | None = None) -> ExperimentConfig:
-    """Merge a raw config dict with command-line overrides and validate."""
-    cmd = command or raw.get("command")
+def resolve_config(raw: dict) -> ExperimentConfig:
+    """Check and type a config dict, the one input of a sweep."""
+    unknown = [key for key in raw if key not in KEYS]
+    if unknown:
+        raise ValidationError(f"unknown keys {unknown}; a config takes "
+                              f"{list(KEYS)}")
+    cmd = raw.get("command")
     if cmd not in COMMANDS:
         raise ValidationError(f"command must be one of {COMMANDS}, got {cmd!r}")
     grid = _object(raw.get("grid"), "grid")
@@ -196,11 +201,9 @@ def resolve_config(raw: dict, command: str | None = None,
             [_AXES[axis](v, f"each {axis!r} value") for v in values],
             f"grid axis {axis!r}")
     seeds = raw.get("seeds") or []
-    if seed is not None:
-        seeds = [seed]
     if not isinstance(seeds, (list, tuple)) or not seeds:
         raise ValidationError("seeds must be a nonempty list")
-    output_dir = out or raw.get("output_dir")
+    output_dir = raw.get("output_dir")
     if not output_dir:
         raise ValidationError("output_dir is required")
     options = _object(raw.get("options"), "options")
@@ -212,12 +215,11 @@ def resolve_config(raw: dict, command: str | None = None,
         options[name] = _integer(value, f"option {name!r}")
         if options[name] < 0:
             raise ValidationError(f"option {name!r} must be >= 0, got {value}")
-    jobs = _integer(jobs if jobs is not None else raw.get("jobs", 1), "jobs")
+    jobs = _integer(raw.get("jobs", 1), "jobs")
     if jobs != 1:
         raise ValidationError(
             f"jobs must be 1 (cells run in grid order), got {jobs}")
-    budget = _integer(budget if budget is not None
-                      else raw.get("budget", DEFAULT_BUDGET), "budget")
+    budget = _integer(raw.get("budget", DEFAULT_BUDGET), "budget")
     if budget < 1:
         raise ValidationError(f"budget must be >= 1, got {budget}")
     config = ExperimentConfig(
@@ -230,8 +232,11 @@ def resolve_config(raw: dict, command: str | None = None,
         master_seed=_integer(raw.get("master_seed", 0), "master_seed"),
         options=options,
     )
-    if any(name == "tracegap" for name, _ in _outputs(config)):
-        _check_rate_grid(config.grid)
+    ns = sorted(grid.get("N", []))
+    if (any(name == "tracegap" for name, _ in _outputs(config))
+            and (len(ns) < 4 or ns[-1] < 16 * ns[0])):
+        raise ValidationError(
+            "the N grid needs >= 4 points spanning at least a factor of 16")
     return config
 
 
@@ -498,14 +503,6 @@ def fit_loglog_slope(ns, values) -> float:
     y = np.log(np.asarray(values, dtype=float))
     x = x - x.mean()
     return float((x @ (y - y.mean())) / (x @ x))
-
-
-def _check_rate_grid(grid: dict) -> None:
-    ns = sorted(set(grid["N"]))
-    if len(ns) < 4 or ns[-1] < 16 * ns[0]:
-        raise ValidationError(
-            "the N grid needs >= 4 points spanning at least a factor of 16"
-        )
 
 
 def _rate_summary(rows) -> tuple[list, float | None]:

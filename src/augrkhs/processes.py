@@ -212,6 +212,9 @@ class HypercubeConfig:
     scheme: str
 
     def __post_init__(self):
+        if (not isinstance(self.d_x, numbers.Integral)
+                or isinstance(self.d_x, bool)):
+            raise ValidationError(f"d_x must be an integer, got {self.d_x!r}")
         if self.d_x < 1:
             raise ValidationError(f"d_x must be >= 1, got {self.d_x}")
         if not (0.0 < self.alpha <= 1.0):

@@ -69,6 +69,19 @@ class FitResult:
     prediction_error: float | None
 
 
+def _check_epsilon(epsilon) -> None:
+    if not (0.0 <= epsilon < 1.0):
+        raise ValidationError(f"epsilon must lie in [0, 1), got {epsilon}")
+
+
+def _check_scale(B, epsilon) -> None:
+    """Refuse a target's budget ``B <= 0`` or ``epsilon`` outside [0, 1),
+    before any arithmetic reads them; a NaN fails both checks."""
+    if not B > 0:
+        raise ValidationError(f"B must be positive, got {B}")
+    _check_epsilon(epsilon)
+
+
 def _certify_membership(u, dec: SpectralDecomposition, B, epsilon) -> None:
     lam = dec.lambdas
     norm_sq = float(u @ u)
@@ -102,6 +115,7 @@ def target_from_coefficients(decomposition: SpectralDecomposition,
     Membership in the soft-invariance class at ``(B, epsilon)`` is certified
     at construction; a :class:`ValidationError` is raised otherwise.
     """
+    _check_scale(B, epsilon)
     u = np.asarray(coefficients, dtype=float).copy()
     if u.shape != (decomposition.rank,):
         raise ValidationError(
@@ -122,10 +136,7 @@ def sample_target(decomposition: SpectralDecomposition, B: float,
     norm ``B``.  The constant direction always survives the repair, and it
     may be the only one that does.
     """
-    if B <= 0:
-        raise ValidationError(f"B must be positive, got {B}")
-    if not (0.0 <= epsilon < 1.0):
-        raise ValidationError(f"epsilon must lie in [0, 1), got {epsilon}")
+    _check_scale(B, epsilon)
     dec = decomposition
     lam = dec.lambdas
     rng = np.random.default_rng(seed)
@@ -166,8 +177,7 @@ def worst_case_target(decomposition: SpectralDecomposition, d: int,
     """
     if d < 1:
         raise ValidationError(f"d must be >= 1, got {d}")
-    if not (0.0 <= epsilon < 1.0):
-        raise ValidationError(f"epsilon must lie in [0, 1), got {epsilon}")
+    _check_scale(B, epsilon)
     dec = decomposition
     lam_next = dec.eigenvalue(d + 1)
     if lam_next >= 1.0:
@@ -280,9 +290,8 @@ def _constrained_lstsq(design, weights, y, Q, radius_sq):
 
 
 def _fit(encoder: Encoder, x_indices, weights, y, B, epsilon, target):
-    if not (0.0 <= epsilon < 1.0):
-        raise ValidationError(f"epsilon must lie in [0, 1), got {epsilon}")
-    if B < 0:
+    _check_epsilon(epsilon)
+    if not B >= 0:  # a zero budget fits the zero function
         raise ValidationError(f"B must be >= 0, got {B}")
     design = encoder.psi_hat[:, x_indices].T  # n x d
     Q = induced_gram(encoder)

@@ -14,8 +14,8 @@ import pytest
 from augrkhs import objectives as ob
 from augrkhs import regression as rg
 from augrkhs.complexity import (
+    kappa_exact,
     kappa_monte_carlo,
-    kappa_percentile,
     partial_trace,
 )
 from augrkhs.encoders import (
@@ -455,12 +455,10 @@ def test_criterion_11_monte_carlo_estimator(process_cache):
     worst_rel = 0.0
     for scheme in GRID_SCHEMES:
         process = process_cache(scheme, 4, 0.5)
-        exact = kappa_percentile(process, 99.0)
-        est = kappa_monte_carlo(process, m=process.n_x, r=10**5, beta=99.0,
-                                seed=7)
+        exact = kappa_exact(decompose(process)).kappa_sq_percentile
+        est = kappa_monte_carlo(process, m=process.n_x, r=10**5, seed=7)
         worst_rel = max(worst_rel, abs(est.estimate - exact) / exact)
-        again = kappa_monte_carlo(process, m=process.n_x, r=10**5, beta=99.0,
-                                  seed=7)
+        again = kappa_monte_carlo(process, m=process.n_x, r=10**5, seed=7)
         assert again.estimate == est.estimate
         assert again.standard_error == est.standard_error
     report(11, "Monte-Carlo percentile within 5% and deterministic",

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from augrkhs.complexity import (
     BLOCK_ENTRIES,
+    PERCENTILE,
     closed_form_kappa,
     diagonal_kernel_values,
     kappa_exact,
     kappa_monte_carlo,
-    kappa_percentile,
     mean_chi_squared,
     partial_trace,
     weighted_percentile,
@@ -92,38 +92,42 @@ def test_percentile_definition_hand_case():
 
 
 def test_percentile_beta_validation(small_process):
+    diag = diagonal_kernel_values(small_process)
     with pytest.raises(ValidationError):
-        kappa_percentile(small_process, 0.0)
+        weighted_percentile(diag, small_process.p_x, 0.0)
     with pytest.raises(ValidationError):
-        kappa_percentile(small_process, 101.0)
+        weighted_percentile(diag, small_process.p_x, 101.0)
 
 
 def test_percentile_on_symmetric_hypercube(small_process):
     # the diagonal is constant by symmetry, so every percentile is the max
     report = kappa_exact(decompose(small_process))
+    diag = diagonal_kernel_values(small_process)
     for beta in (1.0, 50.0, 99.0, 100.0):
-        assert kappa_percentile(small_process, beta) == pytest.approx(
-            report.kappa_sq_max, rel=1e-12)
+        assert weighted_percentile(diag, small_process.p_x, beta) \
+            == pytest.approx(report.kappa_sq_max, rel=1e-12)
+    assert report.kappa_sq_percentile == pytest.approx(report.kappa_sq_max,
+                                                       rel=1e-12)
 
 
 def test_monte_carlo_fully_masked_exactly_one():
     p = build_hypercube(HypercubeConfig(2, 1.0, "random_mask"))
-    est = kappa_monte_carlo(p, m=5, r=10, beta=99.0, seed=3)
+    est = kappa_monte_carlo(p, m=5, r=10, seed=3)
     assert est.estimate == 1.0
     assert est.standard_error == 0.0
 
 
 def test_monte_carlo_determinism(small_process):
-    a = kappa_monte_carlo(small_process, m=8, r=100, beta=99.0, seed=11)
-    b = kappa_monte_carlo(small_process, m=8, r=100, beta=99.0, seed=11)
+    a = kappa_monte_carlo(small_process, m=8, r=100, seed=11)
+    b = kappa_monte_carlo(small_process, m=8, r=100, seed=11)
     assert a.estimate == b.estimate
     assert a.standard_error == b.standard_error
 
 
 def test_monte_carlo_converges_to_exact():
     p = build_hypercube(HypercubeConfig(3, 0.4, "random_mask"))
-    exact = kappa_percentile(p, 99.0)
-    est = kappa_monte_carlo(p, m=p.n_x, r=10**5, beta=99.0, seed=0)
+    exact = kappa_exact(decompose(p)).kappa_sq_percentile
+    est = kappa_monte_carlo(p, m=p.n_x, r=10**5, seed=0)
     assert abs(est.estimate - exact) / exact <= 0.05
 
 
@@ -152,14 +156,15 @@ def dense_kappa_monte_carlo(process, m, r, beta, seed, n_bootstrap=200):
 def test_monte_carlo_reads_only_the_sampled_rows(monkeypatch, scheme):
     # random_mask and block_mask are stored sparse, the flip schemes dense
     p = build_hypercube(HypercubeConfig(5, 0.4, scheme))
-    want = [dense_kappa_monte_carlo(p, 40, 25, 90.0, seed) for seed in (0, 7)]
+    want = [dense_kappa_monte_carlo(p, 40, 25, PERCENTILE, seed)
+            for seed in (0, 7)]
 
     def refuse(self):
         raise AssertionError("the dense conditional table was formed")
 
     monkeypatch.setattr(AugmentationProcess, "conditional_dense", refuse)
     for (estimate, error), seed in zip(want, (0, 7)):
-        got = kappa_monte_carlo(p, m=40, r=25, beta=90.0, seed=seed)
+        got = kappa_monte_carlo(p, m=40, r=25, seed=seed)
         assert (got.estimate, got.standard_error) == (estimate, error)
 
 
@@ -234,8 +239,9 @@ def test_custom_process_percentile_weighting():
         [(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0)])
     diag = diagonal_kernel_values(process)
     np.testing.assert_allclose(diag, [2.0, 2.5, 10.0])
-    assert kappa_percentile(process, 90.0) == pytest.approx(2.5)
-    assert kappa_percentile(process, 95.0) == pytest.approx(10.0)
+    assert weighted_percentile(diag, process.p_x, 90.0) == pytest.approx(2.5)
+    assert weighted_percentile(diag, process.p_x, 95.0) == pytest.approx(10.0)
+    assert kappa_exact(decompose(process)).kappa_sq_percentile == 10.0
 
 
 def dense_mean_chi_squared(process):

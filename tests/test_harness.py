@@ -560,9 +560,9 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 def test_cli_print_config(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(kappa_config(tmp_path)))
+    cfg_path.write_text(json.dumps(kappa_config(tmp_path, seeds=[7])))
     assert main(["kappa", "--config", str(cfg_path), "--print-config",
-                 "--seed", "7", "--jobs", "1"]) == 0
+                 "--jobs", "1"]) == 0
     resolved = json.loads(capsys.readouterr().out)
     assert resolved["seeds"] == [7]
     assert "jobs" not in resolved  # cells always run in grid order
@@ -611,12 +611,79 @@ def test_a_budget_below_one_is_a_config_error(tmp_path, capsys):
         assert main(["kappa", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == (
             f"config error: budget must be >= 1, got {budget}\n")
-    cfg_path.write_text(json.dumps(kappa_config(tmp_path)))
-    assert main(["kappa", "--config", str(cfg_path), "--budget", "0"]) == 1
-    assert capsys.readouterr().err == (
-        "config error: budget must be >= 1, got 0\n")
     assert not (tmp_path / "out").exists()
     assert resolve_config(kappa_config(tmp_path, budget=1)).budget == 1
+
+
+@pytest.mark.parametrize("key", ["master-seed", "budgett", "seed", "beta"])
+def test_an_unknown_top_level_key_is_a_config_error(tmp_path, capsys, key):
+    # a misspelt key would otherwise be ignored and its default used
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(kappa_config(tmp_path), **{key: 3})))
+    for extra in ([], ["--print-config"]):
+        assert main(["kappa", "--config", str(cfg_path), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"config error: unknown keys ['{key}']; a "
+                                f"config takes {list(harness.KEYS)}\n")
+        assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_config_command_must_be_the_subcommand(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(kappa_config(tmp_path)))
+    assert main(["spectrum", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: the config's command 'kappa' is not the subcommand "
+        "'spectrum'\n")
+    assert not (tmp_path / "out").exists()
+    # a config without a command takes the subcommand's
+    cfg = kappa_config(tmp_path)
+    del cfg["command"]
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["spectrum", "--config", str(cfg_path), "--print-config"]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "spectrum"
+
+
+def test_out_and_jobs_are_written_into_the_config(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(kappa_config(tmp_path)))
+    other = str(tmp_path / "other")
+    assert main(["kappa", "--config", str(cfg_path), "--out", other,
+                 "--jobs", "1", "--print-config"]) == 0
+    assert json.loads(capsys.readouterr().out)["output_dir"] == other
+    cfg = kappa_config(tmp_path)
+    del cfg["output_dir"]
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["kappa", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "config error: output_dir is required\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["kappa", "--config", "{cfg}", "--seed", "3"],
+    ["kappa", "--config", "{cfg}", "--budget", "100"],
+    ["kappa", "--config", "{cfg}", "--jobs", "x"],
+    ["kappa"],
+    ["mystery", "--config", "{cfg}"],
+    [],
+])
+def test_a_usage_error_exits_1(tmp_path, capsys, argv):
+    # argparse's own exit code, 2, is the one for failed cells
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(kappa_config(tmp_path)))
+    assert main([a.format(cfg=cfg_path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: augrkhs")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["kappa", "--help"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+    assert "--config" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["tracegap", "sweep"])
@@ -639,7 +706,8 @@ def test_cli_rejects_a_short_rate_grid_as_config_error(tmp_path, capsys,
     # a sweep without a d axis runs no rate experiment, so its N is not checked
     cfg = json.loads(cfg_path.read_text())
     del cfg["grid"]["d"]
-    assert resolve_config(cfg, command="sweep").command == "sweep"
+    cfg["command"] = "sweep"
+    assert resolve_config(cfg).command == "sweep"
 
 
 def tracegap_config(tmp_path, **overrides):
@@ -736,9 +804,9 @@ def counted_kappa(monkeypatch):
     calls = []
     kappa_exact = complexity.kappa_exact
 
-    def counting_kappa(dec, *args, **kwargs):
+    def counting_kappa(dec):
         calls.append(dec.process)
-        return kappa_exact(dec, *args, **kwargs)
+        return kappa_exact(dec)
 
     monkeypatch.setattr(complexity, "kappa_exact", counting_kappa)
     return calls
@@ -764,10 +832,9 @@ def test_kappa_computed_once_per_process(tmp_path, counted_kappa):
 
 def test_bad_beta_fails_only_the_kappa_cells(tmp_path, counted_kappa,
                                              monkeypatch):
-    # the library's kappa_exact, counted, reached with an out-of-range beta
-    counting = complexity.kappa_exact
-    monkeypatch.setattr(complexity, "kappa_exact",
-                        lambda dec: counting(dec, 500.0))
+    # the library's kappa_exact, counted, reached with an out-of-range
+    # percentile
+    monkeypatch.setattr(complexity, "PERCENTILE", 500.0)
     outcome = run(resolve_config(tracegap_config(
         tmp_path, command="sweep", seeds=[0, 1])))
     kappa_rows = [r for r in outcome.records if "kappa_sq_exact" in r

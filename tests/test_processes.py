@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import re
 import tracemalloc
 import warnings
 
@@ -367,6 +368,16 @@ def test_alpha_validation():
         HypercubeConfig(3, 1.2, "random_mask")
     with pytest.raises(ValidationError):
         HypercubeConfig(3, 0.5, "checkerboard")
+
+
+@pytest.mark.parametrize("d_x", [2.5, 3.0, True, "3", None])
+@pytest.mark.parametrize("scheme", ["random_mask", "block_mask"])
+def test_d_x_must_be_an_integer(d_x, scheme):
+    # named before the build would fail on it with a bare TypeError
+    message = f"d_x must be an integer, got {d_x!r}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        HypercubeConfig(d_x, 0.5, scheme)
+    assert HypercubeConfig(np.int64(3), 0.5, scheme).d_x == 3
 
 
 def test_custom_identity_process():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +44,43 @@ def test_target_hand_membership_example():
     assert lhs == pytest.approx(0.25 * scale**2, abs=1e-12)
     assert rhs == pytest.approx(0.375 * scale**2, abs=1e-12)
     assert lhs <= rhs
+
+
+@pytest.mark.parametrize("B, epsilon, message", [
+    (1.0, 1.5, "epsilon must lie in [0, 1), got 1.5"),
+    (1.0, -0.5, "epsilon must lie in [0, 1), got -0.5"),
+    (1.0, 1.0, "epsilon must lie in [0, 1), got 1.0"),
+    (1.0, math.nan, "epsilon must lie in [0, 1), got nan"),
+    (-1.0, 0.25, "B must be positive, got -1.0"),
+    (0.0, 0.25, "B must be positive, got 0.0"),
+    (math.nan, 0.25, "B must be positive, got nan"),
+    (-1.0, 1.5, "B must be positive, got -1.0"),
+])
+@pytest.mark.parametrize("make", ["coefficients", "sample", "worst_case"])
+def test_every_target_constructor_checks_its_scale(small_decomposition, make,
+                                                   B, epsilon, message):
+    # one check, made before any arithmetic, with sample_target's messages
+    dec = small_decomposition
+    build = {
+        "coefficients": lambda: target_from_coefficients(
+            dec, np.eye(dec.rank)[0], B, epsilon),
+        "sample": lambda: sample_target(dec, B, epsilon, seed=0),
+        "worst_case": lambda: worst_case_target(dec, 1, B, epsilon),
+    }[make]
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_fit_takes_a_zero_budget_and_checks_epsilon(small_decomposition):
+    enc = optimal_encoder(small_decomposition, 2)
+    labels = (np.array([0, 1]), np.array([0.5, -0.5]))
+    for B, epsilon, message in [(-1.0, 0.25, "B must be >= 0, got -1.0"),
+                                (math.nan, 0.25, "B must be >= 0, got nan"),
+                                (1.0, 1.5, "epsilon must lie in [0, 1), "
+                                           "got 1.5")]:
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            fit_least_squares(enc, labels, B, epsilon)
+    assert fit_least_squares(enc, labels, 0.0, 0.25).h_norm == 0.0
 
 
 def test_target_constant_always_member(small_decomposition):

@@ -5,8 +5,10 @@ carries its process, and an encoder, an empirical decomposition and a
 target function each carry their decomposition.  Each function the package
 exports has a caller in the package or in a demo, or a stated reason to
 exist without one, and each option a sweep config takes is set by a
-committed config."""
+committed config, and each command-line flag by a committed caller."""
 
+import argparse
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -14,6 +16,9 @@ from pathlib import Path
 import augrkhs
 from augrkhs import (complexity, encoders, harness, objectives, regression,
                      spectral)
+from augrkhs.cli import build_parser
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _public_functions():
@@ -103,10 +108,50 @@ def test_every_exported_function_has_a_caller():
 
 def test_every_option_has_a_setter():
     # the committed configs: the benchmark's workloads and CI's sweeps
-    root = Path(__file__).resolve().parents[1]
     configs = "".join(
-        (root / path).read_text(encoding="utf-8")
+        (ROOT / path).read_text(encoding="utf-8")
         for path in ("perfbench/workloads.py", ".github/workflows/tier1.yml"))
     unset = [name for name in harness.OPTIONS
              if not re.search(rf'"{name}"\s*:', configs)]
     assert unset == [], f"options no committed config sets: {unset}"
+
+
+def _flags_in_argv_lists(source: str) -> set[str]:
+    """The ``--flags`` of each Python list literal that invokes the command
+    line: one holding ``"augrkhs.cli"`` or ``"--config"``."""
+    flags = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.List):
+            continue
+        words = {elt.value for elt in node.elts
+                 if isinstance(getattr(elt, "value", None), str)}
+        if words & {"augrkhs.cli", "--config"}:
+            flags |= {w for w in words if w.startswith("--")}
+    return flags
+
+
+def _flags_in_shell_calls(script: str) -> set[str]:
+    """The ``--flags`` of each shell command, continuation lines joined, that
+    runs ``augrkhs.cli``."""
+    commands = script.replace("\\\n", " ").splitlines()
+    return {flag for line in commands if "augrkhs.cli" in line
+            for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", line)}
+
+
+def test_every_cli_flag_has_a_caller():
+    # the committed callers: the benchmark's runner and reference maker,
+    # and CI; a flag none of them passes is a second route to a config key
+    passed = set()
+    for path in ("perfbench/run.py", "perfbench/make_reference.py"):
+        passed |= _flags_in_argv_lists((ROOT / path).read_text("utf-8"))
+    passed |= _flags_in_shell_calls(
+        (ROOT / ".github/workflows/tier1.yml").read_text("utf-8"))
+    parser = build_parser()
+    flags = {flag for action in parser._actions
+             if isinstance(action, argparse._SubParsersAction)
+             for sub in action.choices.values() for a in sub._actions
+             for flag in a.option_strings if flag.startswith("--")}
+    flags.discard("--help")
+    assert flags >= {"--config", "--out"}, "the guard no longer sees flags"
+    uncalled = sorted(flags - passed)
+    assert uncalled == [], f"flags no committed caller passes: {uncalled}"
