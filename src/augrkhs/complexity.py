@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .exceptions import ValidationError
-from .processes import AugmentationProcess, HypercubeConfig
+from .processes import AugmentationProcess, HypercubeConfig, _is_sparse
 # decompose stays bound here: perfbench's tracer test checks this binding
 from .spectral import SpectralDecomposition, _row_blocks, decompose
 
@@ -90,7 +89,7 @@ def diagonal_kernel_values(process: AugmentationProcess) -> np.ndarray:
     """
     C = process.conditional
     inv_pa = 1.0 / process.p_a
-    if sp.issparse(C):
+    if _is_sparse(C):
         C = C.tocsr()
         return np.bincount(_entry_rows(C), C.data * C.data * inv_pa[C.indices],
                            process.n_x)
@@ -111,7 +110,7 @@ def mean_chi_squared(process: AugmentationProcess) -> float:
     of the trace identity ``sum_i lambda_i = 1 + mean chi-squared`` with it.
     """
     table, p_a = process.conditional, process.p_a
-    if sp.issparse(table):
+    if _is_sparse(table):
         table = table.tocsr()
         rows = _entry_rows(table)
         w = p_a[table.indices]
@@ -184,7 +183,7 @@ def kappa_monte_carlo(process: AugmentationProcess, m: int, r: int,
     # only the distinct sampled rows are made dense
     points, inverse = np.unique(xs, return_inverse=True)
     C = process.conditional
-    rows = C[points].toarray() if sp.issparse(C) else C[points]
+    rows = C[points].toarray() if _is_sparse(C) else C[points]
     averages = np.empty(m)
     for k, i in enumerate(inverse):
         row = rows[i]

@@ -8,6 +8,12 @@ computed exactly from these tables, so construction is strict about
 probability invariants and deterministic about enumeration order: hypercube
 points are enumerated lexicographically with coordinate values ordered
 ``-1 < 0 < +1``, and augmentations with zero marginal mass are pruned.
+
+A table of at most ``DENSE_ENTRIES`` entries is stored dense whatever its
+density; a larger one is stored sparse (CSR, compressed sparse rows) when
+its density is below 25%.  ``scipy.sparse`` is imported only by the code
+that makes or converts a CSR table, so a process whose table is stored
+dense never loads it.
 """
 
 from __future__ import annotations
@@ -15,18 +21,22 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .exceptions import BudgetExceededError, ValidationError
 
 CONSTRUCTION_TOL = 1e-12
 USER_INPUT_TOL = 1e-9
 SPARSE_DENSITY = 0.25
+# a table of at most this many entries (512 KiB) is stored dense: BLAS
+# multiplies it faster than scipy's CSR kernels, up to a crossover measured
+# above 46,656 and below 279,936 entries
+DENSE_ENTRIES = 2**16
 DEFAULT_BUDGET = 10**8
 
 SCHEMES = ("random_mask", "block_mask", "block_mask_flip", "random_mask_flip")
@@ -70,13 +80,26 @@ def _marginal(mass, labels) -> np.ndarray:
     return mass
 
 
+def _is_sparse(table) -> bool:
+    """Whether ``table`` is a scipy sparse array.  False without importing
+    anything while ``scipy.sparse`` is not loaded, because nothing can be
+    one then."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(table)
+
+
+def _stored_dense(shape: tuple[int, int]) -> bool:
+    """Whether a table of ``shape`` is stored dense whatever its density."""
+    return shape[0] * shape[1] <= DENSE_ENTRIES
+
+
 def derive_marginal(conditional, p_x: np.ndarray) -> np.ndarray:
     """Marginal over augmentations, ``p_a = conditional^T p_x``.
 
     This is the single derivation path used everywhere, so recomputing the
     marginal from a stored process reproduces it bit for bit.
     """
-    if sp.issparse(conditional):
+    if _is_sparse(conditional):
         return np.asarray(conditional.T @ p_x).ravel()
     return np.asarray(conditional).T @ p_x
 
@@ -90,8 +113,8 @@ class AugmentationProcess:
     p_x : ndarray
         Data marginal over ``|X|`` points; strictly positive on every point.
     conditional : ndarray or scipy.sparse.csr_array
-        ``|X| x |A|`` table of ``p(a|x)``; stored sparse when its density is
-        below 25%.
+        ``|X| x |A|`` table of ``p(a|x)``; stored sparse when it holds more
+        than ``DENSE_ENTRIES`` entries and its density is below 25%.
     p_a : ndarray
         Augmentation marginal ``conditional^T p_x`` over ``|A|`` points,
         strictly positive after pruning.
@@ -131,7 +154,7 @@ class AugmentationProcess:
             raise ValidationError(
                 f"conditional has shape {cond.shape}, expected ({n_x}, {n_a})"
             )
-        if sp.issparse(cond):
+        if _is_sparse(cond):
             smallest = cond.data.min() if cond.nnz else 0.0
             row_sums = np.asarray(cond.sum(axis=1)).ravel()
         else:
@@ -179,12 +202,14 @@ class AugmentationProcess:
 
     @property
     def is_sparse(self) -> bool:
-        return sp.issparse(self.conditional)
+        return _is_sparse(self.conditional)
 
     @cached_property
     def conditional_transpose(self):
         if not self.is_sparse:
             return self.conditional.T
+        import scipy.sparse as sp
+
         transpose = sp.csr_array(self.conditional.T)
         for array in (transpose.data, transpose.indices, transpose.indptr):
             array.setflags(write=False)
@@ -217,6 +242,10 @@ class HypercubeConfig:
             raise ValidationError(f"d_x must be an integer, got {self.d_x!r}")
         if self.d_x < 1:
             raise ValidationError(f"d_x must be >= 1, got {self.d_x}")
+        if (not isinstance(self.alpha, numbers.Real)
+                or isinstance(self.alpha, bool)):
+            raise ValidationError(
+                f"alpha must be a real number, got {self.alpha!r}")
         if not (0.0 < self.alpha <= 1.0):
             raise ValidationError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.scheme not in SCHEMES:
@@ -258,19 +287,21 @@ def _ternary_points(d: int) -> np.ndarray:
 
 
 def _finalize_storage(conditional):
-    """Dense/sparse storage decision at the 25% density threshold."""
-    if sp.issparse(conditional):
-        density = conditional.nnz / (conditional.shape[0] * conditional.shape[1])
-        if density < SPARSE_DENSITY:
-            out = sp.csr_array(conditional)
-            out.eliminate_zeros()
-            return out
-        return conditional.toarray()
-    conditional = np.asarray(conditional, dtype=float)
-    density = np.count_nonzero(conditional) / conditional.size
-    if density < SPARSE_DENSITY:
-        return sp.csr_array(conditional)
-    return conditional
+    """The stored form of a table, dense or sparse: sparse (CSR) when it
+    holds more than ``DENSE_ENTRIES`` entries and its density is below 25%,
+    dense otherwise."""
+    sparse = _is_sparse(conditional)
+    if not sparse:
+        conditional = np.asarray(conditional, dtype=float)
+    nonzero = conditional.nnz if sparse else np.count_nonzero(conditional)
+    if (_stored_dense(conditional.shape)
+            or nonzero / math.prod(conditional.shape) >= SPARSE_DENSITY):
+        return conditional.toarray() if sparse else conditional
+    import scipy.sparse as sp
+
+    out = sp.csr_array(conditional)
+    out.eliminate_zeros()
+    return out
 
 
 def _assemble(p_x, table, hypercube: HypercubeConfig | None = None,
@@ -285,7 +316,7 @@ def _assemble(p_x, table, hypercube: HypercubeConfig | None = None,
     p_a = derive_marginal(table, p_x)
     kept = np.nonzero(p_a > 0.0)[0]
     if kept.size < p_a.size:
-        table = (table[:, kept] if not sp.issparse(table)
+        table = (table[:, kept] if not _is_sparse(table)
                  else table.tocsc()[:, kept].tocsr())
         if a_points is not None:
             a_points = [a_points[j] for j in kept]
@@ -349,15 +380,19 @@ def _build_product_scheme(config: HypercubeConfig, budget: int) -> AugmentationP
     labels and no lower power beside them.
     """
     d = config.d_x
-    _check_budget((2**d, 3**d), budget, f"the {config.scheme} table at d_x={d}")
+    shape = (2**d, 3**d)
+    _check_budget(shape, budget, f"the {config.scheme} table at d_x={d}")
     channel = _coordinate_channel(config)
     # the product is multiplied out in the storage the table ends up in: a
     # channel without zeros gives a table without zeros, stored dense, and
-    # any other one gives a table below 25% density from d_x = 4 on
-    if channel.all():
-        conditional = np.empty((2**d, 3**d))
+    # any other one a table below 25% density from d_x = 4 on, stored dense
+    # up to DENSE_ENTRIES entries and sparse above
+    if channel.all() or _stored_dense(shape):
+        conditional = np.empty(shape)
         _fill_power(conditional, channel)
     else:
+        import scipy.sparse as sp
+
         channel = sp.csr_array(channel)
         conditional = reduce(
             lambda acc, _: sp.csr_array(sp.kron(acc, channel, format="csr")),
@@ -392,13 +427,22 @@ def _build_block_scheme(config: HypercubeConfig, budget: int) -> AugmentationPro
         masked = np.repeat(X[:, None, :] + 1, n_pos, axis=1)
         for start in range(n_pos):
             masked[:, start, start:start + r] = 1
-        # int32 indices unless the entries need int64, as scipy itself picks
-        index = sp.get_index_dtype(maxval=n_x * n_pos)
-        cols = np.searchsorted(a_codes, masked @ place).ravel().astype(index)
-        rows = np.repeat(np.arange(n_x, dtype=index), n_pos)
-        conditional = sp.coo_array(
-            (np.full(cols.size, 1.0 / n_pos), (rows, cols)),
-            shape=(n_x, n_a)).tocsr()
+        cols = np.searchsorted(a_codes, masked @ place).ravel()
+        rows = np.repeat(np.arange(n_x), n_pos)
+        if _stored_dense((n_x, n_a)):
+            # the n_pos blocks of a row mask different coordinates, so its
+            # entries fall on distinct columns
+            conditional = np.zeros((n_x, n_a))
+            conditional[rows, cols] = 1.0 / n_pos
+        else:
+            import scipy.sparse as sp
+
+            # int32 indices unless the entries need int64, as scipy picks
+            index = sp.get_index_dtype(maxval=n_x * n_pos)
+            conditional = sp.coo_array(
+                (np.full(cols.size, 1.0 / n_pos),
+                 (rows.astype(index), cols.astype(index))),
+                shape=(n_x, n_a)).tocsr()
     else:  # block_mask_flip
         q = config.flip_prob
         free = d - r
@@ -441,8 +485,9 @@ def build_custom(x_size: int, a_size: int, p_x, triples
 
     Row sums must equal 1 within ``1e-9``; rows are then renormalized
     exactly.  Duplicate triples accumulate.  The table is then assembled as
-    a hypercube table is: zero-mass augmentations pruned, stored sparse below
-    25% density; the second return value maps the surviving column positions
+    a hypercube table is: zero-mass augmentations pruned, stored sparse when
+    it holds more than ``DENSE_ENTRIES`` entries and its density is below
+    25%; the second return value maps the surviving column positions
     back to the original ``a`` indices.
     """
     if not (x_size >= 1 and a_size >= 1):
@@ -501,13 +546,12 @@ def sample_process(process: AugmentationProcess, N: int, seed: int
     points, counts = np.unique(draws, return_counts=True)
     p_x = counts / N
     C = process.conditional
-    rows = C[points].toarray() if sp.issparse(C) else C[points]
+    rows = C[points].toarray() if _is_sparse(C) else C[points]
     p_a = derive_marginal(rows, p_x)
     kept = np.nonzero(p_a > 0.0)[0]
-    # not through _assemble, whose storage rule would store, say, a
-    # random_mask d_x 6 sample (about 60 points x 725 columns, 9% dense)
-    # sparse: that moved its trace gaps by up to 2e-13 relative and made the
-    # tracegap cells about 7% slower
+    # not through _assemble, whose storage rule stores a table of more than
+    # DENSE_ENTRIES entries sparse below 25% density: the SVD that
+    # decomposes the sample would make it dense again
     sample = AugmentationProcess(p_x=p_x, conditional=rows[:, kept],
                                  p_a=p_a[kept])
     return sample, draws, kept
@@ -552,6 +596,8 @@ def dump_process(path, process: AugmentationProcess) -> None:
     One triple per nonzero entry, in row-major order, read from the stored
     entries: a sparse table is never made dense.
     """
+    import scipy.sparse as sp
+
     entries = sp.coo_array(process.conditional)
     entries.sum_duplicates()  # one entry per position, in row-major order
     keep = entries.data != 0

@@ -36,10 +36,10 @@ import secrets
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .exceptions import ValidationError
-from .processes import RANDOM_SCHEMES, AugmentationProcess, HypercubeConfig
+from .processes import (RANDOM_SCHEMES, AugmentationProcess, HypercubeConfig,
+                        _is_sparse)
 
 _RANK_TOL = 1e-10  # eigenvalues at or below it are dropped
 _TIE_TOL = 1e-10
@@ -65,7 +65,7 @@ def kernel_x(process: AugmentationProcess) -> np.ndarray:
     """
     C = process.conditional
     inv_pa = 1.0 / process.p_a
-    if sp.issparse(C):
+    if _is_sparse(C):
         return (C.multiply(inv_pa) @ C.T).toarray()
     return (C * inv_pa) @ C.T
 
@@ -259,17 +259,22 @@ def _tie_order(lambdas, psi):
 def _gram_defect(f: np.ndarray, weights: np.ndarray) -> float:
     """Largest entry of ``|f^T diag(weights) f - I|``.
 
-    The Gram matrix starts from ``-I`` and adds ``W^T W`` (one symmetric
-    rank-k update) for each block of rows of ``W = f sqrt(weights)``, so
-    ``f`` is never copied whole.  The sum runs in another order than one
-    product over all rows would, so the defect may differ from that
-    product's at rounding level.
+    The Gram matrix is the first block's ``W^T W`` (one symmetric rank-k
+    update) plus that of each further block of rows of
+    ``W = f sqrt(weights)``, so ``f`` is never copied whole, and 1 is
+    subtracted on its diagonal at the end: no identity is formed beside it.
+    The sum runs in another order than one product over all rows would, so
+    the defect may differ from that product's at rounding level.
     """
     sqrt_w = np.sqrt(weights)
-    gram = -np.eye(f.shape[1])
+    gram = None
     for rows in _row_blocks(f.shape, _GRAM_BLOCK_ROWS * f.shape[1]):
         w = f[rows] * sqrt_w[rows, None]
-        gram += w.T @ w
+        if gram is None:
+            gram = w.T @ w
+        else:
+            gram += w.T @ w
+    gram[np.diag_indices_from(gram)] -= 1.0
     return float(np.max(np.abs(gram, out=gram)))
 
 
@@ -311,7 +316,7 @@ def _duality_residual(process, lambdas, psi, phi) -> float:
     certified = lambdas > _DUALITY_FLOOR
     if not certified.any():
         return 0.0
-    whole = certified.all() and sp.issparse(process.conditional)
+    whole = certified.all() and _is_sparse(process.conditional)
     back = apply_gamma_star(process, phi if whole else phi[:, certified])
     back /= np.sqrt(lambdas[certified])[None, :]
     resid = back - psi[:, certified]
@@ -334,7 +339,7 @@ def _spectral_engine(process: AugmentationProcess):
     """
     conditional = process.conditional
     sqrt_wx, sqrt_wa = np.sqrt(process.p_x), np.sqrt(process.p_a)
-    if sp.issparse(conditional):
+    if _is_sparse(conditional):
         B = conditional.multiply(sqrt_wx[:, None]).multiply(1.0 / sqrt_wa).T.toarray()
     else:
         B = (conditional * sqrt_wx[:, None] / sqrt_wa).T

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -38,6 +39,16 @@ def decomp_cache(process_cache):
         return cache[key]
 
     return get
+
+
+@contextlib.contextmanager
+def stored_by_density():
+    """Tables built inside are stored by the 25% density rule alone, as if
+    ``processes.DENSE_ENTRIES`` were 0: a small table below 25% density
+    takes the CSR route that only larger ones take otherwise."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(processes, "DENSE_ENTRIES", 0)
+        yield
 
 
 def svd_oracle(process):

@@ -27,6 +27,7 @@ from augrkhs.processes import (
     build_hypercube,
 )
 from augrkhs.spectral import apply_gamma_star, decompose
+from conftest import stored_by_density
 
 
 def brute_kappa_sq(process):
@@ -154,8 +155,10 @@ def dense_kappa_monte_carlo(process, m, r, beta, seed, n_bootstrap=200):
 @pytest.mark.parametrize("scheme", ["random_mask", "block_mask",
                                     "block_mask_flip", "random_mask_flip"])
 def test_monte_carlo_reads_only_the_sampled_rows(monkeypatch, scheme):
-    # random_mask and block_mask are stored sparse, the flip schemes dense
-    p = build_hypercube(HypercubeConfig(5, 0.4, scheme))
+    # by the density rule alone, random_mask and block_mask are stored
+    # sparse, the flip schemes dense
+    with stored_by_density():
+        p = build_hypercube(HypercubeConfig(5, 0.4, scheme))
     want = [dense_kappa_monte_carlo(p, 40, 25, PERCENTILE, seed)
             for seed in (0, 7)]
 
@@ -255,8 +258,10 @@ def dense_mean_chi_squared(process):
                                     "block_mask_flip", "random_mask_flip"])
 @pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0])
 def test_mean_chi_squared_matches_dense_on_schemes(scheme, alpha):
-    # random_mask and block_mask at alpha 0.2 are stored sparse, the rest dense
-    process = build_hypercube(HypercubeConfig(4, alpha, scheme))
+    # by the density rule alone, random_mask and block_mask at alpha 0.2 are
+    # stored sparse, the rest dense
+    with stored_by_density():
+        process = build_hypercube(HypercubeConfig(4, alpha, scheme))
     expected = dense_mean_chi_squared(process)
     assert mean_chi_squared(process) == pytest.approx(expected, rel=1e-12)
 
@@ -300,7 +305,8 @@ def _multi_block_custom_process(seed):
     """A custom process of 60-130 x 1200-2400 points, several blocks of rows
     of ``BLOCK_ENTRIES``: dense-stored for an even ``seed``, with unused
     augmentations that pruning drops (which leaves the table column-major),
-    sparse-stored (one to five entries per row) for an odd one."""
+    sparse-stored (one to five entries per row) for an odd one, built by
+    the density rule alone because some are at most ``DENSE_ENTRIES``."""
     rng = np.random.default_rng(seed)
     n_x, n_a = int(rng.integers(60, 131)), int(rng.integers(1200, 2401))
     used = rng.choice(n_a, size=n_a - 40, replace=False)
@@ -310,7 +316,8 @@ def _multi_block_custom_process(seed):
                    rng.choice(n_a, size=int(rng.integers(1, 6)), replace=False))
         triples += zip([i] * support.size, support.tolist(),
                        rng.dirichlet(np.ones(support.size)).tolist())
-    return build_custom(n_x, n_a, rng.dirichlet(np.ones(n_x)), triples)[0]
+    with stored_by_density():
+        return build_custom(n_x, n_a, rng.dirichlet(np.ones(n_x)), triples)[0]
 
 
 def _assert_blocks_equal_the_oracle(process, report):

@@ -922,17 +922,49 @@ def test_pretrain_needs_no_pair_matrix_budget(tmp_path):
         assert math.isfinite(record["final_loss"])
 
 
-def test_cli_import_leaves_scipy_linalg_out():
-    # the runtime needs numpy and scipy.sparse only; scipy.linalg is a
-    # test oracle, and importing it costs every sweep start-up time
+def _run_probe(probe, *args):
+    """The stdout of ``probe`` run in a fresh interpreter on this tree."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
         __file__))), "src")
+    return subprocess.run([sys.executable, "-c", probe, *args],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True,
+                          timeout=120).stdout
+
+
+def test_cli_import_leaves_scipy_linalg_out():
+    # the runtime needs numpy, and scipy.sparse only for a table stored CSR;
+    # scipy.linalg is a test oracle, and importing it costs every sweep
+    # start-up time
     probe = ("import sys, augrkhs.cli; "
              "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, env=dict(os.environ, PYTHONPATH=src),
-                         check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert _run_probe(probe).strip() == "[]"
+
+
+# whether scipy is loaded after the import, after a pretrain sweep on
+# random_mask d_x 6 and after a random_mask d_x 7 build
+_SCIPY_PROBE = """
+import json, sys
+from augrkhs import harness, processes
+
+loaded = ["scipy" in sys.modules]
+outcome = harness.run(harness.resolve_config({
+    "command": "pretrain", "seeds": [0], "output_dir": sys.argv[1],
+    "grid": {"scheme": ["random_mask"], "d_x": [6], "alpha": [0.5],
+             "objective": ["scl", "sclip", "rbt", "vicreg"], "d": [7]},
+    "options": {"max_iters": 20}}))
+loaded.append("scipy" in sys.modules)
+processes.build_hypercube(processes.HypercubeConfig(7, 0.5, "random_mask"))
+loaded.append("scipy" in sys.modules)
+print(json.dumps([outcome.exit_code, loaded]))
+"""
+
+
+def test_scipy_loads_only_for_a_table_stored_csr(tmp_path):
+    # random_mask d_x 6 is 64 x 729 = 46,656 entries, at most DENSE_ENTRIES,
+    # so stored dense; d_x 7 is 279,936 entries below 25% density, so CSR
+    out = _run_probe(_SCIPY_PROBE, str(tmp_path / "out"))
+    assert json.loads(out) == [0, [False, False, True]]
 
 
 # prints OPENBLAS_THREAD_TIMEOUT as it stands when numpy is first looked up,

@@ -23,6 +23,7 @@ from augrkhs.processes import (
     sample_process,
 )
 from augrkhs.spectral import decompose
+from conftest import stored_by_density
 
 
 # Oracle inputs: the dense laws that the objectives never form.  The losses
@@ -510,7 +511,8 @@ def _assert_matches_oracle(process, rng, d):
 
 @st.composite
 def custom_processes(draw):
-    """A random custom process, dense or (at low density) sparse-stored."""
+    """A random custom process, stored by the density rule alone: dense,
+    or (at low density) sparse-stored."""
     n_x, n_a = draw(st.integers(2, 10)), draw(st.integers(2, 30))
     keep = draw(st.one_of(st.floats(0.01, 0.15), st.floats(0.15, 1.0)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -521,7 +523,9 @@ def custom_processes(draw):
             support = rng.integers(n_a, size=1)
         for j, prob in zip(support, rng.dirichlet(np.ones(support.size))):
             triples.append((i, int(j), float(prob)))
-    process, _ = build_custom(n_x, n_a, rng.dirichlet(np.ones(n_x)), triples)
+    with stored_by_density():
+        process, _ = build_custom(n_x, n_a, rng.dirichlet(np.ones(n_x)),
+                                  triples)
     return process, draw(st.integers(1, 4)), int(rng.integers(2**31))
 
 
@@ -534,7 +538,8 @@ def test_value_grad_matches_dense_oracle_on_custom_processes(case):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_value_grad_matches_dense_oracle_on_hypercube(scheme):
-    process = build_hypercube(HypercubeConfig(4, 0.5, scheme))
+    with stored_by_density():  # 1296 entries: dense by size otherwise
+        process = build_hypercube(HypercubeConfig(4, 0.5, scheme))
     assert process.is_sparse == (scheme == "random_mask")
     _assert_matches_oracle(process, np.random.default_rng(31), 3)
 
@@ -564,7 +569,8 @@ def test_no_pair_or_joint_matrix_is_formed(pair, gapped, monkeypatch):
 def test_minimize_transposes_a_sparse_table_at_most_once(monkeypatch):
     # a sparse table's .T is a new column-major object, checked in full on
     # every call; the steps go through the transpose the process builds once
-    process = build_hypercube(HypercubeConfig(5, 0.5, "random_mask"))
+    with stored_by_density():
+        process = build_hypercube(HypercubeConfig(5, 0.5, "random_mask"))
     assert process.is_sparse
     calls = []
     transpose = sp.csr_array.transpose

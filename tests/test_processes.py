@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 import re
 import tracemalloc
 import warnings
@@ -31,6 +32,7 @@ from augrkhs.spectral import (
     decompose,
     kernel_x,
 )
+from conftest import stored_by_density
 
 
 # one case per check of AugmentationProcess: the fields replaced on the
@@ -370,6 +372,16 @@ def test_alpha_validation():
         HypercubeConfig(3, 0.5, "checkerboard")
 
 
+@pytest.mark.parametrize("alpha", ["0.5", None, True, 0.5j])
+def test_alpha_must_be_a_real_number(alpha):
+    # named before the range check would fail on it with a bare TypeError,
+    # or read True as 1
+    message = f"alpha must be a real number, got {alpha!r}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        HypercubeConfig(3, alpha, "random_mask")
+    assert HypercubeConfig(3, np.float64(0.5), "random_mask").alpha == 0.5
+
+
 @pytest.mark.parametrize("d_x", [2.5, 3.0, True, "3", None])
 @pytest.mark.parametrize("scheme", ["random_mask", "block_mask"])
 def test_d_x_must_be_an_integer(d_x, scheme):
@@ -608,8 +620,10 @@ def dump_process_oracle(path, process):
 @pytest.mark.parametrize("scheme", ["random_mask", "block_mask",
                                     "block_mask_flip", "random_mask_flip"])
 def test_dump_writes_the_stored_rows(tmp_path, monkeypatch, scheme):
-    # random_mask and block_mask are stored sparse, the flip schemes dense
-    process = build_hypercube(HypercubeConfig(5, 0.4, scheme))
+    # by the density rule alone, random_mask and block_mask are stored
+    # sparse, the flip schemes dense
+    with stored_by_density():
+        process = build_hypercube(HypercubeConfig(5, 0.4, scheme))
     assert process.is_sparse == (scheme in ("random_mask", "block_mask"))
     dump_process_oracle(tmp_path / "oracle.txt", process)
 
@@ -640,8 +654,31 @@ def test_process_file_comments_and_errors(tmp_path):
 
 
 def test_sparse_storage_threshold():
-    wide = build_hypercube(HypercubeConfig(6, 0.5, "random_mask"))
-    assert wide.is_sparse  # density (2/3)^6 < 25%
+    # 64 x 729 = 46,656 entries of density (2/3)^6 < 25%: dense by size
+    small = build_hypercube(HypercubeConfig(6, 0.5, "random_mask"))
+    assert small.conditional.size <= processes.DENSE_ENTRIES
+    assert not small.is_sparse
+    # 128 x 2187 = 279,936 entries of density (2/3)^7: sparse
+    wide = build_hypercube(HypercubeConfig(7, 0.5, "random_mask"))
+    assert math.prod(wide.conditional.shape) > processes.DENSE_ENTRIES
+    assert wide.is_sparse
+    # 256 x 6561 entries, every one nonzero: dense at any size
+    full = build_hypercube(HypercubeConfig(8, 0.5, "random_mask_flip"))
+    assert not full.is_sparse
+    # the same rule on a table given dense and one given sparse, on both
+    # sides of DENSE_ENTRIES entries
+    assert 64 * 1024 == processes.DENSE_ENTRIES
+    for n_a in (1024, 1025):
+        table = np.zeros((64, n_a))
+        table[:, 0] = 1.0
+        for built in (table, sp.csr_array(table)):
+            stored = processes._finalize_storage(built)
+            assert processes._is_sparse(stored) == (n_a > 1024)
+            np.testing.assert_array_equal(
+                stored.toarray() if n_a > 1024 else stored, table)
+    with stored_by_density():
+        small = build_hypercube(HypercubeConfig(6, 0.5, "random_mask"))
+    assert small.is_sparse
     narrow = build_hypercube(HypercubeConfig(2, 0.5, "block_mask_flip"))
     assert not narrow.is_sparse  # flip rows are dense over the support
 
@@ -666,7 +703,7 @@ def test_random_custom_processes_validate(n_x, n_a, seed):
     np.testing.assert_allclose(rev.sum(axis=1), 1.0, atol=1e-12)
 
 
-# one dense and one sparse population table
+# population tables above and below 25% density
 _SAMPLED = [("random_mask", 3, 0.5), ("random_mask", 6, 0.5)]
 
 
@@ -684,9 +721,10 @@ def test_sample_process_weights_rng_choice_draws_by_count(process_cache,
 
 
 @pytest.mark.parametrize("scheme,d_x,alpha", _SAMPLED)
-def test_sample_process_rows_are_population_rows(process_cache, scheme, d_x,
-                                                 alpha):
-    process = process_cache(scheme, d_x, alpha)
+def test_sample_process_rows_are_population_rows(scheme, d_x, alpha):
+    # by the density rule alone: both tables are dense by size otherwise
+    with stored_by_density():
+        process = build_hypercube(HypercubeConfig(d_x, alpha, scheme))
     assert process.is_sparse == (d_x == 6)
     full = process.conditional_dense()
     for N, seed in ((1, 0), (37, 4), (512, 9)):

@@ -28,7 +28,7 @@ from augrkhs.spectral import (
     verify_integral_identity,
 )
 
-from conftest import svd_oracle, weighted_norm
+from conftest import stored_by_density, svd_oracle, weighted_norm
 
 
 def duality_residual(dec):
@@ -131,7 +131,9 @@ def sparse_custom_processes(draw):
         support = rng.choice(n_a, size=int(rng.integers(1, 4)), replace=False)
         for j, prob in zip(support, rng.dirichlet(np.ones(support.size))):
             triples.append((i, int(j), float(prob)))
-    process, _ = build_custom(n_x, n_a, rng.dirichlet(np.ones(n_x)), triples)
+    with stored_by_density():
+        process, _ = build_custom(n_x, n_a, rng.dirichlet(np.ones(n_x)),
+                                  triples)
     assume(process.is_sparse)
     return process, int(rng.integers(2**31))
 
@@ -150,8 +152,8 @@ def test_joint_on_the_transpose_matches_the_table_on_custom(case):
                                     "block_mask_flip"])
 def test_joint_on_the_transpose_matches_the_table_on_schemes(
         process_cache, scheme, d_x, alpha):
-    # block_mask is stored dense at d_x 4 from alpha 0.5 on and at d_x 7
-    # at alpha 0.9; block_mask_flip is always dense
+    # every table at d_x 4 is stored dense by size, block_mask at d_x 7 at
+    # alpha 0.9 by density; block_mask_flip is always dense
     process = process_cache(scheme, d_x, alpha)
     _assert_joint_matches_column_major_route(
         process, np.random.default_rng(d_x))
@@ -437,8 +439,9 @@ def integral_identity_by_diagonal_products(dec):
 
 
 def _random_custom_process(seed):
-    """A custom process of up to 24 x 48 points: dense-stored for an even
-    ``seed``, sparse-stored (one to three entries per row) for an odd one."""
+    """A custom process of up to 24 x 48 points, stored by the density rule
+    alone: dense-stored for an even ``seed``, sparse-stored (one to three
+    entries per row) for an odd one."""
     rng = np.random.default_rng(seed)
     n_x, n_a = int(rng.integers(2, 25)), int(rng.integers(13, 49))
     most = 3 if seed % 2 else n_a
@@ -448,7 +451,8 @@ def _random_custom_process(seed):
                              replace=False)
         for j, prob in zip(support, rng.dirichlet(np.ones(support.size))):
             triples.append((i, int(j), float(prob)))
-    return build_custom(n_x, n_a, rng.dirichlet(np.ones(n_x)), triples)[0]
+    with stored_by_density():
+        return build_custom(n_x, n_a, rng.dirichlet(np.ones(n_x)), triples)[0]
 
 
 @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
@@ -620,6 +624,22 @@ def test_gram_defect_equals_the_whole_product_oracle_off_identity(rows):
     weights = rng.dirichlet(np.ones(rows))
     assert abs(spectral._gram_defect(f, weights)
                - gram_defect_whole(f, weights)) <= 1e-14
+
+
+def test_gram_defect_holds_one_gram_beside_one_block():
+    # psi of a d_x 8 table: 256 x 256, one block of rows.  The weighted
+    # block and its Gram matrix are two arrays of f's size; no identity
+    # sits beside them
+    f = np.random.default_rng(0).standard_normal((256, 256))
+    weights = np.full(256, 1.0 / 256)
+    spectral._gram_defect(f, weights)
+    tracemalloc.start()
+    try:
+        spectral._gram_defect(f, weights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * f.nbytes
 
 
 @pytest.mark.parametrize("d", range(1, 10))
