@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
-from .processes import AugmentationProcess, HypercubeConfig, _is_sparse
+from .processes import AugmentationProcess, HypercubeConfig
 # decompose stays bound here: perfbench's tracer test checks this binding
 from .spectral import SpectralDecomposition, _row_blocks, decompose
 
@@ -71,11 +71,6 @@ def _per_row(table: np.ndarray, reduce_rows) -> np.ndarray:
     return out
 
 
-def _entry_rows(table) -> np.ndarray:
-    """Row index of each stored entry of a CSR table, in storage order."""
-    return np.repeat(np.arange(table.shape[0]), np.diff(table.indptr))
-
-
 def diagonal_kernel_values(process: AugmentationProcess) -> np.ndarray:
     """Per-point ``K_X(x,x) = sum_a p(a|x)^2 / p_a(a)`` by direct summation.
 
@@ -89,9 +84,8 @@ def diagonal_kernel_values(process: AugmentationProcess) -> np.ndarray:
     """
     C = process.conditional
     inv_pa = 1.0 / process.p_a
-    if _is_sparse(C):
-        C = C.tocsr()
-        return np.bincount(_entry_rows(C), C.data * C.data * inv_pa[C.indices],
+    if process.is_sparse:
+        return np.bincount(C.entry_rows(), C.data * C.data * inv_pa[C.indices],
                            process.n_x)
     return _per_row(C, lambda block: ((block * block) * inv_pa).sum(axis=1))
 
@@ -110,9 +104,8 @@ def mean_chi_squared(process: AugmentationProcess) -> float:
     of the trace identity ``sum_i lambda_i = 1 + mean chi-squared`` with it.
     """
     table, p_a = process.conditional, process.p_a
-    if _is_sparse(table):
-        table = table.tocsr()
-        rows = _entry_rows(table)
+    if process.is_sparse:
+        rows = table.entry_rows()
         w = p_a[table.indices]
         per_x = (np.bincount(rows, (table.data - w) ** 2 / w, process.n_x)
                  + (1.0 - np.bincount(rows, w, process.n_x)))
@@ -182,8 +175,7 @@ def kappa_monte_carlo(process: AugmentationProcess, m: int, r: int,
     xs = rng.choice(process.n_x, size=m, p=process.p_x)
     # only the distinct sampled rows are made dense
     points, inverse = np.unique(xs, return_inverse=True)
-    C = process.conditional
-    rows = C[points].toarray() if _is_sparse(C) else C[points]
+    rows = process.conditional_rows(points)
     averages = np.empty(m)
     for k, i in enumerate(inverse):
         row = rows[i]

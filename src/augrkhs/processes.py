@@ -11,9 +11,11 @@ points are enumerated lexicographically with coordinate values ordered
 
 A table of at most ``DENSE_ENTRIES`` entries is stored dense whatever its
 density; a larger one is stored sparse (CSR, compressed sparse rows) when
-its density is below 25%.  ``scipy.sparse`` is imported only by the code
-that makes or converts a CSR table, so a process whose table is stored
-dense never loads it.
+its density is below 25%, as a :class:`CSRTable`: three numpy arrays,
+which the builds write and every read of the entries reads with numpy.
+``scipy.sparse`` is imported only for the first product with a CSR table,
+whose scipy array shares those arrays, so a sweep that never multiplies by
+its table, such as a ``kappa`` sweep, never loads it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -80,12 +82,101 @@ def _marginal(mass, labels) -> np.ndarray:
     return mass
 
 
-def _is_sparse(table) -> bool:
+def _is_scipy_sparse(table) -> bool:
     """Whether ``table`` is a scipy sparse array.  False without importing
     anything while ``scipy.sparse`` is not loaded, because nothing can be
     one then."""
     sparse = sys.modules.get("scipy.sparse")
     return sparse is not None and sparse.issparse(table)
+
+
+@dataclass(frozen=True, eq=False)
+class CSRTable:
+    """A read-only table in compressed sparse rows (CSR).
+
+    Row ``i`` stores the entries ``data[indptr[i]:indptr[i + 1]]`` at the
+    columns ``indices[indptr[i]:indptr[i + 1]]``, in increasing column
+    order and each column once, as scipy's canonical CSR form holds them;
+    the index arrays are int32 unless a size needs int64, as scipy picks.
+    The entries are read with numpy.  ``csr_array``, the scipy array over
+    the same three arrays, is built without a copy on the first product
+    with the table (``table @ M``, which runs scipy's CSR kernel); it is
+    the one place ``scipy.sparse`` is imported.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    def __post_init__(self):
+        for array in (self.data, self.indices, self.indptr):
+            array.setflags(write=False)
+
+    def entry_rows(self) -> np.ndarray:
+        """Row index of each stored entry, in storage order."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def toarray(self, points=None) -> np.ndarray:
+        """The rows ``points`` (all rows when ``None``), in that order, as a
+        dense array.  Each entry is added to a zero, as scipy's conversion
+        adds it."""
+        points = np.arange(self.shape[0]) if points is None else points
+        counts = np.diff(self.indptr)[points]
+        # the stored entries of the rows, each row's run in storage order
+        entries = np.arange(counts.sum()) + np.repeat(
+            self.indptr[points] - (np.cumsum(counts) - counts), counts)
+        out = np.zeros((len(points), self.shape[1]))
+        out[np.repeat(np.arange(len(points)), counts),
+            self.indices[entries]] += self.data[entries]
+        return out
+
+    def transpose(self) -> CSRTable:
+        """The ``shape[1] x shape[0]`` transpose, also in CSR: row ``a``
+        holds column ``a``'s entries in increasing row order, as scipy's
+        CSR-to-CSC conversion orders them."""
+        order = np.argsort(self.indices, kind="stable")
+        return _csr(self.data[order], self.entry_rows()[order],
+                    np.bincount(self.indices, minlength=self.shape[1]),
+                    self.shape[::-1])
+
+    @cached_property
+    def csr_array(self):
+        import scipy.sparse as sp
+
+        return sp.csr_array((self.data, self.indices, self.indptr),
+                            shape=self.shape, copy=False)
+
+    def __matmul__(self, other):
+        return self.csr_array @ other
+
+
+def _csr(data, cols, counts, shape: tuple[int, int]) -> CSRTable:
+    """The :class:`CSRTable` of ``shape`` whose rows hold ``counts`` entries
+    each: ``data`` and their columns ``cols``, row after row."""
+    index = (np.int32 if max(data.size, *shape) <= np.iinfo(np.int32).max
+             else np.int64)
+    indptr = np.zeros(shape[0] + 1, dtype=index)
+    np.cumsum(counts, out=indptr[1:])
+    return CSRTable(np.asarray(data, dtype=float), cols.astype(index),
+                    indptr, tuple(shape))
+
+
+def _from_scipy(table) -> CSRTable:
+    """A scipy sparse array as a :class:`CSRTable`, in scipy's canonical
+    CSR form: duplicates summed, each row's columns in increasing order."""
+    csr = table.tocsr(copy=True)
+    csr.sum_duplicates()
+    return CSRTable(np.asarray(csr.data, dtype=float), csr.indices,
+                    csr.indptr, csr.shape)
+
+
+def _from_dense(table: np.ndarray) -> CSRTable:
+    """The nonzero entries of a dense table as a :class:`CSRTable`."""
+    rows, cols = np.nonzero(table)
+    return _csr(table[rows, cols], cols, np.bincount(rows,
+                                                     minlength=table.shape[0]),
+                table.shape)
 
 
 def _stored_dense(shape: tuple[int, int]) -> bool:
@@ -97,10 +188,14 @@ def derive_marginal(conditional, p_x: np.ndarray) -> np.ndarray:
     """Marginal over augmentations, ``p_a = conditional^T p_x``.
 
     This is the single derivation path used everywhere, so recomputing the
-    marginal from a stored process reproduces it bit for bit.
+    marginal from a stored process reproduces it bit for bit.  A CSR table
+    adds ``p(a|x) p_x(x)`` to each ``a`` in storage order, the order scipy's
+    ``C^T @ p_x`` adds them in.
     """
-    if _is_sparse(conditional):
-        return np.asarray(conditional.T @ p_x).ravel()
+    if isinstance(conditional, CSRTable):
+        return np.bincount(conditional.indices,
+                           conditional.data * p_x[conditional.entry_rows()],
+                           conditional.shape[1])
     return np.asarray(conditional).T @ p_x
 
 
@@ -112,9 +207,11 @@ class AugmentationProcess:
     ----------
     p_x : ndarray
         Data marginal over ``|X|`` points; strictly positive on every point.
-    conditional : ndarray or scipy.sparse.csr_array
-        ``|X| x |A|`` table of ``p(a|x)``; stored sparse when it holds more
-        than ``DENSE_ENTRIES`` entries and its density is below 25%.
+    conditional : ndarray or CSRTable
+        ``|X| x |A|`` table of ``p(a|x)``; stored sparse, as a
+        :class:`CSRTable`, when it holds more than ``DENSE_ENTRIES`` entries
+        and its density is below 25%.  A scipy sparse array given here is
+        stored as a :class:`CSRTable` of its entries, not made dense.
     p_a : ndarray
         Augmentation marginal ``conditional^T p_x`` over ``|A|`` points,
         strictly positive after pruning.
@@ -123,12 +220,11 @@ class AugmentationProcess:
         spectrum has a closed form; ``None`` for every other process.
     x_labels, a_labels : tuple of str or None
         Display names of the data and augmentation points, one each.
-    conditional_transpose : ndarray or scipy.sparse.csr_array
+    conditional_transpose : ndarray or CSRTable
         The ``|A| x |X|`` transpose of ``conditional``, built on first use
         and kept for the life of the process: the ``.T`` view of a dense
-        table, or a row-major copy of a sparse one (its ``.T`` would be a
-        new column-major object on every access).  Its arrays are
-        read-only.
+        table, or the :class:`CSRTable` of a sparse one's transpose.  Its
+        arrays are read-only.
 
     Both marginals are stored as read-only float copies, and a dense table
     as a read-only float view, so the caller's own arrays stay writeable.
@@ -150,19 +246,23 @@ class AugmentationProcess:
         object.__setattr__(self, "p_a", p_a)
         n_x, n_a = p_x.size, p_a.size
         cond = self.conditional
-        if cond.shape != (n_x, n_a):
-            raise ValidationError(
-                f"conditional has shape {cond.shape}, expected ({n_x}, {n_a})"
-            )
-        if _is_sparse(cond):
-            smallest = cond.data.min() if cond.nnz else 0.0
-            row_sums = np.asarray(cond.sum(axis=1)).ravel()
-        else:
+        if _is_scipy_sparse(cond):
+            cond = _from_scipy(cond)
+        elif not isinstance(cond, CSRTable):
             # a read-only view: the caller's array stays writeable, and a
             # table of |X| x |A| entries is not copied
             cond = np.asarray(cond, dtype=float).view()
             cond.setflags(write=False)
-            object.__setattr__(self, "conditional", cond)
+        object.__setattr__(self, "conditional", cond)
+        if cond.shape != (n_x, n_a):
+            raise ValidationError(
+                f"conditional has shape {cond.shape}, expected ({n_x}, {n_a})"
+            )
+        if isinstance(cond, CSRTable):
+            smallest = cond.data.min() if cond.data.size else 0.0
+            # an empty row sums to 0
+            row_sums = np.bincount(cond.entry_rows(), cond.data, n_x)
+        else:
             smallest = cond.min()
             row_sums = cond.sum(axis=1)
         if not smallest >= 0:
@@ -202,24 +302,25 @@ class AugmentationProcess:
 
     @property
     def is_sparse(self) -> bool:
-        return _is_sparse(self.conditional)
+        return isinstance(self.conditional, CSRTable)
 
     @cached_property
     def conditional_transpose(self):
-        if not self.is_sparse:
-            return self.conditional.T
-        import scipy.sparse as sp
-
-        transpose = sp.csr_array(self.conditional.T)
-        for array in (transpose.data, transpose.indices, transpose.indptr):
-            array.setflags(write=False)
-        return transpose
+        if self.is_sparse:
+            return self.conditional.transpose()
+        return self.conditional.T
 
     def conditional_dense(self) -> np.ndarray:
         """The conditional table as a dense ``|X| x |A|`` array."""
         if self.is_sparse:
             return self.conditional.toarray()
         return np.asarray(self.conditional)
+
+    def conditional_rows(self, points) -> np.ndarray:
+        """The rows ``points`` of the conditional table, dense."""
+        if self.is_sparse:
+            return self.conditional.toarray(points)
+        return self.conditional[points]
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,9 +373,13 @@ class HypercubeConfig:
 
 
 def _labels(points: Sequence[Sequence[int]]) -> tuple[str, ...]:
-    """One ``-``/``0``/``+`` string per point, all formed at once."""
-    codes = np.ascontiguousarray(_SYMBOLS[np.asarray(points) + 1])
-    return tuple(codes.view(f"S{codes.shape[1]}").ravel().astype(str).tolist())
+    """One ``-``/``0``/``+`` string per point of ``{-1,0,+1}^d``: the
+    points' base-3 digits ``point + 1`` pick their symbols, and the
+    strings are cut from one decoded buffer of them."""
+    points = np.asarray(points, dtype=np.int8)
+    d = points.shape[1]
+    text = _SYMBOLS[points + np.int8(1)].tobytes().decode("ascii")
+    return tuple(text[start:start + d] for start in range(0, len(text), d))
 
 
 def _sign_points(d: int) -> list[tuple[int, ...]]:
@@ -282,26 +387,36 @@ def _sign_points(d: int) -> list[tuple[int, ...]]:
 
 
 def _ternary_points(d: int) -> np.ndarray:
-    """``3^d x d`` table of ``{-1,0,+1}^d`` in lexicographic order."""
-    return np.indices((3,) * d).reshape(d, -1).T - 1
+    """``3^d x d`` int8 table of ``{-1,0,+1}^d`` in lexicographic order."""
+    return np.indices((3,) * d, dtype=np.int8).reshape(d, -1).T - np.int8(1)
 
 
 def _finalize_storage(conditional):
-    """The stored form of a table, dense or sparse: sparse (CSR) when it
-    holds more than ``DENSE_ENTRIES`` entries and its density is below 25%,
-    dense otherwise."""
-    sparse = _is_sparse(conditional)
+    """The stored form of a dense table or a :class:`CSRTable`: sparse
+    (CSR) when it holds more than ``DENSE_ENTRIES`` entries and its density
+    is below 25%, dense otherwise."""
+    sparse = isinstance(conditional, CSRTable)
     if not sparse:
         conditional = np.asarray(conditional, dtype=float)
-    nonzero = conditional.nnz if sparse else np.count_nonzero(conditional)
+    nonzero = np.count_nonzero(conditional.data if sparse else conditional)
     if (_stored_dense(conditional.shape)
             or nonzero / math.prod(conditional.shape) >= SPARSE_DENSITY):
         return conditional.toarray() if sparse else conditional
-    import scipy.sparse as sp
+    return conditional if sparse else _from_dense(conditional)
 
-    out = sp.csr_array(conditional)
-    out.eliminate_zeros()
-    return out
+
+def _keep_columns(table, kept: np.ndarray):
+    """The columns ``kept`` (increasing) of a dense table or a
+    :class:`CSRTable`; a CSR table keeps each row's entry order."""
+    if not isinstance(table, CSRTable):
+        return table[:, kept]
+    new = np.full(table.shape[1], -1)
+    new[kept] = np.arange(kept.size)
+    cols = new[table.indices]
+    keep = cols >= 0
+    return _csr(table.data[keep], cols[keep],
+                np.bincount(table.entry_rows()[keep], minlength=table.shape[0]),
+                (table.shape[0], kept.size))
 
 
 def _assemble(p_x, table, hypercube: HypercubeConfig | None = None,
@@ -313,11 +428,9 @@ def _assemble(p_x, table, hypercube: HypercubeConfig | None = None,
     Points, when given, label the spaces.  Returns ``(process, kept)``,
     ``kept`` holding the table's column indices that survive pruning.
     """
-    p_a = derive_marginal(table, p_x)
-    kept = np.nonzero(p_a > 0.0)[0]
-    if kept.size < p_a.size:
-        table = (table[:, kept] if not _is_sparse(table)
-                 else table.tocsc()[:, kept].tocsr())
+    kept = np.nonzero(derive_marginal(table, p_x) > 0.0)[0]
+    if kept.size < table.shape[1]:
+        table = _keep_columns(table, kept)
         if a_points is not None:
             a_points = [a_points[j] for j in kept]
     stored = _finalize_storage(table)
@@ -371,6 +484,30 @@ def _fill_power(table: np.ndarray, channel: np.ndarray) -> None:
         rows, cols = rows * channel.shape[0], cols * channel.shape[1]
 
 
+def _csr_power(channel: np.ndarray, d: int) -> CSRTable:
+    """The ``d``-fold Kronecker power of ``channel`` in CSR, with the
+    entries scipy's ``kron`` gives: row ``(n, i)`` holds
+    ``lower[n, m] * channel[i, j]`` at column ``(m, j)`` for each stored
+    ``(m, j)``, in increasing column order.
+
+    The two rows of a coordinate channel hold the same values mirrored, so
+    as many nonzeros each, and so does every row of a power: the entries
+    are ``rows x per-row`` arrays.
+    """
+    nonzero = channel != 0
+    step = channel[nonzero].reshape(channel.shape[0], -1)
+    step_cols = np.nonzero(nonzero)[1].reshape(step.shape)
+    data, cols = step, step_cols
+    for _ in range(d - 1):
+        data = (data[:, None, :, None] * step[None, :, None, :]).reshape(
+            data.shape[0] * step.shape[0], -1)
+        cols = (cols[:, None, :, None] * channel.shape[1]
+                + step_cols[None, :, None, :]).reshape(data.shape)
+    shape = (channel.shape[0] ** d, channel.shape[1] ** d)
+    return _csr(data.ravel(), cols.ravel(),
+                np.full(shape[0], data.shape[1]), shape)
+
+
 def _build_product_scheme(config: HypercubeConfig, budget: int) -> AugmentationProcess:
     """The process of a random-mask scheme, whose table is the ``d_x``-fold
     Kronecker power of its one-coordinate channel.
@@ -391,13 +528,7 @@ def _build_product_scheme(config: HypercubeConfig, budget: int) -> AugmentationP
         conditional = np.empty(shape)
         _fill_power(conditional, channel)
     else:
-        import scipy.sparse as sp
-
-        channel = sp.csr_array(channel)
-        conditional = reduce(
-            lambda acc, _: sp.csr_array(sp.kron(acc, channel, format="csr")),
-            range(d - 1), channel,
-        )
+        conditional = _csr_power(channel, d)
     p_x = np.full(2**d, 1.0 / 2**d)
     return _assemble(p_x, conditional, config, _sign_points(d),
                      _ternary_points(d))[0]
@@ -427,22 +558,16 @@ def _build_block_scheme(config: HypercubeConfig, budget: int) -> AugmentationPro
         masked = np.repeat(X[:, None, :] + 1, n_pos, axis=1)
         for start in range(n_pos):
             masked[:, start, start:start + r] = 1
-        cols = np.searchsorted(a_codes, masked @ place).ravel()
-        rows = np.repeat(np.arange(n_x), n_pos)
+        # the n_pos blocks of a row mask different coordinates, so its
+        # entries fall on distinct columns
+        cols = np.searchsorted(a_codes, masked @ place)
         if _stored_dense((n_x, n_a)):
-            # the n_pos blocks of a row mask different coordinates, so its
-            # entries fall on distinct columns
             conditional = np.zeros((n_x, n_a))
-            conditional[rows, cols] = 1.0 / n_pos
+            conditional[np.arange(n_x)[:, None], cols] = 1.0 / n_pos
         else:
-            import scipy.sparse as sp
-
-            # int32 indices unless the entries need int64, as scipy picks
-            index = sp.get_index_dtype(maxval=n_x * n_pos)
-            conditional = sp.coo_array(
-                (np.full(cols.size, 1.0 / n_pos),
-                 (rows.astype(index), cols.astype(index))),
-                shape=(n_x, n_a)).tocsr()
+            conditional = _csr(np.full(cols.size, 1.0 / n_pos),
+                               np.sort(cols, axis=1).ravel(),
+                               np.full(n_x, n_pos), (n_x, n_a))
     else:  # block_mask_flip
         q = config.flip_prob
         free = d - r
@@ -545,8 +670,7 @@ def sample_process(process: AugmentationProcess, N: int, seed: int
     draws = rng.choice(process.n_x, size=N, p=process.p_x)
     points, counts = np.unique(draws, return_counts=True)
     p_x = counts / N
-    C = process.conditional
-    rows = C[points].toarray() if _is_sparse(C) else C[points]
+    rows = process.conditional_rows(points)
     p_a = derive_marginal(rows, p_x)
     kept = np.nonzero(p_a > 0.0)[0]
     # not through _assemble, whose storage rule stores a table of more than
@@ -596,14 +720,15 @@ def dump_process(path, process: AugmentationProcess) -> None:
     One triple per nonzero entry, in row-major order, read from the stored
     entries: a sparse table is never made dense.
     """
-    import scipy.sparse as sp
-
-    entries = sp.coo_array(process.conditional)
-    entries.sum_duplicates()  # one entry per position, in row-major order
-    keep = entries.data != 0
+    C = process.conditional
+    if process.is_sparse:  # one entry per position, in row-major order
+        rows, cols, values = C.entry_rows(), C.indices, C.data
+    else:
+        rows, cols = np.nonzero(C)
+        values = C[rows, cols]
+    keep = values != 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{process.n_x} {process.n_a}\n")
         fh.write(" ".join(f"{v:.17g}" for v in process.p_x) + "\n")
         fh.writelines(f"{i} {j} {v:.17g}\n" for i, j, v in zip(
-            entries.row[keep].tolist(), entries.col[keep].tolist(),
-            entries.data[keep].tolist()))
+            rows[keep].tolist(), cols[keep].tolist(), values[keep].tolist()))

@@ -7,6 +7,10 @@ which the other modules call rather than multiply by the table themselves:
 averages an augmentation-space function under ``p(a|x)``.  The data kernel
 ``K_X`` is kept as a plain matrix, an independent route that
 :func:`verify_integral_identity` checks the operators and a spectrum against.
+A product with a CSR table (:class:`processes.CSRTable`), in these
+operators and in ``K_X``, runs scipy's CSR kernels, so ``scipy.sparse``
+loads on the first of them; the SVD route makes such a table dense with
+numpy.
 
 The spectral decomposition of a hypercube masking process comes from its
 subset law: the eigenfunctions are the Walsh characters
@@ -38,8 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ValidationError
-from .processes import (RANDOM_SCHEMES, AugmentationProcess, HypercubeConfig,
-                        _is_sparse)
+from .processes import RANDOM_SCHEMES, AugmentationProcess, HypercubeConfig
 
 _RANK_TOL = 1e-10  # eigenvalues at or below it are dropped
 _TIE_TOL = 1e-10
@@ -65,7 +68,8 @@ def kernel_x(process: AugmentationProcess) -> np.ndarray:
     """
     C = process.conditional
     inv_pa = 1.0 / process.p_a
-    if _is_sparse(C):
+    if process.is_sparse:
+        C = C.csr_array
         return (C.multiply(inv_pa) @ C.T).toarray()
     return (C * inv_pa) @ C.T
 
@@ -75,7 +79,7 @@ def apply_joint(process: AugmentationProcess, f: np.ndarray) -> np.ndarray:
 
     The product ``C^T (f p_x)`` that :func:`apply_gamma` divides by ``p_a``;
     ``f`` may hold one function per column.  ``C^T`` is the process's
-    ``conditional_transpose``, built once: on a sparse table its row-major
+    ``conditional_transpose``, built once: on a sparse table its CSR
     product adds the same terms in the same order as the column-major
     ``C.T`` would, so the result is the same to the bit.
     """
@@ -316,12 +320,29 @@ def _duality_residual(process, lambdas, psi, phi) -> float:
     certified = lambdas > _DUALITY_FLOOR
     if not certified.any():
         return 0.0
-    whole = certified.all() and _is_sparse(process.conditional)
+    whole = certified.all() and process.is_sparse
     back = apply_gamma_star(process, phi if whole else phi[:, certified])
     back /= np.sqrt(lambdas[certified])[None, :]
     resid = back - psi[:, certified]
     p_x = process.p_x
     return float(np.sqrt(np.max(np.sum(resid * resid * p_x[:, None], axis=0))))
+
+
+def _joint_table(process: AugmentationProcess) -> np.ndarray:
+    """``B(a,x) = p(a|x) sqrt(p_x(x)) / sqrt(p_a(a))`` as a new dense
+    ``|A| x |X|`` array.
+
+    A CSR table's entries are scaled as ``(c sqrt(p_x)) (1 / sqrt(p_a))``,
+    the products scipy's sparse route took, and written into zeros.
+    """
+    C = process.conditional
+    sqrt_wx, sqrt_wa = np.sqrt(process.p_x), np.sqrt(process.p_a)
+    if not process.is_sparse:
+        return (C * sqrt_wx[:, None] / sqrt_wa).T
+    rows = C.entry_rows()
+    B = np.zeros(C.shape[::-1])
+    B[C.indices, rows] = (C.data * sqrt_wx[rows]) * (1.0 / sqrt_wa)[C.indices]
+    return B
 
 
 def _spectral_engine(process: AugmentationProcess):
@@ -337,12 +358,8 @@ def _spectral_engine(process: AugmentationProcess):
     with ``psi = V / sqrt_wx``; ``form_phi()`` returns ``phi = U / sqrt_wa``,
     which the SVD has formed already.
     """
-    conditional = process.conditional
     sqrt_wx, sqrt_wa = np.sqrt(process.p_x), np.sqrt(process.p_a)
-    if _is_sparse(conditional):
-        B = conditional.multiply(sqrt_wx[:, None]).multiply(1.0 / sqrt_wa).T.toarray()
-    else:
-        B = (conditional * sqrt_wx[:, None] / sqrt_wa).T
+    B = _joint_table(process)
     B -= np.outer(sqrt_wa, sqrt_wx)
     U, s, Vt = np.linalg.svd(B, full_matrices=False)
     lambdas = s * s

@@ -289,7 +289,8 @@ def diagonal_by_whole_table(process):
     """The whole-table diagonal that the row blocks and the stored-entry
     sum replaced, kept as their oracle."""
     C, inv_pa = process.conditional, 1.0 / process.p_a
-    if sp.issparse(C):
+    if process.is_sparse:
+        C = sp.csr_array((C.data, C.indices, C.indptr), shape=C.shape)
         return np.asarray((C.multiply(C)).multiply(inv_pa).sum(axis=1)).ravel()
     return ((C * C) * inv_pa).sum(axis=1)
 

@@ -933,8 +933,8 @@ def _run_probe(probe, *args):
 
 
 def test_cli_import_leaves_scipy_linalg_out():
-    # the runtime needs numpy, and scipy.sparse only for a table stored CSR;
-    # scipy.linalg is a test oracle, and importing it costs every sweep
+    # the runtime needs numpy, and scipy.sparse only for a product with a
+    # table stored CSR; scipy.linalg is a test oracle, and importing it costs every sweep
     # start-up time
     probe = ("import sys, augrkhs.cli; "
              "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
@@ -942,29 +942,64 @@ def test_cli_import_leaves_scipy_linalg_out():
 
 
 # whether scipy is loaded after the import, after a pretrain sweep on
-# random_mask d_x 6 and after a random_mask d_x 7 build
+# random_mask d_x 6, after a random_mask d_x 7 build, after CI's d_x 8
+# kappa grid of four schemes and after one product with the d_x 7 table
 _SCIPY_PROBE = """
 import json, sys
-from augrkhs import harness, processes
+from augrkhs import harness, processes, spectral
 
 loaded = ["scipy" in sys.modules]
-outcome = harness.run(harness.resolve_config({
+pretrain = harness.run(harness.resolve_config({
     "command": "pretrain", "seeds": [0], "output_dir": sys.argv[1],
     "grid": {"scheme": ["random_mask"], "d_x": [6], "alpha": [0.5],
              "objective": ["scl", "sclip", "rbt", "vicreg"], "d": [7]},
     "options": {"max_iters": 20}}))
 loaded.append("scipy" in sys.modules)
-processes.build_hypercube(processes.HypercubeConfig(7, 0.5, "random_mask"))
+process = processes.build_hypercube(
+    processes.HypercubeConfig(7, 0.5, "random_mask"))
 loaded.append("scipy" in sys.modules)
-print(json.dumps([outcome.exit_code, loaded]))
+kappa = harness.run(harness.resolve_config({
+    "command": "kappa", "seeds": [0, 1], "output_dir": sys.argv[2],
+    "grid": {"scheme": ["random_mask", "block_mask", "block_mask_flip",
+                        "random_mask_flip"],
+             "d_x": [8], "alpha": [0.3, 0.7]}}))
+loaded.append("scipy" in sys.modules)
+spectral.apply_gamma(process, process.p_x)
+loaded.append("scipy" in sys.modules)
+print(json.dumps([pretrain.exit_code, kappa.exit_code, process.is_sparse,
+                  loaded]))
 """
 
 
-def test_scipy_loads_only_for_a_table_stored_csr(tmp_path):
+def test_scipy_loads_only_for_a_product_with_a_csr_table(tmp_path):
     # random_mask d_x 6 is 64 x 729 = 46,656 entries, at most DENSE_ENTRIES,
-    # so stored dense; d_x 7 is 279,936 entries below 25% density, so CSR
-    out = _run_probe(_SCIPY_PROBE, str(tmp_path / "out"))
-    assert json.loads(out) == [0, [False, False, True]]
+    # so stored dense; d_x 7 is 279,936 entries below 25% density, so CSR,
+    # and so is random_mask at d_x 8.  A kappa sweep reads the entries of a
+    # CSR table with numpy; a product runs scipy's kernel
+    out = _run_probe(_SCIPY_PROBE, str(tmp_path / "pretrain"),
+                     str(tmp_path / "kappa"))
+    assert json.loads(out) == [0, 0, True, [False, False, False, False, True]]
+
+
+# whether scipy is loaded after dumping a dense table and a CSR one
+_DUMP_PROBE = """
+import json, sys
+from augrkhs import processes
+
+stored = []
+for d_x, path in ((3, sys.argv[1]), (7, sys.argv[2])):
+    process = processes.build_hypercube(
+        processes.HypercubeConfig(d_x, 0.5, "random_mask"))
+    processes.dump_process(path, process)
+    stored.append(process.is_sparse)
+print(json.dumps([stored, "scipy" in sys.modules]))
+"""
+
+
+def test_dump_process_loads_no_scipy(tmp_path):
+    out = _run_probe(_DUMP_PROBE, str(tmp_path / "dense.txt"),
+                     str(tmp_path / "csr.txt"))
+    assert json.loads(out) == [[False, True], False]
 
 
 # prints OPENBLAS_THREAD_TIMEOUT as it stands when numpy is first looked up,

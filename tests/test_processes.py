@@ -61,6 +61,11 @@ _BAD_FIELDS = {
                               np.array([[0.5, 0.5, 0.0], [0.0, 0.5, np.nan]]))},
                          "conditional probabilities must be nonnegative, "
                          "got nan"),
+    # a row with no stored entry sums to 0
+    "empty_sparse_row": ({"conditional": sp.csr_array(
+                              np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.0]]))},
+                         r"conditional rows \[0\] do not sum to 1 "
+                         r"\(sums \[0\.0\]\)"),
     "row_sum": ({"conditional": np.array([[0.5, 0.5, 0.0],
                                           [0.0, 0.5, 0.6]])},
                 r"conditional rows \[1\] do not sum to 1"),
@@ -193,7 +198,9 @@ def test_block_mask_table_matches_its_definition(d, alpha):
         assert np.array_equal(p.conditional, table)
         return
     want = sp.csr_array(table)
-    assert p.conditional.has_sorted_indices
+    # each row's columns increase
+    same_row = np.diff(p.conditional.entry_rows()) == 0
+    assert (np.diff(p.conditional.indices)[same_row] > 0).all()
     for got, ref in ((p.conditional.data, want.data),
                      (p.conditional.indices, want.indices),
                      (p.conditional.indptr, want.indptr)):
@@ -329,6 +336,42 @@ def test_dense_product_build_holds_the_table_and_its_labels(d_x):
     n_x, n_a = 2**d_x, 3**d_x
     admitted = 8 * n_x * n_a + labels + 8 * 4 * n_a
     assert build <= admitted, (build, admitted)
+
+
+def labels_by_unicode_array(points):
+    """The labels of ``points`` through an int64 point table and a unicode
+    array, the route ``_labels`` replaced, kept as its oracle."""
+    codes = np.ascontiguousarray(processes._SYMBOLS[np.asarray(points) + 1])
+    return tuple(codes.view(f"S{codes.shape[1]}").ravel().astype(str).tolist())
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_labels_equal_the_unicode_array_oracle(d):
+    ternary = np.indices((3,) * d).reshape(d, -1).T - 1  # the int64 table
+    assert np.array_equal(processes._ternary_points(d), ternary)
+    assert (processes._labels(processes._ternary_points(d))
+            == labels_by_unicode_array(ternary))
+    signs = processes._sign_points(d)
+    assert processes._labels(signs) == labels_by_unicode_array(signs)
+
+
+def test_ternary_labels_hold_their_strings_and_one_buffer():
+    # d_x 8: 6561 strings of 8 symbols (about 0.4 MiB of str objects), the
+    # tuple, the decoded buffer and the int8 points; the int64 point table
+    # and unicode array of the route before took 1.13 MiB.  One call first,
+    # so that caches numpy fills once per process are not counted
+    def labels():
+        return processes._labels(processes._ternary_points(8))
+
+    labels()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        labels()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.55 * 2**20, peak
 
 
 def test_marginals_sum_to_one_across_schemes(process_cache):
@@ -671,9 +714,9 @@ def test_sparse_storage_threshold():
     for n_a in (1024, 1025):
         table = np.zeros((64, n_a))
         table[:, 0] = 1.0
-        for built in (table, sp.csr_array(table)):
+        for built in (table, processes._from_dense(table)):
             stored = processes._finalize_storage(built)
-            assert processes._is_sparse(stored) == (n_a > 1024)
+            assert isinstance(stored, processes.CSRTable) == (n_a > 1024)
             np.testing.assert_array_equal(
                 stored.toarray() if n_a > 1024 else stored, table)
     with stored_by_density():

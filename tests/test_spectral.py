@@ -106,10 +106,12 @@ def _assert_joint_matches_column_major_route(process, rng):
     """``apply_joint`` on the built-once transpose against the table's own
     ``.T`` (a new column-major view per call), bit for bit."""
     p_x = process.p_x
+    table = (process.conditional.csr_array if process.is_sparse
+             else process.conditional)
     for f in (rng.normal(size=process.n_x),
               rng.normal(size=(process.n_x, int(rng.integers(1, 6))))):
         weighted = f * p_x if f.ndim == 1 else f * p_x[:, None]
-        want = np.asarray(process.conditional.T @ weighted)
+        want = np.asarray(table.T @ weighted)
         got = apply_joint(process, f)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
