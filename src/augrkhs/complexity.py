@@ -175,7 +175,7 @@ def kappa_monte_carlo(process: AugmentationProcess, m: int, r: int,
     xs = rng.choice(process.n_x, size=m, p=process.p_x)
     # only the distinct sampled rows are made dense
     points, inverse = np.unique(xs, return_inverse=True)
-    rows = process.conditional_rows(points)
+    rows = process.conditional_dense(points)
     averages = np.empty(m)
     for k, i in enumerate(inverse):
         row = rows[i]

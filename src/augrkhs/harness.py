@@ -119,8 +119,9 @@ def load_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # not JSON or not UTF-8, or too long an int
+            raise ValidationError(
+                f"config is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError("config must be a JSON object")
     return raw
@@ -206,11 +207,16 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     output_dir = raw.get("output_dir")
     if not output_dir:
         raise ValidationError("output_dir is required")
+    if not isinstance(output_dir, str):  # str() would name a directory
+        raise ValidationError(f"output_dir must be a string, got {output_dir!r}")
     options = _object(raw.get("options"), "options")
     unknown = sorted(set(options) - set(OPTIONS))
     if unknown:
         raise ValidationError(
             f"unknown options {unknown}; the cells read {list(OPTIONS)}")
+    if options and cmd != "pretrain":  # only the optimizer reads one
+        raise ValidationError(
+            f"command {cmd!r} reads no options, not {sorted(options)}")
     for name, value in options.items():  # max_iters, a count
         options[name] = _integer(value, f"option {name!r}")
         if options[name] < 0:
@@ -227,7 +233,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         grid=grid,
         seeds=tuple(_distinct([_integer(s, "each seed") for s in seeds],
                               "the seed list")),
-        output_dir=str(output_dir),
+        output_dir=output_dir,
         budget=budget,
         master_seed=_integer(raw.get("master_seed", 0), "master_seed"),
         options=options,

@@ -9,13 +9,13 @@ probability invariants and deterministic about enumeration order: hypercube
 points are enumerated lexicographically with coordinate values ordered
 ``-1 < 0 < +1``, and augmentations with zero marginal mass are pruned.
 
-A table of at most ``DENSE_ENTRIES`` entries is stored dense whatever its
-density; a larger one is stored sparse (CSR, compressed sparse rows) when
-its density is below 25%, as a :class:`CSRTable`: three numpy arrays,
-which the builds write and every read of the entries reads with numpy.
+A build makes each table once, in its own form: the flip schemes dense,
+random_mask and block_mask as a :class:`CSRTable` (compressed sparse rows),
+three numpy arrays.  :func:`_finalize_storage` alone picks the stored form:
+dense up to ``DENSE_ENTRIES`` entries, above that CSR below 25% density.
 ``scipy.sparse`` is imported only for the first product with a CSR table,
-whose scipy array shares those arrays, so a sweep that never multiplies by
-its table, such as a ``kappa`` sweep, never loads it.
+so a sweep that never multiplies by its table, such as ``kappa``, never
+loads it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -48,13 +47,26 @@ RANDOM_SCHEMES = ("random_mask", "random_mask_flip")  # one mask per coordinate
 _SYMBOLS = np.frombuffer(b"-0+", dtype=np.uint8)  # bytes of -1, 0, +1
 
 
-def _check_budget(shape: tuple[int, ...], budget: int, what: str) -> None:
+def _check_budget(shape: tuple, budget: int, what: str) -> None:
     """The one budget check: a :class:`BudgetExceededError` naming ``what``
-    if an array of ``shape`` would hold more than ``budget`` entries."""
-    entries = math.prod(shape)
+    if an array of ``shape`` would hold more than ``budget`` entries.  A side
+    is an int or ``(factor, base, exponent)``, ``factor * base**exponent``:
+    a product 64 bits longer than the budget is not formed, and the message
+    writes its sides as powers."""
+    sides = [tuple(map(int, side)) if isinstance(side, tuple)
+             else (int(side), 1, 1) for side in shape]
+    # the product is at least 2 to this power
+    if sum(f.bit_length() - 1 + e * (b.bit_length() - 1)
+           for f, b, e in sides) >= int(budget).bit_length() + 64:
+        powers = [str(f) if b == 1 else f"{f}*{b}^{e}".removeprefix("1*")
+                  for f, b, e in sides]
+        raise BudgetExceededError(f"{what} needs {' x '.join(powers)} entries, "
+                                  f"exceeding the budget of {budget}")
+    lengths = [f * b**e for f, b, e in sides]
+    entries = math.prod(lengths)
     if entries > budget:
         raise BudgetExceededError(
-            f"{what} needs {' x '.join(map(str, shape))} = {entries} entries, "
+            f"{what} needs {' x '.join(map(str, lengths))} = {entries} entries, "
             f"exceeding the budget of {budget}")
 
 
@@ -80,14 +92,6 @@ def _marginal(mass, labels) -> np.ndarray:
         raise ValidationError(f"probabilities sum to {total!r}, not 1")
     mass.setflags(write=False)
     return mass
-
-
-def _is_scipy_sparse(table) -> bool:
-    """Whether ``table`` is a scipy sparse array.  False without importing
-    anything while ``scipy.sparse`` is not loaded, because nothing can be
-    one then."""
-    sparse = sys.modules.get("scipy.sparse")
-    return sparse is not None and sparse.issparse(table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,26 +166,12 @@ def _csr(data, cols, counts, shape: tuple[int, int]) -> CSRTable:
                     indptr, tuple(shape))
 
 
-def _from_scipy(table) -> CSRTable:
-    """A scipy sparse array as a :class:`CSRTable`, in scipy's canonical
-    CSR form: duplicates summed, each row's columns in increasing order."""
-    csr = table.tocsr(copy=True)
-    csr.sum_duplicates()
-    return CSRTable(np.asarray(csr.data, dtype=float), csr.indices,
-                    csr.indptr, csr.shape)
-
-
 def _from_dense(table: np.ndarray) -> CSRTable:
     """The nonzero entries of a dense table as a :class:`CSRTable`."""
     rows, cols = np.nonzero(table)
     return _csr(table[rows, cols], cols, np.bincount(rows,
                                                      minlength=table.shape[0]),
                 table.shape)
-
-
-def _stored_dense(shape: tuple[int, int]) -> bool:
-    """Whether a table of ``shape`` is stored dense whatever its density."""
-    return shape[0] * shape[1] <= DENSE_ENTRIES
 
 
 def derive_marginal(conditional, p_x: np.ndarray) -> np.ndarray:
@@ -208,10 +198,9 @@ class AugmentationProcess:
     p_x : ndarray
         Data marginal over ``|X|`` points; strictly positive on every point.
     conditional : ndarray or CSRTable
-        ``|X| x |A|`` table of ``p(a|x)``; stored sparse, as a
-        :class:`CSRTable`, when it holds more than ``DENSE_ENTRIES`` entries
-        and its density is below 25%.  A scipy sparse array given here is
-        stored as a :class:`CSRTable` of its entries, not made dense.
+        ``|X| x |A|`` table of ``p(a|x)``; any other type raises
+        :class:`ValidationError`.  A build stores it as a :class:`CSRTable`
+        when it holds more than ``DENSE_ENTRIES`` entries below 25% density.
     p_a : ndarray
         Augmentation marginal ``conditional^T p_x`` over ``|A|`` points,
         strictly positive after pruning.
@@ -246,13 +235,14 @@ class AugmentationProcess:
         object.__setattr__(self, "p_a", p_a)
         n_x, n_a = p_x.size, p_a.size
         cond = self.conditional
-        if _is_scipy_sparse(cond):
-            cond = _from_scipy(cond)
-        elif not isinstance(cond, CSRTable):
+        if isinstance(cond, np.ndarray):
             # a read-only view: the caller's array stays writeable, and a
             # table of |X| x |A| entries is not copied
             cond = np.asarray(cond, dtype=float).view()
             cond.setflags(write=False)
+        elif not isinstance(cond, CSRTable):
+            raise ValidationError("conditional must be an ndarray or a "
+                                  f"CSRTable, got {type(cond).__name__}")
         object.__setattr__(self, "conditional", cond)
         if cond.shape != (n_x, n_a):
             raise ValidationError(
@@ -310,17 +300,12 @@ class AugmentationProcess:
             return self.conditional.transpose()
         return self.conditional.T
 
-    def conditional_dense(self) -> np.ndarray:
-        """The conditional table as a dense ``|X| x |A|`` array."""
-        if self.is_sparse:
-            return self.conditional.toarray()
-        return np.asarray(self.conditional)
-
-    def conditional_rows(self, points) -> np.ndarray:
-        """The rows ``points`` of the conditional table, dense."""
+    def conditional_dense(self, points=None) -> np.ndarray:
+        """The rows ``points`` (all rows when ``None``) of the conditional
+        table, in that order, as a dense array."""
         if self.is_sparse:
             return self.conditional.toarray(points)
-        return self.conditional[points]
+        return self.conditional if points is None else self.conditional[points]
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,11 +381,9 @@ def _finalize_storage(conditional):
     (CSR) when it holds more than ``DENSE_ENTRIES`` entries and its density
     is below 25%, dense otherwise."""
     sparse = isinstance(conditional, CSRTable)
-    if not sparse:
-        conditional = np.asarray(conditional, dtype=float)
+    entries = math.prod(conditional.shape)
     nonzero = np.count_nonzero(conditional.data if sparse else conditional)
-    if (_stored_dense(conditional.shape)
-            or nonzero / math.prod(conditional.shape) >= SPARSE_DENSITY):
+    if entries <= DENSE_ENTRIES or nonzero / entries >= SPARSE_DENSITY:
         return conditional.toarray() if sparse else conditional
     return conditional if sparse else _from_dense(conditional)
 
@@ -485,25 +468,22 @@ def _fill_power(table: np.ndarray, channel: np.ndarray) -> None:
 
 
 def _csr_power(channel: np.ndarray, d: int) -> CSRTable:
-    """The ``d``-fold Kronecker power of ``channel`` in CSR, with the
-    entries scipy's ``kron`` gives: row ``(n, i)`` holds
-    ``lower[n, m] * channel[i, j]`` at column ``(m, j)`` for each stored
-    ``(m, j)``, in increasing column order.
-
-    The two rows of a coordinate channel hold the same values mirrored, so
-    as many nonzeros each, and so does every row of a power: the entries
-    are ``rows x per-row`` arrays.
-    """
+    """The ``d``-fold Kronecker power of ``channel`` in CSR, as scipy's
+    ``kron`` stores it.  Both rows of a coordinate channel hold the same
+    values mirrored, so every row of the power holds as many entries: the
+    power of the ``2 x k`` step of the nonzeros, which :func:`_fill_power`
+    multiplies out, at the columns the same recursion gives."""
     nonzero = channel != 0
     step = channel[nonzero].reshape(channel.shape[0], -1)
     step_cols = np.nonzero(nonzero)[1].reshape(step.shape)
-    data, cols = step, step_cols
-    for _ in range(d - 1):
-        data = (data[:, None, :, None] * step[None, :, None, :]).reshape(
-            data.shape[0] * step.shape[0], -1)
-        cols = (cols[:, None, :, None] * channel.shape[1]
-                + step_cols[None, :, None, :]).reshape(data.shape)
     shape = (channel.shape[0] ** d, channel.shape[1] ** d)
+    data = np.empty((shape[0], step.shape[1] ** d))
+    _fill_power(data, step)
+    cols = step_cols
+    for _ in range(d - 1):
+        cols = (cols[:, None, :, None] * channel.shape[1]
+                + step_cols[None, :, None, :]).reshape(
+                    cols.shape[0] * step.shape[0], -1)
     return _csr(data.ravel(), cols.ravel(),
                 np.full(shape[0], data.shape[1]), shape)
 
@@ -517,15 +497,13 @@ def _build_product_scheme(config: HypercubeConfig, budget: int) -> AugmentationP
     labels and no lower power beside them.
     """
     d = config.d_x
-    shape = (2**d, 3**d)
-    _check_budget(shape, budget, f"the {config.scheme} table at d_x={d}")
+    _check_budget(((1, 2, d), (1, 3, d)), budget,
+                  f"the {config.scheme} table at d_x={d}")
     channel = _coordinate_channel(config)
-    # the product is multiplied out in the storage the table ends up in: a
-    # channel without zeros gives a table without zeros, stored dense, and
-    # any other one a table below 25% density from d_x = 4 on, stored dense
-    # up to DENSE_ENTRIES entries and sparse above
-    if channel.all() or _stored_dense(shape):
-        conditional = np.empty(shape)
+    # a channel without zeros (random_mask_flip) gives a table without
+    # zeros, built dense; random_mask's is built CSR
+    if channel.all():
+        conditional = np.empty((2**d, 3**d))
         _fill_power(conditional, channel)
     else:
         conditional = _csr_power(channel, d)
@@ -545,8 +523,9 @@ def _build_block_scheme(config: HypercubeConfig, budget: int) -> AugmentationPro
     d, r = config.d_x, config.block_length
     n_pos = d - r + 1
     # sizes are checked before anything is enumerated
+    _check_budget(((1, 2, d), (n_pos, 2, d - r)), budget,
+                  f"the {config.scheme} table at d_x={d}")
     n_x, n_a = 2**d, n_pos * 2 ** (d - r)
-    _check_budget((n_x, n_a), budget, f"the {config.scheme} table at d_x={d}")
     x_points = _sign_points(d)
     a_points = _block_support(d, r)
     X = np.array(x_points)
@@ -561,13 +540,9 @@ def _build_block_scheme(config: HypercubeConfig, budget: int) -> AugmentationPro
         # the n_pos blocks of a row mask different coordinates, so its
         # entries fall on distinct columns
         cols = np.searchsorted(a_codes, masked @ place)
-        if _stored_dense((n_x, n_a)):
-            conditional = np.zeros((n_x, n_a))
-            conditional[np.arange(n_x)[:, None], cols] = 1.0 / n_pos
-        else:
-            conditional = _csr(np.full(cols.size, 1.0 / n_pos),
-                               np.sort(cols, axis=1).ravel(),
-                               np.full(n_x, n_pos), (n_x, n_a))
+        conditional = _csr(np.full(cols.size, 1.0 / n_pos),
+                           np.sort(cols, axis=1).ravel(),
+                           np.full(n_x, n_pos), (n_x, n_a))
     else:  # block_mask_flip
         q = config.flip_prob
         free = d - r
@@ -610,9 +585,8 @@ def build_custom(x_size: int, a_size: int, p_x, triples
 
     Row sums must equal 1 within ``1e-9``; rows are then renormalized
     exactly.  Duplicate triples accumulate.  The table is then assembled as
-    a hypercube table is: zero-mass augmentations pruned, stored sparse when
-    it holds more than ``DENSE_ENTRIES`` entries and its density is below
-    25%; the second return value maps the surviving column positions
+    a hypercube table is, zero-mass augmentations pruned and the storage
+    chosen; the second return value maps the surviving column positions
     back to the original ``a`` indices.
     """
     if not (x_size >= 1 and a_size >= 1):
@@ -670,11 +644,10 @@ def sample_process(process: AugmentationProcess, N: int, seed: int
     draws = rng.choice(process.n_x, size=N, p=process.p_x)
     points, counts = np.unique(draws, return_counts=True)
     p_x = counts / N
-    rows = process.conditional_rows(points)
+    rows = process.conditional_dense(points)
     p_a = derive_marginal(rows, p_x)
     kept = np.nonzero(p_a > 0.0)[0]
-    # not through _assemble, whose storage rule stores a table of more than
-    # DENSE_ENTRIES entries sparse below 25% density: the SVD that
+    # not through _assemble, which could store it CSR: the SVD that
     # decomposes the sample would make it dense again
     sample = AugmentationProcess(p_x=p_x, conditional=rows[:, kept],
                                  p_a=p_a[kept])
@@ -720,12 +693,9 @@ def dump_process(path, process: AugmentationProcess) -> None:
     One triple per nonzero entry, in row-major order, read from the stored
     entries: a sparse table is never made dense.
     """
-    C = process.conditional
-    if process.is_sparse:  # one entry per position, in row-major order
-        rows, cols, values = C.entry_rows(), C.indices, C.data
-    else:
-        rows, cols = np.nonzero(C)
-        values = C[rows, cols]
+    C = process.conditional if process.is_sparse else _from_dense(
+        process.conditional)
+    rows, cols, values = C.entry_rows(), C.indices, C.data
     keep = values != 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{process.n_x} {process.n_a}\n")

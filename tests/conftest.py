@@ -45,7 +45,7 @@ def decomp_cache(process_cache):
 def stored_by_density():
     """Tables built inside are stored by the 25% density rule alone, as if
     ``processes.DENSE_ENTRIES`` were 0: a small table below 25% density
-    takes the CSR route that only larger ones take otherwise."""
+    is stored CSR, as only a larger one is otherwise."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(processes, "DENSE_ENTRIES", 0)
         yield

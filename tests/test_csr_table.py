@@ -11,7 +11,6 @@ table that scipy stored.  Everything must agree to the bit.
 
 import dataclasses
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -19,6 +18,7 @@ import pytest
 import scipy.sparse as sp
 
 from augrkhs import processes, spectral
+from augrkhs.exceptions import ValidationError
 from augrkhs.processes import (
     HypercubeConfig,
     build_custom,
@@ -78,8 +78,9 @@ def scipy_assemble(table, p_x):
         table = (table.tocsc()[:, kept].tocsr() if sp.issparse(table)
                  else table[:, kept])
     nonzero = table.nnz if sp.issparse(table) else np.count_nonzero(table)
-    if (processes._stored_dense(table.shape)
-            or nonzero / math.prod(table.shape) >= processes.SPARSE_DENSITY):
+    entries = math.prod(table.shape)
+    if (entries <= processes.DENSE_ENTRIES
+            or nonzero / entries >= processes.SPARSE_DENSITY):
         stored = table.toarray() if sp.issparse(table) else table
     else:
         stored = sp.csr_array(table)
@@ -250,22 +251,15 @@ def test_dump_writes_the_bytes_of_the_scipy_writer(tmp_path, scheme, d_x,
             == (tmp_path / "oracle.txt").read_bytes())
 
 
-def test_a_scipy_table_is_stored_in_canonical_csr():
-    # unsorted columns and a duplicate, given as COO: stored summed and in
-    # column order, not made dense, with p_a derived from the stored form
-    table = sp.coo_array(
-        (np.array([0.25, 0.5, 0.25, 0.5, 0.5]),
-         (np.array([0, 0, 0, 1, 1]), np.array([2, 0, 2, 1, 0]))),
-        shape=(2, 3))
-    p_x = np.array([0.5, 0.5])
-    p_a = np.array([0.5, 0.25, 0.25])
-    process = processes.AugmentationProcess(p_x=p_x, conditional=table,
-                                            p_a=p_a)
-    assert process.is_sparse
-    stored = process.conditional
-    assert stored.indices.tolist() == [0, 2, 0, 1]
-    assert stored.indptr.tolist() == [0, 2, 4]
-    assert stored.data.tolist() == [0.5, 0.5, 0.5, 0.5]
-    assert np.array_equal(stored.toarray(), table.toarray())
-    for i, j in itertools.product(range(2), range(3)):
-        assert stored.toarray([i])[0, j] == table.toarray()[i, j]
+def test_a_scipy_table_is_refused():
+    # a process takes its table as a dense ndarray or a CSRTable: a scipy
+    # array, or a nested list, is not converted, and the message names its
+    # type
+    dense = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+    for table in (sp.csr_array(dense), sp.coo_array(dense), dense.tolist()):
+        with pytest.raises(ValidationError, match=(
+                "^conditional must be an ndarray or a CSRTable, got "
+                f"{type(table).__name__}$")):
+            processes.AugmentationProcess(p_x=np.array([0.5, 0.5]),
+                                          conditional=table,
+                                          p_a=np.array([0.25, 0.5, 0.25]))

@@ -59,16 +59,14 @@ def test_resolve_config_validation(tmp_path):
             tmp_path, grid={"scheme": ["mystery"], "d_x": [3],
                             "alpha": [0.5]}))
     # a misspelt option would otherwise be ignored and its default used
+    pretrain = {"command": "pretrain",
+                "grid": {"scheme": ["random_mask"], "d_x": [3],
+                         "alpha": [0.5], "objective": ["scl"], "d": [2]},
+                "seeds": [0], "output_dir": "x"}
     with pytest.raises(ValidationError, match="'max_iter'"):
-        resolve_config({"command": "pretrain",
-                        "grid": {"scheme": ["random_mask"], "d_x": [3],
-                                 "alpha": [0.5], "objective": ["scl"],
-                                 "d": [2]},
-                        "seeds": [0], "output_dir": "x",
-                        "options": {"max_iter": 5}})
+        resolve_config(dict(pretrain, options={"max_iter": 5}))
     options = {name: 1.0 for name in harness.OPTIONS}
-    assert resolve_config(kappa_config(tmp_path, options=options)).options \
-        == options
+    assert resolve_config(dict(pretrain, options=options)).options == options
 
 
 @pytest.mark.parametrize("axis, values, repeated", [
@@ -350,6 +348,22 @@ def test_partial_failure_exit_code(tmp_path):
     assert len(clean) == 1
 
 
+def test_an_oversized_d_x_is_a_budget_error_row(tmp_path):
+    # 3^10000 has more digits than an int prints; the row names the table
+    outcome = run(resolve_config(kappa_config(
+        tmp_path, grid={"scheme": ["random_mask", "block_mask"],
+                        "d_x": [3, 10000], "alpha": [0.5]})))
+    assert outcome.exit_code == 2 and outcome.failures == 2
+    assert [r.get("error", "").split(" needs ")[0]
+            for r in outcome.records] == [
+        "", "BudgetExceededError: the random_mask table at d_x=10000",
+        "", "BudgetExceededError: the block_mask table at d_x=10000"]
+    rows = list(csv.DictReader(open(outcome.files["kappa"])))
+    assert rows[1]["error"] == (
+        "BudgetExceededError: the random_mask table at d_x=10000 needs "
+        "2^10000 x 3^10000 entries; exceeding the budget of 100000000")
+
+
 def test_spectrum_residual_kernel_over_budget(tmp_path):
     # block_mask d_x=6 alpha=0.5: the 64 x 32 table fits a budget of 10000,
     # the four 64 x 64 arrays of the reconstruction residual do not; d_x=5
@@ -576,15 +590,34 @@ def test_cli_print_config(tmp_path, capsys):
     {"options": {"max_iters": 2.7}}, {"options": {"max_iters": -1}},
     {"options": {"grad_tol": True}}, {"options": {"learning_rate": "0.2"}},
     {"options": {"c0": None}}, {"jobs": 4},
+    # a relative path, so that a sweep run on it would write under tmp_path
+    {"output_dir": ["x"]},
+    {"options": {"max_iters": 5}},  # a kappa cell runs no optimizer
+    # a valid config in Latin-1, not UTF-8
+    pytest.param(json.dumps(
+        {"command": "kappa", "seeds": [0], "output_dir": "caf\u00e9",
+         "grid": {"scheme": ["random_mask"], "d_x": [3], "alpha": [0.5]}},
+        ensure_ascii=False).encode("latin-1"), id="latin-1"),
+    # an integer of more digits than Python reads
+    pytest.param(json.dumps(
+        {"command": "kappa", "seeds": [0], "output_dir": "out",
+         "grid": {"scheme": ["random_mask"], "d_x": [3], "alpha": [0.5]},
+         "budget": 0}).encode("utf-8").replace(
+             b'"budget": 0', b'"budget": 1' + b"0" * 5000), id="5001-digits"),
 ])
-def test_cli_reports_config_type_errors(tmp_path, capsys, bad):
+def test_cli_reports_config_type_errors(tmp_path, capsys, monkeypatch, bad):
+    monkeypatch.chdir(tmp_path)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(dict(kappa_config(tmp_path), **bad)))
-    assert main(["kappa", "--config", str(cfg_path), "--print-config"]) == 1
+    if isinstance(bad, bytes):
+        cfg_path.write_bytes(bad)
+    else:
+        cfg_path.write_text(json.dumps(dict(kappa_config(tmp_path), **bad)))
+    assert main(["kappa", "--config", str(cfg_path)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("config error:")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+    assert os.listdir(tmp_path) == ["cfg.json"]  # no output directory
 
 
 def test_cli_accepts_jobs_1_only(tmp_path, capsys):
@@ -1149,10 +1182,12 @@ def test_failed_phi_check_fails_only_the_cells_that_read_phi(tmp_path,
     counts = _count_phi(monkeypatch, scale=1 + 1e-6)
     config = resolve_config({
         "command": "regress", "grid": _PHI_READERS["regress"], "seeds": [0, 1],
-        "output_dir": str(tmp_path / "out"), "options": {"max_iters": 20}})
-    # a regress grid has no objective axis; the pretrain cells need one
+        "output_dir": str(tmp_path / "out")})
+    # a regress grid has no objective axis and reads no options; the
+    # pretrain cells need both
     config = dataclasses.replace(
-        config, grid=dict(config.grid, objective=["scl"]))
+        config, grid=dict(config.grid, objective=["scl"]),
+        options={"max_iters": 20})
     axes = harness._grid_axes(config)
     outputs = [("kappa", harness._PROCESS_AXES),
                ("spectrum", harness._PROCESS_AXES),

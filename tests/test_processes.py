@@ -57,12 +57,12 @@ _BAD_FIELDS = {
     "nan_entry": ({"conditional": np.array([[0.5, 0.5, 0.0],
                                             [np.nan, 0.5, 0.5]])},
                   "conditional probabilities must be nonnegative, got nan"),
-    "nan_sparse_entry": ({"conditional": sp.csr_array(
+    "nan_sparse_entry": ({"conditional": processes._from_dense(
                               np.array([[0.5, 0.5, 0.0], [0.0, 0.5, np.nan]]))},
                          "conditional probabilities must be nonnegative, "
                          "got nan"),
     # a row with no stored entry sums to 0
-    "empty_sparse_row": ({"conditional": sp.csr_array(
+    "empty_sparse_row": ({"conditional": processes._from_dense(
                               np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.0]]))},
                          r"conditional rows \[0\] do not sum to 1 "
                          r"\(sums \[0\.0\]\)"),
@@ -300,14 +300,16 @@ def kron_dense(acc, channel):
 @pytest.mark.parametrize("d_x", range(1, 9))
 def test_dense_product_table_equals_the_kron_oracle(d_x, alpha):
     # d_x 8 multiplies out 128 rows of the lower power in four blocks, the
-    # last one row 0 alone
-    config = HypercubeConfig(d_x, alpha, "random_mask_flip")
-    channel = processes._coordinate_channel(config)
-    want = functools.reduce(lambda acc, _: kron_dense(acc, channel),
-                            range(d_x - 1), channel)
-    process = build_hypercube(config)
-    assert not process.is_sparse
-    assert process.conditional.tobytes() == want.tobytes()
+    # last one row 0 alone.  random_mask is built CSR, so its dense table
+    # is the CSR power made dense: stored so up to d_x 6, and read so above
+    for scheme in ("random_mask_flip", "random_mask"):
+        config = HypercubeConfig(d_x, alpha, scheme)
+        channel = processes._coordinate_channel(config)
+        want = functools.reduce(lambda acc, _: kron_dense(acc, channel),
+                                range(d_x - 1), channel)
+        process = build_hypercube(config)
+        assert process.is_sparse == (scheme == "random_mask" and d_x > 6)
+        assert process.conditional_dense().tobytes() == want.tobytes(), scheme
 
 
 @pytest.mark.parametrize("d_x", [7, 8])
@@ -404,6 +406,31 @@ def test_block_budget_checked_before_enumeration(scheme):
     # 2^40 data points: only a check made before enumerating returns at all
     with pytest.raises(BudgetExceededError, match="1099511627776 x 22020096"):
         build_hypercube(HypercubeConfig(40, 0.5, scheme), budget=10**6)
+
+
+@pytest.mark.parametrize("d_x, sides", [
+    (10000, {"random_mask": "2^10000 x 3^10000",
+             "block_mask": "2^10000 x 5001*2^5000"}),
+    (10**12, {"random_mask": "2^1000000000000 x 3^1000000000000",
+              "block_mask": "2^1000000000000 x 500000000001*2^500000000000"})],
+    ids=["1e4", "1e12"])
+@pytest.mark.parametrize("scheme", ["random_mask", "block_mask"])
+def test_an_oversized_d_x_is_over_budget(scheme, d_x, sides):
+    # 3^10000 has more digits than an int prints, and 2^(10^12) more bits
+    # than memory holds: the check forms no power, and writes the sides as
+    # powers
+    with pytest.raises(BudgetExceededError, match=re.escape(
+            f"the {scheme} table at d_x={d_x} needs {sides[scheme]} "
+            f"entries, exceeding the budget of {DEFAULT_BUDGET}")):
+        build_hypercube(HypercubeConfig(d_x, 0.5, scheme))
+
+
+def test_the_budget_check_is_exact_at_its_bound():
+    # 2^3 x 3^3 = 216 entries: within a budget of 216, over one of 215
+    config = HypercubeConfig(3, 0.5, "random_mask")
+    assert build_hypercube(config, budget=216).n_x == 8
+    with pytest.raises(BudgetExceededError, match="8 x 27 = 216 entries"):
+        build_hypercube(config, budget=215)
 
 
 def test_alpha_validation():
