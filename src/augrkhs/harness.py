@@ -16,13 +16,22 @@ produce byte-identical files.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
 import numbers
 import os
 from dataclasses import dataclass
+
+# CPython's built-in SHA-256: hashlib would load OpenSSL's libcrypto, which
+# nothing else in a kappa sweep needs
+try:
+    from _sha2 import sha256  # 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:  # an interpreter built without built-in hashes
+        from hashlib import sha256
 
 import numpy as np
 
@@ -105,13 +114,17 @@ def fmt(value) -> str:
 def cell_seed(master_seed: int, **axes) -> int:
     """Stable per-cell seed: SHA-256 of the master seed and axis values.
 
-    Independent of grid shape, so a cell rerun in isolation reproduces its
-    row exactly.
+    The payload is ``"<master_seed>|k1=v1|k2=v2..."`` over the axes in
+    sorted order, each value written by :func:`fmt`, encoded as UTF-8; the
+    seed is the digest's first 8 bytes, big-endian, shifted right by one.
+    The digest comes from the interpreter's built-in SHA-256, or from
+    ``hashlib`` where there is none; both give the same bytes.  Independent
+    of grid shape, so a cell rerun in isolation reproduces its row exactly.
     """
     payload = f"{master_seed}|" + "|".join(
         f"{k}={fmt(axes[k])}" for k in sorted(axes)
     )
-    digest = hashlib.sha256(payload.encode("utf-8")).digest()
+    digest = sha256(payload.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import secrets
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -533,12 +532,14 @@ def verify_integral_identity(decomposition: SpectralDecomposition) -> float:
 def _replacing(path: str):
     """Text handle on a temporary file that replaces ``path`` on success.
 
-    The file is written next to ``path`` and moved over it with
-    ``os.replace``, so readers and concurrent writers never see a partial
-    file; on error the temporary file is removed.
+    The file, ``<path>.<16 hex digits>.tmp``, is written next to ``path``
+    and moved over it with ``os.replace``, so readers and concurrent writers
+    never see a partial file; on error the temporary file is removed.  The
+    digits are 8 bytes of ``os.urandom``, what ``secrets.token_hex(8)``
+    returns, without the OpenSSL import that ``secrets`` brings.
     """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     # os.open applies the umask, so the file gets the mode open() gives it
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:

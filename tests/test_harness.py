@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import gc
+import hashlib
 import json
 import math
 import os
@@ -15,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from augrkhs import complexity, harness, objectives, spectral
 from augrkhs.cli import main
@@ -250,6 +253,46 @@ def test_cell_seed_stable_and_distinct():
     assert a == b
     assert len({a, c, d}) == 3
     assert a == 7844895342657697870  # pinned: reproducibility across versions
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary() | st.text().map(lambda t: t.encode("utf-8")))
+@example(b"")
+@example("α=0.5|schème=blöck".encode("utf-8"))
+def test_builtin_sha256_matches_hashlib(payload):
+    # hashlib, which loads OpenSSL, is the oracle for the built-in hash
+    assert harness.sha256(payload).digest() == hashlib.sha256(payload).digest()
+
+
+# (master seed, axes, seed) as hashlib.sha256 gives them; -0.0 is written
+# "-0", so its seed differs from 0.0's
+_PINNED_SEEDS = [
+    (0, {"scheme": "random_mask", "d_x": 3, "alpha": 0.5}, 7844895342657697870),
+    (3, {"scheme": "block_mask", "d_x": 8, "alpha": 0.3}, 3011351240870397477),
+    (0, {"scheme": "random_mask", "d_x": 3, "alpha": -0.0}, 1075703279772583007),
+    (0, {"scheme": "random_mask", "d_x": 3, "alpha": 0.0}, 8237576384390216326),
+    (5, {"scheme": "blöck_maské", "d_x": 2, "alpha": 0.1}, 4466229914608229705),
+    (0, {}, 2206167779962007249),
+]
+
+
+@pytest.mark.parametrize("master,axes,seed", _PINNED_SEEDS)
+def test_cell_seed_pinned(master, axes, seed):
+    assert cell_seed(master, **axes) == seed
+
+
+def test_cell_seed_falls_back_to_hashlib():
+    # an interpreter without the built-in hashes gives the same seeds
+    probe = ("import sys\n"
+             "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+             "import hashlib, json\n"
+             "from augrkhs import harness\n"
+             "assert harness.sha256 is hashlib.sha256\n"
+             "print(json.dumps([harness.cell_seed(m, **a)\n"
+             "                  for m, a in json.loads(sys.argv[1])]))")
+    pinned = [[master, axes] for master, axes, _ in _PINNED_SEEDS]
+    out = _run_probe(probe, json.dumps(pinned))
+    assert json.loads(out) == [seed for _, _, seed in _PINNED_SEEDS]
 
 
 def test_figure_4a_exact_curves():
@@ -1027,6 +1070,14 @@ for d_x, path in ((3, sys.argv[1]), (7, sys.argv[2])):
     stored.append(process.is_sparse)
 print(json.dumps([stored, "scipy" in sys.modules]))
 """
+
+
+def test_import_loads_no_openssl():
+    # cell seeds hash with CPython's built-in SHA-256 and temporary names
+    # come from os.urandom, so neither hashlib's OpenSSL nor secrets loads
+    probe = ("import sys, augrkhs; print(sorted(m for m in "
+             "('_hashlib', 'hmac', 'secrets') if m in sys.modules))")
+    assert _run_probe(probe).strip() == "[]"
 
 
 def test_dump_process_loads_no_scipy(tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import traceback
 import tracemalloc
 
@@ -694,6 +695,39 @@ def test_export_decomposition(tmp_path, small_decomposition):
     np.testing.assert_allclose(psi, small_decomposition.psi, rtol=1e-15)
     phi = np.loadtxt(paths["phi"], skiprows=1, delimiter=",")
     np.testing.assert_allclose(phi, small_decomposition.phi, rtol=1e-15)
+
+
+def _temporaries(directory):
+    return sorted(set(os.listdir(directory)) - {"out.csv"})
+
+
+def test_replacing_writes_a_hex_named_temporary_next_to_the_target(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("run 0\n", encoding="utf-8")
+    names = []
+    for run in (1, 2):
+        with spectral._replacing(str(target)) as fh:
+            fh.write(f"run {run}\n")
+            names += _temporaries(tmp_path)
+            assert target.read_text(encoding="utf-8") == f"run {run - 1}\n"
+        assert _temporaries(tmp_path) == []
+        assert target.read_text(encoding="utf-8") == f"run {run}\n"
+    assert len(names) == 2 and names[0] != names[1]
+    for name in names:
+        assert re.fullmatch(r"out\.csv\.[0-9a-f]{16}\.tmp", name), name
+
+
+def test_replacing_keeps_the_target_on_error(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"old\r\n")
+    with pytest.raises(RuntimeError, match="mid-write"):
+        with spectral._replacing(str(target)) as fh:
+            fh.write("partial")
+            fh.flush()
+            assert len(_temporaries(tmp_path)) == 1
+            raise RuntimeError("mid-write")
+    assert target.read_bytes() == b"old\r\n"
+    assert _temporaries(tmp_path) == []
 
 
 def _export_row_by_row(dec, out_dir, stem):
