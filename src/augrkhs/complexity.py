@@ -7,6 +7,8 @@ computed here exactly, with its mass-weighted ``PERCENTILE``-th percentile,
 by Monte-Carlo sampling of that percentile, and by the closed forms
 available for the hypercube masking schemes.
 All values are reported squared to avoid precision loss at large magnitudes.
+The direct sums over a table are ``processes``' row sums, never a product
+with the table, so they read either stored form and load no ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -16,14 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
-from .processes import AugmentationProcess, HypercubeConfig
+from .processes import (AugmentationProcess, HypercubeConfig, _implicit_mass,
+                        _row_sums)
 # decompose stays bound here: perfbench's tracer test checks this binding
-from .spectral import SpectralDecomposition, _row_blocks, decompose
+from .spectral import SpectralDecomposition, decompose
 
 _ROUTE_AGREEMENT_TOL = 1e-8
 _BOOTSTRAP_RESAMPLES = 200  # kappa_monte_carlo's standard error
-# entries of a dense table that one step of a pass over its rows reads
-BLOCK_ENTRIES = 2**16
 # the percentile, in percent, that kappa_exact and kappa_monte_carlo report
 PERCENTILE = 99.0
 
@@ -57,37 +58,18 @@ class ClosedFormKappa:
     kind: str  # "exact" or "upper_bound"
 
 
-def _per_row(table: np.ndarray, reduce_rows) -> np.ndarray:
-    """``reduce_rows`` of a dense table, a block of rows at a time.
-
-    Each block holds ``max(1, BLOCK_ENTRIES // |A|)`` rows, the last one
-    fewer when they do not divide ``|X|``; ``reduce_rows(block)`` returns
-    one value per row of the block.  A row's value is the reduction of that
-    row alone, so it has the bits the whole table's would give it.
-    """
-    out = np.empty(table.shape[0])
-    for rows in _row_blocks(table.shape, BLOCK_ENTRIES):
-        out[rows] = reduce_rows(table[rows])
-    return out
-
-
 def diagonal_kernel_values(process: AugmentationProcess) -> np.ndarray:
     """Per-point ``K_X(x,x) = sum_a p(a|x)^2 / p_a(a)`` by direct summation.
 
     Read from the table, not through the spectral operators, because
     :func:`kappa_exact` checks the spectral diagonal
-    ``sum_i lambda_i psi_i(x)^2`` against it.  A dense table is reduced a
-    block of about ``BLOCK_ENTRIES`` entries of rows at a time, never
-    copied whole; a sparse one is summed over its stored entries by
-    ``np.bincount``, which adds each row's entries in storage order, as
-    scipy's row sum does.
+    ``sum_i lambda_i psi_i(x)^2`` against it.  Summed over the stored
+    entries of each row (:func:`processes._row_sums`): a dense table a block
+    of about ``processes.BLOCK_ENTRIES`` entries of rows at a time, never
+    copied whole, a sparse one never made dense.
     """
-    C = process.conditional
-    inv_pa = 1.0 / process.p_a
-    if process.is_sparse:
-        return np.bincount(C.entry_rows(), C.data * C.data * inv_pa[C.indices],
-                           process.n_x)
-    return _per_row(C, lambda block: ((block * block) * inv_pa).sum(axis=1))
+    return _row_sums(process.conditional, lambda c, w: c * c * w,
+                     1.0 / process.p_a)
 
 
 def mean_chi_squared(process: AugmentationProcess) -> float:
@@ -95,23 +77,17 @@ def mean_chi_squared(process: AugmentationProcess) -> float:
 
     Summed over the stored entries of each row, as
     ``sum_supp (p(a|x) - p_a)^2 / p_a + (1 - sum_supp p_a)``: an augmentation
-    outside the row's support contributes its ``p_a``.  A sparse table is
-    never densified; a dense one stores every ``a``, so its second term is
-    0, and is reduced a block of rows at a time, as in
-    :func:`diagonal_kernel_values`.
+    outside the row's support contributes its ``p_a``
+    (:func:`processes._implicit_mass`).  A sparse table is never densified;
+    a dense one stores every ``a``, so its second term is 0, and is reduced
+    a block of rows at a time, as in :func:`diagonal_kernel_values`.
     Read from the table, independently of :func:`diagonal_kernel_values`
     and of the spectrum, because :func:`kappa_exact` measures the residual
     of the trace identity ``sum_i lambda_i = 1 + mean chi-squared`` with it.
     """
     table, p_a = process.conditional, process.p_a
-    if process.is_sparse:
-        rows = table.entry_rows()
-        w = p_a[table.indices]
-        per_x = (np.bincount(rows, (table.data - w) ** 2 / w, process.n_x)
-                 + (1.0 - np.bincount(rows, w, process.n_x)))
-    else:
-        per_x = _per_row(table,
-                         lambda block: ((block - p_a) ** 2 / p_a).sum(axis=1))
+    per_x = (_row_sums(table, lambda c, w: (c - w) ** 2 / w, p_a)
+             + _implicit_mass(table, p_a))
     return float(per_x @ process.p_x)
 
 
@@ -136,8 +112,8 @@ def kappa_exact(dec: SpectralDecomposition) -> KappaReport:
     within 1e-8.  Only the decomposition's ``lambdas`` and ``psi`` are
     read, so its ``phi`` is never formed here.  The passes over a dense
     table, the direct diagonal and :func:`mean_chi_squared`, hold one block
-    of rows (two arrays of at most ``max(BLOCK_ENTRIES, |A|)`` entries)
-    besides vectors over ``X`` and ``A``, never a copy of the table.
+    of rows (two arrays of at most ``max(processes.BLOCK_ENTRIES, |A|)``
+    entries) besides vectors over ``X`` and ``A``, never a copy of the table.
     """
     process = dec.process
     direct = diagonal_kernel_values(process)

@@ -38,7 +38,7 @@ import numpy as np
 from . import complexity, encoders, objectives, regression, spectral
 from .exceptions import ValidationError
 from .processes import (DEFAULT_BUDGET, SCHEMES, HypercubeConfig, _check_budget,
-                        build_hypercube)
+                        _replacing, build_hypercube)
 
 SCHEMA_VERSION = "1"
 
@@ -260,7 +260,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    with spectral._replacing(path) as fh:
+    with _replacing(path) as fh:
         fh.write(text)
 
 

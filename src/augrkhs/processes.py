@@ -13,6 +13,10 @@ A build makes each table once, in its own form: the flip schemes dense,
 random_mask and block_mask as a :class:`CSRTable` (compressed sparse rows),
 three numpy arrays.  :func:`_finalize_storage` alone picks the stored form:
 dense up to ``DENSE_ENTRIES`` entries, above that CSR below 25% density.
+This module alone reads that form: other modules multiply by the table
+(``table @ M``, ``table.T @ M``) or call its readers here, the row sums
+(:func:`_row_sums`, :func:`_implicit_mass`), :func:`_kernel_x` and
+:func:`_joint_table`.
 ``scipy.sparse`` is imported only for the first product with a CSR table,
 so a sweep that never multiplies by its table, such as ``kappa``, never
 loads it.
@@ -20,9 +24,11 @@ loads it.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -39,6 +45,8 @@ SPARSE_DENSITY = 0.25
 # above 46,656 and below 279,936 entries
 DENSE_ENTRIES = 2**16
 DEFAULT_BUDGET = 10**8
+# entries of a dense table that one step of a pass over its rows reads
+BLOCK_ENTRIES = 2**16
 
 SCHEMES = ("random_mask", "block_mask", "block_mask_flip", "random_mask_flip")
 FLIP_SCHEMES = ("block_mask_flip", "random_mask_flip")
@@ -105,7 +113,8 @@ class CSRTable:
     The entries are read with numpy.  ``csr_array``, the scipy array over
     the same three arrays, is built without a copy on the first product
     with the table (``table @ M``, which runs scipy's CSR kernel); it is
-    the one place ``scipy.sparse`` is imported.
+    the one place ``scipy.sparse`` is imported.  ``T``, the transpose, is
+    scipy's CSC view of the same three arrays, also made once, on first use.
     """
 
     data: np.ndarray
@@ -135,21 +144,19 @@ class CSRTable:
             self.indices[entries]] += self.data[entries]
         return out
 
-    def transpose(self) -> CSRTable:
-        """The ``shape[1] x shape[0]`` transpose, also in CSR: row ``a``
-        holds column ``a``'s entries in increasing row order, as scipy's
-        CSR-to-CSC conversion orders them."""
-        order = np.argsort(self.indices, kind="stable")
-        return _csr(self.data[order], self.entry_rows()[order],
-                    np.bincount(self.indices, minlength=self.shape[1]),
-                    self.shape[::-1])
-
     @cached_property
     def csr_array(self):
         import scipy.sparse as sp
 
         return sp.csr_array((self.data, self.indices, self.indptr),
                             shape=self.shape, copy=False)
+
+    @cached_property
+    def T(self):
+        """The ``shape[1] x shape[0]`` transpose, without a copy: a product
+        with it adds each output's terms in increasing row order of the
+        table, as a CSR copy of the transpose would."""
+        return self.csr_array.T
 
     def __matmul__(self, other):
         return self.csr_array @ other
@@ -169,9 +176,8 @@ def _csr(data, cols, counts, shape: tuple[int, int]) -> CSRTable:
 def _from_dense(table: np.ndarray) -> CSRTable:
     """The nonzero entries of a dense table as a :class:`CSRTable`."""
     rows, cols = np.nonzero(table)
-    return _csr(table[rows, cols], cols, np.bincount(rows,
-                                                     minlength=table.shape[0]),
-                table.shape)
+    return _csr(table[rows, cols], cols,
+                np.bincount(rows, minlength=table.shape[0]), table.shape)
 
 
 def derive_marginal(conditional, p_x: np.ndarray) -> np.ndarray:
@@ -209,11 +215,6 @@ class AugmentationProcess:
         spectrum has a closed form; ``None`` for every other process.
     x_labels, a_labels : tuple of str or None
         Display names of the data and augmentation points, one each.
-    conditional_transpose : ndarray or CSRTable
-        The ``|A| x |X|`` transpose of ``conditional``, built on first use
-        and kept for the life of the process: the ``.T`` view of a dense
-        table, or the :class:`CSRTable` of a sparse one's transpose.  Its
-        arrays are read-only.
 
     Both marginals are stored as read-only float copies, and a dense table
     as a read-only float view, so the caller's own arrays stay writeable.
@@ -248,13 +249,9 @@ class AugmentationProcess:
             raise ValidationError(
                 f"conditional has shape {cond.shape}, expected ({n_x}, {n_a})"
             )
-        if isinstance(cond, CSRTable):
-            smallest = cond.data.min() if cond.data.size else 0.0
-            # an empty row sums to 0
-            row_sums = np.bincount(cond.entry_rows(), cond.data, n_x)
-        else:
-            smallest = cond.min()
-            row_sums = cond.sum(axis=1)
+        smallest = (cond.data if isinstance(cond, CSRTable)
+                    else cond).min(initial=0.0)
+        row_sums = _row_sums(cond)
         if not smallest >= 0:
             raise ValidationError("conditional probabilities must be "
                                   f"nonnegative, got {float(smallest)!r}")
@@ -294,18 +291,72 @@ class AugmentationProcess:
     def is_sparse(self) -> bool:
         return isinstance(self.conditional, CSRTable)
 
-    @cached_property
-    def conditional_transpose(self):
-        if self.is_sparse:
-            return self.conditional.transpose()
-        return self.conditional.T
-
     def conditional_dense(self, points=None) -> np.ndarray:
         """The rows ``points`` (all rows when ``None``) of the conditional
         table, in that order, as a dense array."""
         if self.is_sparse:
             return self.conditional.toarray(points)
         return self.conditional if points is None else self.conditional[points]
+
+
+def _row_blocks(shape, entries: int):
+    """Slices of consecutive rows of an array of ``shape``, each of
+    ``max(1, entries // shape[1])`` rows, the last one fewer when they do
+    not divide ``shape[0]``."""
+    rows = max(1, entries // shape[1])
+    return (slice(start, start + rows) for start in range(0, shape[0], rows))
+
+
+def _row_sums(table, term=None, by_column=None) -> np.ndarray:
+    """Per row of a dense table or a :class:`CSRTable`, the sum over its
+    stored entries of ``term(c, w)``, ``c`` the entry and ``w`` its
+    column's value in ``by_column``, or of the entries when ``term`` is
+    ``None``.  A dense table is summed a block of about ``BLOCK_ENTRIES``
+    entries of rows at a time, each row on its own, so a row has the bits
+    the whole table's sum gives it; a CSR table by ``np.bincount``, which
+    adds each row's entries in storage order, as scipy's row sum does.
+    """
+    if isinstance(table, CSRTable):
+        values = (table.data if term is None
+                  else term(table.data, by_column[table.indices]))
+        return np.bincount(table.entry_rows(), values, table.shape[0])
+    out = np.empty(table.shape[0])
+    for rows in _row_blocks(table.shape, BLOCK_ENTRIES):
+        block = table[rows]
+        out[rows] = (block if term is None
+                     else term(block, by_column)).sum(axis=1)
+    return out
+
+
+def _implicit_mass(table, p_a: np.ndarray) -> np.ndarray:
+    """Per row, the ``p_a`` mass of the columns it does not store: 1 less
+    that of its stored entries in CSR, 0 in a dense row, which stores all."""
+    if not isinstance(table, CSRTable):
+        return np.zeros(table.shape[0])
+    return 1.0 - _row_sums(table, lambda c, w: w, p_a)
+
+
+def _kernel_x(process: AugmentationProcess) -> np.ndarray:
+    """``K_X = C diag(1 / p_a) C^T`` as a new dense ``|X| x |X|`` array."""
+    C, inv_pa = process.conditional, 1.0 / process.p_a
+    if isinstance(C, CSRTable):
+        return (C.csr_array.multiply(inv_pa) @ C.T).toarray()
+    return (C * inv_pa) @ C.T
+
+
+def _joint_table(process: AugmentationProcess) -> np.ndarray:
+    """``B(a,x) = p(a|x) sqrt(p_x(x)) / sqrt(p_a(a))`` as a new dense
+    ``|A| x |X|`` array: a CSR table's entries are scaled as
+    ``(c sqrt(p_x)) (1 / sqrt(p_a))``, the products scipy's sparse route
+    took, and written into zeros."""
+    C = process.conditional
+    sqrt_wx, sqrt_wa = np.sqrt(process.p_x), np.sqrt(process.p_a)
+    if not isinstance(C, CSRTable):
+        return (C * sqrt_wx[:, None] / sqrt_wa).T
+    rows = C.entry_rows()
+    B = np.zeros(C.shape[::-1])
+    B[C.indices, rows] = (C.data * sqrt_wx[rows]) * (1.0 / sqrt_wa)[C.indices]
+    return B
 
 
 @dataclass(frozen=True, eq=False)
@@ -687,17 +738,42 @@ def load_process(path) -> tuple[AugmentationProcess, np.ndarray]:
     return build_custom(x_size, a_size, p_x, triples)
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """Text handle on a temporary file that replaces ``path`` on success.
+
+    The file, ``<path>.<16 hex digits>.tmp``, is written next to ``path``
+    and moved over it with ``os.replace``, so readers and concurrent writers
+    never see a partial file; on error the temporary file is removed.  The
+    digits are 8 bytes of ``os.urandom``, what ``secrets.token_hex(8)``
+    returns, without the OpenSSL import that ``secrets`` brings.
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    # os.open applies the umask, so the file gets the mode open() gives it
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def dump_process(path, process: AugmentationProcess) -> None:
     """Write a process in the text format read by :func:`load_process`.
 
     One triple per nonzero entry, in row-major order, read from the stored
-    entries: a sparse table is never made dense.
+    entries: a sparse table is never made dense.  It replaces ``path``
+    atomically (:func:`_replacing`).
     """
     C = process.conditional if process.is_sparse else _from_dense(
         process.conditional)
     rows, cols, values = C.entry_rows(), C.indices, C.data
     keep = values != 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         fh.write(f"{process.n_x} {process.n_a}\n")
         fh.write(" ".join(f"{v:.17g}" for v in process.p_x) + "\n")
         fh.writelines(f"{i} {j} {v:.17g}\n" for i, j, v in zip(

@@ -7,10 +7,11 @@ which the other modules call rather than multiply by the table themselves:
 averages an augmentation-space function under ``p(a|x)``.  The data kernel
 ``K_X`` is kept as a plain matrix, an independent route that
 :func:`verify_integral_identity` checks the operators and a spectrum against.
-A product with a CSR table (:class:`processes.CSRTable`), in these
-operators and in ``K_X``, runs scipy's CSR kernels, so ``scipy.sparse``
-loads on the first of them; the SVD route makes such a table dense with
-numpy.
+The operators multiply by the table and its ``.T``, and ``processes``
+forms ``K_X`` and the SVD route's joint table; only the operand choice of
+:func:`_duality_residual` asks here how a table is stored.  A product with a
+CSR table runs scipy's CSR kernels, so ``scipy.sparse`` loads on the first
+of them; the SVD route makes such a table dense with numpy.
 
 The spectral decomposition of a hypercube masking process comes from its
 subset law: the eigenfunctions are the Walsh characters
@@ -34,14 +35,14 @@ and orders the degenerate blocks of either in one step.
 
 from __future__ import annotations
 
-import contextlib
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import ValidationError
-from .processes import RANDOM_SCHEMES, AugmentationProcess, HypercubeConfig
+from .processes import (RANDOM_SCHEMES, AugmentationProcess, HypercubeConfig,
+                        _joint_table, _kernel_x, _replacing, _row_blocks)
 
 _RANK_TOL = 1e-10  # eigenvalues at or below it are dropped
 _TIE_TOL = 1e-10
@@ -65,22 +66,16 @@ def kernel_x(process: AugmentationProcess) -> np.ndarray:
     from the table directly, not through :func:`apply_gamma`, because
     :func:`verify_integral_identity` checks the operator route against it.
     """
-    C = process.conditional
-    inv_pa = 1.0 / process.p_a
-    if process.is_sparse:
-        C = C.csr_array
-        return (C.multiply(inv_pa) @ C.T).toarray()
-    return (C * inv_pa) @ C.T
+    return _kernel_x(process)
 
 
 def apply_joint(process: AugmentationProcess, f: np.ndarray) -> np.ndarray:
     """Joint law applied to a data-space function, ``sum_x f(x) p(a|x) p_x(x)``.
 
     The product ``C^T (f p_x)`` that :func:`apply_gamma` divides by ``p_a``;
-    ``f`` may hold one function per column.  ``C^T`` is the process's
-    ``conditional_transpose``, built once: on a sparse table its CSR
-    product adds the same terms in the same order as the column-major
-    ``C.T`` would, so the result is the same to the bit.
+    ``f`` may hold one function per column.  ``C^T`` is the table's ``.T``:
+    a view of a dense table, or a sparse one's transpose, made once on the
+    table's arrays without a copy.
     """
     f = np.asarray(f, dtype=float)
     if f.shape[0] != process.n_x:
@@ -88,7 +83,7 @@ def apply_joint(process: AugmentationProcess, f: np.ndarray) -> np.ndarray:
             f"function has length {f.shape[0]}, data space has {process.n_x}"
         )
     weighted = f * process.p_x if f.ndim == 1 else f * process.p_x[:, None]
-    return np.asarray(process.conditional_transpose @ weighted)
+    return np.asarray(process.conditional.T @ weighted)
 
 
 def apply_gamma(process: AugmentationProcess, f: np.ndarray) -> np.ndarray:
@@ -217,14 +212,6 @@ def _fix_signs(psi, phi):
     phi[:, flip] = -phi[:, flip]
 
 
-def _row_blocks(shape, entries: int):
-    """Slices of consecutive rows of an array of ``shape``, each of
-    ``max(1, entries // shape[1])`` rows, the last one fewer when they do
-    not divide ``shape[0]``."""
-    rows = max(1, entries // shape[1])
-    return (slice(start, start + rows) for start in range(0, shape[0], rows))
-
-
 def _permute_columns(M: np.ndarray, order: np.ndarray) -> np.ndarray:
     """``M[:, order]``, written over ``M`` a block of rows at a time, so
     one block is copied, not the array; returns ``M``.  A permutation
@@ -325,23 +312,6 @@ def _duality_residual(process, lambdas, psi, phi) -> float:
     resid = back - psi[:, certified]
     p_x = process.p_x
     return float(np.sqrt(np.max(np.sum(resid * resid * p_x[:, None], axis=0))))
-
-
-def _joint_table(process: AugmentationProcess) -> np.ndarray:
-    """``B(a,x) = p(a|x) sqrt(p_x(x)) / sqrt(p_a(a))`` as a new dense
-    ``|A| x |X|`` array.
-
-    A CSR table's entries are scaled as ``(c sqrt(p_x)) (1 / sqrt(p_a))``,
-    the products scipy's sparse route took, and written into zeros.
-    """
-    C = process.conditional
-    sqrt_wx, sqrt_wa = np.sqrt(process.p_x), np.sqrt(process.p_a)
-    if not process.is_sparse:
-        return (C * sqrt_wx[:, None] / sqrt_wa).T
-    rows = C.entry_rows()
-    B = np.zeros(C.shape[::-1])
-    B[C.indices, rows] = (C.data * sqrt_wx[rows]) * (1.0 / sqrt_wa)[C.indices]
-    return B
 
 
 def _spectral_engine(process: AugmentationProcess):
@@ -526,30 +496,6 @@ def verify_integral_identity(decomposition: SpectralDecomposition) -> float:
     spectral_route -= kernel_route
     return max(residual, float(np.max(np.abs(spectral_route,
                                              out=spectral_route))))
-
-
-@contextlib.contextmanager
-def _replacing(path: str):
-    """Text handle on a temporary file that replaces ``path`` on success.
-
-    The file, ``<path>.<16 hex digits>.tmp``, is written next to ``path``
-    and moved over it with ``os.replace``, so readers and concurrent writers
-    never see a partial file; on error the temporary file is removed.  The
-    digits are 8 bytes of ``os.urandom``, what ``secrets.token_hex(8)``
-    returns, without the OpenSSL import that ``secrets`` brings.
-    """
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
-    # os.open applies the umask, so the file gets the mode open() gives it
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _write_table(fh, header: str, M: np.ndarray) -> None:

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from augrkhs.complexity import (
-    BLOCK_ENTRIES,
     PERCENTILE,
     closed_form_kappa,
     diagonal_kernel_values,
@@ -20,6 +19,7 @@ from augrkhs.complexity import (
 )
 from augrkhs.exceptions import ValidationError
 from augrkhs.processes import (
+    BLOCK_ENTRIES,
     SCHEMES,
     AugmentationProcess,
     HypercubeConfig,

@@ -210,6 +210,21 @@ def test_products_equal_those_of_the_scipy_copy(index):
 
 
 @pytest.mark.parametrize("index", range(len(_CSR_CASES)))
+def test_transpose_is_one_view_of_the_table(index):
+    # made once, on the table's own read-only arrays, not a copy of them
+    table = _csr_process(index).conditional
+    transpose = table.T
+    assert table.T is transpose
+    assert transpose.shape == table.shape[::-1]
+    for view, array in ((transpose.data, table.data),
+                        (transpose.indices, table.indices),
+                        (transpose.indptr, table.indptr)):
+        assert view.shape == array.shape
+        assert np.shares_memory(view, array)
+        assert not view.flags.writeable
+
+
+@pytest.mark.parametrize("index", range(len(_CSR_CASES)))
 def test_svd_route_equals_that_of_the_scipy_copy(index, monkeypatch):
     process = dataclasses.replace(_csr_process(index), hypercube=None)
     assert (spectral._joint_table(process).tobytes()

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import itertools
@@ -704,6 +705,26 @@ def test_dump_writes_the_stored_rows(tmp_path, monkeypatch, scheme):
     dump_process(tmp_path / "process.txt", process)
     assert (tmp_path / "process.txt").read_bytes() == \
         (tmp_path / "oracle.txt").read_bytes()
+
+
+def test_dump_keeps_the_old_file_when_a_write_fails(tmp_path, small_process):
+    # the p_x line fails after the size line is written: the target keeps
+    # its old bytes, and no temporary file is left beside it
+    target = tmp_path / "process.txt"
+    target.write_bytes(b"old bytes\n")
+
+    class FailingMass:
+        size = small_process.n_x
+
+        def __iter__(self):
+            raise OSError("injected failure")
+
+    broken = copy.copy(small_process)
+    object.__setattr__(broken, "p_x", FailingMass())
+    with pytest.raises(OSError, match="injected failure"):
+        dump_process(target, broken)
+    assert target.read_bytes() == b"old bytes\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["process.txt"]
 
 
 def test_process_file_comments_and_errors(tmp_path):

@@ -106,6 +106,53 @@ def test_every_exported_function_has_a_caller():
         f"without a caller: {sorted(uncalled)}; allowed: {sorted(_NO_CALLER)}"
 
 
+# the names that read how a table is stored, which processes alone reads:
+# the storage test, the CSR class and its arrays
+_STORAGE_WORDS = {"is_sparse", "CSRTable", "csr_array", "entry_rows", "indptr",
+                  "indices", "data"}
+# spectral._duality_residual picks its operand by the stored form: a dense
+# product keeps its column-major gather, whose bits a whole operand moves
+_STORAGE_READS_ALLOWED = {("spectral.py", "_duality_residual", "is_sparse")}
+
+
+def _storage_reads(source: str) -> list[tuple[str, str]]:
+    """``(function, word)`` for each attribute, name or import of a word of
+    ``_STORAGE_WORDS`` in ``source``, ``function`` the innermost function
+    around it (``""`` at module level)."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = (child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+            word = None
+            if isinstance(child, ast.Attribute):
+                word = child.attr
+            elif isinstance(child, ast.Name):
+                word = child.id
+            elif isinstance(child, ast.alias):
+                word = child.name
+            if word in _STORAGE_WORDS:
+                found.append((inner, word))
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_only_processes_reads_how_a_table_is_stored():
+    package = Path(augrkhs.__file__).parent
+    reads = {path.name: _storage_reads(path.read_text("utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    # the guard sees every word where the reads belong
+    assert {word for _, word in reads.pop("processes.py")} == _STORAGE_WORDS
+    outside = sorted((name, function, word) for name, found in reads.items()
+                     for function, word in found)
+    unexpected = [read for read in outside
+                  if read not in _STORAGE_READS_ALLOWED]
+    assert unexpected == [], f"reads of the stored form: {unexpected}"
+
+
 def test_every_option_has_a_setter():
     # the committed configs: the benchmark's workloads and CI's sweeps
     configs = "".join(

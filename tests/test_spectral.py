@@ -11,7 +11,7 @@ import scipy.linalg as sla
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from augrkhs import complexity, spectral
+from augrkhs import complexity, processes, spectral
 from augrkhs.exceptions import ValidationError
 from augrkhs.processes import (
     SCHEMES,
@@ -103,25 +103,33 @@ def test_gamma_length_mismatch():
         apply_gamma_star(p, np.ones(2))
 
 
+def csr_transpose(table):
+    """Oracle: the hand-built CSR copy of a :class:`processes.CSRTable`'s
+    transpose that scipy's view replaced.  Row ``a`` holds column ``a``'s
+    entries in increasing row order, as scipy's CSR-to-CSC conversion
+    orders them."""
+    order = np.argsort(table.indices, kind="stable")
+    return processes._csr(table.data[order], table.entry_rows()[order],
+                          np.bincount(table.indices, minlength=table.shape[1]),
+                          table.shape[::-1])
+
+
 def _assert_joint_matches_column_major_route(process, rng):
-    """``apply_joint`` on the built-once transpose against the table's own
-    ``.T`` (a new column-major view per call), bit for bit."""
+    """``apply_joint`` against the table's own ``.T`` (a new view per call),
+    and on a CSR table against the hand-built transpose, bit for bit: on a
+    vector and on C- and F-ordered stacks of functions."""
     p_x = process.p_x
-    table = (process.conditional.csr_array if process.is_sparse
-             else process.conditional)
-    for f in (rng.normal(size=process.n_x),
-              rng.normal(size=(process.n_x, int(rng.integers(1, 6))))):
+    table = process.conditional
+    transposes = ([table.csr_array.T, csr_transpose(table)]
+                  if process.is_sparse else [table.T])
+    stack = rng.normal(size=(process.n_x, int(rng.integers(2, 6))))
+    for f in (rng.normal(size=process.n_x), stack, np.asfortranarray(stack)):
         weighted = f * p_x if f.ndim == 1 else f * p_x[:, None]
-        want = np.asarray(table.T @ weighted)
         got = apply_joint(process, f)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-    transpose = process.conditional_transpose
-    assert process.conditional_transpose is transpose
-    arrays = ((transpose.data, transpose.indices, transpose.indptr)
-              if process.is_sparse else (transpose,))
-    for array in arrays:
-        assert not array.flags.writeable
+        for transpose in transposes:
+            want = np.asarray(transpose @ weighted)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -160,6 +168,20 @@ def test_joint_on_the_transpose_matches_the_table_on_schemes(
     process = process_cache(scheme, d_x, alpha)
     _assert_joint_matches_column_major_route(
         process, np.random.default_rng(d_x))
+
+
+@pytest.mark.parametrize("d_x", range(4, 9))
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_joint_on_a_csr_table_matches_the_hand_built_transpose(scheme, d_x):
+    # every table here is multiplied in CSR: one stored dense, by size or
+    # (the flip schemes) by density, is converted to its nonzero entries
+    rng = np.random.default_rng(d_x)
+    for alpha in (0.2, 0.5, 1.0):
+        process = build_hypercube(HypercubeConfig(d_x, alpha, scheme))
+        if not process.is_sparse:
+            process = dataclasses.replace(process, conditional=(
+                processes._from_dense(process.conditional)))
+        _assert_joint_matches_column_major_route(process, rng)
 
 
 def test_decompose_identity_process_all_ones():
