@@ -4,10 +4,15 @@ A sweep's one input is a config dict of the :data:`KEYS`: a command, per-axis
 value lists, a seed list, an output directory, an enumeration budget and one
 option, the optimizer's ``max_iters``.  :func:`resolve_config` checks and
 types each setting once, so a row states the values its cell computed at.
-Every cell of the grid-times-seeds cross product executes independently with
-a seed derived from the master seed and the cell's axis values, so any cell
-can be reproduced in isolation; failures are recorded per cell without
-aborting the sweep.  Processes are built one after another: each is built
+A command is the outputs it fills: each single-output command fills its
+own, and ``sweep`` fills ``kappa``, then ``tracegap``.  An output's cells
+span the process axes and the grid axes the output reads; the first output
+always runs, a later one only when the grid holds every axis it reads, and
+an axis that no running output reads is a config error.  Every cell of the
+grid-times-seeds cross product executes independently with a seed derived
+from the master seed and the cell's axis values, so any cell can be
+reproduced in isolation; failures are recorded per cell without aborting
+the sweep.  Processes are built one after another: each is built
 and decomposed once, its cells run in grid order in the calling thread, and
 it is dropped before the next is built.  Floats are written with 17
 significant digits and rows are written in grid order, so identical configs
@@ -42,18 +47,24 @@ from .processes import (DEFAULT_BUDGET, SCHEMES, HypercubeConfig, _check_budget,
 
 SCHEMA_VERSION = "1"
 
-COMMANDS = ("kappa", "spectrum", "pretrain", "regress", "tracegap", "sweep")
+# the axes that fix a process; every output varies them outermost
+_PROCESS_AXES = ("scheme", "d_x", "alpha")
 
-_REQUIRED_AXES = {
-    "kappa": ("scheme", "d_x", "alpha"),
-    "spectrum": ("scheme", "d_x", "alpha"),
-    "pretrain": ("scheme", "d_x", "alpha", "objective", "d"),
-    "regress": ("scheme", "d_x", "alpha", "d", "n", "sigma", "B", "epsilon"),
-    "tracegap": ("scheme", "d_x", "alpha", "d", "N"),
-    "sweep": ("scheme", "d_x", "alpha"),
+# output name -> the grid axes its cells read after the process axes, in
+# grid order
+_READS = {
+    "kappa": (),
+    "spectrum": (),
+    "pretrain": ("objective", "d"),
+    "regress": ("d", "n", "sigma", "B", "epsilon"),
+    "tracegap": ("d", "N"),
 }
-# the axes a sweep's rate experiment reads; it runs when both are set
-_OPTIONAL_AXES = {"sweep": ("d", "N")}
+
+# command -> the outputs it fills.  The first always runs; a later one runs
+# only when the grid holds every axis it reads
+_FILLS = {name: (name,) for name in _READS} | {"sweep": ("kappa", "tracegap")}
+
+COMMANDS = tuple(_FILLS)
 
 # the option names some cell reads; any other name is a config error
 OPTIONS = ("max_iters",)
@@ -169,7 +180,6 @@ def _one_of(names: tuple[str, ...]):
 _AXES = {"scheme": _one_of(SCHEMES), "d_x": _integer, "alpha": _real,
          "objective": _one_of(objectives.KINDS), "d": _integer, "N": _integer,
          "n": _integer, "sigma": _real, "B": _real, "epsilon": _real}
-_AXIS_ORDER = tuple(_AXES)
 
 
 def _distinct(values: list, what: str) -> list:
@@ -200,14 +210,24 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     if cmd not in COMMANDS:
         raise ValidationError(f"command must be one of {COMMANDS}, got {cmd!r}")
     grid = _object(raw.get("grid"), "grid")
-    reads = _REQUIRED_AXES[cmd] + _OPTIONAL_AXES.get(cmd, ())
+    fills = _FILLS[cmd]
+    reads = list(dict.fromkeys(
+        a for name in fills for a in _PROCESS_AXES + _READS[name]))
     unread = [a for a in grid if a not in reads]
     if unread:
-        raise ValidationError(f"command {cmd!r} reads grid axes {list(reads)}, "
+        raise ValidationError(f"command {cmd!r} reads grid axes {reads}, "
                               f"not {unread}")
-    missing = [a for a in _REQUIRED_AXES[cmd] if a not in grid]
+    missing = [a for a in _PROCESS_AXES + _READS[fills[0]] if a not in grid]
     if missing:
         raise ValidationError(f"command {cmd!r} needs grid axes {missing}")
+    outputs = dict(_outputs(cmd, grid))
+    used = {a for axes in outputs.values() for a in axes}
+    for name in fills:  # an axis read only by an output that cannot run
+        if any(a in grid and a not in used for a in _READS[name]):
+            lacking = [a for a in _READS[name] if a not in grid]
+            raise ValidationError(
+                f"command {cmd!r}: {name} reads grid axes "
+                f"{list(_READS[name])} together; the grid lacks {lacking}")
     for axis, values in grid.items():
         if not isinstance(values, (list, tuple)) or not values:
             raise ValidationError(f"grid axis {axis!r} must be a nonempty list")
@@ -227,7 +247,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     if unknown:
         raise ValidationError(
             f"unknown options {unknown}; the cells read {list(OPTIONS)}")
-    if options and cmd != "pretrain":  # only the optimizer reads one
+    if options and "pretrain" not in fills:  # only the optimizer reads one
         raise ValidationError(
             f"command {cmd!r} reads no options, not {sorted(options)}")
     for name, value in options.items():  # max_iters, a count
@@ -252,8 +272,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         options=options,
     )
     ns = sorted(grid.get("N", []))
-    if (any(name == "tracegap" for name, _ in _outputs(config))
-            and (len(ns) < 4 or ns[-1] < 16 * ns[0])):
+    if "tracegap" in outputs and (len(ns) < 4 or ns[-1] < 16 * ns[0]):
         raise ValidationError(
             "the N grid needs >= 4 points spanning at least a factor of 16")
     return config
@@ -288,26 +307,13 @@ def figure_4a_data() -> tuple[list[str], list[dict]]:
     return HEADERS["figure_4a"], rows
 
 
-# the axes that fix a process; every command varies them outermost
-_PROCESS_AXES = ("scheme", "d_x", "alpha")
-
-
-def _grid_axes(config: ExperimentConfig) -> tuple[str, ...]:
-    return tuple(a for a in _AXIS_ORDER if a in config.grid)
-
-
-def _outputs(config: ExperimentConfig) -> list[tuple[str, tuple[str, ...]]]:
-    """The outputs ``run`` fills, each with the grid axes of its cells.
-
-    A sweep's complexity cells span only the process axes; its rate
-    experiment, run when the grid has ``d`` and ``N`` axes, spans them all.
-    """
-    if config.command != "sweep":
-        return [(config.command, _grid_axes(config))]
-    outputs = [("kappa", _PROCESS_AXES)]
-    if config.grid.get("N") and config.grid.get("d"):
-        outputs.append(("tracegap", _grid_axes(config)))
-    return outputs
+def _outputs(command: str, grid) -> list[tuple[str, tuple[str, ...]]]:
+    """The outputs ``command`` fills on ``grid``, each with the grid axes
+    of its cells: the first output, and each later one whose axes the grid
+    holds."""
+    names = _FILLS[command]
+    return [(name, _PROCESS_AXES + _READS[name]) for name in names
+            if name == names[0] or all(a in grid for a in _READS[name])]
 
 
 def _groups(config: ExperimentConfig, outputs):
@@ -333,7 +339,7 @@ def _groups(config: ExperimentConfig, outputs):
 
 def _base_row(cell: dict) -> dict:
     row = {"schema": SCHEMA_VERSION, "seed": cell["master"]}
-    for key in _AXIS_ORDER:
+    for key in _AXES:
         if key in cell:
             row[key] = cell[key]
     return row
@@ -402,6 +408,8 @@ def _spectrum_cell(cell, config: ExperimentConfig, dec, once) -> dict:
 
 def _pretrain_cell(cell, config: ExperimentConfig, dec, once) -> dict:
     row = _base_row(cell)
+    _check_budget((cell["d"], dec.process.n_a), config.budget,
+                  "the encoder table (d x |A|)")
     opt = objectives.OptimizerConfig(seed=cell["seed"], **config.options)
     spec = objectives.ObjectiveSpec(kind=cell["objective"], d=cell["d"])
     result = objectives.minimize(spec, dec.process, opt)
@@ -417,6 +425,8 @@ def _pretrain_cell(cell, config: ExperimentConfig, dec, once) -> dict:
 def _regress_cell(cell, config: ExperimentConfig, dec, once) -> dict:
     row = _base_row(cell)
     d, B, eps = cell["d"], cell["B"], cell["epsilon"]
+    _check_budget((cell["n"], d + 1), config.budget,
+                  "the probe design with its labels (n x (d + 1))")
     encoder = encoders.optimal_encoder(dec, d)
     target = regression.sample_target(dec, B, eps, seed=cell["seed"])
     samples = regression.generate_labels(
@@ -442,6 +452,7 @@ def _regress_cell(cell, config: ExperimentConfig, dec, once) -> dict:
 def _tracegap_cell(cell, config: ExperimentConfig, dec, once) -> dict:
     row = _base_row(cell)
     d, N = cell["d"], cell["N"]
+    _check_budget((N,), config.budget, "the vector of N draws")
     empirical = encoders.empirical_decomposition(dec, N, seed=cell["seed"])
     encoder = encoders.near_optimal_encoder(empirical, d)
     cov = encoders.covariances(encoder)
@@ -527,23 +538,20 @@ def fit_loglog_slope(ns, values) -> float:
 def _rate_summary(rows) -> tuple[list, float | None]:
     """One median row per (axes, N) group, in grid order, and the log-log
     slope in N."""
+    axes = _PROCESS_AXES + _READS["tracegap"]
     groups: dict[tuple, list] = {}
     for row in rows:
-        if row.get("error"):
-            continue
-        key = (row.get("scheme"), row.get("d_x"), row.get("alpha"),
-               row.get("d"), row.get("N"))
-        groups.setdefault(key, []).append(row["gap"])
+        if not row.get("error"):
+            key = tuple(row[a] for a in axes)
+            groups.setdefault(key, []).append(row["gap"])
     median_rows = []
     medians: dict[int, list] = {}
     for key, gaps in groups.items():
         med = float(np.median(gaps))
-        median_rows.append({
-            "schema": SCHEMA_VERSION, "scheme": key[0], "d_x": key[1],
-            "alpha": key[2], "d": key[3], "N": key[4], "seed": "median",
-            "gap": med,
-        })
-        medians.setdefault(key[4], []).append(med)
+        cell = dict(zip(axes, key))
+        median_rows.append({"schema": SCHEMA_VERSION, **cell,
+                            "seed": "median", "gap": med})
+        medians.setdefault(cell["N"], []).append(med)
     # the gap is nonnegative up to rounding; only positive medians carry
     # log-scale information
     points = [(n, float(np.mean(medians[n]))) for n in sorted(medians)]
@@ -586,8 +594,9 @@ def _write_tracegap(config: ExperimentConfig, name: str, rows, files) -> list:
     files["fit"] = fit_path
     empirical_path = os.path.join(config.output_dir, "empirical.jsonl")
     write_jsonl(empirical_path, [
-        {"seed": r["seed"], "N": r["N"], "lambdas_bar": r["lambdas_bar"],
-         "gamma_g": r["gamma_g"]}
+        {a: r[a] for a in _PROCESS_AXES + _READS[name]}
+        | {"seed": r["seed"], "lambdas_bar": r["lambdas_bar"],
+           "gamma_g": r["gamma_g"]}
         for r in rows if not r.get("error")
     ])
     files["empirical"] = empirical_path
@@ -611,7 +620,7 @@ def run(config: ExperimentConfig) -> RunOutcome:
     failed cells contribute an error row.  Returns the records plus the
     failure count, which drives the process exit code.
     """
-    outputs = _outputs(config)
+    outputs = _outputs(config.command, config.grid)
     os.makedirs(config.output_dir, exist_ok=True)
     files = {}
     if config.command == "sweep":

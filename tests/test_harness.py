@@ -19,7 +19,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from augrkhs import complexity, harness, objectives, spectral
+from augrkhs import (complexity, encoders, harness, objectives, regression,
+                     spectral)
 from augrkhs.cli import main
 from augrkhs.exceptions import ValidationError
 from augrkhs.processes import HypercubeConfig
@@ -152,6 +153,62 @@ def test_a_sweep_reads_d_and_N(tmp_path):
         resolve_config(tracegap_config(
             tmp_path, command="sweep",
             grid=dict(tracegap_config(tmp_path)["grid"], n=[16])))
+
+
+@pytest.mark.parametrize("lacking", ["d", "N"])
+def test_a_sweep_with_d_or_N_alone_is_a_config_error(tmp_path, capsys,
+                                                     lacking):
+    # the rate experiment reads both; with one alone no cell reads it
+    cfg = tracegap_config(tmp_path, command="sweep")
+    del cfg["grid"][lacking]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["sweep", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: command 'sweep': tracegap reads grid axes "
+        f"['d', 'N'] together; the grid lacks ['{lacking}']\n")
+    assert not (tmp_path / "out").exists()
+    del cfg["grid"]["d" if lacking == "N" else "N"]
+    assert resolve_config(cfg).grid == {"scheme": ["random_mask", "block_mask"],
+                                        "d_x": [2], "alpha": [0.5]}
+
+
+# a value of every grid axis, N a grid the rate experiment accepts
+_AXIS_VALUES = {"scheme": ["random_mask"], "d_x": [2], "alpha": [0.5],
+                "objective": ["scl"], "d": [1], "N": [16, 32, 64, 256],
+                "n": [16], "sigma": [0.1], "B": [1.0], "epsilon": [0.2]}
+
+
+def test_the_output_tables_agree_with_cells_files_and_configs():
+    # each output has a cell function, a writer and, for a CSV, exactly its
+    # axis columns, in the CSV's own order
+    assert set(harness._READS) == set(harness._CELL_FN) == set(harness._WRITERS)
+    assert set(_AXIS_VALUES) == set(harness._AXES)
+    csvs = [name for name in HEADERS if name in harness._READS]
+    assert csvs == ["kappa", "spectrum", "regress", "tracegap"]
+    for name in csvs:
+        columns = [c for c in HEADERS[name] if c in harness._AXES]
+        assert sorted(columns) == sorted(
+            harness._PROCESS_AXES + harness._READS[name]), name
+    # each command takes the axes its outputs read, fills every output on
+    # them, and refuses any other axis
+    for command, fills in harness._FILLS.items():
+        reads = [a for a in harness._AXES
+                 if any(a in harness._PROCESS_AXES + harness._READS[name]
+                        for name in fills)]
+        cfg = {"command": command, "seeds": [0], "output_dir": "out",
+               "grid": {a: _AXIS_VALUES[a] for a in reads}}
+        config = resolve_config(cfg)
+        assert list(config.grid) == reads, command
+        assert [name for name, _ in harness._outputs(command, config.grid)] \
+            == list(fills), command
+        for axis in harness._AXES:
+            if axis not in reads:
+                with pytest.raises(ValidationError, match=re.escape(
+                        f"command {command!r} reads grid axes {reads}, "
+                        f"not ['{axis}']")):
+                    resolve_config(dict(cfg, grid=dict(cfg["grid"], **{
+                        axis: _AXIS_VALUES[axis]})))
 
 
 @pytest.mark.parametrize("axis, value", [("d", 2.5), ("n", 16.5),
@@ -427,6 +484,45 @@ def test_spectrum_residual_kernel_over_budget(tmp_path):
     assert main(["spectrum", "--config", str(cfg_path)]) == 2
 
 
+def _refuse(name):
+    def sentinel(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    return sentinel
+
+
+@pytest.mark.parametrize("command, grid, module, name, what", [
+    # n 10^5 at d 2: a 10^5 x 2 design and 10^5 labels
+    ("regress", {"scheme": ["random_mask"], "d_x": [3], "alpha": [0.5],
+                 "d": [2], "n": [10**5], "sigma": [0.1], "B": [1.0],
+                 "epsilon": [0.2]},
+     regression, "generate_labels",
+     "the probe design with its labels (n x (d + 1)) needs 100000 x 3 = "
+     "300000 entries"),
+    ("tracegap", {"scheme": ["random_mask"], "d_x": [3], "alpha": [0.5],
+                  "d": [2], "N": [10**5, 2 * 10**5, 4 * 10**5, 16 * 10**5]},
+     encoders, "sample_process",
+     "the vector of N draws needs 100000 = 100000 entries"),
+    # random_mask at d_x 3 has 27 augmentations; d 500 exceeds the rank too,
+    # which only the finished encoder table would show
+    ("pretrain", {"scheme": ["random_mask"], "d_x": [3], "alpha": [0.5],
+                  "objective": ["scl"], "d": [500]},
+     objectives, "minimize",
+     "the encoder table (d x |A|) needs 500 x 27 = 13500 entries"),
+], ids=["regress", "tracegap", "pretrain"])
+def test_an_array_an_axis_sizes_is_refused_before_it_is_made(
+        tmp_path, monkeypatch, command, grid, module, name, what):
+    # the function that would make the array raises if it is reached
+    monkeypatch.setattr(module, name, _refuse(name))
+    outcome = run(resolve_config({
+        "command": command, "grid": grid, "seeds": [0], "budget": 10**4,
+        "output_dir": str(tmp_path / "out")}))
+    errors = [r["error"] for r in outcome.records]
+    assert outcome.failures == len(errors) >= 1
+    assert errors[0] == (f"BudgetExceededError: {what}; exceeding the budget "
+                         "of 10000")
+    assert all(e.startswith(errors[0].split(" needs ")[0]) for e in errors)
+
+
 def test_spectrum_run_exports(tmp_path):
     cfg = resolve_config({
         "command": "spectrum",
@@ -564,6 +660,24 @@ def test_tracegap_run_outputs(tmp_path):
                  open(outcome.files["empirical"]).read().splitlines()]
     assert len(empirical) == 12
     assert all("lambdas_bar" in e for e in empirical)
+
+
+def test_each_empirical_record_names_its_cell(tmp_path):
+    # two schemes draw the same (seed, N) pairs; each record names its cell,
+    # in the order of the tracegap rows
+    outcome = run(resolve_config(tracegap_config(tmp_path, command="sweep")))
+    assert outcome.exit_code == 0
+    axes = harness._PROCESS_AXES + harness._READS["tracegap"]
+    records = [json.loads(ln) for ln in
+               open(outcome.files["empirical"]).read().splitlines()]
+    rows = [r for r in csv.DictReader(open(outcome.files["tracegap"]))
+            if r["seed"] != "median"]
+    assert [sorted(r) for r in records] == len(rows) * [
+        sorted(axes + ("seed", "lambdas_bar", "gamma_g"))]
+    cells = [tuple(harness.fmt(r[a]) for a in axes + ("seed",))
+             for r in records]
+    assert cells == [tuple(r[a] for a in axes + ("seed",)) for r in rows]
+    assert len(set(cells)) == len(cells) == 24
 
 
 def test_sweep_bundle(tmp_path):
@@ -779,11 +893,15 @@ def test_cli_rejects_a_short_rate_grid_as_config_error(tmp_path, capsys,
         assert captured.err.startswith("config error: the N grid needs")
         assert captured.out == ""
     assert not (tmp_path / "out").exists()
-    # a sweep without a d axis runs no rate experiment, so its N is not checked
+    # a sweep without a d axis runs no rate experiment, so its N axis is read
+    # by no cell: a config error, whatever the N grid
     cfg = json.loads(cfg_path.read_text())
     del cfg["grid"]["d"]
     cfg["command"] = "sweep"
-    assert resolve_config(cfg).command == "sweep"
+    with pytest.raises(ValidationError, match=re.escape(
+            "tracegap reads grid axes ['d', 'N'] together; the grid lacks "
+            "['d']")):
+        resolve_config(cfg)
 
 
 def tracegap_config(tmp_path, **overrides):
@@ -1239,11 +1357,8 @@ def test_failed_phi_check_fails_only_the_cells_that_read_phi(tmp_path,
     config = dataclasses.replace(
         config, grid=dict(config.grid, objective=["scl"]),
         options={"max_iters": 20})
-    axes = harness._grid_axes(config)
-    outputs = [("kappa", harness._PROCESS_AXES),
-               ("spectrum", harness._PROCESS_AXES),
-               ("regress", tuple(a for a in axes if a != "objective")),
-               ("pretrain", ("scheme", "d_x", "alpha", "objective", "d"))]
+    outputs = [(name, harness._PROCESS_AXES + harness._READS[name])
+               for name in ("kappa", "spectrum", "regress", "pretrain")]
     group = next(harness._groups(config, outputs))
     rows = harness._run_group(config, group)
     assert counts["form"] == counts["check"] == 1
