@@ -2,7 +2,12 @@
 
 Four masking schemes on the sign hypercube are constructed by full
 enumeration, so every probability below is exact arithmetic, not sampling.
+A process holds no names for its points: it enumerates them in
+lexicographic order, coordinates ordered -1 < 0 < +1, and the names printed
+here are built from that enumeration.
 """
+
+import itertools
 
 import numpy as np
 
@@ -15,11 +20,17 @@ from augrkhs import (
 
 np.set_printoptions(precision=4, suppress=True)
 
+
+def names(points):
+    """One string per point, a -, 0 or + per coordinate."""
+    return tuple("".join("-0+"[v + 1] for v in point) for point in points)
+
+
 print("=== Independent random masking, one coordinate, mask ratio 1/2 ===")
 process = build_hypercube(HypercubeConfig(d_x=1, alpha=0.5,
                                           scheme="random_mask"))
-print("data points:      ", process.x_labels)
-print("augmentations:    ", process.a_labels)
+print("data points:      ", names(itertools.product((-1, 1), repeat=1)))
+print("augmentations:    ", names(itertools.product((-1, 0, 1), repeat=1)))
 print("p(a|x) rows:\n", process.conditional_dense())
 print("augmentation marginal:", process.p_a)
 # Gamma of the point indicators of X: row a is the posterior p(.|a)
@@ -38,7 +49,11 @@ flip = build_hypercube(HypercubeConfig(d_x=4, alpha=0.5,
                                        scheme="block_mask_flip"))
 print(f"|A| = {flip.n_a}; every augmentation is reachable from every "
       "original, with exact product probabilities")
-print("first augmentations:", flip.a_labels[:6])
+# the reachable points: a block of 2 zeros at one of 3 starts
+support = sorted({x[:s] + (0, 0) + x[s + 2:]
+                  for x in itertools.product((-1, 1), repeat=4)
+                  for s in range(3)})
+print("first augmentations:", names(support[:6]))
 
 print("\n=== Mask-or-flip channels, d_x=1, mask ratio 0.6 ===")
 mix = build_hypercube(HypercubeConfig(d_x=1, alpha=0.6,

@@ -6,6 +6,7 @@ duality.  For independent random masking the spectrum follows a binomial
 law, verified here against the decomposition.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -29,7 +30,9 @@ KX = kernel_x(process)
 print("K_X diagonal (constant by symmetry):", np.diag(KX)[:4], "...")
 
 print("\n=== Conditional expectations ===")
-f = np.array([x.count("+") for x in process.x_labels], dtype=float)
+# the data points in the process's order: lexicographic, -1 before +1
+f = np.array([x.count(1) for x in itertools.product((-1, 1), repeat=3)],
+             dtype=float)
 print("f = number of +1 coordinates; Gamma f on a few augmentations:")
 print(apply_gamma(process, f)[:6])
 print("Gamma* 1 is the constant:", apply_gamma_star(

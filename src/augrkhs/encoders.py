@@ -23,7 +23,8 @@ import numpy as np
 from .complexity import partial_trace
 from .exceptions import RankDeficiencyError, ValidationError
 from .processes import AugmentationProcess, sample_process
-from .spectral import SpectralDecomposition, apply_gamma_star, decompose
+from .spectral import (SpectralDecomposition, _check_d, apply_gamma_star,
+                       decompose)
 
 _GRAM_RANK_TOL = 1e-10
 _CONDITION_LIMIT = 1e12
@@ -155,10 +156,7 @@ def trace_gap(encoder: Encoder) -> float:
 
 def optimal_encoder(decomposition: SpectralDecomposition, d: int) -> Encoder:
     """Encoder whose rows are the top ``d`` augmentation eigenfunctions."""
-    if not (1 <= d <= decomposition.rank):
-        raise ValidationError(
-            f"d must lie in [1, rank={decomposition.rank}], got {d}"
-        )
+    _check_d(decomposition, d)
     return build_average_encoder(decomposition, decomposition.phi[:, :d].T)
 
 

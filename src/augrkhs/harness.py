@@ -410,6 +410,7 @@ def _pretrain_cell(cell, config: ExperimentConfig, dec, once) -> dict:
     row = _base_row(cell)
     _check_budget((cell["d"], dec.process.n_a), config.budget,
                   "the encoder table (d x |A|)")
+    spectral._check_d(dec, cell["d"])
     opt = objectives.OptimizerConfig(seed=cell["seed"], **config.options)
     spec = objectives.ObjectiveSpec(kind=cell["objective"], d=cell["d"])
     result = objectives.minimize(spec, dec.process, opt)

@@ -34,7 +34,8 @@ import numpy as np
 
 from .exceptions import DivergenceError, ValidationError
 from .processes import AugmentationProcess
-from .spectral import SpectralDecomposition, apply_gamma_star, apply_joint
+from .spectral import (SpectralDecomposition, _check_d, apply_gamma_star,
+                       apply_joint)
 
 
 @dataclass(frozen=True)
@@ -289,8 +290,7 @@ def subspace_angle(phi_hat, decomposition: SpectralDecomposition,
     Angles are taken under the augmentation-side weighted inner product.
     """
     table = np.atleast_2d(np.asarray(phi_hat, dtype=float))
-    if not (1 <= d <= decomposition.rank):
-        raise ValidationError(f"d must lie in [1, rank], got {d}")
+    _check_d(decomposition, d)
     sqrt_pa = np.sqrt(decomposition.process.p_a)
     W = (table * sqrt_pa[None, :]).T
     U, s, _ = np.linalg.svd(W, full_matrices=False)

@@ -1,13 +1,15 @@
 """Finite augmentation processes over discrete data and augmentation spaces.
 
 An :class:`AugmentationProcess` is its arrays: the data marginal ``p_x``,
-the conditional table ``p(a|x)``, the augmentation marginal ``p_a`` derived
-from them, and optional display labels for the points of either space.
-Everything downstream (kernels, spectra, complexity measures, encoders) is
-computed exactly from these tables, so construction is strict about
-probability invariants and deterministic about enumeration order: hypercube
-points are enumerated lexicographically with coordinate values ordered
-``-1 < 0 < +1``, and augmentations with zero marginal mass are pruned.
+the conditional table ``p(a|x)`` and the augmentation marginal ``p_a``
+derived from them.  Everything downstream (kernels, spectra, complexity
+measures, encoders) is computed exactly from these tables, so construction
+is strict about probability invariants and deterministic about enumeration
+order: hypercube points are enumerated lexicographically with coordinate
+values ordered ``-1 < 0 < +1``, and augmentations with zero marginal mass
+are pruned.  A point is enumerated once, as an integer code: a sign point
+as the bits of :func:`_subset_bits`, which also order the Walsh characters,
+and a block-masked point as the base-3 code of :func:`_block_support`.
 
 A build makes each table once, in its own form: the flip schemes dense,
 random_mask and block_mask as a :class:`CSRTable` (compressed sparse rows),
@@ -25,13 +27,11 @@ loads it.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import numbers
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -51,8 +51,6 @@ BLOCK_ENTRIES = 2**16
 SCHEMES = ("random_mask", "block_mask", "block_mask_flip", "random_mask_flip")
 FLIP_SCHEMES = ("block_mask_flip", "random_mask_flip")
 RANDOM_SCHEMES = ("random_mask", "random_mask_flip")  # one mask per coordinate
-
-_SYMBOLS = np.frombuffer(b"-0+", dtype=np.uint8)  # bytes of -1, 0, +1
 
 
 def _check_budget(shape: tuple, budget: int, what: str) -> None:
@@ -78,18 +76,14 @@ def _check_budget(shape: tuple, budget: int, what: str) -> None:
             f"exceeding the budget of {budget}")
 
 
-def _marginal(mass, labels) -> np.ndarray:
+def _marginal(mass) -> np.ndarray:
     """A read-only float copy of ``mass``, a probability vector over
-    ``len(mass)`` points, of which ``labels``, when given, names each."""
+    ``len(mass)`` points."""
     mass = np.array(mass, dtype=float)
     if mass.ndim != 1:
         raise ValidationError(f"mass has shape {mass.shape}, expected a vector")
     if mass.size < 1:
         raise ValidationError(f"space size must be >= 1, got {mass.size}")
-    if labels is not None and len(labels) != mass.size:
-        raise ValidationError(
-            f"got {len(labels)} labels for a space of size {mass.size}"
-        )
     # each check is written so that a NaN fails it
     smallest = float(mass.min())
     if not smallest >= 0:
@@ -213,8 +207,6 @@ class AugmentationProcess:
     hypercube : HypercubeConfig or None
         The masking scheme a hypercube process was built from, whose
         spectrum has a closed form; ``None`` for every other process.
-    x_labels, a_labels : tuple of str or None
-        Display names of the data and augmentation points, one each.
 
     Both marginals are stored as read-only float copies, and a dense table
     as a read-only float view, so the caller's own arrays stay writeable.
@@ -226,12 +218,10 @@ class AugmentationProcess:
     conditional: object
     p_a: np.ndarray
     hypercube: HypercubeConfig | None = None
-    x_labels: tuple[str, ...] | None = None
-    a_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        p_x = _marginal(self.p_x, self.x_labels)
-        p_a = _marginal(self.p_a, self.a_labels)
+        p_x = _marginal(self.p_x)
+        p_a = _marginal(self.p_a)
         object.__setattr__(self, "p_x", p_x)
         object.__setattr__(self, "p_a", p_a)
         n_x, n_a = p_x.size, p_a.size
@@ -408,23 +398,13 @@ class HypercubeConfig:
         return max(1, int(np.ceil(self.alpha * self.d_x - 1e-12)))
 
 
-def _labels(points: Sequence[Sequence[int]]) -> tuple[str, ...]:
-    """One ``-``/``0``/``+`` string per point of ``{-1,0,+1}^d``: the
-    points' base-3 digits ``point + 1`` pick their symbols, and the
-    strings are cut from one decoded buffer of them."""
-    points = np.asarray(points, dtype=np.int8)
-    d = points.shape[1]
-    text = _SYMBOLS[points + np.int8(1)].tobytes().decode("ascii")
-    return tuple(text[start:start + d] for start in range(0, len(text), d))
+def _subset_bits(d: int) -> np.ndarray:
+    """``2^d x d`` 0/1 table: row ``i``, column ``j`` is bit ``d-1-j`` of ``i``.
 
-
-def _sign_points(d: int) -> list[tuple[int, ...]]:
-    return list(itertools.product((-1, 1), repeat=d))
-
-
-def _ternary_points(d: int) -> np.ndarray:
-    """``3^d x d`` int8 table of ``{-1,0,+1}^d`` in lexicographic order."""
-    return np.indices((3,) * d, dtype=np.int8).reshape(d, -1).T - np.int8(1)
+    Row ``i`` is the ``i``-th sign point in lexicographic order, a 1 marking
+    a ``+1`` coordinate; read as a subset, it marks the coordinates in it.
+    """
+    return (np.arange(2**d)[:, None] >> np.arange(d - 1, -1, -1)) & 1
 
 
 def _finalize_storage(conditional):
@@ -453,29 +433,21 @@ def _keep_columns(table, kept: np.ndarray):
                 (table.shape[0], kept.size))
 
 
-def _assemble(p_x, table, hypercube: HypercubeConfig | None = None,
-              x_points=None, a_points=None
+def _assemble(p_x, table, hypercube: HypercubeConfig | None = None
               ) -> tuple[AugmentationProcess, np.ndarray]:
     """The process of ``table`` over ``p_x``: zero-mass augmentations pruned,
     the storage chosen, ``p_a`` derived from the stored table.
 
-    Points, when given, label the spaces.  Returns ``(process, kept)``,
-    ``kept`` holding the table's column indices that survive pruning.
+    Returns ``(process, kept)``, ``kept`` holding the table's column
+    indices that survive pruning.
     """
     kept = np.nonzero(derive_marginal(table, p_x) > 0.0)[0]
     if kept.size < table.shape[1]:
         table = _keep_columns(table, kept)
-        if a_points is not None:
-            a_points = [a_points[j] for j in kept]
     stored = _finalize_storage(table)
-    process = AugmentationProcess(
-        p_x=p_x,
-        conditional=stored,
-        p_a=derive_marginal(stored, p_x),
-        hypercube=hypercube,
-        x_labels=None if x_points is None else _labels(x_points),
-        a_labels=None if a_points is None else _labels(a_points),
-    )
+    process = AugmentationProcess(p_x=p_x, conditional=stored,
+                                  p_a=derive_marginal(stored, p_x),
+                                  hypercube=hypercube)
     return process, kept
 
 
@@ -544,8 +516,8 @@ def _build_product_scheme(config: HypercubeConfig, budget: int) -> AugmentationP
     Kronecker power of its one-coordinate channel.
 
     A dense power is multiplied out inside the final ``2^d_x x 3^d_x``
-    array (:func:`_fill_power`), so the build holds the table and its
-    labels and no lower power beside them.
+    array (:func:`_fill_power`), so the build holds the table and no lower
+    power beside it.
     """
     d = config.d_x
     _check_budget(((1, 2, d), (1, 3, d)), budget,
@@ -559,15 +531,23 @@ def _build_product_scheme(config: HypercubeConfig, budget: int) -> AugmentationP
     else:
         conditional = _csr_power(channel, d)
     p_x = np.full(2**d, 1.0 / 2**d)
-    return _assemble(p_x, conditional, config, _sign_points(d),
-                     _ternary_points(d))[0]
+    return _assemble(p_x, conditional, config)[0]
 
 
-def _block_support(d: int, r: int) -> list[tuple[int, ...]]:
-    """Reachable block-masked points in lexicographic order."""
-    return sorted(tuple(bits[:start]) + (0,) * r + tuple(bits[start:])
-                  for start in range(d - r + 1)
-                  for bits in itertools.product((-1, 1), repeat=d - r))
+def _place(d: int) -> np.ndarray:
+    """Base-3 place values of ``d`` coordinates, the first most significant."""
+    return 3 ** np.arange(d - 1, -1, -1)
+
+
+def _block_support(d: int, r: int) -> np.ndarray:
+    """Sorted codes of the block-masked points, ``r`` zeros from each start
+    and signs elsewhere: a point's code reads its digits ``a + 1`` at
+    :func:`_place`, so codes sort as the points do lexicographically."""
+    place, free = _place(d), 2 * _subset_bits(d - r)  # survivor digits 0, 2
+    return np.sort(np.concatenate([
+        free[:, :start] @ place[:start] + place[start:start + r].sum()
+        + free[:, start:] @ place[start + r:]
+        for start in range(d - r + 1)]))
 
 
 def _build_block_scheme(config: HypercubeConfig, budget: int) -> AugmentationProcess:
@@ -577,33 +557,29 @@ def _build_block_scheme(config: HypercubeConfig, budget: int) -> AugmentationPro
     _check_budget(((1, 2, d), (n_pos, 2, d - r)), budget,
                   f"the {config.scheme} table at d_x={d}")
     n_x, n_a = 2**d, n_pos * 2 ** (d - r)
-    x_points = _sign_points(d)
-    a_points = _block_support(d, r)
-    X = np.array(x_points)
+    X = 2 * _subset_bits(d) - 1
+    a_codes = _block_support(d, r)
     if config.scheme == "block_mask":
-        # each point is a base-3 code of its digits a + 1, which orders
-        # points as their lexicographic enumeration does
-        place = 3 ** np.arange(d - 1, -1, -1)
-        a_codes = (np.array(a_points) + 1) @ place
         masked = np.repeat(X[:, None, :] + 1, n_pos, axis=1)
         for start in range(n_pos):
             masked[:, start, start:start + r] = 1
         # the n_pos blocks of a row mask different coordinates, so its
         # entries fall on distinct columns
-        cols = np.searchsorted(a_codes, masked @ place)
+        cols = np.searchsorted(a_codes, masked @ _place(d))
         conditional = _csr(np.full(cols.size, 1.0 / n_pos),
                            np.sort(cols, axis=1).ravel(),
                            np.full(n_x, n_pos), (n_x, n_a))
     else:  # block_mask_flip
         q = config.flip_prob
         free = d - r
+        A = a_codes[:, None] // _place(d) % 3 - 1  # each point's coordinates
         # a masked coordinate of a point is 0, so the product sums the signs
         # of the survivors only: agreeing ones less disagreeing ones
-        agree = (X @ np.array(a_points).T + free) / 2.0
+        agree = (X @ A.T + free) / 2.0
         k = free - agree  # disagreeing survivor coordinates
         conditional = (q**k) * ((1.0 - q) ** agree) / n_pos
     p_x = np.full(n_x, 1.0 / n_x)
-    return _assemble(p_x, conditional, config, x_points, a_points)[0]
+    return _assemble(p_x, conditional, config)[0]
 
 
 def build_hypercube(config: HypercubeConfig,

@@ -42,7 +42,8 @@ import numpy as np
 
 from .exceptions import ValidationError
 from .processes import (RANDOM_SCHEMES, AugmentationProcess, HypercubeConfig,
-                        _joint_table, _kernel_x, _replacing, _row_blocks)
+                        _joint_table, _kernel_x, _replacing, _row_blocks,
+                        _subset_bits)
 
 _RANK_TOL = 1e-10  # eigenvalues at or below it are dropped
 _TIE_TOL = 1e-10
@@ -188,6 +189,14 @@ class SpectralDecomposition:
         """Squared norm ``sum u_i^2 / lambda_i`` of ``sum u_i psi_i``."""
         u = np.asarray(coefficients, dtype=float)
         return float(np.sum(u * u / self.lambdas))
+
+
+def _check_d(decomposition: SpectralDecomposition, d: int) -> None:
+    """The one check of a ``d`` that reads the top ``d`` eigenpairs: it
+    must lie in ``[1, rank]``."""
+    if not (1 <= d <= decomposition.rank):
+        raise ValidationError(
+            f"d must lie in [1, rank={decomposition.rank}], got {d}")
 
 
 def _flipped(psi: np.ndarray) -> np.ndarray:
@@ -338,15 +347,6 @@ def _spectral_engine(process: AugmentationProcess):
     phi = np.hstack((np.ones((sqrt_wa.size, 1)), U[:, :rank] / sqrt_wa[:, None]))
     _fix_signs(psi, phi)
     return lambdas, psi, lambda: phi
-
-
-def _subset_bits(d: int) -> np.ndarray:
-    """``2^d x d`` 0/1 table: row ``i``, column ``j`` is bit ``d-1-j`` of ``i``.
-
-    Row ``i`` is the ``i``-th sign point in lexicographic order, a 1 marking
-    a ``+1`` coordinate; read as a subset, it marks the coordinates in it.
-    """
-    return (np.arange(2**d)[:, None] >> np.arange(d - 1, -1, -1)) & 1
 
 
 def _subset_law(config: HypercubeConfig, bits: np.ndarray) -> np.ndarray:

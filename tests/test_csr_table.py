@@ -11,6 +11,7 @@ table that scipy stored.  Everything must agree to the bit.
 
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -45,12 +46,13 @@ def scipy_random_mask_table(config):
 def scipy_block_mask_table(config):
     """Oracle: the ``coo_array(...).tocsr()`` build the numpy one replaced,
     its entries enumerated point by point and block by block from the
-    definition."""
+    definition, the points by ``itertools.product``."""
     d, r = config.d_x, config.block_length
     n_pos = d - r + 1
-    support = processes._block_support(d, r)
+    xs = list(itertools.product((-1, 1), repeat=d))
+    support = sorted({x[:s] + (0,) * r + x[s + r:]
+                      for x in xs for s in range(n_pos)})
     column = {a: j for j, a in enumerate(support)}
-    xs = processes._sign_points(d)
     cols = [column[x[:s] + (0,) * r + x[s + r:]]
             for x in xs for s in range(n_pos)]
     index = sp.get_index_dtype(maxval=len(xs) * n_pos)

@@ -523,6 +523,20 @@ def test_an_array_an_axis_sizes_is_refused_before_it_is_made(
     assert all(e.startswith(errors[0].split(" needs ")[0]) for e in errors)
 
 
+def test_a_pretrain_d_above_the_rank_is_refused_before_the_optimizer(
+        tmp_path, monkeypatch):
+    # random_mask at d_x 3, alpha 0.5 has rank 8; the optimizer raises if
+    # it is reached
+    monkeypatch.setattr(objectives, "minimize", _refuse("minimize"))
+    outcome = run(resolve_config({
+        "command": "pretrain", "seeds": [0],
+        "grid": {"scheme": ["random_mask"], "d_x": [3], "alpha": [0.5],
+                 "objective": ["scl"], "d": [20]},
+        "output_dir": str(tmp_path / "out")}))
+    assert [r["error"] for r in outcome.records] == [
+        "ValidationError: d must lie in [1; rank=8]; got 20"]
+
+
 def test_spectrum_run_exports(tmp_path):
     cfg = resolve_config({
         "command": "spectrum",

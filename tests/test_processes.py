@@ -40,8 +40,6 @@ from conftest import stored_by_density
 # valid one-bit half-mask process, and the message the check raises
 _BAD_FIELDS = {
     "empty_space": ({"p_x": np.array([])}, "space size must be >= 1, got 0"),
-    "label_count": ({"x_labels": ("-",)},
-                    "got 1 labels for a space of size 2"),
     "marginal_shape": ({"p_x": np.array([[0.5, 0.5]])}, "mass has shape"),
     "negative_marginal": ({"p_x": np.array([-0.1, 1.1])},
                           "probabilities must be nonnegative"),
@@ -125,15 +123,13 @@ def test_construction_leaves_the_callers_arrays_writeable():
 def test_fully_masked_single_augmentation():
     p = build_hypercube(HypercubeConfig(1, 1.0, "random_mask"))
     assert p.n_a == 1
-    assert p.a_labels == ("0",)
     np.testing.assert_array_equal(p.conditional_dense(), [[1.0], [1.0]])
     np.testing.assert_array_equal(p.p_a, [1.0])
 
 
 def test_one_bit_half_mask_tables():
+    # rows x = -1, +1 over a = -1, 0, +1
     p = build_hypercube(HypercubeConfig(1, 0.5, "random_mask"))
-    assert p.x_labels == ("-", "+")
-    assert p.a_labels == ("-", "0", "+")
     np.testing.assert_allclose(
         p.conditional_dense(), [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
     np.testing.assert_allclose(p.p_a, [0.25, 0.5, 0.25])
@@ -151,22 +147,24 @@ def test_block_mask_counts_and_rows():
 
 
 def test_block_mask_probabilities_by_enumeration():
-    # oracle: simulate-free enumeration of (position, survivor pattern) pairs
+    # oracle: simulate-free enumeration of (position, survivor pattern)
+    # pairs; the columns are the reachable points of {-1,0,+1}^d, in the
+    # lexicographic order itertools.product enumerates them
     d, alpha = 5, 0.4
     p = build_hypercube(HypercubeConfig(d, alpha, "block_mask"))
     r = int(np.ceil(alpha * d))
     positions = d - r + 1
     xs = list(itertools.product((-1, 1), repeat=d))
-    a_labels = {lbl: j for j, lbl in enumerate(p.a_labels)}
+    masked = [[x[:start] + (0,) * r + x[start + r:] for start in
+               range(positions)] for x in xs]
+    reachable = set(itertools.chain(*masked))
+    column = {a: j for j, a in enumerate(
+        a for a in itertools.product((-1, 0, 1), repeat=d) if a in reachable)}
     dense = p.conditional_dense()
     expected = np.zeros_like(dense)
-    symbol = {-1: "-", 0: "0", 1: "+"}
-    for i, x in enumerate(xs):
-        for start in range(positions):
-            masked = list(x)
-            masked[start:start + r] = [0] * r
-            lbl = "".join(symbol[v] for v in masked)
-            expected[i, a_labels[lbl]] += 1.0 / positions
+    for i, row in enumerate(masked):
+        for a in row:
+            expected[i, column[a]] += 1.0 / positions
     np.testing.assert_allclose(dense, expected, atol=1e-15)
 
 
@@ -184,17 +182,14 @@ def block_mask_oracle(d, alpha):
     table = np.zeros((len(xs), len(support)))
     for k, a in enumerate(masked):
         table[k // positions, column[a]] += 1.0 / positions
-    return table, support
+    return table
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 1.0])
 @pytest.mark.parametrize("d", range(1, 10))
 def test_block_mask_table_matches_its_definition(d, alpha):
     p = build_hypercube(HypercubeConfig(d, alpha, "block_mask"))
-    table, support = block_mask_oracle(d, alpha)
-    symbol = {-1: "-", 0: "0", 1: "+"}
-    assert p.a_labels == tuple(
-        "".join(symbol[v] for v in a) for a in support)
+    table = block_mask_oracle(d, alpha)
     if not p.is_sparse:
         assert np.array_equal(p.conditional, table)
         return
@@ -213,8 +208,8 @@ def block_mask_flip_oracle(d, alpha):
     """``block_mask_flip`` from its definition: ``block_mask``'s block, then
     each surviving coordinate flipped with probability ``q = alpha / 2``.
 
-    Returns the reachable points in lexicographic order and the dense table,
-    each entry ``q^k (1 - q)^(d - r - k) / positions`` for the ``k``
+    Returns the dense table over the reachable points in lexicographic
+    order, each entry ``q^k (1 - q)^(d - r - k) / positions`` for the ``k``
     survivors a point flips, the counts enumerated point by point.
     """
     r = max(1, int(np.ceil(alpha * d - 1e-12)))
@@ -226,17 +221,14 @@ def block_mask_flip_oracle(d, alpha):
     A = np.array(support)[None, :, :]
     X = np.array(list(itertools.product((-1, 1), repeat=d)))[:, None, :]
     flips = np.count_nonzero((A != 0) & (A != X), axis=2).astype(float)
-    return q**flips * (1.0 - q) ** (d - r - flips) / positions, support
+    return q**flips * (1.0 - q) ** (d - r - flips) / positions
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 1.0])
 @pytest.mark.parametrize("d", range(1, 10))
 def test_block_mask_flip_table_matches_its_definition(d, alpha):
     p = build_hypercube(HypercubeConfig(d, alpha, "block_mask_flip"))
-    table, support = block_mask_flip_oracle(d, alpha)
-    symbol = {-1: "-", 0: "0", 1: "+"}
-    assert p.a_labels == tuple(
-        "".join(symbol[v] for v in a) for a in support)
+    table = block_mask_flip_oracle(d, alpha)
     assert not p.is_sparse
     assert p.conditional.tobytes() == table.tobytes()
 
@@ -248,11 +240,16 @@ def test_block_mask_flip_probabilities_by_enumeration():
     q = alpha / 2.0
     positions = d - r + 1
     xs = list(itertools.product((-1, 1), repeat=d))
+    # the columns: the points of {-1,0,+1}^d that a block reaches, in the
+    # lexicographic order itertools.product enumerates
+    reachable = {x[:start] + (0,) * r + x[start + r:]
+                 for x in xs for start in range(positions)}
+    support = [a for a in itertools.product((-1, 0, 1), repeat=d)
+               if a in reachable]
     dense = p.conditional_dense()
-    symbol = {-1: "-", 0: "0", 1: "+"}
+    assert dense.shape == (len(xs), len(support))
     for i, x in enumerate(xs):
-        for j, lbl in enumerate(p.a_labels):
-            a = [{"-": -1, "0": 0, "+": 1}[c] for c in lbl]
+        for j, a in enumerate(support):
             zeros = [k for k, v in enumerate(a) if v == 0]
             start = zeros[0]
             assert zeros == list(range(start, start + r))
@@ -314,67 +311,50 @@ def test_dense_product_table_equals_the_kron_oracle(d_x, alpha):
 
 
 @pytest.mark.parametrize("d_x", [7, 8])
-def test_dense_product_build_holds_the_table_and_its_labels(d_x):
-    # the table, plus what its labels take to make (the labels and the
-    # point tables they are made from), plus a few vectors over A (the
-    # marginal, its recomputation and the kept columns); no lower power of
-    # the table.  One build first, so that caches numpy fills once per
-    # process are not counted
-    def peak(fn):
-        fn()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            fn()
-            return tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-
-    labels = peak(lambda: (
-        processes._sign_points(d_x),
-        processes._labels(processes._sign_points(d_x)),
-        processes._labels(processes._ternary_points(d_x))))
+def test_dense_product_build_holds_the_table(d_x):
+    # the table, plus four vectors over A (the marginal, its copy, its
+    # recomputation and the kept columns), plus the buffer of bufsize
+    # entries a ufunc takes to write the power's strided slots; no lower
+    # power of the table and nothing per point.  One build first, so that
+    # caches numpy fills once per process are not counted
     config = HypercubeConfig(d_x, 0.5, "random_mask_flip")
-    build = peak(lambda: build_hypercube(config))
-    n_x, n_a = 2**d_x, 3**d_x
-    admitted = 8 * n_x * n_a + labels + 8 * 4 * n_a
-    assert build <= admitted, (build, admitted)
-
-
-def labels_by_unicode_array(points):
-    """The labels of ``points`` through an int64 point table and a unicode
-    array, the route ``_labels`` replaced, kept as its oracle."""
-    codes = np.ascontiguousarray(processes._SYMBOLS[np.asarray(points) + 1])
-    return tuple(codes.view(f"S{codes.shape[1]}").ravel().astype(str).tolist())
-
-
-@pytest.mark.parametrize("d", range(1, 10))
-def test_labels_equal_the_unicode_array_oracle(d):
-    ternary = np.indices((3,) * d).reshape(d, -1).T - 1  # the int64 table
-    assert np.array_equal(processes._ternary_points(d), ternary)
-    assert (processes._labels(processes._ternary_points(d))
-            == labels_by_unicode_array(ternary))
-    signs = processes._sign_points(d)
-    assert processes._labels(signs) == labels_by_unicode_array(signs)
-
-
-def test_ternary_labels_hold_their_strings_and_one_buffer():
-    # d_x 8: 6561 strings of 8 symbols (about 0.4 MiB of str objects), the
-    # tuple, the decoded buffer and the int8 points; the int64 point table
-    # and unicode array of the route before took 1.13 MiB.  One call first,
-    # so that caches numpy fills once per process are not counted
-    def labels():
-        return processes._labels(processes._ternary_points(8))
-
-    labels()
+    build_hypercube(config)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        labels()
-        peak = tracemalloc.get_traced_memory()[1] - before
+        build_hypercube(config)
+        build = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 0.55 * 2**20, peak
+    n_x, n_a = 2**d_x, 3**d_x
+    admitted = 8 * n_x * n_a + 8 * 4 * n_a + 8 * np.getbufsize()
+    assert build <= admitted, (build, admitted)
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_sign_points_equal_the_product_enumeration(d):
+    # itertools.product, the enumeration the bit table replaced, is its
+    # oracle
+    want = np.array(list(itertools.product((-1, 1), repeat=d)))
+    got = 2 * processes._subset_bits(d) - 1
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def block_support_by_tuples(d, r):
+    """The block-masked points as sorted tuples, the enumeration the codes
+    replaced, kept as their oracle."""
+    return sorted(tuple(bits[:start]) + (0,) * r + tuple(bits[start:])
+                  for start in range(d - r + 1)
+                  for bits in itertools.product((-1, 1), repeat=d - r))
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_block_support_equals_the_tuple_oracle(d):
+    place = [3 ** (d - 1 - j) for j in range(d)]
+    for r in range(1, d + 1):
+        want = [sum((v + 1) * w for v, w in zip(a, place))
+                for a in block_support_by_tuples(d, r)]
+        assert processes._block_support(d, r).tolist() == want, r
 
 
 def test_marginals_sum_to_one_across_schemes(process_cache):
