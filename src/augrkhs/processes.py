@@ -1,15 +1,16 @@
 """Finite augmentation processes over discrete data and augmentation spaces.
 
 An :class:`AugmentationProcess` is its arrays: the data marginal ``p_x``,
-the conditional table ``p(a|x)`` and the augmentation marginal ``p_a``
-derived from them.  Everything downstream (kernels, spectra, complexity
-measures, encoders) is computed exactly from these tables, so construction
-is strict about probability invariants and deterministic about enumeration
-order: hypercube points are enumerated lexicographically with coordinate
-values ordered ``-1 < 0 < +1``, and augmentations with zero marginal mass
-are pruned.  A point is enumerated once, as an integer code: a sign point
-as the bits of :func:`_subset_bits`, which also order the Walsh characters,
-and a block-masked point as the base-3 code of :func:`_block_support`.
+the conditional table ``p(a|x)`` and the augmentation marginal ``p_a``,
+which it derives from them.  Everything downstream (kernels, spectra,
+complexity measures, encoders) is computed exactly from these tables, so
+construction is strict about probability invariants and deterministic about
+enumeration order: hypercube points are enumerated lexicographically with
+coordinate values ordered ``-1 < 0 < +1``, and augmentations with zero
+marginal mass are pruned (:func:`_prune`).  A point is enumerated once, as
+an integer code: a sign point as the bits of :func:`_subset_bits`, which
+also order the Walsh characters, and a block-masked point as the base-3
+code of :func:`_block_support`.
 
 A build makes each table once, in its own form: the flip schemes dense,
 random_mask and block_mask as a :class:`CSRTable` (compressed sparse rows),
@@ -30,7 +31,7 @@ import contextlib
 import math
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -76,10 +77,16 @@ def _check_budget(shape: tuple, budget: int, what: str) -> None:
             f"exceeding the budget of {budget}")
 
 
-def _marginal(mass) -> np.ndarray:
-    """A read-only float copy of ``mass``, a probability vector over
-    ``len(mass)`` points."""
-    mass = np.array(mass, dtype=float)
+def _check_integer(value, name: str) -> None:
+    """Refuse a ``value`` that is not an integer, or is a bool, naming it,
+    before numpy reads it as a size."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def _marginal(mass: np.ndarray) -> np.ndarray:
+    """``mass``, a float array the caller owns, made read-only once it is
+    checked to be a probability vector over ``len(mass)`` points."""
     if mass.ndim != 1:
         raise ValidationError(f"mass has shape {mass.shape}, expected a vector")
     if mass.size < 1:
@@ -177,8 +184,9 @@ def _from_dense(table: np.ndarray) -> CSRTable:
 def derive_marginal(conditional, p_x: np.ndarray) -> np.ndarray:
     """Marginal over augmentations, ``p_a = conditional^T p_x``.
 
-    This is the single derivation path used everywhere, so recomputing the
-    marginal from a stored process reproduces it bit for bit.  A CSR table
+    This is the single derivation path: a process derives its ``p_a`` here
+    from its stored table and ``p_x``, so recomputing the marginal from any
+    process, a sample's included, reproduces it bit for bit.  A CSR table
     adds ``p(a|x) p_x(x)`` to each ``a`` in storage order, the order scipy's
     ``C^T @ p_x`` adds them in.
     """
@@ -191,7 +199,7 @@ def derive_marginal(conditional, p_x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class AugmentationProcess:
-    """A data marginal, an augmentation marginal and the exact table between.
+    """A data marginal, the exact table over it and the derived marginal.
 
     Attributes
     ----------
@@ -201,30 +209,28 @@ class AugmentationProcess:
         ``|X| x |A|`` table of ``p(a|x)``; any other type raises
         :class:`ValidationError`.  A build stores it as a :class:`CSRTable`
         when it holds more than ``DENSE_ENTRIES`` entries below 25% density.
-    p_a : ndarray
-        Augmentation marginal ``conditional^T p_x`` over ``|A|`` points,
-        strictly positive after pruning.
     hypercube : HypercubeConfig or None
         The masking scheme a hypercube process was built from, whose
         spectrum has a closed form; ``None`` for every other process.
+    p_a : ndarray
+        Not an argument: the augmentation marginal ``conditional^T p_x``
+        over ``|A|`` points, derived at construction by
+        :func:`derive_marginal`; strictly positive once pruned.
 
-    Both marginals are stored as read-only float copies, and a dense table
-    as a read-only float view, so the caller's own arrays stay writeable.
-    The view shares the caller's memory when the table is already float:
+    ``p_x`` is stored as a read-only float copy, and a dense table as a
+    read-only float view, so the caller's own arrays stay writeable.  The
+    view shares the caller's memory when the table is already float:
     writing to that array afterwards changes the process.
     """
 
     p_x: np.ndarray
     conditional: object
-    p_a: np.ndarray
     hypercube: HypercubeConfig | None = None
+    p_a: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        p_x = _marginal(self.p_x)
-        p_a = _marginal(self.p_a)
+        p_x = _marginal(np.array(self.p_x, dtype=float))
         object.__setattr__(self, "p_x", p_x)
-        object.__setattr__(self, "p_a", p_a)
-        n_x, n_a = p_x.size, p_a.size
         cond = self.conditional
         if isinstance(cond, np.ndarray):
             # a read-only view: the caller's array stays writeable, and a
@@ -235,10 +241,9 @@ class AugmentationProcess:
             raise ValidationError("conditional must be an ndarray or a "
                                   f"CSRTable, got {type(cond).__name__}")
         object.__setattr__(self, "conditional", cond)
-        if cond.shape != (n_x, n_a):
-            raise ValidationError(
-                f"conditional has shape {cond.shape}, expected ({n_x}, {n_a})"
-            )
+        if len(cond.shape) != 2 or cond.shape[0] != p_x.size:
+            raise ValidationError(f"conditional has shape {cond.shape}, "
+                                  f"expected {p_x.size} rows")
         smallest = (cond.data if isinstance(cond, CSRTable)
                     else cond).min(initial=0.0)
         row_sums = _row_sums(cond)
@@ -255,17 +260,15 @@ class AugmentationProcess:
             raise ValidationError(
                 "p_x must be strictly positive; drop zero-mass data points"
             )
-        recomputed = derive_marginal(cond, p_x)
-        if not np.array_equal(recomputed, p_a):
-            if np.max(np.abs(recomputed - p_a)) > CONSTRUCTION_TOL:
-                raise ValidationError("p_a is inconsistent with conditional and p_x")
+        p_a = _marginal(derive_marginal(cond, p_x))
+        object.__setattr__(self, "p_a", p_a)
         if p_a.min() <= 0:
             raise ValidationError(
                 "zero-mass augmentations present; they must be pruned"
             )
-        if self.hypercube is not None and n_x != 2**self.hypercube.d_x:
+        if self.hypercube is not None and p_x.size != 2**self.hypercube.d_x:
             raise ValidationError(
-                f"{n_x} data points do not form the hypercube of "
+                f"{p_x.size} data points do not form the hypercube of "
                 f"d_x={self.hypercube.d_x}"
             )
 
@@ -364,9 +367,7 @@ class HypercubeConfig:
     scheme: str
 
     def __post_init__(self):
-        if (not isinstance(self.d_x, numbers.Integral)
-                or isinstance(self.d_x, bool)):
-            raise ValidationError(f"d_x must be an integer, got {self.d_x!r}")
+        _check_integer(self.d_x, "d_x")
         if self.d_x < 1:
             raise ValidationError(f"d_x must be >= 1, got {self.d_x}")
         if (not isinstance(self.alpha, numbers.Real)
@@ -419,36 +420,32 @@ def _finalize_storage(conditional):
     return conditional if sparse else _from_dense(conditional)
 
 
-def _keep_columns(table, kept: np.ndarray):
-    """The columns ``kept`` (increasing) of a dense table or a
-    :class:`CSRTable`; a CSR table keeps each row's entry order."""
+def _prune(table, p_x: np.ndarray):
+    """The one pruning rule: ``(table, reached)``, the columns of a dense
+    table or a :class:`CSRTable` that ``p_x`` reaches (:func:`derive_marginal`
+    positive) and the boolean mask of them.  A CSR table keeps each row's
+    entry order."""
+    reached = derive_marginal(table, p_x) > 0.0
+    if reached.all():
+        return table, reached
     if not isinstance(table, CSRTable):
-        return table[:, kept]
-    new = np.full(table.shape[1], -1)
-    new[kept] = np.arange(kept.size)
-    cols = new[table.indices]
-    keep = cols >= 0
-    return _csr(table.data[keep], cols[keep],
+        return table[:, reached], reached
+    keep = reached[table.indices]
+    return _csr(table.data[keep], np.cumsum(reached)[table.indices[keep]] - 1,
                 np.bincount(table.entry_rows()[keep], minlength=table.shape[0]),
-                (table.shape[0], kept.size))
+                (table.shape[0], np.count_nonzero(reached))), reached
 
 
 def _assemble(p_x, table, hypercube: HypercubeConfig | None = None
               ) -> tuple[AugmentationProcess, np.ndarray]:
-    """The process of ``table`` over ``p_x``: zero-mass augmentations pruned,
-    the storage chosen, ``p_a`` derived from the stored table.
+    """The process of ``table`` over ``p_x``: zero-mass augmentations pruned
+    (:func:`_prune`) and the storage chosen.
 
-    Returns ``(process, kept)``, ``kept`` holding the table's column
-    indices that survive pruning.
+    Returns ``(process, reached)``, ``reached`` the boolean mask of the
+    table's columns that survive pruning.
     """
-    kept = np.nonzero(derive_marginal(table, p_x) > 0.0)[0]
-    if kept.size < table.shape[1]:
-        table = _keep_columns(table, kept)
-    stored = _finalize_storage(table)
-    process = AugmentationProcess(p_x=p_x, conditional=stored,
-                                  p_a=derive_marginal(stored, p_x),
-                                  hypercube=hypercube)
-    return process, kept
+    table, reached = _prune(table, p_x)
+    return AugmentationProcess(p_x, _finalize_storage(table), hypercube), reached
 
 
 def _coordinate_channel(config: HypercubeConfig) -> np.ndarray:
@@ -616,6 +613,8 @@ def build_custom(x_size: int, a_size: int, p_x, triples
     chosen; the second return value maps the surviving column positions
     back to the original ``a`` indices.
     """
+    _check_integer(x_size, "x_size")
+    _check_integer(a_size, "a_size")
     if not (x_size >= 1 and a_size >= 1):
         raise ValidationError(f"space sizes must be >= 1, got {x_size}, {a_size}")
     p_x = np.asarray(p_x, dtype=float)
@@ -650,7 +649,8 @@ def build_custom(x_size: int, a_size: int, p_x, triples
             f"not 1 within {USER_INPUT_TOL}"
         )
     conditional /= row_sums[:, None]
-    return _assemble(p_x, conditional)
+    process, reached = _assemble(p_x, conditional)
+    return process, np.nonzero(reached)[0]
 
 
 def sample_process(process: AugmentationProcess, N: int, seed: int
@@ -665,20 +665,17 @@ def sample_process(process: AugmentationProcess, N: int, seed: int
     ``(sample, draws, kept)``, ``kept`` holding the population indices of the
     sample's augmentations.
     """
+    _check_integer(N, "N")
     if N < 1:
         raise ValidationError(f"N must be >= 1, got {N}")
     rng = np.random.default_rng(seed)
     draws = rng.choice(process.n_x, size=N, p=process.p_x)
     points, counts = np.unique(draws, return_counts=True)
     p_x = counts / N
-    rows = process.conditional_dense(points)
-    p_a = derive_marginal(rows, p_x)
-    kept = np.nonzero(p_a > 0.0)[0]
+    rows, reached = _prune(process.conditional_dense(points), p_x)
     # not through _assemble, which could store it CSR: the SVD that
     # decomposes the sample would make it dense again
-    sample = AugmentationProcess(p_x=p_x, conditional=rows[:, kept],
-                                 p_a=p_a[kept])
-    return sample, draws, kept
+    return AugmentationProcess(p_x, rows), draws, np.nonzero(reached)[0]
 
 
 def load_process(path) -> tuple[AugmentationProcess, np.ndarray]:

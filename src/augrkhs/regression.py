@@ -16,7 +16,7 @@ evaluate is one keyword-only function of the numbers it reads:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,21 +32,34 @@ _CONSTRAINT_REL_TOL = 1e-10
 class TargetFunction:
     """A member of the soft-invariance class with certified invariants.
 
-    ``u`` holds coefficients over the data eigenbasis, supported on the
-    retained spectrum; ``values`` is the induced function table on the data
-    space.  Membership (norm budget, soft invariance, isometry band) is
-    validated at construction.
+    ``u`` holds coefficients over the data eigenbasis, one per retained
+    eigenpair.  Construction refuses a budget ``B <= 0``, an ``epsilon``
+    outside [0, 1), a ``u`` of another shape and one outside the class at
+    ``(B, epsilon)`` (norm budget, soft invariance, isometry band), raising
+    :class:`ValidationError`.  ``values``, the induced function table on the
+    data space, is not an argument: it is derived as ``psi @ u``.  Both are
+    stored read-only, ``u`` as a float copy.
     """
 
     u: np.ndarray
     B: float
     epsilon: float
-    values: np.ndarray
     decomposition: SpectralDecomposition
+    values: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.u.setflags(write=False)
-        self.values.setflags(write=False)
+        _check_scale(self.B, self.epsilon)
+        dec, u = self.decomposition, np.array(self.u, dtype=float)
+        if u.shape != (dec.rank,):
+            raise ValidationError(
+                f"coefficients have shape {u.shape}, expected ({dec.rank},)")
+        _certify_membership(u, dec, self.B, self.epsilon)
+        values = dec.psi @ u
+        u.setflags(write=False)
+        values.setflags(write=False)
+        for name, value in (("u", u), ("values", values), ("B", float(self.B)),
+                            ("epsilon", float(self.epsilon))):
+            object.__setattr__(self, name, value)
 
     @property
     def norm_sq(self) -> float:
@@ -54,7 +67,8 @@ class TargetFunction:
 
     @property
     def h_norm_sq(self) -> float:
-        return self.decomposition.h_norm_sq(self.u)
+        """Squared norm ``sum u_i^2 / lambda_i`` of ``sum u_i psi_i``."""
+        return float(np.sum(self.u * self.u / self.decomposition.lambdas))
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,22 +103,15 @@ def _certify_membership(u, dec: SpectralDecomposition, B, epsilon) -> None:
         raise ValidationError(f"target norm {math.sqrt(norm_sq)} exceeds budget {B}")
     usq = u * u
     lhs = float(np.sum((1.0 - lam) / lam * usq))
-    rhs = epsilon * float(np.sum(usq / lam))
+    h_norm_sq = float(np.sum(usq / lam))
+    rhs = epsilon * h_norm_sq
     if lhs > rhs + _MEMBERSHIP_TOL:
         raise ValidationError(
             f"soft-invariance violated: {lhs} > epsilon * {rhs / max(epsilon, 1e-300)}"
         )
-    h_norm_sq = float(np.sum(usq / lam))
     if not ((1.0 - epsilon) * h_norm_sq <= norm_sq + 1e-10
             and norm_sq <= h_norm_sq + 1e-10):
         raise ValidationError("isometry band violated")
-
-
-def _finish_target(u, dec, B, epsilon) -> TargetFunction:
-    _certify_membership(u, dec, B, epsilon)
-    values = dec.psi @ u
-    return TargetFunction(u=u, B=float(B), epsilon=float(epsilon),
-                          values=values, decomposition=dec)
 
 
 def target_from_coefficients(decomposition: SpectralDecomposition,
@@ -113,16 +120,10 @@ def target_from_coefficients(decomposition: SpectralDecomposition,
     """Build a target from explicit eigenbasis coefficients.
 
     Membership in the soft-invariance class at ``(B, epsilon)`` is certified
-    at construction; a :class:`ValidationError` is raised otherwise.
+    by :class:`TargetFunction`; a :class:`ValidationError` is raised
+    otherwise.
     """
-    _check_scale(B, epsilon)
-    u = np.asarray(coefficients, dtype=float).copy()
-    if u.shape != (decomposition.rank,):
-        raise ValidationError(
-            f"coefficients have shape {u.shape}, expected "
-            f"({decomposition.rank},)"
-        )
-    return _finish_target(u, decomposition, B, epsilon)
+    return TargetFunction(coefficients, B, epsilon, decomposition)
 
 
 def sample_target(decomposition: SpectralDecomposition, B: float,
@@ -163,7 +164,7 @@ def sample_target(decomposition: SpectralDecomposition, B: float,
     if norm == 0.0:
         raise InfeasibleTargetError("repaired draw is identically zero")
     u *= B / norm
-    return _finish_target(u, dec, B, epsilon)
+    return TargetFunction(u, B, epsilon, dec)
 
 
 def worst_case_target(decomposition: SpectralDecomposition, d: int,
@@ -194,7 +195,7 @@ def worst_case_target(decomposition: SpectralDecomposition, d: int,
     u[0] = B * math.sqrt(1.0 - beta2_sq)
     if lam_next > 0.0 and beta2_sq > 0.0:
         u[d] = B * math.sqrt(beta2_sq)
-    return _finish_target(u, dec, B, epsilon)
+    return TargetFunction(u, B, epsilon, dec)
 
 
 def generate_labels(target: TargetFunction, n: int, sigma: float,

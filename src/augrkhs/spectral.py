@@ -185,11 +185,6 @@ class SpectralDecomposition:
             raise ValidationError(f"eigenvalue index must be >= 1, got {index}")
         return float(self.lambdas[index - 1]) if index <= self.rank else 0.0
 
-    def h_norm_sq(self, coefficients: np.ndarray) -> float:
-        """Squared norm ``sum u_i^2 / lambda_i`` of ``sum u_i psi_i``."""
-        u = np.asarray(coefficients, dtype=float)
-        return float(np.sum(u * u / self.lambdas))
-
 
 def _check_d(decomposition: SpectralDecomposition, d: int) -> None:
     """The one check of a ``d`` that reads the top ``d`` eigenpairs: it

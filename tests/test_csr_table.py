@@ -278,5 +278,4 @@ def test_a_scipy_table_is_refused():
                 "^conditional must be an ndarray or a CSRTable, got "
                 f"{type(table).__name__}$")):
             processes.AugmentationProcess(p_x=np.array([0.5, 0.5]),
-                                          conditional=table,
-                                          p_a=np.array([0.25, 0.5, 0.25]))
+                                          conditional=table)

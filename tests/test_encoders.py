@@ -368,6 +368,13 @@ def test_empirical_single_sample():
     assert emp.lambdas_bar[0] == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("N", [2.5, True])
+def test_empirical_needs_an_integer_N(small_decomposition, N):
+    with pytest.raises(ValidationError, match=(
+            f"^N must be an integer, got {N!r}$")):
+        empirical_decomposition(small_decomposition, N, seed=0)
+
+
 def test_empirical_determinism(small_decomposition):
     a = empirical_decomposition(small_decomposition, N=32, seed=5)
     b = empirical_decomposition(small_decomposition, N=32, seed=5)

@@ -45,11 +45,9 @@ _BAD_FIELDS = {
                           "probabilities must be nonnegative"),
     "nan_marginal": ({"p_x": np.array([np.nan, np.nan])},
                      "probabilities must be nonnegative, got nan"),
-    "nan_augmentation_marginal": ({"p_a": np.array([np.nan, 0.5, 0.5])},
-                                  "probabilities must be nonnegative, got nan"),
     "p_x_sum": ({"p_x": np.array([0.5, 0.6])}, "probabilities sum to"),
-    "table_shape": ({"conditional": np.array([[0.5, 0.5], [0.5, 0.5]])},
-                    r"conditional has shape \(2, 2\), expected \(2, 3\)"),
+    "table_shape": ({"conditional": np.array([[0.5, 0.5]] * 3)},
+                    r"conditional has shape \(3, 2\), expected 2 rows"),
     "negative_entry": ({"conditional": np.array([[0.5, 0.5, 0.0],
                                                  [-0.1, 0.6, 0.5]])},
                        "conditional probabilities must be nonnegative"),
@@ -68,14 +66,11 @@ _BAD_FIELDS = {
     "row_sum": ({"conditional": np.array([[0.5, 0.5, 0.0],
                                           [0.0, 0.5, 0.6]])},
                 r"conditional rows \[1\] do not sum to 1"),
-    "p_x_positive": ({"p_x": np.array([0.0, 1.0]),
-                      "p_a": np.array([0.0, 0.5, 0.5])},
+    "p_x_positive": ({"p_x": np.array([0.0, 1.0])},
                      "p_x must be strictly positive"),
-    "p_a_consistent": ({"p_a": np.array([0.5, 0.25, 0.25])},
-                       "p_a is inconsistent with conditional and p_x"),
+    # the derived p_a is (0.5, 0, 0.5): its middle column is not pruned
     "zero_mass_augmentation": ({"conditional": np.array([[1.0, 0.0, 0.0],
-                                                         [0.0, 0.0, 1.0]]),
-                                "p_a": np.array([0.5, 0.0, 0.5])},
+                                                         [0.0, 0.0, 1.0]])},
                                "zero-mass augmentations present"),
     "hypercube_size": ({"hypercube": HypercubeConfig(2, 0.5, "random_mask")},
                        "2 data points do not form the hypercube of d_x=2"),
@@ -94,8 +89,7 @@ def test_process_checks(case):
 def test_a_nan_process_does_not_construct():
     # a check written ``x < 0`` or ``abs(s - 1) > tol`` lets a NaN pass
     with pytest.raises(ValidationError, match="got nan"):
-        AugmentationProcess(p_x=[np.nan, np.nan], conditional=np.eye(2),
-                            p_a=[np.nan, np.nan])
+        AugmentationProcess(p_x=[np.nan, np.nan], conditional=np.eye(2))
 
 
 def test_process_marginals_are_read_only_arrays(small_process):
@@ -107,15 +101,14 @@ def test_process_marginals_are_read_only_arrays(small_process):
 def test_construction_leaves_the_callers_arrays_writeable():
     p_x = np.array([0.5, 0.5])
     table = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
-    p_a = np.array([0.25, 0.5, 0.25])
-    process = AugmentationProcess(p_x=p_x, conditional=table, p_a=p_a)
-    for array in (p_x, table, p_a):
+    process = AugmentationProcess(p_x=p_x, conditional=table)
+    for array in (p_x, table):
         assert array.flags.writeable
     for array in (process.p_x, process.conditional, process.p_a):
         assert array.dtype == float and not array.flags.writeable
+    np.testing.assert_array_equal(process.p_a, [0.25, 0.5, 0.25])
     # an integer table is stored converted to float, and read-only
-    ints = AugmentationProcess(p_x=p_x, conditional=np.eye(2, dtype=np.int64),
-                               p_a=p_x)
+    ints = AugmentationProcess(p_x=p_x, conditional=np.eye(2, dtype=np.int64))
     assert ints.conditional.dtype == float
     assert not ints.conditional.flags.writeable
 
@@ -312,11 +305,12 @@ def test_dense_product_table_equals_the_kron_oracle(d_x, alpha):
 
 @pytest.mark.parametrize("d_x", [7, 8])
 def test_dense_product_build_holds_the_table(d_x):
-    # the table, plus four vectors over A (the marginal, its copy, its
-    # recomputation and the kept columns), plus the buffer of bufsize
-    # entries a ufunc takes to write the power's strided slots; no lower
-    # power of the table and nothing per point.  One build first, so that
-    # caches numpy fills once per process are not counted
+    # the table, plus two vectors over A (the marginal, derived once and
+    # held by the process, and the boolean mask of the reached columns, an
+    # eighth of a vector), plus the buffer of bufsize entries a ufunc takes
+    # to write the power's strided slots; no lower power of the table and
+    # nothing per point.  One build first, so that caches numpy fills once
+    # per process are not counted
     config = HypercubeConfig(d_x, 0.5, "random_mask_flip")
     build_hypercube(config)
     tracemalloc.start()
@@ -327,7 +321,7 @@ def test_dense_product_build_holds_the_table(d_x):
     finally:
         tracemalloc.stop()
     n_x, n_a = 2**d_x, 3**d_x
-    admitted = 8 * n_x * n_a + 8 * 4 * n_a + 8 * np.getbufsize()
+    admitted = 8 * n_x * n_a + 8 * 2 * n_a + 8 * np.getbufsize()
     assert build <= admitted, (build, admitted)
 
 
@@ -371,6 +365,49 @@ def test_marginal_recomputation_is_bit_identical(small_process):
     p = small_process
     again = derive_marginal(p.conditional, p.p_x)
     assert np.array_equal(again, p.p_a)
+
+
+def _sparse_custom(seed, n_x=8, n_a=60, per_row=2):
+    """A custom process over ``n_x`` points whose rows reach ``per_row`` of
+    ``n_a`` augmentations each, most of them no row's."""
+    rng = np.random.default_rng(seed)
+    triples = [(x, int(a), float(w)) for x in range(n_x)
+               for a, w in zip(rng.choice(n_a, per_row, replace=False),
+                               rng.dirichlet(np.ones(per_row)))]
+    return build_custom(n_x, n_a, rng.dirichlet(np.ones(n_x)), triples)[0]
+
+
+def _assert_marginal_is_the_tables(process):
+    again = derive_marginal(process.conditional, process.p_x)
+    assert process.p_a.tobytes() == again.tobytes()
+
+
+@pytest.mark.parametrize("d_x", range(1, 9))
+@pytest.mark.parametrize("scheme", processes.SCHEMES)
+def test_a_built_marginal_is_its_tables(scheme, d_x):
+    # p_a is derived from the stored table once, so a recomputation gives
+    # its bytes, whichever form the table is stored in
+    _assert_marginal_is_the_tables(
+        build_hypercube(HypercubeConfig(d_x, 0.3, scheme)))
+
+
+def test_a_custom_marginal_is_its_tables():
+    dense = [_sparse_custom(seed) for seed in range(5)]
+    with stored_by_density():
+        sparse = [_sparse_custom(seed) for seed in range(5)]
+    assert not any(p.is_sparse for p in dense)
+    assert all(p.is_sparse and p.n_a < 60 for p in sparse)  # some pruned
+    for process in dense + sparse:
+        _assert_marginal_is_the_tables(process)
+
+
+@pytest.mark.parametrize("scheme", ["random_mask", "block_mask"])
+def test_a_sample_marginal_is_its_tables(process_cache, scheme):
+    # a sample's p_a is its stored rows' marginal, not a slice of the
+    # marginal over all the augmentations the population reaches
+    process = process_cache(scheme, 5, 0.3)
+    for N, seed in itertools.product((4, 8, 32, 64), range(8)):
+        _assert_marginal_is_the_tables(sample_process(process, N, seed)[0])
 
 
 def test_budget_error_names_counts():
@@ -476,6 +513,18 @@ def test_custom_space_size_below_one_rejected(sizes):
     with pytest.raises(ValidationError, match=(
             rf"space sizes must be >= 1, got {sizes[0]}, {sizes[1]}")):
         build_custom(*sizes, [0.5, 0.5], [])
+
+
+@pytest.mark.parametrize("sizes,name", [
+    ((True, 2), "x_size"), ((2.5, 2), "x_size"),
+    ((2, np.float64(2.0)), "a_size"), ((2, "2"), "a_size")])
+def test_custom_space_size_must_be_an_integer(sizes, name):
+    value = sizes[name == "a_size"]
+    with pytest.raises(ValidationError, match=re.escape(
+            f"{name} must be an integer, got {value!r}")):
+        build_custom(*sizes, [0.5, 0.5], [(0, 0, 1.0), (1, 1, 1.0)])
+    assert build_custom(np.int64(2), 2, [0.5, 0.5],
+                        [(0, 0, 1.0), (1, 1, 1.0)])[0].n_x == 2
 
 
 @pytest.mark.parametrize("index", [(1.5, 1), (1, 1.0), (True, 1)])
@@ -816,6 +865,15 @@ def test_sample_process_needs_a_draw(small_process):
     for N in (0, -3):
         with pytest.raises(ValidationError, match="N must be >= 1"):
             sample_process(small_process, N, 0)
+
+
+@pytest.mark.parametrize("N", [2.5, 4.0, True, np.float64(4.0), "4"])
+def test_sample_process_needs_an_integer_N(small_process, N):
+    # named before numpy would fail on it with a bare TypeError
+    message = f"N must be an integer, got {N!r}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        sample_process(small_process, N, 0)
+    assert sample_process(small_process, np.int64(4), 0)[1].size == 4
 
 
 @pytest.mark.parametrize("scheme", ["random_mask", "block_mask"])

@@ -13,6 +13,7 @@ from augrkhs.encoders import (
 from augrkhs.exceptions import ValidationError
 from augrkhs.processes import HypercubeConfig, build_hypercube
 from augrkhs.regression import (
+    TargetFunction,
     fit_least_squares,
     fit_least_squares_population,
     generate_labels,
@@ -96,6 +97,21 @@ def test_target_membership_violation_rejected(small_decomposition):
     u[-1] = 1.0  # all mass on the smallest eigenvalue
     with pytest.raises(ValidationError):
         target_from_coefficients(small_decomposition, u, 1.0, 0.01)
+
+
+def test_a_target_certifies_itself(small_decomposition):
+    # constructed directly, a target refuses what its constructors refuse,
+    # and derives its values from its coefficients
+    dec = small_decomposition
+    with pytest.raises(ValidationError, match="exceeds budget 1.0"):
+        TargetFunction(2.0 * np.eye(dec.rank)[0], 1.0, 0.25, dec)
+    with pytest.raises(ValidationError, match="soft-invariance violated"):
+        TargetFunction(np.eye(dec.rank)[-1], 1.0, 0.01, dec)
+    for target in (TargetFunction(np.eye(dec.rank)[0], 1.0, 0.25, dec),
+                   sample_target(dec, 1.5, 0.2, seed=4),
+                   worst_case_target(dec, 1, 1.0, 0.1)):
+        assert target.values.tobytes() == (dec.psi @ target.u).tobytes()
+        assert not (target.u.flags.writeable or target.values.flags.writeable)
 
 
 def test_sample_target_determinism_and_invariants(small_decomposition):
