@@ -12,8 +12,8 @@ import math
 import numpy as np
 
 from augrkhs import (
+    Encoder,
     HypercubeConfig,
-    build_average_encoder,
     build_hypercube,
     covariances,
     decompose,
@@ -44,8 +44,7 @@ print(f"trace gap {trace_gap(best):.6f} vs next eigenvalue "
 
 print("\n=== A mediocre encoder for contrast ===")
 rng = np.random.default_rng(0)
-rough = build_average_encoder(dec,
-                              1.0 + 0.8 * rng.normal(size=(d, process.n_a)))
+rough = Encoder(1.0 + 0.8 * rng.normal(size=(d, process.n_a)), dec)
 print(f"ratio trace {ratio_trace(covariances(rough)):.4f} "
       f"(ceiling {partial_trace(dec, d):.4f})")
 print(f"trace gap {trace_gap(rough):.4f} "

@@ -8,9 +8,9 @@ every converged run lands on the top-d eigenspace (zero principal angle).
 import numpy as np
 
 from augrkhs import (
+    Encoder,
     ObjectiveSpec,
     OptimizerConfig,
-    build_average_encoder,
     build_custom,
     covariances,
     decompose,
@@ -82,7 +82,7 @@ for beta in (0.5, 0.1, 0.02):
     run = minimize(ObjectiveSpec("vicreg", d, beta_w=beta), process,
                    OptimizerConfig(learning_rate=0.2, max_iters=20000,
                                    grad_tol=1e-9, seed=4))
-    enc = build_average_encoder(dec, run.phi_hat)
+    enc = Encoder(run.phi_hat, dec)
     rt = ratio_trace(covariances(enc))
     print(f"beta={beta:<5} ratio trace {rt:.6f} "
           f"(ceiling {partial_trace(dec, d):.6f})")

@@ -21,6 +21,7 @@ from augrkhs import (
     lemma32_rhs,
     optimal_encoder,
     partial_trace,
+    probe_errors,
     project_fpsi,
     prop41_rhs,
     sample_target,
@@ -46,15 +47,12 @@ print(f"\napproximation error of the top-{d} span: {approx_err:.6f}")
 
 print(f"\n{'n':>6}{'prediction err':>16}{'estimation err':>16}"
       f"{'constraint':>12}")
-f_psi, _ = project_fpsi(target, encoder)
 for n in (32, 128, 512, 2048):
     fit = fit_least_squares(
-        encoder, generate_labels(target, n, sigma, seed=n),
-        B, eps, target=target)
-    est = fit.f_hat_values - f_psi
-    est_err = float(np.sum(est * est * process.p_x))
+        encoder, generate_labels(target, n, sigma, seed=n), B, eps)
+    pred_err, _, est_err = probe_errors(fit, target)
     state = "active" if fit.lagrange_mu > 0 else "slack"
-    print(f"{n:>6}{fit.prediction_error:>16.6f}{est_err:>16.6f}{state:>12}")
+    print(f"{n:>6}{pred_err:>16.6f}{est_err:>16.6f}{state:>12}")
 
 print("\n=== Bound right-hand sides at n = 512 ===")
 tau_sq = trace_gap(encoder)

@@ -32,7 +32,6 @@ from .encoders import (
     CovariancePair,
     EmpiricalDecomposition,
     Encoder,
-    build_average_encoder,
     covariances,
     empirical_decomposition,
     near_optimal_encoder,
@@ -80,10 +79,10 @@ from .regression import (
     fit_least_squares_population,
     generate_labels,
     lemma32_rhs,
+    probe_errors,
     project_fpsi,
     prop41_rhs,
     sample_target,
-    target_from_coefficients,
     thm31_rhs,
     thm41_rhs,
     worst_case_target,

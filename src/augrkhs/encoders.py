@@ -1,8 +1,9 @@
 """Encoders on the augmentation space and their quality measures.
 
-An encoder is a ``d``-row function table on the augmentation space; its
-average encoder on the data space is the row-wise conditional expectation.
-Quality is captured by the covariance pair (F on data, G on augmentations),
+An encoder is a ``d``-row function table on the augmentation space, and
+:class:`Encoder` derives the rest from the table once: its ``p_a`` Gram G
+and its average encoder on the data space, the row-wise conditional
+expectation.  Quality is captured by the covariance pair (F on data, G),
 the ratio trace ``Tr(G^-1 F)``, and the trace gap, the worst residual
 between partial eigenvalue sums and the best ratio trace achievable inside
 the encoder's span.  The empirical route replaces the data marginal with an
@@ -16,7 +17,7 @@ the augmentations the sample never reaches, judged against that population.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,21 +33,43 @@ _CONDITION_LIMIT = 1e12
 
 @dataclass(frozen=True, eq=False)
 class Encoder:
-    """A full-rank ``d x |A|`` table with its derived average encoder.
+    """A full-rank ``d x |A|`` table, judged against ``decomposition``,
+    whose process it is defined on.
 
-    ``psi_hat`` row ``i`` is the conditional expectation of ``phi_hat`` row
-    ``i`` given the data point, computed exactly from the process tables.
-    The encoder is judged against ``decomposition``, whose process it is
-    defined on.
+    Construction copies ``phi_hat`` as a float 2-D array and refuses one
+    without ``|A|`` columns (:class:`ValidationError`) or with rows that are
+    dependent under the ``p_a`` weighting (:class:`RankDeficiencyError`,
+    naming the smallest singular value of ``G``).  ``G``, the rows'
+    ``p_a``-weighted Gram, and ``psi_hat``, whose row ``i`` is the
+    conditional expectation of ``phi_hat`` row ``i`` given the data point,
+    are derived, not passed.  All three are stored read-only.
     """
 
     phi_hat: np.ndarray
-    psi_hat: np.ndarray
     decomposition: SpectralDecomposition
+    G: np.ndarray = field(init=False)
+    psi_hat: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.phi_hat.setflags(write=False)
-        self.psi_hat.setflags(write=False)
+        process = self.decomposition.process
+        phi_hat = np.array(self.phi_hat, dtype=float, order="C", ndmin=2)
+        if phi_hat.shape[1] != process.n_a:
+            raise ValidationError(
+                f"encoder table has {phi_hat.shape[1]} columns, "
+                f"augmentation space has {process.n_a}"
+            )
+        G = (phi_hat * process.p_a[None, :]) @ phi_hat.T
+        smallest = float(np.min(np.linalg.svd(G, compute_uv=False)))
+        if smallest <= _GRAM_RANK_TOL:
+            raise RankDeficiencyError(
+                f"encoder rows are rank deficient: smallest Gram singular "
+                f"value {smallest:.3e} <= {_GRAM_RANK_TOL}"
+            )
+        psi_hat = apply_gamma_star(process, phi_hat.T).T
+        for name, value in (("phi_hat", phi_hat), ("G", G),
+                            ("psi_hat", psi_hat)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def d(self) -> int:
@@ -66,47 +89,10 @@ class CovariancePair:
     gamma_g: float
 
 
-def gram_a(process: AugmentationProcess, phi_hat: np.ndarray) -> np.ndarray:
-    """Augmentation-side Gram under the ``p_a`` weight."""
-    return (phi_hat * process.p_a[None, :]) @ phi_hat.T
-
-
-def gram_x(process: AugmentationProcess, psi_hat: np.ndarray) -> np.ndarray:
-    """Data-side Gram under the ``p_x`` weight."""
-    return (psi_hat * process.p_x[None, :]) @ psi_hat.T
-
-
-def build_average_encoder(decomposition: SpectralDecomposition,
-                          phi_hat) -> Encoder:
-    """Wrap a raw table on ``decomposition.process`` as an :class:`Encoder`
-    with its average encoder.
-
-    Raises :class:`RankDeficiencyError` naming the deficient singular value
-    when the rows are not linearly independent under the ``p_a`` weighting.
-    """
-    process = decomposition.process
-    phi_hat = np.atleast_2d(np.asarray(phi_hat, dtype=float)).copy()
-    if phi_hat.shape[1] != process.n_a:
-        raise ValidationError(
-            f"encoder table has {phi_hat.shape[1]} columns, "
-            f"augmentation space has {process.n_a}"
-        )
-    G = gram_a(process, phi_hat)
-    smallest = float(np.min(np.linalg.svd(G, compute_uv=False)))
-    if smallest <= _GRAM_RANK_TOL:
-        raise RankDeficiencyError(
-            f"encoder rows are rank deficient: smallest Gram singular value "
-            f"{smallest:.3e} <= {_GRAM_RANK_TOL}"
-        )
-    psi_hat = apply_gamma_star(process, phi_hat.T).T
-    return Encoder(phi_hat=phi_hat, psi_hat=psi_hat,
-                   decomposition=decomposition)
-
-
 def covariances(encoder: Encoder) -> CovariancePair:
     """Exact covariance pair of an encoder, plus the condition number of G."""
-    F = gram_x(encoder.process, encoder.psi_hat)
-    G = gram_a(encoder.process, encoder.phi_hat)
+    psi_hat, G = encoder.psi_hat, encoder.G
+    F = (psi_hat * encoder.process.p_x[None, :]) @ psi_hat.T
     F = 0.5 * (F + F.T)
     G = 0.5 * (G + G.T)
     eigs = np.linalg.eigvalsh(G)
@@ -157,7 +143,7 @@ def trace_gap(encoder: Encoder) -> float:
 def optimal_encoder(decomposition: SpectralDecomposition, d: int) -> Encoder:
     """Encoder whose rows are the top ``d`` augmentation eigenfunctions."""
     _check_d(decomposition, d)
-    return build_average_encoder(decomposition, decomposition.phi[:, :d].T)
+    return Encoder(decomposition.phi[:, :d].T, decomposition)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,4 +196,4 @@ def near_optimal_encoder(empirical: EmpiricalDecomposition, d: int) -> Encoder:
         )
     phi_hat = np.zeros((d, empirical.process.n_a))
     phi_hat[:, empirical.kept] = empirical.decomposition.phi[:, :d].T
-    return build_average_encoder(empirical.population, phi_hat)
+    return Encoder(phi_hat, empirical.population)

@@ -432,14 +432,11 @@ def _regress_cell(cell, config: ExperimentConfig, dec, once) -> dict:
     target = regression.sample_target(dec, B, eps, seed=cell["seed"])
     samples = regression.generate_labels(
         target, cell["n"], cell["sigma"], seed=cell["seed"] + 1)
-    fit = regression.fit_least_squares(encoder, samples, B, eps, target=target)
-    f_psi, approx_err = regression.project_fpsi(target, encoder)
-    est = fit.f_hat_values - f_psi
+    fit = regression.fit_least_squares(encoder, samples, B, eps)
     tau_sq = encoders.trace_gap(encoder)
     row["tau_sq"] = tau_sq
-    row["pred_err"] = fit.prediction_error
-    row["approx_err"] = approx_err
-    row["est_err"] = float(np.sum(est * est * dec.process.p_x))
+    row["pred_err"], row["approx_err"], row["est_err"] = \
+        regression.probe_errors(fit, target)
     row["lemma32_rhs"] = regression.lemma32_rhs(tau_sq=tau_sq, epsilon=eps, B=B)
     row["thm31_rhs"] = regression.thm31_rhs(
         tau_sq=tau_sq, epsilon=eps, B=B,
@@ -536,9 +533,19 @@ def fit_loglog_slope(ns, values) -> float:
     return float((x @ (y - y.mean())) / (x @ x))
 
 
-def _rate_summary(rows) -> tuple[list, float | None]:
-    """One median row per (axes, N) group, in grid order, and the log-log
-    slope in N."""
+def _rate_fit(medians: dict) -> dict:
+    """The ``points`` of ``medians`` (N -> median gap) that carry log-scale
+    information, the positive ones, in ascending N, and their log-log
+    ``slope`` in N (``None`` below two points)."""
+    points = [(n, medians[n]) for n in sorted(medians) if medians[n] > 0.0]
+    return {"slope": fit_loglog_slope(*zip(*points)) if len(points) >= 2
+            else None, "points": points}
+
+
+def _rate_summary(rows) -> tuple[list, dict]:
+    """One median row per (axes, N) group, in grid order, and the fit: the
+    ``slope`` of the medians' mean over the other axes' groups, and those
+    ``groups``' axes, each with its own rate fit, in grid order."""
     axes = _PROCESS_AXES + _READS["tracegap"]
     groups: dict[tuple, list] = {}
     for row in rows:
@@ -546,20 +553,19 @@ def _rate_summary(rows) -> tuple[list, float | None]:
             key = tuple(row[a] for a in axes)
             groups.setdefault(key, []).append(row["gap"])
     median_rows = []
-    medians: dict[int, list] = {}
+    pooled: dict[int, list] = {}
+    rates: dict[tuple, dict] = {}
     for key, gaps in groups.items():
         med = float(np.median(gaps))
         cell = dict(zip(axes, key))
         median_rows.append({"schema": SCHEMA_VERSION, **cell,
                             "seed": "median", "gap": med})
-        medians.setdefault(cell["N"], []).append(med)
-    # the gap is nonnegative up to rounding; only positive medians carry
-    # log-scale information
-    points = [(n, float(np.mean(medians[n]))) for n in sorted(medians)]
-    points = [(n, v) for n, v in points if v > 0.0]
-    slope = (fit_loglog_slope([n for n, _ in points], [v for _, v in points])
-             if len(points) >= 2 else None)
-    return median_rows, slope
+        pooled.setdefault(cell["N"], []).append(med)
+        rates.setdefault(key[:-1], {})[cell["N"]] = med  # N is the last axis
+    pooled_fit = _rate_fit({n: float(np.mean(v)) for n, v in pooled.items()})
+    return median_rows, {"slope": pooled_fit["slope"], "groups": [
+        dict(zip(axes, key)) | _rate_fit(medians)
+        for key, medians in rates.items()]}
 
 
 def _write_table(config: ExperimentConfig, name: str, rows, files) -> list:
@@ -588,10 +594,10 @@ def _write_pretrain(config: ExperimentConfig, name: str, rows, files) -> list:
 
 
 def _write_tracegap(config: ExperimentConfig, name: str, rows, files) -> list:
-    median_rows, slope = _rate_summary(rows)
+    median_rows, fit = _rate_summary(rows)
     records = _write_table(config, name, rows + median_rows, files)
     fit_path = os.path.join(config.output_dir, "tracegap_fit.json")
-    _write_atomic(fit_path, json.dumps({"slope": slope}) + "\n")
+    _write_atomic(fit_path, json.dumps(fit) + "\n")
     files["fit"] = fit_path
     empirical_path = os.path.join(config.output_dir, "empirical.jsonl")
     write_jsonl(empirical_path, [

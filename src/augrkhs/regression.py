@@ -5,8 +5,10 @@ the data eigenbasis whose high-frequency mass is controlled relative to
 their energy, equivalently functions whose squared norm sits within a
 ``(1 - epsilon)`` isometry band of their induced-space norm.  The probe is a
 least-squares fit over the average encoder's span subject to that induced
-norm budget, solved by multiplier bisection.  Each bound the experiments
-evaluate is one keyword-only function of the numbers it reads:
+norm budget, solved by multiplier bisection; :func:`probe_errors` splits
+its error against a target into the paper's estimation and approximation
+errors.  Each bound the experiments evaluate is one keyword-only function
+of the numbers it reads:
 :func:`lemma32_rhs` (approximation, from the trace gap), :func:`thm31_rhs`
 (generalization, adding the estimation term of ``n`` labels),
 :func:`prop41_rhs` (the approximation lower bound, from ``lambda_{d+1}``) and
@@ -73,14 +75,15 @@ class TargetFunction:
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
-    """Solution of the norm-constrained least-squares probe."""
+    """Solution of the norm-constrained least-squares probe on
+    ``encoder``'s span."""
 
+    encoder: Encoder
     w: np.ndarray
     f_hat_values: np.ndarray
     h_norm: float
     lagrange_mu: float
     train_mse: float
-    prediction_error: float | None
 
 
 def _check_epsilon(epsilon) -> None:
@@ -112,18 +115,6 @@ def _certify_membership(u, dec: SpectralDecomposition, B, epsilon) -> None:
     if not ((1.0 - epsilon) * h_norm_sq <= norm_sq + 1e-10
             and norm_sq <= h_norm_sq + 1e-10):
         raise ValidationError("isometry band violated")
-
-
-def target_from_coefficients(decomposition: SpectralDecomposition,
-                             coefficients, B: float,
-                             epsilon: float) -> TargetFunction:
-    """Build a target from explicit eigenbasis coefficients.
-
-    Membership in the soft-invariance class at ``(B, epsilon)`` is certified
-    by :class:`TargetFunction`; a :class:`ValidationError` is raised
-    otherwise.
-    """
-    return TargetFunction(coefficients, B, epsilon, decomposition)
 
 
 def sample_target(decomposition: SpectralDecomposition, B: float,
@@ -290,7 +281,7 @@ def _constrained_lstsq(design, weights, y, Q, radius_sq):
     return w, mu, float(z @ z)
 
 
-def _fit(encoder: Encoder, x_indices, weights, y, B, epsilon, target):
+def _fit(encoder: Encoder, x_indices, weights, y, B, epsilon):
     _check_epsilon(epsilon)
     if not B >= 0:  # a zero budget fits the zero function
         raise ValidationError(f"B must be >= 0, got {B}")
@@ -302,24 +293,20 @@ def _fit(encoder: Encoder, x_indices, weights, y, B, epsilon, target):
     f_hat = encoder.psi_hat.T @ w
     residual = design @ w - y
     train_mse = float(np.sum(weights * residual * residual) / np.sum(weights))
-    prediction_error = None
-    if target is not None:
-        diff = f_hat - target.values
-        prediction_error = float(np.sum(diff * diff * encoder.process.p_x))
-    return FitResult(w=w, f_hat_values=f_hat, h_norm=math.sqrt(max(h_sq, 0.0)),
-                     lagrange_mu=mu, train_mse=train_mse,
-                     prediction_error=prediction_error)
+    return FitResult(encoder=encoder, w=w, f_hat_values=f_hat,
+                     h_norm=math.sqrt(max(h_sq, 0.0)), lagrange_mu=mu,
+                     train_mse=train_mse)
 
 
-def fit_least_squares(encoder: Encoder, labels, B: float, epsilon: float,
-                      target: TargetFunction | None = None) -> FitResult:
+def fit_least_squares(encoder: Encoder, labels, B: float,
+                      epsilon: float) -> FitResult:
     """Norm-constrained least squares on labeled samples.
 
     ``labels`` is ``(x_indices, y)`` as :func:`generate_labels` returns it,
     with integer indices in ``[0, |X|)``.  Minimizes the mean squared
     training error over the encoder's span subject to the induced-norm
-    budget ``B / sqrt(1 - epsilon)``.  When the true target is supplied, the
-    exact prediction error is reported.
+    budget ``B / sqrt(1 - epsilon)``.  :func:`probe_errors` measures the
+    fit against a target.
     """
     x_idx, y = np.asarray(labels[0]), np.asarray(labels[1], dtype=float)
     if x_idx.ndim != 1 or x_idx.shape != y.shape:
@@ -331,13 +318,11 @@ def fit_least_squares(encoder: Encoder, labels, B: float, epsilon: float,
             or x_idx.min() < 0 or x_idx.max() >= n_x):
         raise ValidationError(f"indices must be integers in [0, {n_x})")
     weights = np.full(x_idx.size, 1.0 / x_idx.size)
-    return _fit(encoder, x_idx, weights, y, B, epsilon, target)
+    return _fit(encoder, x_idx, weights, y, B, epsilon)
 
 
 def fit_least_squares_population(encoder: Encoder, values, B: float,
-                                 epsilon: float,
-                                 target: TargetFunction | None = None
-                                 ) -> FitResult:
+                                 epsilon: float) -> FitResult:
     """Population-limit fit: every data point weighted by its mass."""
     values = np.asarray(values, dtype=float)
     if values.shape != (encoder.process.n_x,):
@@ -345,8 +330,13 @@ def fit_least_squares_population(encoder: Encoder, values, B: float,
             f"values has shape {values.shape}, expected ({encoder.process.n_x},)"
         )
     x_idx = np.arange(encoder.process.n_x)
-    return _fit(encoder, x_idx, encoder.process.p_x, values, B, epsilon,
-                target)
+    return _fit(encoder, x_idx, encoder.process.p_x, values, B, epsilon)
+
+
+def _distance_sq(f, g, p_x) -> float:
+    """Squared ``p_x``-weighted distance between two data-space tables."""
+    diff = f - g
+    return float(np.sum(diff * diff * p_x))
 
 
 def project_fpsi(target: TargetFunction, encoder: Encoder
@@ -356,18 +346,34 @@ def project_fpsi(target: TargetFunction, encoder: Encoder
     The canonical augmentation-side representer of the target is projected
     onto the encoder rows under the ``p_a`` inner product and pushed back to
     the data space; the returned scalar is the squared weighted distance to
-    the target.
+    the target.  A target and an encoder on different processes raise
+    :class:`ValidationError`.
     """
     dec = target.decomposition
     process = encoder.process
+    if dec.process is not process:
+        raise ValidationError(
+            "the target and the encoder are defined on different processes")
     g_star = dec.phi @ (target.u / np.sqrt(dec.lambdas))
-    # one weighting serves the Gram (encoders.gram_a) and the right side
     weighted = encoder.phi_hat * process.p_a[None, :]
-    coeffs = np.linalg.solve(weighted @ encoder.phi_hat.T, weighted @ g_star)
+    coeffs = np.linalg.solve(encoder.G, weighted @ g_star)
     projected = encoder.phi_hat.T @ coeffs
     f_psi = apply_gamma_star(process, projected)
-    diff = f_psi - target.values
-    return f_psi, float(np.sum(diff * diff * process.p_x))
+    return f_psi, _distance_sq(f_psi, target.values, process.p_x)
+
+
+def probe_errors(fit: FitResult,
+                 target: TargetFunction) -> tuple[float, float, float]:
+    """``(pred_err, approx_err, est_err)``, the paper's split of a probe's
+    error: the squared ``p_x``-weighted distances from the fit to
+    ``target``, from the target's projection onto the encoder's span
+    (:func:`project_fpsi`) to the target, and from the fit to that
+    projection.  A target on another process than the fit's encoder raises
+    :class:`ValidationError`."""
+    f_psi, approx_err = project_fpsi(target, fit.encoder)
+    p_x = fit.encoder.process.p_x
+    return (_distance_sq(fit.f_hat_values, target.values, p_x), approx_err,
+            _distance_sq(fit.f_hat_values, f_psi, p_x))
 
 
 def lemma32_rhs(*, tau_sq: float, epsilon: float, B: float) -> float | None:

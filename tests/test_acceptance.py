@@ -19,7 +19,7 @@ from augrkhs.complexity import (
     partial_trace,
 )
 from augrkhs.encoders import (
-    build_average_encoder,
+    Encoder,
     covariances,
     empirical_decomposition,
     near_optimal_encoder,
@@ -255,7 +255,7 @@ def test_criterion_06_trace_gap_optimality(distinct_pair, process_cache,
         table = rng.normal(size=(d, process.n_a))
         if rng.uniform() < 0.5:
             table = table + 1.0  # anchor half the draws near the constant
-        enc = build_average_encoder(dec, table)
+        enc = Encoder(table, dec)
         if trace_gap(enc) < dec.eigenvalue(d + 1) - 1e-9:
             floor_ok = False
         if ratio_trace(covariances(enc)) > partial_trace(dec, d) + 1e-9:
@@ -355,7 +355,7 @@ def test_criterion_08_approximation_bound_soundness(distinct_pair, process_cache
         process, dec = pool[checked % len(pool)]
         d = int(rng.integers(1, 4))
         table = 1.0 + 0.5 * rng.normal(size=(d, process.n_a))
-        enc = build_average_encoder(dec, table)
+        enc = Encoder(table, dec)
         tau_sq = trace_gap(enc)
         seed += 1
         if tau_sq >= 1.0:
@@ -417,15 +417,13 @@ def test_criterion_10_regression_behavior(process_cache, decomp_cache):
     # population limit equals the projection, giving the Pythagorean split
     target = rg.sample_target(dec, 1.0, 0.2, seed=0)
     pop = rg.fit_least_squares_population(enc, target.values, B=5.0,
-                                          epsilon=0.2, target=target)
-    f_psi, approx_err = rg.project_fpsi(target, enc)
+                                          epsilon=0.2)
+    f_psi, _ = rg.project_fpsi(target, enc)
     projection_gap = float(np.max(np.abs(pop.f_hat_values - f_psi)))
     labels = rg.generate_labels(target, 128, 0.25, seed=1)
-    noisy = rg.fit_least_squares(enc, labels, B=1.0, epsilon=0.2,
-                                 target=target)
-    est = noisy.f_hat_values - f_psi
-    est_err = float(np.sum(est * est * process.p_x))
-    pythagoras = abs(noisy.prediction_error - (est_err + approx_err))
+    noisy = rg.fit_least_squares(enc, labels, B=1.0, epsilon=0.2)
+    pred_err, approx_err, est_err = rg.probe_errors(noisy, target)
+    pythagoras = abs(pred_err - (est_err + approx_err))
 
     # estimation-error rate in the number of labels
     B, eps, sigma = 1.0, 0.2, 0.1
@@ -438,7 +436,7 @@ def test_criterion_10_regression_behavior(process_cache, decomp_cache):
         for s in range(20):
             lab = rg.generate_labels(target, n, sigma,
                                      seed=31 * n + s)
-            f = rg.fit_least_squares(enc, lab, B, eps, target=target)
+            f = rg.fit_least_squares(enc, lab, B, eps)
             diff = f.f_hat_values - f_psi
             errs.append(float(np.sum(diff * diff * process.p_x)))
         medians.append(float(np.median(errs)))

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -9,7 +11,7 @@ from augrkhs.complexity import partial_trace
 from augrkhs.encoders import (
     CovariancePair,
     EmpiricalDecomposition,
-    build_average_encoder,
+    Encoder,
     covariances,
     empirical_decomposition,
     near_optimal_encoder,
@@ -19,8 +21,11 @@ from augrkhs.encoders import (
     trace_gap,
 )
 from augrkhs.exceptions import RankDeficiencyError, ValidationError
-from augrkhs.processes import HypercubeConfig, build_custom, build_hypercube
-from augrkhs.spectral import decompose
+from augrkhs.processes import (SCHEMES, HypercubeConfig, build_custom,
+                               build_hypercube)
+from augrkhs.spectral import apply_gamma_star, decompose
+
+from conftest import stored_by_density
 
 
 @pytest.fixture(scope="module")
@@ -49,15 +54,14 @@ def projector(columns, weights):
 
 def test_average_encoder_duality_rows(small_process, small_decomposition):
     dec = small_decomposition
-    enc = build_average_encoder(dec, dec.phi[:, :3].T)
+    enc = Encoder(dec.phi[:, :3].T, dec)
     for i in range(3):
         expected = np.sqrt(dec.lambdas[i]) * dec.psi[:, i]
         np.testing.assert_allclose(enc.psi_hat[i], expected, atol=1e-10)
 
 
 def test_average_encoder_constant_row(small_process, small_decomposition):
-    enc = build_average_encoder(
-        small_decomposition, 2.5 * np.ones((1, small_process.n_a)))
+    enc = Encoder(2.5 * np.ones((1, small_process.n_a)), small_decomposition)
     np.testing.assert_allclose(enc.psi_hat, 2.5, atol=1e-12)
 
 
@@ -65,7 +69,7 @@ def test_average_encoder_matches_direct_sum(small_process,
                                             small_decomposition):
     rng = np.random.default_rng(9)
     table = rng.normal(size=(3, small_process.n_a))
-    enc = build_average_encoder(small_decomposition, table)
+    enc = Encoder(table, small_decomposition)
     dense = small_process.conditional_dense()
     expected = np.zeros((3, small_process.n_x))
     for i in range(3):
@@ -74,12 +78,54 @@ def test_average_encoder_matches_direct_sum(small_process,
     np.testing.assert_allclose(enc.psi_hat, expected, atol=1e-12)
 
 
+def _custom_decomposition(seed, n_x=8, n_a=60, per_row=2):
+    """A custom process whose rows reach ``per_row`` of ``n_a``
+    augmentations each, decomposed."""
+    rng = np.random.default_rng(seed)
+    triples = [(x, int(a), float(w)) for x in range(n_x)
+               for a, w in zip(rng.choice(n_a, per_row, replace=False),
+                               rng.dirichlet(np.ones(per_row)))]
+    return decompose(build_custom(n_x, n_a, rng.dirichlet(np.ones(n_x)),
+                                  triples)[0])
+
+
+def test_an_encoder_derives_its_gram_and_average_encoder(decomp_cache):
+    assert list(inspect.signature(Encoder).parameters) == [
+        "phi_hat", "decomposition"]
+    decs = [decomp_cache(scheme, 4, 0.3) for scheme in SCHEMES]
+    dense = [_custom_decomposition(seed) for seed in range(3)]
+    with stored_by_density():
+        sparse = [_custom_decomposition(seed) for seed in range(3)]
+    assert not any(dec.process.is_sparse for dec in dense)
+    assert all(dec.process.is_sparse for dec in sparse)
+    rng = np.random.default_rng(3)
+    for dec in decs + dense + sparse:
+        process = dec.process
+        d = min(3, dec.rank)
+        for table in (np.asfortranarray(dec.phi[:, :d].T),
+                      rng.normal(size=(d, process.n_a))):
+            enc = Encoder(table, dec)
+            # the formulas of the former build_average_encoder, the oracle
+            phi_hat = np.atleast_2d(np.asarray(table, dtype=float)).copy()
+            G = (phi_hat * process.p_a[None, :]) @ phi_hat.T
+            psi_hat = apply_gamma_star(process, phi_hat.T).T
+            assert enc.phi_hat.tobytes() == phi_hat.tobytes()
+            assert enc.G.tobytes() == G.tobytes()
+            assert enc.psi_hat.tobytes() == psi_hat.tobytes()
+            assert table.flags.writeable
+            assert not np.shares_memory(enc.phi_hat, table)
+            assert not any(a.flags.writeable
+                           for a in (enc.phi_hat, enc.G, enc.psi_hat))
+            cov = covariances(enc)
+            assert cov.G.tobytes() == (0.5 * (enc.G + enc.G.T)).tobytes()
+
+
 def test_rank_deficiency_error_names_value(small_process,
                                            small_decomposition):
     table = np.vstack([np.ones(small_process.n_a),
                        np.ones(small_process.n_a)])
     with pytest.raises(RankDeficiencyError, match="singular value"):
-        build_average_encoder(small_decomposition, table)
+        Encoder(table, small_decomposition)
 
 
 def _scaled_pencil(seed, d, g_cond, exponents):
@@ -135,13 +181,13 @@ def test_rank_check_matches_the_scipy_oracle(small_process, small_decomposition,
         table[-1] = scale * table[0]
     elif kind == "scaled":
         table[-1] *= scale
-    G = encoders.gram_a(small_process, table)
+    G = (table * small_process.p_a) @ table.T  # the p_a-weighted Gram
     # the parent check, scipy's gesdd singular values, is the oracle
     if np.min(sla.svdvals(G)) <= encoders._GRAM_RANK_TOL:
         with pytest.raises(RankDeficiencyError, match="singular value"):
-            build_average_encoder(small_decomposition, table)
+            Encoder(table, small_decomposition)
     else:
-        build_average_encoder(small_decomposition, table)
+        Encoder(table, small_decomposition)
 
 
 def test_covariances_of_optimal_encoder(small_decomposition):
@@ -158,7 +204,7 @@ def test_covariance_normalized_matrix_contracts(small_process,
     rng = np.random.default_rng(17)
     for _ in range(20):
         table = rng.normal(size=(3, small_process.n_a))
-        cov = covariances(build_average_encoder(small_decomposition, table))
+        cov = covariances(Encoder(table, small_decomposition))
         inv_sqrt = np.linalg.inv(np.linalg.cholesky(cov.G))
         normalized = inv_sqrt @ cov.F @ inv_sqrt.T
         eigs = np.linalg.eigvalsh(normalized)
@@ -179,7 +225,7 @@ def test_ratio_trace_matches_independent_solve(small_process,
                                                small_decomposition):
     rng = np.random.default_rng(23)
     table = rng.normal(size=(2, small_process.n_a))
-    cov = covariances(build_average_encoder(small_decomposition, table))
+    cov = covariances(Encoder(table, small_decomposition))
     oracle = float(np.trace(np.linalg.inv(cov.G) @ cov.F))
     assert ratio_trace(cov) == pytest.approx(oracle, rel=1e-10)
 
@@ -188,9 +234,9 @@ def test_ratio_trace_scale_invariance(small_process, small_decomposition):
     rng = np.random.default_rng(31)
     table = rng.normal(size=(3, small_process.n_a))
     base = ratio_trace(covariances(
-        build_average_encoder(small_decomposition, table)))
+        Encoder(table, small_decomposition)))
     doubled = ratio_trace(covariances(
-        build_average_encoder(small_decomposition, 2.0 * table)))
+        Encoder(2.0 * table, small_decomposition)))
     assert doubled == pytest.approx(base, rel=1e-10)
 
 
@@ -200,7 +246,7 @@ def test_ratio_trace_ceiling_seeded(small_process, small_decomposition):
         d = int(rng.integers(1, 5))
         table = rng.normal(size=(d, small_process.n_a))
         rt = ratio_trace(covariances(
-            build_average_encoder(small_decomposition, table)))
+            Encoder(table, small_decomposition)))
         assert rt <= partial_trace(small_decomposition, d) + 1e-9
 
 
@@ -215,14 +261,14 @@ def test_trace_gap_optimal_is_next_eigenvalue(small_decomposition):
 def test_trace_gap_constant_encoder_dx2():
     p = build_hypercube(HypercubeConfig(2, 0.5, "random_mask"))
     dec = decompose(p)
-    enc = build_average_encoder(dec, np.ones((1, p.n_a)))
+    enc = Encoder(np.ones((1, p.n_a)), dec)
     assert trace_gap(enc) == pytest.approx(0.5, abs=1e-10)
 
 
 def test_trace_gap_skipping_second_eigenfunction(distinct):
     process, dec = distinct
     table = dec.phi[:, [0, 2]].T  # spans the first and third eigenfunctions
-    enc = build_average_encoder(dec, table)
+    enc = Encoder(table, dec)
     assert trace_gap(enc) == pytest.approx(dec.eigenvalue(2), abs=1e-8)
 
 
@@ -232,7 +278,7 @@ def test_trace_gap_sandwich_seeded(small_process, small_decomposition):
     for _ in range(50):
         d = int(rng.integers(1, 5))
         table = rng.normal(size=(d, small_process.n_a))
-        enc = build_average_encoder(dec, table)
+        enc = Encoder(table, dec)
         tg = trace_gap(enc)
         rt = ratio_trace(covariances(enc))
         assert tg >= dec.eigenvalue(d + 1) - 1e-9
@@ -243,7 +289,7 @@ def test_invariance_under_invertible_mixing(small_process,
                                             small_decomposition):
     rng = np.random.default_rng(41)
     table = rng.normal(size=(3, small_process.n_a))
-    enc = build_average_encoder(small_decomposition, table)
+    enc = Encoder(table, small_decomposition)
     base_rt = ratio_trace(covariances(enc))
     base_tg = trace_gap(enc)
     for _ in range(5):
@@ -251,7 +297,7 @@ def test_invariance_under_invertible_mixing(small_process,
             M = rng.normal(size=(3, 3))
             if abs(np.linalg.det(M)) > 0.1:
                 break
-        mixed = build_average_encoder(small_decomposition, M @ table)
+        mixed = Encoder(M @ table, small_decomposition)
         assert ratio_trace(covariances(mixed)) == pytest.approx(
             base_rt, abs=1e-8)
         assert trace_gap(mixed) == pytest.approx(base_tg, abs=1e-8)
@@ -272,8 +318,7 @@ def test_condition_number_guard(small_process, small_decomposition):
     base = np.ones((1, small_process.n_a))
     eps_row = base + 1e-9 * np.arange(small_process.n_a)
     with pytest.raises(RankDeficiencyError):
-        covariances(build_average_encoder(
-            small_decomposition, np.vstack([base, eps_row])))
+        covariances(Encoder(np.vstack([base, eps_row]), small_decomposition))
 
 
 def population_empirical(dec):
@@ -289,8 +334,8 @@ def population_empirical(dec):
 def ratio_trace_on_sample(encoder, emp):
     """Ratio trace under the empirical inner products of a sample: the
     ratio trace of the encoder's restriction to the sample process."""
-    return ratio_trace(covariances(build_average_encoder(
-        emp.decomposition, encoder.phi_hat[:, emp.kept])))
+    return ratio_trace(covariances(Encoder(encoder.phi_hat[:, emp.kept],
+                                           emp.decomposition)))
 
 
 def _oracle_empirical_svd(process, indices, weights, rank_tol=1e-10):
@@ -355,10 +400,10 @@ def test_empirical_route_matches_all_rows_svd_oracle(case):
         got, want = w * phi_bar[:, :k], w * phi[:, :k]
         np.testing.assert_allclose(got @ got.T, want @ want.T, rtol=0,
                                    atol=1e-10)
-    gram_x = (psi_bar * weights[:, None]).T @ psi_bar
-    gram_a = (phi_bar * p_a_hat[:, None]).T @ phi_bar
-    np.testing.assert_allclose(gram_x, np.eye(emp.rank), rtol=0, atol=1e-8)
-    np.testing.assert_allclose(gram_a, np.eye(emp.rank), rtol=0, atol=1e-8)
+    x_gram = (psi_bar * weights[:, None]).T @ psi_bar
+    a_gram = (phi_bar * p_a_hat[:, None]).T @ phi_bar
+    np.testing.assert_allclose(x_gram, np.eye(emp.rank), rtol=0, atol=1e-8)
+    np.testing.assert_allclose(a_gram, np.eye(emp.rank), rtol=0, atol=1e-8)
 
 
 def test_empirical_single_sample():
@@ -430,7 +475,7 @@ def test_empirical_ratio_trace_population_limit(small_process,
     emp = population_empirical(small_decomposition)
     rng = np.random.default_rng(19)
     table = rng.normal(size=(3, small_process.n_a))
-    enc = build_average_encoder(small_decomposition, table)
+    enc = Encoder(table, small_decomposition)
     empirical = ratio_trace_on_sample(enc, emp)
     population = ratio_trace(covariances(enc))
     assert empirical == pytest.approx(population, abs=1e-8)
@@ -443,7 +488,7 @@ def test_concentration_trend_median_nonincreasing(small_process,
     # verified to exhibit the trend
     rng = np.random.default_rng(0)
     table = rng.normal(size=(3, small_process.n_a))
-    enc = build_average_encoder(small_decomposition, table)
+    enc = Encoder(table, small_decomposition)
     population = ratio_trace(covariances(enc))
     medians = []
     for exponent in range(6, 13):

@@ -717,6 +717,48 @@ def test_sweep_bundle(tmp_path):
         assert np.all(np.diff(values) <= 1e-9), scheme
 
 
+def test_each_rate_group_is_fitted_alone(tmp_path):
+    # the top-level slope fits the mean of both schemes' medians; each
+    # group's slope is its scheme's own, and the table holds each scheme's
+    # rows as its run alone writes them
+    cfg = tracegap_config(tmp_path, grid=dict(
+        tracegap_config(tmp_path)["grid"], d_x=[3], d=[2]))
+    both = run(resolve_config(cfg))
+    fit = json.loads(open(both.files["fit"]).read())
+    seeds, medians = [], []
+    for scheme, group in zip(cfg["grid"]["scheme"], fit["groups"],
+                             strict=True):
+        alone = run(resolve_config(dict(
+            cfg, grid=dict(cfg["grid"], scheme=[scheme]),
+            output_dir=str(tmp_path / scheme))))
+        alone_fit = json.loads(open(alone.files["fit"]).read())
+        assert group["scheme"] == scheme
+        assert group["slope"] == alone_fit["slope"] is not None
+        assert alone_fit["groups"] == [group]
+        lines = open(alone.files["tracegap"]).read().splitlines()
+        seeds += [ln for ln in lines[1:] if ",median," not in ln]
+        medians += [ln for ln in lines[1:] if ",median," in ln]
+    assert fit["groups"][0]["slope"] != fit["groups"][1]["slope"]
+    assert open(both.files["tracegap"]).read().splitlines() == [
+        ",".join(HEADERS["tracegap"])] + seeds + medians
+
+
+def test_rate_groups_recover_exact_power_laws():
+    laws = {("random_mask", 2): (3.0, -1.0), ("block_mask", 2): (0.5, -0.5),
+            ("block_mask", 3): (7.0, -1.75)}
+    rows = [{"scheme": scheme, "d_x": 4, "alpha": 0.5, "d": d, "N": n,
+             "seed": seed, "gap": c * n**k * spread}
+            for (scheme, d), (c, k) in laws.items()
+            for n in (16, 32, 64, 256)
+            for seed, spread in enumerate((0.5, 1.0, 2.0))]
+    rows.append(dict(rows[0], seed=3, gap=math.nan, error="failed"))
+    groups = harness._rate_summary(rows)[1]["groups"]
+    assert [(g["scheme"], g["d"]) for g in groups] == list(laws)
+    for group, (c, k) in zip(groups, laws.values()):
+        assert [n for n, _ in group["points"]] == [16, 32, 64, 256]
+        assert abs(group["slope"] - k) <= 1e-12
+
+
 def test_fit_loglog_slope_exact_powers():
     ns = [16, 32, 64, 128]
     values = [10.0 * n**-0.5 for n in ns]

@@ -6,22 +6,22 @@ import pytest
 
 from augrkhs.complexity import kappa_exact
 from augrkhs.encoders import (
-    build_average_encoder,
+    Encoder,
     optimal_encoder,
     trace_gap,
 )
 from augrkhs.exceptions import ValidationError
-from augrkhs.processes import HypercubeConfig, build_hypercube
+from augrkhs.processes import SCHEMES, HypercubeConfig, build_hypercube
 from augrkhs.regression import (
     TargetFunction,
     fit_least_squares,
     fit_least_squares_population,
     generate_labels,
     lemma32_rhs,
+    probe_errors,
     project_fpsi,
     prop41_rhs,
     sample_target,
-    target_from_coefficients,
     thm31_rhs,
     thm41_rhs,
     worst_case_target,
@@ -40,7 +40,7 @@ def test_target_hand_membership_example():
     dec = decompose(p)  # spectrum (1, 1/2)
     scale = 1.0 / math.sqrt(1.25)
     u = np.array([1.0, 0.5]) * scale
-    target = target_from_coefficients(dec, u, B=1.0, epsilon=0.25)
+    target = TargetFunction(u, 1.0, 0.25, dec)
     lhs, rhs = soft_invariance_sides(target.u, dec.lambdas, 0.25)
     assert lhs == pytest.approx(0.25 * scale**2, abs=1e-12)
     assert rhs == pytest.approx(0.375 * scale**2, abs=1e-12)
@@ -63,8 +63,8 @@ def test_every_target_constructor_checks_its_scale(small_decomposition, make,
     # one check, made before any arithmetic, with sample_target's messages
     dec = small_decomposition
     build = {
-        "coefficients": lambda: target_from_coefficients(
-            dec, np.eye(dec.rank)[0], B, epsilon),
+        "coefficients": lambda: TargetFunction(
+            np.eye(dec.rank)[0], B, epsilon, dec),
         "sample": lambda: sample_target(dec, B, epsilon, seed=0),
         "worst_case": lambda: worst_case_target(dec, 1, B, epsilon),
     }[make]
@@ -88,7 +88,7 @@ def test_target_constant_always_member(small_decomposition):
     u = np.zeros(small_decomposition.rank)
     u[0] = 2.0
     for eps in (0.0, 0.3, 0.9):
-        target = target_from_coefficients(small_decomposition, u, 2.0, eps)
+        target = TargetFunction(u, 2.0, eps, small_decomposition)
         np.testing.assert_allclose(target.values, 2.0, atol=1e-10)
 
 
@@ -96,7 +96,7 @@ def test_target_membership_violation_rejected(small_decomposition):
     u = np.zeros(small_decomposition.rank)
     u[-1] = 1.0  # all mass on the smallest eigenvalue
     with pytest.raises(ValidationError):
-        target_from_coefficients(small_decomposition, u, 1.0, 0.01)
+        TargetFunction(u, 1.0, 0.01, small_decomposition)
 
 
 def test_a_target_certifies_itself(small_decomposition):
@@ -170,14 +170,12 @@ def test_fit_interpolates_in_span(small_process, small_decomposition):
     enc = optimal_encoder(dec, 4)
     w_true = np.array([0.3, -0.2, 0.5, 0.1])
     values = enc.psi_hat.T @ w_true
-    target = target_from_coefficients(
-        dec, (dec.psi * small_process.p_x[:, None]).T @ values,
-        B=2.0, epsilon=0.5)
+    target = TargetFunction(
+        (dec.psi * small_process.p_x[:, None]).T @ values, 2.0, 0.5, dec)
     rng = np.random.default_rng(0)
     idx = rng.integers(0, small_process.n_x, size=32)
-    fit = fit_least_squares(enc, (idx, values[idx]), B=5.0, epsilon=0.5,
-                            target=target)
-    assert fit.prediction_error <= 1e-16
+    fit = fit_least_squares(enc, (idx, values[idx]), B=5.0, epsilon=0.5)
+    assert probe_errors(fit, target)[0] <= 1e-16
     assert fit.lagrange_mu == 0.0
     assert fit.train_mse <= 1e-20
 
@@ -203,9 +201,10 @@ def test_fit_zero_budget(small_process, small_decomposition):
     target = sample_target(small_decomposition, 1.0, 0.25, seed=5)
     enc = optimal_encoder(small_decomposition, 3)
     samples = generate_labels(target, 16, 0.1, seed=6)
-    fit = fit_least_squares(enc, samples, B=0.0, epsilon=0.25, target=target)
+    fit = fit_least_squares(enc, samples, B=0.0, epsilon=0.25)
     np.testing.assert_array_equal(fit.w, 0.0)
-    assert fit.prediction_error == pytest.approx(target.norm_sq, abs=1e-10)
+    assert probe_errors(fit, target)[0] == pytest.approx(target.norm_sq,
+                                                         abs=1e-10)
 
 
 def test_fit_constraint_activation_and_slackness(small_process,
@@ -213,7 +212,7 @@ def test_fit_constraint_activation_and_slackness(small_process,
     target = sample_target(small_decomposition, 1.0, 0.25, seed=7)
     enc = optimal_encoder(small_decomposition, 3)
     samples = generate_labels(target, 24, 0.5, seed=8)
-    fit = fit_least_squares(enc, samples, B=0.05, epsilon=0.25, target=target)
+    fit = fit_least_squares(enc, samples, B=0.05, epsilon=0.25)
     radius_sq = 0.05**2 / 0.75
     assert fit.lagrange_mu > 0
     assert fit.h_norm**2 <= radius_sq * (1 + 1e-9)
@@ -227,9 +226,8 @@ def test_fit_error_monotone_in_budget(small_process, small_decomposition):
     samples = generate_labels(target, 48, 0.2, seed=10)
     errors = []
     for B in (0.01, 0.05, 0.1, 0.3, 0.6, 1.0, 2.0):
-        fit = fit_least_squares(enc, samples, B=B, epsilon=0.25,
-                                target=target)
-        errors.append(fit.prediction_error)
+        fit = fit_least_squares(enc, samples, B=B, epsilon=0.25)
+        errors.append(probe_errors(fit, target)[0])
     assert np.all(np.diff(errors) <= 1e-9), errors
 
 
@@ -239,12 +237,13 @@ def test_population_fit_is_projection_for_eigen_span(small_process,
     target = sample_target(dec, 1.0, 0.25, seed=11)
     rng = np.random.default_rng(12)
     mix = rng.normal(size=(3, 3)) + np.eye(3)
-    enc = build_average_encoder(dec, mix @ dec.phi[:, :3].T)
+    enc = Encoder(mix @ dec.phi[:, :3].T, dec)
     fit = fit_least_squares_population(enc, target.values, B=5.0,
-                                       epsilon=0.25, target=target)
+                                       epsilon=0.25)
     f_psi, approx_err = project_fpsi(target, enc)
     np.testing.assert_allclose(fit.f_hat_values, f_psi, atol=1e-8)
-    assert fit.prediction_error == pytest.approx(approx_err, abs=1e-8)
+    assert probe_errors(fit, target)[0] == pytest.approx(approx_err,
+                                                         abs=1e-8)
 
 
 def test_population_pythagoras_eigen_span(small_process,
@@ -253,12 +252,43 @@ def test_population_pythagoras_eigen_span(small_process,
     target = sample_target(dec, 1.0, 0.2, seed=13)
     enc = optimal_encoder(dec, 3)
     labels = generate_labels(target, 64, 0.3, seed=14)
-    fit = fit_least_squares(enc, labels, B=2.0, epsilon=0.2, target=target)
+    fit = fit_least_squares(enc, labels, B=2.0, epsilon=0.2)
+    pred_err, approx_err, est_err = probe_errors(fit, target)
+    assert pred_err == pytest.approx(est_err + approx_err, abs=1e-8)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_probe_errors_are_the_inline_formulas(decomp_cache, scheme):
+    dec = decomp_cache(scheme, 4, 0.5)
+    target = sample_target(dec, 1.0, 0.2, seed=3)
+    enc = optimal_encoder(dec, min(3, dec.rank))
+    fit = fit_least_squares(enc, generate_labels(target, 64, 0.1, seed=4),
+                            B=1.0, epsilon=0.2)
+    assert fit.encoder is enc
+    # the formulas the fit and the regress cell wrote inline, the oracle
     f_psi, approx_err = project_fpsi(target, enc)
+    diff = fit.f_hat_values - target.values
     est = fit.f_hat_values - f_psi
-    est_err = float(np.sum(est * est * small_process.p_x))
-    assert fit.prediction_error == pytest.approx(est_err + approx_err,
-                                                 abs=1e-8)
+    p_x = dec.process.p_x
+    assert probe_errors(fit, target) == (
+        float(np.sum(diff * diff * p_x)), approx_err,
+        float(np.sum(est * est * p_x)))
+
+
+@pytest.mark.parametrize("d_x", [4, 5])
+def test_a_target_and_an_encoder_share_their_process(decomp_cache, d_x):
+    # the target's process at d_x 4 has the spaces of the encoder's at d_x
+    # 4, and the projection used to return a number; at d_x 5 numpy refused
+    # the product
+    target = sample_target(decomp_cache("random_mask", 4, 0.3), 1.0, 0.2,
+                           seed=0)
+    enc = optimal_encoder(decomp_cache("random_mask", d_x, 0.7), 5)
+    fit = fit_least_squares(enc, generate_labels(target, 32, 0.1, seed=1),
+                            B=1.0, epsilon=0.2)
+    for measure in (lambda: project_fpsi(target, enc),
+                    lambda: probe_errors(fit, target)):
+        with pytest.raises(ValidationError, match="different processes"):
+            measure()
 
 
 def test_project_fpsi_top_d_tail_identity(small_decomposition):
@@ -276,7 +306,7 @@ def test_project_fpsi_in_span_and_orthogonal(small_process,
     dec = small_decomposition
     u = np.zeros(dec.rank)
     u[1] = 1.0  # aligned with the second eigenfunction
-    target = target_from_coefficients(dec, u, B=1.0, epsilon=0.6)
+    target = TargetFunction(u, 1.0, 0.6, dec)
     const = optimal_encoder(dec, 1)
     _, err = project_fpsi(target, const)
     assert err == pytest.approx(1.0, abs=1e-10)
@@ -322,7 +352,7 @@ def test_worst_case_lower_bound_over_top_d_spans(small_process,
             mix = rng.normal(size=(d, d))
             if abs(np.linalg.det(mix)) > 0.1:
                 break
-        enc = build_average_encoder(dec, mix @ dec.phi[:, :d].T)
+        enc = Encoder(mix @ dec.phi[:, :d].T, dec)
         _, err = project_fpsi(target, enc)
         assert err >= rhs - 1e-8
         assert err == pytest.approx(rhs, abs=1e-8)
@@ -343,7 +373,7 @@ def test_approximation_bound_soundness_sweep(small_process, small_decomposition)
     for seed in range(80):
         d = int(rng.integers(1, 4))
         table = 1.0 + 0.4 * rng.normal(size=(d, small_process.n_a))
-        enc = build_average_encoder(dec, table)
+        enc = Encoder(table, dec)
         tau_sq = trace_gap(enc)
         if tau_sq >= 1.0:
             continue
